@@ -1,6 +1,7 @@
-"""Dense two-phase simplex method for small linear programs.
+"""Small linear programs: a dense two-phase simplex and an exact 2D path.
 
-Solves   max  c.x   subject to   A x <= b,   x free (unrestricted sign).
+Solves   max  c.x   subject to   A x <= b,   x free (unrestricted sign),
+for one objective or for a stack of objectives over the same region.
 
 Free variables are split as x = u - v with u, v >= 0 and slack variables
 turn the inequalities into equalities.  Rows with negative right-hand side
@@ -9,17 +10,30 @@ first.  Pivoting uses Bland's rule (lowest eligible index enters, lowest
 basis index leaves on ratio ties), which precludes cycling.
 
 The problems handled here are tiny (a handful of variables, tens of rows),
-so a dense tableau is the right tool.
+so a dense tableau is the right tool.  A stack of objectives over a region
+of the plane whose nonzero rows span it is answered instead from the
+region's vertices and extreme rays, computed once; the simplex solves every
+other batch objective by objective and is the reference for the 2D path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 FEASIBILITY_TOL = 1e-9
 PIVOT_TOL = 1e-11
+# Relative tolerance of the 2D path.  It must stay strictly below the 1e-9
+# slack that carves regions apart, or carved-off empty pieces survive; and it
+# scales with |a_i|.|v| as well as |b_i|, or the far vertex of a thin sliver
+# is dropped and its support comes out too small.
+VERTEX_TOL = 1e-12
+# Rows whose angle has a sine below this are parallel on the 2D path, and a
+# region whose rows are all parallel goes to the simplex.  It is below
+# VERTEX_TOL, so the direction along such a pair still counts as a ray.
+PARALLEL_TOL = 1e-13
 MAX_ITERATIONS = 10_000
 
 OPTIMAL = "optimal"
@@ -32,6 +46,13 @@ class SimplexResult:
     status: str
     value: float | None = None
     point: np.ndarray | None = None
+
+    def exceeds(self, limit: float) -> bool:
+        """True iff the maximum is above `limit`.  An unbounded maximum is
+        above every finite limit; an infeasible problem has no maximum."""
+        if self.status == UNBOUNDED:
+            return limit < math.inf
+        return self.status == OPTIMAL and self.value > limit
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -70,12 +91,9 @@ def _run(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     raise RuntimeError("simplex did not converge within the iteration cap")
 
 
-def maximize(objective: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
-    """Maximize objective.x over {x : A x <= b} with x free."""
-    objective = np.asarray(objective, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape if A.ndim == 2 else (0, objective.size)
+def _solve(objective: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
+    """Maximize objective.x over {x : A x <= b} with x free, by the simplex."""
+    m, n = A.shape
     if m == 0:
         if np.all(np.abs(objective) <= PIVOT_TOL):
             return SimplexResult(OPTIMAL, 0.0, np.zeros(n))
@@ -130,3 +148,90 @@ def maximize(objective: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResu
     solution[basis] = tableau[:m, -1]
     x = solution[:n] - solution[n:2 * n]
     return SimplexResult(OPTIMAL, float(objective @ x), x)
+
+
+def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vertices and unit extreme rays of {x : A x <= b} in the plane, or None
+    when the nonzero rows do not span it.  An empty region has no vertices.
+
+    When the rows span the plane, a nonempty region has a vertex and is the
+    hull of its vertices plus the cone of its extreme rays.  Each vertex
+    ends the region's segment on one of the boundary lines, and each
+    extreme ray runs along one of them.
+    """
+    norms = np.hypot(A[:, 0], A[:, 1])
+    zero = norms == 0.0
+    if np.any(b[zero] < -VERTEX_TOL * np.maximum(1.0, np.abs(b[zero]))):
+        return np.empty((0, 2)), np.empty((0, 2))
+    A, b, norms = A[~zero], b[~zero], norms[~zero]
+    # boundary line i is x = p_i + t d_i with a unit direction d_i, and row j
+    # bounds t on it by slope[i, j] t <= room[i, j]; a row parallel to line i
+    # up to rounding (row i itself included) bounds nothing, and the
+    # feasibility test below still applies it
+    d = np.column_stack([-A[:, 1], A[:, 0]]) / norms[:, None]
+    slope = d @ A.T
+    parallel = np.abs(slope) <= PARALLEL_TOL * norms
+    if parallel.all():
+        return None
+    p = A * (b / norms ** 2)[:, None]
+    room = b - p @ A.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = room / slope
+    t_hi = np.where(~parallel & (slope > 0.0), t, np.inf).min(axis=1)
+    t_lo = np.where(~parallel & (slope < 0.0), t, -np.inf).max(axis=1)
+    ends = np.concatenate([t_lo, t_hi])
+    finite = np.isfinite(ends)
+    points = np.concatenate([p, p])[finite] + ends[finite, None] * np.concatenate([d, d])[finite]
+    scale = np.maximum(np.maximum(1.0, np.abs(b)),
+                       np.hypot(points[:, 0], points[:, 1])[:, None] * norms)
+    vertices = points[np.all(points @ A.T <= b + VERTEX_TOL * scale, axis=1)]
+    rays = np.concatenate([d, -d])
+    rays = rays[np.all(rays @ A.T <= VERTEX_TOL * norms, axis=1)]
+    return vertices, rays
+
+
+def _polygon_results(objectives: np.ndarray, vertices: np.ndarray, rays: np.ndarray):
+    """Results of every objective over a 2D region with the given vertices
+    and rays: one product with the vertices and one with the rays."""
+    if vertices.shape[0] == 0:
+        return [SimplexResult(INFEASIBLE)]
+    values = objectives @ vertices.T
+    top = values.argmax(axis=1)
+    best = values[np.arange(len(top)), top].tolist()
+    scale = VERTEX_TOL * np.hypot(objectives[:, 0], objectives[:, 1])
+    unbounded = np.any(objectives @ rays.T > scale[:, None], axis=1).tolist()
+    return (SimplexResult(UNBOUNDED) if unbounded[i]
+            else SimplexResult(OPTIMAL, best[i], vertices[top[i]])
+            for i in range(len(top)))
+
+
+def maximize(objectives, A, b, limits=None):
+    """Maximize objective.x over {x : A x <= b} with x free.
+
+    A single objective (shape (n,)) is solved by the simplex and gives one
+    :class:`SimplexResult`.  A stack of objectives (shape (k, n)) gives a list
+    of results in order.  The list stops after the first result that is
+    infeasible or exceeds its entry of `limits` (see
+    :meth:`SimplexResult.exceeds`); without limits it stops only on an
+    infeasible region.  In the plane, when the nonzero rows span it, the
+    stack is answered from the region's vertices and extreme rays; otherwise
+    the simplex solves one objective at a time.
+    """
+    objectives = np.asarray(objectives, dtype=float)
+    A = np.asarray(A, dtype=float).reshape(-1, objectives.shape[-1])
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if objectives.ndim == 1:
+        return _solve(objectives, A, b)
+    if limits is None:
+        limits = np.full(objectives.shape[0], math.inf)
+    polygon = _polygon(A, b) if A.shape[1] == 2 else None
+    if polygon is not None:
+        candidates = _polygon_results(objectives, *polygon)
+    else:
+        candidates = (_solve(c, A, b) for c in objectives)
+    results = []
+    for res, limit in zip(candidates, limits):
+        results.append(res)
+        if res.status == INFEASIBLE or res.exceeds(limit):
+            break
+    return results

@@ -150,14 +150,19 @@ def _is_origin_ball(body: ConvexBody) -> bool:
     return isinstance(body, Ellipsoid)
 
 
-def _ball_shape_key(body: ConvexBody):
+def ball_shape_key(body: ConvexBody):
+    """Hashable shape of a ball body, independent of its radius and scale;
+    None for other bodies.
+
+    The ellipsoid matrix is normalized, so that (Sigma, eps) and
+    (4*Sigma, eps/2) have one shape, and rounded to 10 decimals, so that a
+    shape that went through a matrix inverse (a dual ball) still matches.
+    """
     if isinstance(body, LpBall):
         return ("lp", float(body.p))
     if isinstance(body, Ellipsoid):
-        # Normalize the matrix scale so that e.g. (Sigma, eps) and
-        # (4*Sigma, eps/2) compare as the same shape.
         norm = float(np.linalg.norm(body.sigma))
-        return ("ellipsoid", tuple(np.round(body.sigma / norm, 12).ravel()))
+        return ("ellipsoid", tuple(np.round(body.sigma / norm, 10).ravel()))
     return None
 
 
@@ -243,8 +248,8 @@ def _realize(mode: str, family: str, dim: int,
 
     ball = None
     region = None
-    if all(_is_origin_ball(g) and _ball_shape_key(g) is not None for g, _ in active):
-        keys = {_ball_shape_key(g) for g, _ in active}
+    if all(_is_origin_ball(g) and ball_shape_key(g) is not None for g, _ in active):
+        keys = {ball_shape_key(g) for g, _ in active}
         if len(keys) == 1:
             duals = [geometry.polar_dual_ball(g, r) for g, r in active]
             ball = min(duals, key=_ball_effective_radius)
@@ -311,7 +316,7 @@ def lipschitz_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
     bodies = clf.smoothness.bodies
     if not all(_is_origin_ball(b) for b in bodies):
         raise SmoothnessMismatch("lipschitz certificates need origin-centered balls")
-    if len({_ball_shape_key(b) for b in bodies}) != 1:
+    if len({ball_shape_key(b) for b in bodies}) != 1:
         raise SmoothnessMismatch("class-wise lipschitz balls must share one shape")
     constraints = []
     for i in range(clf.n_classes):

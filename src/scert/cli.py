@@ -19,7 +19,6 @@ from importlib import resources
 import numpy as np
 
 from . import geometry, problemfile, render
-from ._simplex import UNBOUNDED
 from .certificates import (
     Certificate,
     ClassifierAtPoint,
@@ -82,10 +81,7 @@ def describe_certificate(cert: Certificate) -> list[str]:
             lo, hi = geometry.region_to_interval(cert.region)
             lines.append(f"  interval {format_interval(lo, hi)}")
             return lines
-        unbounded = any(
-            geometry.lp_maximize(direction, cert.region).status == UNBOUNDED
-            for direction in np.vstack([np.eye(cert.dim), -np.eye(cert.dim)]))
-        tag = " (unbounded)" if unbounded else ""
+        tag = " (unbounded)" if geometry.region_is_unbounded(cert.region) else ""
         lines.append(f"  region of {cert.region.n_halfspaces} halfspaces{tag}:")
         for normal, offset in zip(cert.region.normals, cert.region.offsets):
             coeffs = ", ".join(f"{v:.9g}" for v in normal)
@@ -230,6 +226,8 @@ def cmd_regime(args) -> int:
         print(f"evidence method: {method}")
     if report.evidence.get("trivial_ensemble_certificate"):
         print("ensemble certificate is trivial ({0} only)")
+    if "error" in report.evidence:
+        print(f"evidence error: {report.evidence['error']}")
     return 0
 
 

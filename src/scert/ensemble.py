@@ -31,6 +31,7 @@ from .certificates import (
     ClassWise,
     SmoothnessMismatch,
     Uniform,
+    ball_shape_key,
     gaps,
     s_certificate,
 )
@@ -193,16 +194,6 @@ def _cert_regime_balls(q_g: Certificate, member_certs: list[Certificate]) -> tup
     return "indeterminate", evidence
 
 
-def _ball_shape_of(cert: Certificate):
-    if cert.ball is None:
-        return None
-    ball = cert.ball
-    if isinstance(ball, LpBall):
-        return ("lp", float(ball.p))
-    return ("ellipsoid", tuple(np.round(
-        ball.sigma / np.linalg.norm(ball.sigma), 10).ravel()))
-
-
 def _beyond_union(g: HalfspaceRegion, q1: HalfspaceRegion, q2: HalfspaceRegion,
                   margin: float) -> bool:
     """True iff some point of g lies more than `margin` outside both q1 and q2."""
@@ -273,7 +264,7 @@ def _cert_regime_sampled(q_g: Certificate, q_1: Certificate, q_2: Certificate,
 def _cert_regime_pair(q_g: Certificate, q_1: Certificate, q_2: Certificate) -> tuple[str, dict]:
     certs = (q_g, q_1, q_2)
     if all(c.ball is not None or c.unbounded for c in certs):
-        keys = {_ball_shape_of(c) for c in certs if c.ball is not None}
+        keys = {ball_shape_key(c.ball) for c in certs if c.ball is not None}
         if len(keys) <= 1:
             return _cert_regime_balls(q_g, [q_1, q_2])
     if all(c.region is not None for c in certs):
@@ -315,7 +306,7 @@ def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
             q_g = s_certificate(ensemble_classifier(spec), mode)
             all_ball = all(c.ball is not None or c.unbounded
                            for c in member_certs + [q_g])
-            keys = {_ball_shape_of(c) for c in member_certs + [q_g]
+            keys = {ball_shape_key(c.ball) for c in member_certs + [q_g]
                     if c.ball is not None}
             if all_ball and len(keys) <= 1:
                 cert_regime, evidence = _cert_regime_balls(q_g, member_certs)
@@ -491,9 +482,7 @@ def _common_shape_or_raise(spec: EnsembleSpec) -> None:
                 raise PreconditionError("smoothness bodies must be symmetric balls")
             if isinstance(b, LpBall) and np.any(np.abs(b.center) > 1e-12):
                 raise PreconditionError("smoothness balls must be origin-centered")
-            keys.add(("lp", float(b.p)) if isinstance(b, LpBall)
-                     else ("ellipsoid", tuple(np.round(
-                         b.sigma / np.linalg.norm(b.sigma), 12).ravel())))
+            keys.add(ball_shape_key(b))
     if len(keys) != 1:
         raise PreconditionError("smoothness bodies must share one ball shape")
 

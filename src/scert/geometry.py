@@ -410,32 +410,29 @@ def lp_maximize(objective, region: HalfspaceRegion) -> SimplexResult:
     Two-phase dense simplex with Bland's anti-cycling rule; an infeasible
     region is reported distinctly (it cannot arise from polar constructions).
     """
-    c = as_vector(objective, region.dim)
-    if region.n_halfspaces == 0:
-        return _simplex.maximize(c, np.zeros((0, region.dim)), np.zeros(0))
-    return _simplex.maximize(c, region.normals, region.offsets)
+    return _simplex.maximize(as_vector(objective, region.dim), region.normals, region.offsets)
+
+
+def region_support(region: HalfspaceRegion, directions, limits=None) -> list[SimplexResult]:
+    """Maximum of each direction over the region, from one batched LP call.
+
+    Results come in the order of `directions`.  The list stops after the
+    first result that is infeasible or exceeds its entry of `limits`, so a
+    containment query stops at the first direction that decides it.
+    """
+    return _simplex.maximize(np.reshape(directions, (-1, region.dim)),
+                             region.normals, region.offsets, limits)
 
 
 def region_subset(a: HalfspaceRegion, b: HalfspaceRegion, slack: float = TOL) -> bool:
-    """True iff a is contained in b, decided exactly by one LP per halfspace of b.
+    """True iff a is contained in b, decided exactly by maximizing every
+    normal of b over a.
 
     An empty `a` is a subset of anything; an unbounded maximum over `a`
-    falsifies containment.
+    falsifies containment.  A zero row of b with a negative offset makes b
+    empty, so that only an empty `a` is contained.
     """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch in containment test")
-    for normal, offset in zip(b.normals, b.offsets):
-        if np.linalg.norm(normal) <= 1e-15:
-            if offset >= -slack:
-                continue
-            # b is empty: only an empty a can be contained
-            return lp_maximize(np.zeros(a.dim), a).status == _simplex.INFEASIBLE
-        res = lp_maximize(normal, a)
-        if res.status == _simplex.INFEASIBLE:
-            return True
-        if res.status == _simplex.UNBOUNDED or res.value > offset + slack:
-            return False
-    return True
+    return not region_exceeds(a, b, slack)
 
 
 def region_exceeds(a: HalfspaceRegion, b: HalfspaceRegion,
@@ -443,15 +440,9 @@ def region_exceeds(a: HalfspaceRegion, b: HalfspaceRegion,
     """True iff some point of a violates a halfspace of b by more than margin."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch in containment test")
-    for normal, offset in zip(b.normals, b.offsets):
-        if np.linalg.norm(normal) <= 1e-15:
-            continue
-        res = lp_maximize(normal, a)
-        if res.status == _simplex.INFEASIBLE:
-            return False
-        if res.status == _simplex.UNBOUNDED or res.value > offset + margin:
-            return True
-    return False
+    limits = b.offsets + margin
+    return any(res.exceeds(limit)
+               for res, limit in zip(region_support(a, b.normals, limits), limits))
 
 
 def region_minus_subset(a: HalfspaceRegion, carve: HalfspaceRegion,
@@ -473,27 +464,34 @@ def region_minus_subset(a: HalfspaceRegion, carve: HalfspaceRegion,
     return True
 
 
+def _axis_directions(dim: int) -> np.ndarray:
+    """The directions e_0, -e_0, e_1, -e_1, ... as rows."""
+    return np.repeat(np.eye(dim), 2, axis=0) * np.tile([1.0, -1.0], dim)[:, None]
+
+
 def region_is_origin_only(region: HalfspaceRegion, tol: float = TOL) -> bool:
     """True iff the region is pinched to the single point {0}."""
-    for axis in range(region.dim):
-        direction = np.zeros(region.dim)
-        for sign in (1.0, -1.0):
-            direction[axis] = sign
-            res = lp_maximize(direction, region)
-            if res.status != _simplex.OPTIMAL or abs(res.value) > tol:
-                return False
-        direction[axis] = 0.0
-    return True
+    results = region_support(region, _axis_directions(region.dim),
+                             np.full(2 * region.dim, tol))
+    return results[0].status != _simplex.INFEASIBLE and not any(
+        res.exceeds(tol) for res in results)
+
+
+def region_is_unbounded(region: HalfspaceRegion) -> bool:
+    """True iff the region is unbounded along some coordinate axis, i.e.
+    unbounded at all (an empty region is bounded)."""
+    return any(res.status == _simplex.UNBOUNDED
+               for res in region_support(region, _axis_directions(region.dim)))
 
 
 def region_to_interval(region: HalfspaceRegion) -> tuple[float | None, float | None]:
     """Endpoints of a one-dimensional region; None marks an unbounded side."""
     if region.dim != 1:
         raise ValueError("interval form is defined for one-dimensional regions")
-    hi_res = lp_maximize(np.array([1.0]), region)
-    lo_res = lp_maximize(np.array([-1.0]), region)
-    if _simplex.INFEASIBLE in (hi_res.status, lo_res.status):
+    results = region_support(region, _axis_directions(1))
+    if results[0].status == _simplex.INFEASIBLE:
         raise ValueError("region is empty")
+    hi_res, lo_res = results
     hi = None if hi_res.status == _simplex.UNBOUNDED else float(hi_res.value)
     lo = None if lo_res.status == _simplex.UNBOUNDED else float(-lo_res.value)
     return lo, hi

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import _simplex, geometry
+from . import geometry
 from .certificates import Certificate
 from .geometry import HalfspaceRegion
 
@@ -57,16 +57,6 @@ def region_window_polygon(region: HalfspaceRegion,
     return poly
 
 
-def _region_is_unbounded(region: HalfspaceRegion) -> bool:
-    for axis in range(2):
-        for sign in (1.0, -1.0):
-            direction = np.zeros(2)
-            direction[axis] = sign
-            if geometry.lp_maximize(direction, region).status == _simplex.UNBOUNDED:
-                return True
-    return False
-
-
 def certificate_outline(cert: Certificate,
                         window: tuple[float, float, float, float]
                         ) -> tuple[np.ndarray, bool]:
@@ -78,7 +68,7 @@ def certificate_outline(cert: Certificate,
         return window_polygon(window), True
     if cert.region is not None:
         poly = region_window_polygon(cert.region, window)
-        return poly, _region_is_unbounded(cert.region)
+        return poly, geometry.region_is_unbounded(cert.region)
     angles = np.linspace(0.0, 2.0 * math.pi, ANGLE_SAMPLES, endpoint=False)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     extents = np.array([cert.ray_extent(u) for u in dirs])

@@ -6,8 +6,17 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from scert.cli import CSV_HEADER, fixture_path, load_expected, main, run_fixture_check
-from scert.render import clip_polygon, window_polygon
+from scert.certificates import Certificate
+from scert.cli import (
+    CSV_HEADER,
+    describe_certificate,
+    fixture_path,
+    load_expected,
+    main,
+    run_fixture_check,
+)
+from scert.geometry import HalfspaceRegion
+from scert.render import DEFAULT_WINDOW, certificate_outline, clip_polygon, window_polygon
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +135,22 @@ class TestEnsembleAndRegime:
         assert "certificate regime: inconclusive" in out
 
 
+    def test_expansion_cap_error_is_printed(self, tmp_path, capsys):
+        # the ensemble's 900-point cloud minus itself is far over the
+        # 10,000-point cap, so the certificate regime cannot be decided
+        rng = np.random.default_rng(5)
+        members = [{"logits": [0.6, 0.3, 0.1],
+                    "smoothness": {"mode": "u", "body": {
+                        "type": "points", "points": rng.standard_normal((30, 3)).tolist()}}}
+                   for _ in range(2)]
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps({"dimension": 3, "classes": 3, "members": members}))
+        code, out, _ = run_cli(capsys, "regime", str(path))
+        assert code == 0
+        assert "certificate regime: indeterminate" in out
+        assert "evidence error: point expansion exceeds the 10000-point cap" in out
+
+
 class TestBound:
     def test_gap_gain(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "gap-gain", "--rbar", "0.2", "--k", "4")
@@ -239,6 +264,24 @@ class TestRender:
         code, _, err = run_cli(capsys, "render", str(fixture_path("appendix-c2-u.json")),
                                "--out", "/tmp/never.svg")
         assert code == 3
+
+
+class TestUnboundedRegions:
+    """`certify` tags an unbounded region and `render` dashes its outline."""
+
+    @staticmethod
+    def _certificate(normals, offsets):
+        return Certificate("u", "s", 2, (), region=HalfspaceRegion(normals, offsets, 2))
+
+    def test_single_halfplane_is_unbounded(self):
+        cert = self._certificate([[1.0, 0.0]], [1.0])
+        assert "  region of 1 halfspaces (unbounded):" in describe_certificate(cert)
+        assert certificate_outline(cert, DEFAULT_WINDOW)[1]
+
+    def test_box_is_bounded(self):
+        cert = self._certificate(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+        assert "  region of 4 halfspaces:" in describe_certificate(cert)
+        assert not certificate_outline(cert, DEFAULT_WINDOW)[1]
 
 
 class TestExamples:

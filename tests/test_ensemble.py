@@ -8,8 +8,11 @@ from scert.certificates import (
     ClassDiff,
     ClassifierAtPoint,
     ClassWise,
+    SmoothnessMismatch,
     Uniform,
+    ball_shape_key,
     gaps,
+    lipschitz_certificate,
     s_certificate,
 )
 from scert.ensemble import (
@@ -26,7 +29,7 @@ from scert.ensemble import (
     optimize_weights,
     radius_improvement_bound,
 )
-from scert.geometry import FinitePoints, LpBall, region_subset, support
+from scert.geometry import Ellipsoid, FinitePoints, LpBall, region_subset, support
 
 L2 = LpBall(2, 1.0, [0.0, 0.0])
 
@@ -287,6 +290,43 @@ class TestDamningAlpha:
             mixed = alpha * logits[0] + (1 - alpha) * logits[1]
             _, c_b, r = gaps(mixed)
             assert abs(float(r[c_b])) <= 1e-9
+
+
+class TestBallShapeKey:
+    """(Sigma, eps) and (4 Sigma, eps/2) are one ball shape for every caller."""
+
+    SIGMA = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+    def _bodies(self):
+        return Ellipsoid(self.SIGMA, 0.5), Ellipsoid(4.0 * self.SIGMA, 0.25)
+
+    def test_key_ignores_matrix_scale(self):
+        small, large = self._bodies()
+        assert ball_shape_key(small) == ball_shape_key(large)
+        assert ball_shape_key(small) != ball_shape_key(Ellipsoid(np.eye(2), 0.5))
+        assert ball_shape_key(FinitePoints([[1.0, 0.0]])) is None
+
+    def test_class_wise_lipschitz_accepts_the_pair(self):
+        small, large = self._bodies()
+        lipschitz_certificate(ClassifierAtPoint([0.6, 0.4], ClassWise((small, large))), "cw")
+        with pytest.raises(SmoothnessMismatch):
+            lipschitz_certificate(ClassifierAtPoint(
+                [0.6, 0.4], ClassWise((small, Ellipsoid(np.eye(2), 0.5)))), "cw")
+
+    def test_dual_balls_compared_by_the_regime_share_the_key(self):
+        duals = [s_certificate(ClassifierAtPoint([0.6, 0.4], Uniform(body)), "u").ball
+                 for body in self._bodies()]
+        assert ball_shape_key(duals[0]) == ball_shape_key(duals[1])
+
+    def test_radius_improvement_bound_sees_one_shape(self):
+        small, large = self._bodies()
+        spec = EnsembleSpec((ClassifierAtPoint([0.6, 0.4], Uniform(small)),
+                             ClassifierAtPoint([0.7, 0.3], Uniform(large))))
+        radius_improvement_bound(spec)
+        with pytest.raises(PreconditionError):
+            radius_improvement_bound(EnsembleSpec((
+                ClassifierAtPoint([0.6, 0.4], Uniform(small)),
+                ClassifierAtPoint([0.7, 0.3], Uniform(Ellipsoid(np.eye(2), 0.5))))))
 
 
 class TestRadiusImprovementBound:

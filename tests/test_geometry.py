@@ -20,6 +20,7 @@ from scert.geometry import (
     negate,
     polar_dual_ball,
     polar_hrep,
+    region_is_origin_only,
     region_minus_subset,
     region_subset,
     scale,
@@ -273,6 +274,23 @@ class TestContainment:
     def test_empty_region_subset_of_anything(self):
         empty = HalfspaceRegion([[1.0], [-1.0]], [-2.0, 1.0], 1)
         assert region_subset(empty, HalfspaceRegion([[1.0]], [0.0], 1))
+
+
+class TestOriginOnly:
+    def test_polar_of_a_spanning_cloud_at_radius_zero(self):
+        # the points positively span the plane, so only delta = 0 has
+        # p . delta <= 0 for all of them: the trivial certificate
+        cloud = FinitePoints([[1.0, 0.0], [-0.6, 0.8], [-0.2, -0.9]])
+        assert region_is_origin_only(polar_hrep(cloud, 0.0))
+
+    def test_small_box_is_more_than_the_origin(self):
+        assert not region_is_origin_only(box_region(1e-3))
+
+    def test_halfplane_and_empty_region_are_not_the_origin(self):
+        assert not region_is_origin_only(polar_hrep(FinitePoints([[1.0, 0.0]]), 0.0))
+        empty = HalfspaceRegion([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                                [-1.0, 0.0, 0.0, 0.0], 2)
+        assert not region_is_origin_only(empty)
 
 
 class TestPolarMonotonicity:

@@ -1,7 +1,10 @@
-"""The dense simplex against a vertex-enumeration oracle and edge cases."""
+"""The dense simplex against a vertex-enumeration oracle and edge cases, and
+the batched 2D path against the simplex."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import vertex_enum_max
 from scert._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize
@@ -94,3 +97,95 @@ class TestAgainstScipy:
             statuses[res.status] += 1
         # the sample actually exercises all three outcomes
         assert min(statuses.values()) > 0
+
+
+_EIGHTHS = st.integers(-24, 24).map(lambda v: v / 8.0)
+
+
+@st.composite
+def planar_regions(draw):
+    """A 2D region {x : A x <= b} whose rows include zero rows, exact and
+    near-parallel copies of earlier rows, and negative offsets (empty or
+    unbounded regions), plus objectives that include its own normals."""
+    rows = [np.array([draw(_EIGHTHS), draw(_EIGHTHS)])]
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["free", "zero", "parallel", "near_parallel"]))
+        earlier = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "free":
+            rows.append(np.array([draw(_EIGHTHS), draw(_EIGHTHS)]))
+        elif kind == "zero":
+            rows.append(np.zeros(2))
+        elif kind == "parallel":
+            rows.append(draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 3.0])) * earlier)
+        else:
+            # at tilts of 1e-4 and below the simplex drifts: in the cases
+            # found, rational arithmetic agreed with the 2D path
+            tilt = draw(st.sampled_from([1e-3, 1e-2]))
+            rows.append(earlier + tilt * np.array([draw(_EIGHTHS), draw(_EIGHTHS)]))
+    A = np.array(rows)
+    b = np.array([draw(st.integers(-8, 16)) / 8.0 for _ in rows])
+    free = [np.array([draw(_EIGHTHS), draw(_EIGHTHS)]) for _ in range(draw(st.integers(0, 4)))]
+    own = [A[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    objectives = np.array(free + own + [np.array([1.0, 0.0])])
+    return A, b, objectives
+
+
+class TestBatchedPlanarPath:
+    """The batched call answers 2D regions from their vertices and rays; the
+    per-objective simplex is the reference it must agree with."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(planar_regions())
+    def test_agrees_with_the_simplex(self, region):
+        A, b, objectives = region
+        batch = maximize(objectives, A, b)
+        assert len(batch) == len(objectives) or [r.status for r in batch] == [INFEASIBLE]
+        for objective, res in zip(objectives, batch):
+            ref = maximize(objective, A, b)
+            assert res.status == ref.status
+            if ref.status == OPTIMAL:
+                assert abs(res.value - ref.value) <= 1e-7 * max(1.0, abs(ref.value))
+                assert abs(objective @ res.point - res.value) <= 1e-9 * max(1.0, abs(res.value))
+
+    @pytest.mark.parametrize("A, b, objective, expected", [
+        # rows 2 and 3 are nearly antiparallel: the region runs out to a
+        # vertex near (6672, 2778)
+        ([[-0.24750427681674061, 0.33428495232057304],
+          [-0.3688541137884139, -0.6189217737634494],
+          [-0.44827557633104403, 1.0768429378405813],
+          [0.5313060166583986, -1.2759913328237893]],
+         [0.48172066271198205, 0.987138005746899, 0.9422774831232736, -0.265355672548193],
+         [1.0979603410618832, 0.25439962051475684], 8032.23),
+        # two halfplanes 1.5e-6 rad apart meet only near (5.2e6, 4.2e6); a
+        # vertex tolerance scaled by |b| alone, not |a|.|v|, finds the
+        # region empty
+        ([[-1.217753558838764, 1.5284057628668868],
+          [-1.2177516800856085, 1.528403274115387]],
+         [0.17098408458455872, -0.3740697504288001],
+         [-1.217753558838764, 1.5284057628668868], 0.17098408),
+    ])
+    def test_far_vertex_of_a_thin_sliver(self, A, b, objective, expected):
+        A, b, objective = np.array(A), np.array(b), np.array(objective)
+        ref = maximize(objective, A, b)
+        (res,) = maximize(objective[None, :], A, b)
+        assert ref.status == res.status == OPTIMAL
+        assert ref.value == pytest.approx(expected, rel=1e-6)
+        assert abs(res.value - ref.value) <= 1e-7 * max(1.0, abs(ref.value))
+
+    @pytest.mark.parametrize("A, b", [
+        (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)),          # 2D path
+        (np.array([[1.0, 0.0], [-1.0, 0.0]] * 2), np.ones(4)),      # rank 1: simplex
+        (np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),          # 3D: simplex
+    ])
+    def test_batch_stops_at_the_first_result_over_its_limit(self, A, b):
+        # every normal of A has maximum 1 over the region
+        limits = np.full(len(A), 2.0)
+        assert [r.value for r in maximize(A, A, b, limits)] == pytest.approx(np.ones(len(A)))
+        limits[1] = 0.5
+        results = maximize(A, A, b, limits)
+        assert len(results) == 2 and results[-1].exceeds(0.5)
+
+    def test_empty_region_stops_at_once(self):
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        b = np.array([-1.0, 0.0, 1.0])  # x <= -1 and x >= 0
+        assert [r.status for r in maximize(np.eye(2), A, b)] == [INFEASIBLE]
