@@ -32,6 +32,8 @@ from .geometry import (
     HalfspaceRegion,
     LpBall,
     as_vector,
+    ball_shape_key,
+    ball_shape_radius,
     dual_exponent,
 )
 
@@ -94,6 +96,13 @@ def gaps(logits) -> tuple[int, int, np.ndarray]:
     return c_a, c_b, values[c_a] - values
 
 
+def runner_up_gap(logits):
+    """Top logit minus the runner-up logit over the last axis: a scalar for
+    one row of logits, an array for a stack of rows."""
+    part = np.partition(np.asarray(logits, dtype=float), -2, axis=-1)
+    return part[..., -1] - part[..., -2]
+
+
 @dataclass(frozen=True)
 class ClassifierAtPoint:
     """Logits at a fixed input plus smoothness data (None for gap-only use)."""
@@ -140,37 +149,13 @@ class ClassifierAtPoint:
 
     @property
     def gap(self) -> float:
-        c_a, c_b, r = gaps(self.logits)
-        return float(r[c_b])
+        return float(runner_up_gap(self.logits))
 
 
 def _is_origin_ball(body: ConvexBody) -> bool:
     if isinstance(body, LpBall):
         return bool(np.all(np.abs(body.center) <= 1e-12))
     return isinstance(body, Ellipsoid)
-
-
-def ball_shape_key(body: ConvexBody):
-    """Hashable shape of a ball body, independent of its radius and scale;
-    None for other bodies.
-
-    The ellipsoid matrix is normalized, so that (Sigma, eps) and
-    (4*Sigma, eps/2) have one shape, and rounded to 10 decimals, so that a
-    shape that went through a matrix inverse (a dual ball) still matches.
-    """
-    if isinstance(body, LpBall):
-        return ("lp", float(body.p))
-    if isinstance(body, Ellipsoid):
-        norm = float(np.linalg.norm(body.sigma))
-        return ("ellipsoid", tuple(np.round(body.sigma / norm, 10).ravel()))
-    return None
-
-
-def _ball_effective_radius(body) -> float:
-    if isinstance(body, LpBall):
-        return float(body.radius)
-    norm = float(np.linalg.norm(body.sigma))
-    return float(body.radius * math.sqrt(norm))
 
 
 def _is_degenerate(body: ConvexBody) -> bool:
@@ -252,7 +237,7 @@ def _realize(mode: str, family: str, dim: int,
         keys = {ball_shape_key(g) for g, _ in active}
         if len(keys) == 1:
             duals = [geometry.polar_dual_ball(g, r) for g, r in active]
-            ball = min(duals, key=_ball_effective_radius)
+            ball = min(duals, key=ball_shape_radius)
     if ball is None:
         try:
             pieces = [geometry.polar_hrep(g, r) for g, r in active]

@@ -28,6 +28,7 @@ from .certificates import (
     gaps,
     lipschitz_certificate,
     lipschitz_constant_from_gradients,
+    runner_up_gap,
     s_certificate,
 )
 from .ensemble import (
@@ -278,8 +279,7 @@ def cmd_simulate(args) -> int:
         _fail(2, f"error: bad --n value: {args.n!r}")
     try:
         config = ExperimentConfig(k=args.k, member_counts=counts, draws=args.draws,
-                                  seed=seed, weight_policy=args.policy,
-                                  resolution=args.resolution)
+                                  seed=seed, weight_policy=args.policy)
     except ValueError as exc:
         _fail(2, f"error: {exc}")
     records = run_experiment(config)
@@ -381,8 +381,7 @@ def _grid_membership_consistent(problem: ProblemFile, tol: float) -> bool:
     sigmas = [m.smoothness.body.sigma for m in spec.members]
     radii = [m.smoothness.body.radius for m in spec.members]
     weights = spec.weights
-    gap = gaps(ensemble_logits(spec))[2]
-    r_g = float(np.sort(gap)[1])
+    r_g = float(runner_up_gap(ensemble_logits(spec)))
     axis = np.linspace(-2.5, 2.5, 41)
     for x in axis:
         for y in axis:
@@ -524,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policy", choices=["uniform", "optimized"], default="uniform")
-    p.add_argument("--resolution", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -17,13 +17,12 @@ Two regime taxonomies are computed:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import _simplex, geometry
 from .certificates import (
     Certificate,
     ClassDiff,
@@ -31,22 +30,24 @@ from .certificates import (
     ClassWise,
     SmoothnessMismatch,
     Uniform,
-    ball_shape_key,
     gaps,
+    runner_up_gap,
     s_certificate,
 )
 from .geometry import (
+    STRICT_MARGIN,
     ConvexBody,
     Ellipsoid,
     HalfspaceRegion,
     LpBall,
+    ball_shape_key,
+    ball_shape_radius,
     region_exceeds,
     region_minus_subset,
     region_subset,
 )
 
 GAP_TOL = 1e-9
-STRICT_MARGIN = 1e-6
 
 
 class PreconditionError(ValueError):
@@ -164,19 +165,8 @@ class RegimeReport:
     evidence: dict = field(default_factory=dict)
 
 
-def _member_mode(member: ClassifierAtPoint) -> str:
-    s = member.smoothness
-    if isinstance(s, Uniform):
-        return "u"
-    if isinstance(s, ClassWise):
-        return "cw"
-    if isinstance(s, ClassDiff):
-        return "cd"
-    raise SmoothnessMismatch("members carry no smoothness data")
-
-
 def _ball_radius(cert: Certificate) -> float:
-    return math.inf if cert.unbounded else float(cert.ball.radius)
+    return math.inf if cert.unbounded else ball_shape_radius(cert.ball)
 
 
 def _cert_regime_balls(q_g: Certificate, member_certs: list[Certificate]) -> tuple[str, dict]:
@@ -285,8 +275,7 @@ def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
     member_gaps = np.array([m.gap for m in spec.members])
     r_best = float(member_gaps.max())
     r_worst = float(member_gaps.min())
-    _, _, r_g_vec = gaps(ensemble_logits(spec))
-    r_g = float(np.sort(r_g_vec)[1]) if r_g_vec.size > 1 else 0.0
+    r_g = float(runner_up_gap(ensemble_logits(spec)))
 
     if r_g > r_best + GAP_TOL:
         gap_regime = "gain"
@@ -300,7 +289,7 @@ def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
     if spec.members[0].smoothness is None:
         evidence["note"] = "no smoothness data; gap regime only"
     else:
-        mode = _member_mode(spec.members[0])
+        mode = spec.members[0].smoothness.mode
         try:
             member_certs = [s_certificate(m, mode) for m in spec.members]
             q_g = s_certificate(ensemble_classifier(spec), mode)
@@ -582,73 +571,35 @@ def improvement_conditions(spec: EnsembleSpec) -> bool:
     return bool(lhs_1 > rhs_1 + GAP_TOL and lhs_2 > rhs_2 + GAP_TOL)
 
 
-_GRID_DEFAULTS = {2: 1000, 3: 200, 4: 60}
+def optimize_weights(spec: EnsembleSpec) -> tuple[np.ndarray, float]:
+    """Weights maximizing the ensemble runner-up gap, exactly.
 
-
-@functools.lru_cache(maxsize=8)
-def _simplex_grid(n: int, steps: int) -> np.ndarray:
-    """All weight vectors with coordinates at multiples of 1/steps, in
-    lexicographic order.  Cached (and frozen): the optimizer reuses one grid
-    across every draw of a simulation run."""
-    if n == 2:
-        t = np.arange(steps + 1) / steps
-        grid = np.column_stack([t, 1.0 - t])
-    else:
-        rows = []
-        if n == 3:
-            for i in range(steps + 1):
-                for j in range(steps + 1 - i):
-                    rows.append((i, j, steps - i - j))
-        else:
-            for i in range(steps + 1):
-                for j in range(steps + 1 - i):
-                    for k in range(steps + 1 - i - j):
-                        rows.append((i, j, k, steps - i - j - k))
-        grid = np.asarray(rows, dtype=float) / steps
-    grid.flags.writeable = False
-    return grid
-
-
-def _gap_of_rows(logit_rows: np.ndarray) -> np.ndarray:
-    """Runner-up gap of each row of logits."""
-    part = np.partition(logit_rows, logit_rows.shape[1] - 2, axis=1)
-    return part[:, -1] - part[:, -2]
-
-
-def optimize_weights(spec: EnsembleSpec, resolution: int | None = None
-                     ) -> tuple[np.ndarray, float]:
-    """Grid search for the weights maximizing the ensemble runner-up gap.
-
-    Scans the weight simplex at the given resolution (defaults: 1000 steps
-    for two members, 200 per axis for three, 60 for four), then refines once
-    around the incumbent at a ten times finer step.  Ties break toward the
-    lexicographically smallest weight vector.
+    For weights w the gap of w @ L (L holds one member's logits per row) is
+    max_a min_{c != a} (L[:, a] - L[:, c]).w: the inner minimum is the gap
+    when a is the top class and at most 0 otherwise.  So the best gap is the
+    best of one linear program per class a:  maximize t  subject to
+    t <= (L[:, a] - L[:, c]).w  for every c != a,  w >= 0  and  sum(w) = 1.
+    Returns the weights of the best program, clipped and renormalized onto
+    the simplex, and the gap recomputed at them.  Ties go to the lowest
+    class, and within its program to the optimum Bland's rule reaches.
     """
-    n = spec.n_members
-    if n not in _GRID_DEFAULTS:
-        raise ValueError("weight optimization supports 2 to 4 members")
-    steps = resolution if resolution is not None else _GRID_DEFAULTS[n]
     logits = np.stack([m.logits for m in spec.members])
-
-    def best_on(weights: np.ndarray) -> tuple[np.ndarray, float]:
-        gaps_grid = _gap_of_rows(weights @ logits)
-        idx = int(np.argmax(gaps_grid))
-        return weights[idx], float(gaps_grid[idx])
-
-    grid = _simplex_grid(n, steps)
-    incumbent, value = best_on(grid)
-
-    fine = 1.0 / (steps * 10)
-    offsets = np.arange(-10, 11) * fine
-    local = incumbent[None, :-1] + np.stack(
-        np.meshgrid(*([offsets] * (n - 1)), indexing="ij"), axis=-1).reshape(-1, n - 1)
-    local = local[np.all(local >= -1e-12, axis=1)]
-    last = 1.0 - local.sum(axis=1)
-    keep = last >= -1e-12
-    local = np.column_stack([np.clip(local[keep], 0.0, 1.0),
-                             np.clip(last[keep], 0.0, 1.0)])
-    local /= local.sum(axis=1, keepdims=True)
-    refined, refined_value = best_on(local)
-    if refined_value > value + 1e-15:
-        return refined, refined_value
-    return incumbent, value
+    n, k = logits.shape
+    objective = np.zeros(n + 1)
+    objective[-1] = 1.0
+    # w >= 0 and sum(w) = 1 as three blocks of rows over x = (w, t)
+    on_simplex = np.zeros((n + 2, n + 1))
+    on_simplex[:n, :n] = -np.eye(n)
+    on_simplex[n, :n] = 1.0
+    on_simplex[n + 1, :n] = -1.0
+    offsets = np.concatenate([np.zeros(n), [1.0, -1.0], np.zeros(k - 1)])
+    best = None
+    for a in range(k):
+        margins = logits[:, [a]] - np.delete(logits, a, axis=1)
+        rows = np.column_stack([-margins.T, np.ones(k - 1)])
+        res = _simplex.maximize(objective, np.vstack([on_simplex, rows]), offsets)
+        if best is None or res.value > best.value:
+            best = res
+    weights = np.clip(best.point[:n], 0.0, None)
+    weights /= weights.sum()
+    return weights, float(runner_up_gap(weights @ logits))

@@ -242,8 +242,11 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
         if same_p:
             return LpBall(a.p, a.radius + b.radius, a.center + b.center)
     if isinstance(a, Ellipsoid) and isinstance(b, Ellipsoid):
-        if np.allclose(a.sigma, b.sigma, atol=1e-12):
-            return Ellipsoid(a.sigma, a.radius + b.radius)
+        norm_a = float(np.linalg.norm(a.sigma))
+        norm_b = float(np.linalg.norm(b.sigma))
+        if np.allclose(a.sigma / norm_a, b.sigma / norm_b, rtol=0.0, atol=1e-12):
+            # (Sigma, r1) + (c Sigma, r2) = (Sigma, r1 + r2 sqrt(c))
+            return Ellipsoid(a.sigma, a.radius + b.radius * math.sqrt(norm_b / norm_a))
     terms = []
     for body in (a, b):
         if isinstance(body, Combination):
@@ -251,6 +254,30 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
         else:
             terms.append((1.0, body, False))
     return Combination(tuple(terms))
+
+
+def ball_shape_key(body: ConvexBody):
+    """Hashable shape of a ball body, independent of its radius and scale;
+    None for other bodies.
+
+    The ellipsoid matrix is normalized, so that (Sigma, eps) and
+    (4*Sigma, eps/2) have one shape, and rounded to 10 decimals, so that a
+    shape that went through a matrix inverse (a dual ball) still matches.
+    """
+    if isinstance(body, LpBall):
+        return ("lp", float(body.p))
+    if isinstance(body, Ellipsoid):
+        norm = float(np.linalg.norm(body.sigma))
+        return ("ellipsoid", tuple(np.round(body.sigma / norm, 10).ravel()))
+    return None
+
+
+def ball_shape_radius(body: ConvexBody) -> float:
+    """Radius of a ball body on the normalized shape of
+    :func:`ball_shape_key`, so that balls with one key compare by it."""
+    if isinstance(body, LpBall):
+        return float(body.radius)
+    return float(body.radius * math.sqrt(float(np.linalg.norm(body.sigma))))
 
 
 def _cross(o, a, b) -> float:

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import ClassifierAtPoint, gaps
-from .ensemble import EnsembleSpec, gap_gain_bound, optimize_weights
-
-GAP_TOL = 1e-9
+from .certificates import ClassifierAtPoint, runner_up_gap
+from .ensemble import GAP_TOL, EnsembleSpec, gap_gain_bound, optimize_weights
 
 
 @dataclass(frozen=True)
@@ -27,7 +25,6 @@ class ExperimentConfig:
     draws: int = 1000
     seed: int = 0
     weight_policy: str = "uniform"  # weights behind the recorded gap regime
-    resolution: int | None = None   # optimizer grid steps (None: per-N default)
 
     def __post_init__(self):
         if self.k < 2:
@@ -61,24 +58,18 @@ def draw_classifier(k: int, rng: np.random.Generator) -> np.ndarray:
     return e / e.sum()
 
 
-def _runner_up_gap(logits: np.ndarray) -> float:
-    c_a, c_b, r = gaps(logits)
-    return float(r[c_b])
-
-
 def evaluate_draw(member_logits: np.ndarray, n: int, index: int,
-                  weight_policy: str = "uniform",
-                  resolution: int | None = None) -> DrawRecord:
+                  weight_policy: str = "uniform") -> DrawRecord:
     """Build the record for one draw from its member logits (n, k)."""
     member_logits = np.asarray(member_logits, dtype=float)
     k = member_logits.shape[1]
-    member_gaps = np.array([_runner_up_gap(row) for row in member_logits])
-    tops = np.array([int(np.argmax(row)) for row in member_logits])
+    member_gaps = runner_up_gap(member_logits)
+    tops = member_logits.argmax(axis=1)
     gap_best = float(member_gaps.max())
     gap_worst = float(member_gaps.min())
-    gap_uniform = _runner_up_gap(member_logits.mean(axis=0))
+    gap_uniform = runner_up_gap(member_logits.mean(axis=0))
     spec = EnsembleSpec(tuple(ClassifierAtPoint(row) for row in member_logits))
-    _, gap_optimized = optimize_weights(spec, resolution)
+    _, gap_optimized = optimize_weights(spec)
     governing = gap_uniform if weight_policy == "uniform" else gap_optimized
     if governing > gap_best + GAP_TOL:
         regime = "gain"
@@ -112,8 +103,7 @@ def run_experiment(config: ExperimentConfig) -> list[DrawRecord]:
         for index in range(config.draws):
             rng = np.random.default_rng((config.seed, n, index))
             members = np.stack([draw_classifier(config.k, rng) for _ in range(n)])
-            records.append(evaluate_draw(members, n, index,
-                                         config.weight_policy, config.resolution))
+            records.append(evaluate_draw(members, n, index, config.weight_policy))
     return records
 
 

@@ -43,6 +43,28 @@ def vertex_enum_max(objective, normals, offsets, tol=1e-9):
     return best
 
 
+def best_gap_by_vertices(logits) -> float:
+    """Largest runner-up gap of w @ logits over the weight simplex, by
+    enumerating the vertices of the arrangement of the class-pair
+    hyperplanes (L[:, i] - L[:, j]).w = 0 and the simplex facets w_m = 0
+    (the weight-optimizer test oracle).  The gap is linear on each cell of
+    the arrangement, so its maximum sits at one of these vertices."""
+    logits = np.asarray(logits, dtype=float)
+    n, k = logits.shape
+    planes = [logits[:, i] - logits[:, j] for i, j in itertools.combinations(range(k), 2)]
+    planes = np.vstack(planes + list(np.eye(n)))
+    choices = np.array(list(itertools.combinations(range(len(planes)), n - 1)))
+    systems = np.concatenate(
+        [np.ones((len(choices), 1, n)), planes[choices]], axis=1)
+    systems = systems[np.linalg.matrix_rank(systems) == n]
+    rhs = np.zeros((len(systems), n, 1))
+    rhs[:, 0] = 1.0
+    weights = np.linalg.solve(systems, rhs)[..., 0]
+    weights = weights[np.all(weights >= -1e-12, axis=1)]
+    ordered = np.sort(weights @ logits, axis=1)
+    return float(np.max(ordered[:, -1] - ordered[:, -2]))
+
+
 def unit_directions(n: int, dim: int = 2, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n, dim))

@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import unit_directions
+from conftest import best_gap_by_vertices, unit_directions
 from scert.certificates import (
     ClassDiff,
     ClassifierAtPoint,
     ClassWise,
     SmoothnessMismatch,
     Uniform,
-    ball_shape_key,
     gaps,
     lipschitz_certificate,
+    runner_up_gap,
     s_certificate,
 )
 from scert.ensemble import (
@@ -29,7 +31,16 @@ from scert.ensemble import (
     optimize_weights,
     radius_improvement_bound,
 )
-from scert.geometry import Ellipsoid, FinitePoints, LpBall, region_subset, support
+from scert.geometry import (
+    Combination,
+    Ellipsoid,
+    FinitePoints,
+    LpBall,
+    ball_shape_key,
+    minkowski_sum,
+    region_subset,
+    support,
+)
 
 L2 = LpBall(2, 1.0, [0.0, 0.0])
 
@@ -318,6 +329,32 @@ class TestBallShapeKey:
                  for body in self._bodies()]
         assert ball_shape_key(duals[0]) == ball_shape_key(duals[1])
 
+    def test_minkowski_sum_merges_the_pair(self):
+        small, large = self._bodies()
+        merged = minkowski_sum(small, large)
+        assert isinstance(merged, Ellipsoid)
+        assert merged.radius == pytest.approx(1.0, abs=1e-12)
+        for u in unit_directions(16):
+            assert merged.support(u) == pytest.approx(
+                small.support(u) + large.support(u), abs=1e-12)
+        # a matrix that is not proportional is not merged into either shape
+        tilted = Ellipsoid(self.SIGMA + 1e-9 * np.eye(2), 0.5)
+        assert isinstance(minkowski_sum(small, tilted), Combination)
+
+    def test_regime_of_the_pair_is_decided_on_the_radii(self):
+        small, large = self._bodies()
+        logits = ([0.5, 0.3, 0.2], [0.5, 0.2, 0.3])
+        mixed = classify_regimes(EnsembleSpec((ClassifierAtPoint(logits[0], Uniform(small)),
+                                               ClassifierAtPoint(logits[1], Uniform(large)))))
+        same = classify_regimes(EnsembleSpec((ClassifierAtPoint(logits[0], Uniform(small)),
+                                              ClassifierAtPoint(logits[1], Uniform(small)))))
+        assert mixed.evidence["method"] == same.evidence["method"] == "radii"
+        assert mixed.cert_regime == same.cert_regime == "improvement"
+        assert mixed.evidence["radius_ensemble"] == pytest.approx(
+            same.evidence["radius_ensemble"], rel=1e-12)
+        assert mixed.evidence["radius_members"] == pytest.approx(
+            same.evidence["radius_members"], rel=1e-12)
+
     def test_radius_improvement_bound_sees_one_shape(self):
         small, large = self._bodies()
         spec = EnsembleSpec((ClassifierAtPoint([0.6, 0.4], Uniform(small)),
@@ -413,6 +450,35 @@ class TestImprovementConditions:
             improvement_conditions(spec)
 
 
+@st.composite
+def simplex_logits(draw):
+    """Logits of 2 to 6 members over 2 to 5 classes, each on the probability
+    simplex; members may repeat an earlier member or tie every class, and
+    small integer counts make ties between classes common."""
+    n, k = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["counts", "floats", "copy", "tied"]))
+        if kind == "copy" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        elif kind == "tied":
+            rows.append(np.full(k, 1.0 / k))
+        else:
+            values = st.integers(0, 6) if kind == "counts" else st.floats(0.0, 1.0)
+            row = np.array(draw(st.lists(values, min_size=k, max_size=k)), dtype=float)
+            rows.append(row / row.sum() if row.sum() > 0.0 else np.full(k, 1.0 / k))
+    return np.array(rows)
+
+
+class TestRunnerUpGap:
+    def test_rows_match_gaps(self, rng):
+        logits = rng.uniform(size=(20, 5))
+        logits[0, 1] = logits[0, 3] = logits[0].max()  # a tied top
+        expected = [gaps(row)[2][gaps(row)[1]] for row in logits]
+        assert np.array_equal(runner_up_gap(logits), expected)
+        assert runner_up_gap(logits[3]) == expected[3]
+
+
 class TestOptimizeWeights:
     def test_identical_members_constant(self):
         member = ClassifierAtPoint([0.7, 0.2, 0.1])
@@ -422,7 +488,7 @@ class TestOptimizeWeights:
     def test_recovers_witness_value(self):
         spec = gap_bound_witness(0.2, 4)
         _, value = optimize_weights(spec)
-        assert abs(value - gap_gain_bound(0.2, 4)) <= 1e-3
+        assert abs(value - gap_gain_bound(0.2, 4)) <= 1e-12
 
     def test_opposed_tops_boundary_vertex(self):
         spec = EnsembleSpec((ClassifierAtPoint([0.8, 0.2]), ClassifierAtPoint([0.3, 0.7])))
@@ -434,8 +500,19 @@ class TestOptimizeWeights:
         spec = EnsembleSpec((ClassifierAtPoint([0.5, 0.3, 0.2]),
                              ClassifierAtPoint([0.5, 0.2, 0.3]),
                              ClassifierAtPoint([0.4, 0.3, 0.3])))
-        weights, value = optimize_weights(spec, resolution=100)
+        weights, value = optimize_weights(spec)
         assert value >= 0.25 - 1e-9  # at least the best pair mixture
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(simplex_logits())
+    def test_matches_the_vertex_oracle(self, logits):
+        spec = EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits))
+        weights, value = optimize_weights(spec)
+        assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+        assert abs(value - runner_up_gap(weights @ logits)) <= 1e-12
+        assert abs(value - best_gap_by_vertices(logits)) <= 1e-9
+        r_best = float(runner_up_gap(logits).max())
+        assert value <= gap_gain_bound(r_best, logits.shape[1]) + 1e-12
 
 
 class TestRegimeCrossValidation:

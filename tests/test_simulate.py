@@ -98,6 +98,6 @@ class TestSummarize:
     def test_optimizer_never_below_best_member(self):
         records = run_experiment(ExperimentConfig(k=4, member_counts=(2, 3), draws=50,
                                                   seed=13))
-        # the grid contains the unit-weight corners, so the optimized gap is
-        # at least the best member gap
+        # the unit-weight corners are feasible weights, so the optimized gap
+        # is at least the best member gap
         assert all(rec.gap_optimized >= rec.gap_best - 1e-9 for rec in records)
