@@ -31,10 +31,12 @@ from .geometry import (
     FinitePoints,
     HalfspaceRegion,
     LpBall,
+    as_directions,
     as_vector,
     ball_shape_key,
     ball_shape_radius,
     dual_exponent,
+    one_or_many,
 )
 
 ZERO_GAP_TOL = 1e-12
@@ -207,21 +209,25 @@ class Certificate:
             return float(self.ball.radius)
         return None
 
-    def contains(self, delta, tol: float = geometry.TOL) -> bool:
-        d = as_vector(delta, self.dim)
-        if self.unbounded:
-            return True
-        return all(gen.support(d) <= r + tol for gen, r in self.constraints)
+    def contains(self, delta, tol: float = geometry.TOL):
+        """Whether delta (d,) is certified, or an (m,) mask for a stack (m, d)."""
+        points, single = as_directions(delta, self.dim)
+        inside = np.ones(points.shape[0], dtype=bool)
+        if not self.unbounded:
+            for gen, r in self.constraints:
+                inside &= gen.support(points) <= r + tol
+        return one_or_many(inside, single)
 
-    def ray_extent(self, direction) -> float:
-        """Largest t >= 0 with t * direction certified (inf when unbounded)."""
-        u = as_vector(direction, self.dim)
-        extent = math.inf
+    def ray_extent(self, direction):
+        """Largest t >= 0 with t * direction certified (inf when unbounded):
+        a float for one direction (d,), an (m,) array for a stack (m, d)."""
+        dirs, single = as_directions(direction, self.dim)
+        extent = np.full(dirs.shape[0], math.inf)
         for gen, r in self.constraints:
-            rho = gen.support(u)
-            if rho > 1e-15:
-                extent = min(extent, r / rho)
-        return extent
+            rho = gen.support(dirs)
+            hit = rho > 1e-15
+            extent[hit] = np.minimum(extent[hit], r / rho[hit])
+        return one_or_many(extent, single)
 
 
 def _realize(mode: str, family: str, dim: int,
@@ -260,7 +266,7 @@ def _realize(mode: str, family: str, dim: int,
             dirs = rng.standard_normal((512, dim))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             cert_probe = Certificate(mode, family, dim, tuple(active))
-            trivial = all(cert_probe.ray_extent(u) <= 1e-9 for u in dirs)
+            trivial = bool(np.all(cert_probe.ray_extent(dirs) <= 1e-9))
 
     return Certificate(mode, family, dim, tuple(active), ball=ball, region=region,
                        trivial=trivial)

@@ -383,15 +383,12 @@ def _grid_membership_consistent(problem: ProblemFile, tol: float) -> bool:
     weights = spec.weights
     r_g = float(runner_up_gap(ensemble_logits(spec)))
     axis = np.linspace(-2.5, 2.5, 41)
-    for x in axis:
-        for y in axis:
-            delta = np.array([x, y])
-            rho = sum(2.0 * w * eps * math.sqrt(delta @ sig @ delta)
-                      for w, eps, sig in zip(weights, radii, sigmas))
-            oracle = rho <= r_g + tol
-            if cert.contains(delta, tol) != oracle and abs(rho - r_g) > 1e-7:
-                return False
-    return True
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    rho = sum(2.0 * w * eps * np.sqrt(np.einsum("ij,jk,ik->i", grid, sig, grid))
+              for w, eps, sig in zip(weights, radii, sigmas))
+    oracle = rho <= r_g + tol
+    mismatch = (cert.contains(grid, tol) != oracle) & (np.abs(rho - r_g) > 1e-7)
+    return not mismatch.any()
 
 
 def run_fixture_check(check: dict, tol: float = 1e-9) -> tuple[bool, str]:
@@ -429,9 +426,8 @@ def run_fixture_check(check: dict, tol: float = 1e-9) -> tuple[bool, str]:
         ball = lip.ball
         box = geometry.HalfspaceRegion(
             np.vstack([np.eye(2), -np.eye(2)]), np.full(4, ball.radius), 2)
-        contained = all(
-            float(ball.support(normal)) <= offset + tol
-            for normal, offset in zip(s_cert.region.normals, s_cert.region.offsets))
+        contained = bool(np.all(
+            ball.support(s_cert.region.normals) <= s_cert.region.offsets + tol))
         strict = geometry.region_exceeds(s_cert.region, box, 1e-6)
         return contained and strict, f"contained={contained} strict={strict}"
     if kind == "regime":

@@ -227,9 +227,7 @@ def _cert_regime_sampled(q_g: Certificate, q_1: Certificate, q_2: Certificate,
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n_directions, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    e_g = np.array([q_g.ray_extent(u) for u in dirs])
-    e_1 = np.array([q_1.ray_extent(u) for u in dirs])
-    e_2 = np.array([q_2.ray_extent(u) for u in dirs])
+    e_g, e_1, e_2 = (q.ray_extent(dirs) for q in (q_g, q_1, q_2))
     hi = np.maximum(e_1, e_2)
     lo = np.minimum(e_1, e_2)
     evidence = {"method": "sampled", "n_directions": n_directions}
@@ -429,44 +427,62 @@ class BoundReport:
     inputs: dict
 
 
-def _pair_radii(member: ClassifierAtPoint, top: int) -> dict[int, float]:
-    """Ball radii of the difference-smoothness bodies for pairs (i, top)."""
+def _smoothness_bodies(member: ClassifierAtPoint) -> list[ConvexBody]:
+    s = member.smoothness
+    if isinstance(s, Uniform):
+        return [s.body]
+    if isinstance(s, ClassWise):
+        return list(s.bodies)
+    if isinstance(s, ClassDiff):
+        return list(s.pairs.values())
+    raise PreconditionError("members carry no smoothness data")
+
+
+def _reference_norm(spec: EnsembleSpec) -> float:
+    """Norm of the first member's first ellipsoid matrix (1 for l_p balls):
+    per-pair radii are expressed in that body's norm."""
+    ref = _smoothness_bodies(spec.members[0])[0]
+    return float(np.linalg.norm(ref.sigma)) if isinstance(ref, Ellipsoid) else 1.0
+
+
+def _pair_radii(member: ClassifierAtPoint, top: int, ref_norm: float) -> dict[int, float]:
+    """Ball radii of the difference-smoothness bodies for pairs (i, top);
+    the member has smoothness data (:func:`_reference_norm` checks that).
+
+    An ellipsoid (Sigma, eps) is the same set as (c Sigma, eps / sqrt(c)), so
+    its radius is rescaled to the reference matrix norm as
+    eps * sqrt(|Sigma| / ref_norm); l_p ball radii are taken as they are.
+    """
+    def radius(body: ConvexBody) -> float:
+        if isinstance(body, Ellipsoid):
+            return float(body.radius) * math.sqrt(float(np.linalg.norm(body.sigma)) / ref_norm)
+        return float(body.radius)
+
     s = member.smoothness
     k = member.n_classes
     radii: dict[int, float] = {}
     if isinstance(s, Uniform):
         for i in range(k):
             if i != top:
-                radii[i] = 2.0 * float(s.body.radius)
+                radii[i] = 2.0 * radius(s.body)
     elif isinstance(s, ClassWise):
         for i in range(k):
             if i != top:
-                radii[i] = float(s.bodies[i].radius) + float(s.bodies[top].radius)
-    elif isinstance(s, ClassDiff):
+                radii[i] = radius(s.bodies[i]) + radius(s.bodies[top])
+    else:
         for i in range(k):
             if i != top:
                 if (i, top) not in s.pairs:
                     raise SmoothnessMismatch(
                         f"missing class-difference body for pair ({i}, {top})")
-                radii[i] = float(s.pairs[(i, top)].radius)
-    else:
-        raise SmoothnessMismatch("members carry no smoothness data")
+                radii[i] = radius(s.pairs[(i, top)])
     return radii
 
 
 def _common_shape_or_raise(spec: EnsembleSpec) -> None:
     keys = set()
     for m in spec.members:
-        s = m.smoothness
-        if isinstance(s, Uniform):
-            bodies = [s.body]
-        elif isinstance(s, ClassWise):
-            bodies = list(s.bodies)
-        elif isinstance(s, ClassDiff):
-            bodies = list(s.pairs.values())
-        else:
-            raise PreconditionError("members carry no smoothness data")
-        for b in bodies:
+        for b in _smoothness_bodies(m):
             if not isinstance(b, (LpBall, Ellipsoid)):
                 raise PreconditionError("smoothness bodies must be symmetric balls")
             if isinstance(b, LpBall) and np.any(np.abs(b.center) > 1e-12):
@@ -496,7 +512,8 @@ def radius_improvement_bound(spec: EnsembleSpec) -> tuple[BoundReport, BoundRepo
         raise PreconditionError("members must share the top prediction")
     _common_shape_or_raise(spec)
     top = spec.members[0].top
-    eps = [_pair_radii(m, top) for m in spec.members]
+    ref_norm = _reference_norm(spec)
+    eps = [_pair_radii(m, top, ref_norm) for m in spec.members]
     if any(v <= 0.0 for table in eps for v in table.values()):
         raise PreconditionError("per-pair smoothness radii must be positive")
     m_values = [min(table.values()) for table in eps]
@@ -520,7 +537,8 @@ def common_shape_radii(spec: EnsembleSpec, alphas: np.ndarray) -> np.ndarray:
     Assumes the preconditions of :func:`radius_improvement_bound`.
     """
     top = spec.members[0].top
-    eps = [_pair_radii(m, top) for m in spec.members]
+    ref_norm = _reference_norm(spec)
+    eps = [_pair_radii(m, top, ref_norm) for m in spec.members]
     classes = sorted(eps[0])
     g1 = spec.members[0].gap_vector
     g2 = spec.members[1].gap_vector
@@ -562,8 +580,9 @@ def improvement_conditions(spec: EnsembleSpec) -> bool:
         if max(f_1.logits[c], f_2.logits[c]) >= runner_floor:
             raise PreconditionError(
                 "classes outside the top-two sets must have low confidences")
-    eps_1 = _pair_radii(f_1, top)
-    eps_2 = _pair_radii(f_2, top)
+    ref_norm = _reference_norm(spec)
+    eps_1 = _pair_radii(f_1, top, ref_norm)
+    eps_2 = _pair_radii(f_2, top, ref_norm)
     lhs_1 = float(f_1.logits[top])
     rhs_1 = float(f_1.logits[cb_2]) + f_2.gap_vector[cb_2] * eps_1[cb_2] / eps_2[cb_2]
     lhs_2 = float(f_2.logits[top])

@@ -31,6 +31,7 @@ from ._simplex import SimplexResult
 TOL = 1e-9            # exact-geometry comparisons
 STRICT_MARGIN = 1e-6  # strictness margins for proper-inclusion tests
 MAX_EXPANSION = 10_000
+SUPPORT_BLOCK = 1 << 18  # largest (directions x points) block FinitePoints.support forms
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -43,6 +44,28 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
     return v
+
+
+def as_directions(x, dim: int) -> tuple[np.ndarray, bool]:
+    """Validate one direction (d,) or a stack of directions (m, d).
+
+    Returns the directions as an (m, d) stack, a single direction being a
+    stack of one, and whether the input was a single direction.
+    """
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 1:
+        return as_vector(v, dim)[None, :], True
+    if v.ndim != 2 or v.shape[1] != dim:
+        raise ValueError(f"directions must be a vector of length {dim} "
+                         f"or an (m, {dim}) stack")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("direction coordinates must be finite")
+    return v, False
+
+
+def one_or_many(values: np.ndarray, single: bool):
+    """A scalar for a single direction, else the (m,) array of values."""
+    return values[0].item() if single else values
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -63,11 +86,15 @@ def dual_exponent(p: float) -> float:
 
 
 class ConvexBody:
-    """Base class; concrete variants implement ``support``."""
+    """Base class; concrete variants implement ``support``.
+
+    ``support`` takes one direction (d,) and returns a float, or a stack of
+    directions (m, d) and returns an (m,) array.
+    """
 
     dim: int
 
-    def support(self, direction: np.ndarray) -> float:
+    def support(self, direction):
         raise NotImplementedError
 
 
@@ -87,9 +114,15 @@ class FinitePoints(ConvexBody):
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def support(self, direction: np.ndarray) -> float:
-        d = as_vector(direction, self.dim)
-        return float(np.max(self.points @ d))
+    def support(self, direction):
+        dirs, single = as_directions(direction, self.dim)
+        values = np.empty(dirs.shape[0])
+        # blocks of directions keep the (block, points) product bounded
+        block = max(1, SUPPORT_BLOCK // self.points.shape[0])
+        for start in range(0, dirs.shape[0], block):
+            part = dirs[start:start + block]
+            values[start:start + block] = np.max(part @ self.points.T, axis=1)
+        return one_or_many(values, single)
 
 
 @dataclass(frozen=True)
@@ -113,9 +146,10 @@ class LpBall(ConvexBody):
     def dual_p(self) -> float:
         return dual_exponent(self.p)
 
-    def support(self, direction: np.ndarray) -> float:
-        d = as_vector(direction, self.dim)
-        return float(self.center @ d + self.radius * np.linalg.norm(d, ord=self.dual_p))
+    def support(self, direction):
+        dirs, single = as_directions(direction, self.dim)
+        values = dirs @ self.center + self.radius * np.linalg.norm(dirs, ord=self.dual_p, axis=1)
+        return one_or_many(values, single)
 
 
 @dataclass(frozen=True)
@@ -141,9 +175,10 @@ class Ellipsoid(ConvexBody):
     def dim(self) -> int:
         return self.sigma.shape[0]
 
-    def support(self, direction: np.ndarray) -> float:
-        d = as_vector(direction, self.dim)
-        return float(self.radius * math.sqrt(max(d @ self.sigma @ d, 0.0)))
+    def support(self, direction):
+        dirs, single = as_directions(direction, self.dim)
+        quad = np.sum((dirs @ self.sigma) * dirs, axis=1)
+        return one_or_many(self.radius * np.sqrt(np.maximum(quad, 0.0)), single)
 
 
 @dataclass(frozen=True)
@@ -170,12 +205,12 @@ class Combination(ConvexBody):
     def dim(self) -> int:
         return self.terms[0][1].dim
 
-    def support(self, direction: np.ndarray) -> float:
-        d = as_vector(direction, self.dim)
-        total = 0.0
+    def support(self, direction):
+        dirs, single = as_directions(direction, self.dim)
+        total = np.zeros(dirs.shape[0])
         for coeff, body, negated in self.terms:
-            total += coeff * body.support(-d if negated else d)
-        return float(total)
+            total += coeff * body.support(-dirs if negated else dirs)
+        return one_or_many(total, single)
 
 
 @dataclass(frozen=True)
@@ -185,9 +220,10 @@ class WholeSpace:
     dim: int
 
 
-def support(body: ConvexBody, direction) -> float:
-    """Largest first-order change achievable in the given direction."""
-    return body.support(as_vector(direction, body.dim))
+def support(body: ConvexBody, direction):
+    """Largest first-order change achievable in the given direction: a float
+    for one direction (d,), an (m,) array for a stack (m, d)."""
+    return body.support(direction)
 
 
 def negate(body: ConvexBody) -> ConvexBody:

@@ -71,7 +71,7 @@ def certificate_outline(cert: Certificate,
         return poly, geometry.region_is_unbounded(cert.region)
     angles = np.linspace(0.0, 2.0 * math.pi, ANGLE_SAMPLES, endpoint=False)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    extents = np.array([cert.ray_extent(u) for u in dirs])
+    extents = cert.ray_extent(dirs)
     unbounded = bool(np.any(np.isinf(extents)))
     span = max(abs(v) for v in window)
     extents = np.minimum(extents, 4.0 * span)

@@ -3,17 +3,44 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from scert.certificates import ClassDiff, ClassifierAtPoint, ClassWise, Uniform
-from scert.geometry import FinitePoints
+from scert.geometry import Ellipsoid, FinitePoints, LpBall, dual_exponent
 
 
 def brute_support(points: np.ndarray, direction: np.ndarray) -> float:
     """Support of a point cloud by direct enumeration."""
     return float(np.max(np.asarray(points) @ np.asarray(direction)))
+
+
+def reference_support(body, direction) -> float:
+    """Support of any body variant at one direction from its closed form,
+    one direction at a time (the oracle for direction stacks)."""
+    d = np.asarray(direction, dtype=float)
+    if isinstance(body, FinitePoints):
+        return brute_support(body.points, d)
+    if isinstance(body, LpBall):
+        q = dual_exponent(body.p)
+        return float(body.center @ d + body.radius * np.linalg.norm(d, ord=q))
+    if isinstance(body, Ellipsoid):
+        return body.radius * math.sqrt(max(float(d @ body.sigma @ d), 0.0))
+    return float(sum(coeff * reference_support(sub, -d if negated else d)
+                     for coeff, sub, negated in body.terms))
+
+
+def reference_extent(cert, direction) -> float:
+    """Largest t >= 0 with t * direction inside the certificate's support
+    constraints, one direction at a time (inf when no constraint binds)."""
+    extent = math.inf
+    for gen, r in cert.constraints:
+        rho = reference_support(gen, direction)
+        if rho > 1e-15:
+            extent = min(extent, r / rho)
+    return extent
 
 
 def brute_pairwise_differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,17 +6,25 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from scert.certificates import Certificate
+from scert.certificates import Certificate, s_certificate
 from scert.cli import (
     CSV_HEADER,
     describe_certificate,
     fixture_path,
     load_expected,
+    load_fixture,
     main,
     run_fixture_check,
 )
+from scert.ensemble import ensemble_classifier
 from scert.geometry import HalfspaceRegion
-from scert.render import DEFAULT_WINDOW, certificate_outline, clip_polygon, window_polygon
+from scert.render import (
+    ANGLE_SAMPLES,
+    DEFAULT_WINDOW,
+    certificate_outline,
+    clip_polygon,
+    window_polygon,
+)
 
 
 def run_cli(capsys, *argv):
@@ -264,6 +272,25 @@ class TestRender:
         code, _, err = run_cli(capsys, "render", str(fixture_path("appendix-c2-u.json")),
                                "--out", "/tmp/never.svg")
         assert code == 3
+
+
+def test_sampled_outline_matches_the_per_direction_outline():
+    # fig6's ensemble certificate is support-only: its outline samples
+    # ray extents, so compare it with the extents taken one at a time
+    spec = load_fixture("fig6.json").to_ensemble()
+    cert = s_certificate(ensemble_classifier(spec), "u")
+    assert cert.kind == "support"
+    poly, unbounded = certificate_outline(cert, DEFAULT_WINDOW)
+    angles = np.linspace(0.0, 2.0 * math.pi, ANGLE_SAMPLES, endpoint=False)
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    extents = np.array([cert.ray_extent(u) for u in dirs])
+    xmin, xmax, ymin, ymax = DEFAULT_WINDOW
+    expected = dirs * np.minimum(extents, 4.0 * max(xmax, ymax, -xmin, -ymin))[:, None]
+    for normal, offset in (((-1.0, 0.0), -xmin), ((1.0, 0.0), xmax),
+                           ((0.0, -1.0), -ymin), ((0.0, 1.0), ymax)):
+        expected = clip_polygon(expected, np.asarray(normal), offset)
+    assert not unbounded and poly.shape == expected.shape
+    assert np.allclose(poly, expected, rtol=0.0, atol=1e-12)
 
 
 class TestUnboundedRegions:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import best_gap_by_vertices, unit_directions
+from conftest import best_gap_by_vertices, reference_extent, unit_directions
 from scert.certificates import (
     ClassDiff,
     ClassifierAtPoint,
@@ -17,6 +17,7 @@ from scert.certificates import (
     runner_up_gap,
     s_certificate,
 )
+from scert.cli import load_fixture
 from scert.ensemble import (
     EnsembleSpec,
     PreconditionError,
@@ -365,6 +366,24 @@ class TestBallShapeKey:
                 ClassifierAtPoint([0.6, 0.4], Uniform(small)),
                 ClassifierAtPoint([0.7, 0.3], Uniform(Ellipsoid(np.eye(2), 0.5))))))
 
+    def test_pair_radii_see_one_set(self):
+        # (Sigma, 0.5) and (4 Sigma, 0.25) are one set: the bound, the radii
+        # across mixing weights and the conditions must not tell them apart
+        small, large = self._bodies()
+        alphas = np.linspace(0.0, 1.0, 11)
+        results = []
+        for second in (small, large):
+            spec = EnsembleSpec((ClassifierAtPoint([0.6, 0.3, 0.1], Uniform(small)),
+                                 ClassifierAtPoint([0.6, 0.1, 0.3], Uniform(second))))
+            statement, proof = radius_improvement_bound(spec)
+            results.append((statement.value, proof.value, common_shape_radii(spec, alphas),
+                            improvement_conditions(spec)))
+        (s_1, p_1, radii_1, ok_1), (s_2, p_2, radii_2, ok_2) = results
+        assert s_1 == pytest.approx(s_2, rel=1e-12)
+        assert p_1 == pytest.approx(p_2, rel=1e-12)
+        assert np.allclose(radii_1, radii_2, rtol=1e-12, atol=0.0)
+        assert ok_1 is ok_2 is True
+
 
 class TestRadiusImprovementBound:
     def _shared_shape_spec(self, eps_1, eps_2, gaps_1, gaps_2):
@@ -594,6 +613,60 @@ class TestRegimeCrossValidation:
             assert region_report.evidence["method"] == "lp"
             assert ball_report.cert_regime == region_report.cert_regime
             assert ball_report.gap_regime == region_report.gap_regime
+
+
+def _sampled_reference(q_g, q_1, q_2):
+    """The sampled regime decision, one direction at a time."""
+    dirs = unit_directions(10_000, dim=q_g.dim, seed=0)
+    e_g, e_1, e_2 = (np.array([reference_extent(q, u) for u in dirs])
+                     for q in (q_g, q_1, q_2))
+    hi, lo = np.maximum(e_1, e_2), np.minimum(e_1, e_2)
+    flags = {"within_union": bool(np.all(e_g <= hi + 1e-9)),
+             "contains_union": bool(np.all(e_g >= hi - 1e-9)),
+             "contains_intersection": bool(np.all(e_g >= lo - 1e-9)),
+             "within_intersection": bool(np.all(e_g <= lo + 1e-9))}
+    if flags["contains_union"] and np.any(e_g > hi + 1e-6):
+        return "improvement", flags
+    if flags["within_intersection"] and np.any(e_g < lo - 1e-6):
+        return "reduction", flags
+    if flags["contains_intersection"] and flags["within_union"]:
+        return "inconclusive", flags
+    return "indeterminate", flags
+
+
+class TestSampledRegime:
+    """Certificates that are neither shared-shape balls nor all regions are
+    compared along 10,000 seeded directions."""
+
+    def test_fig6_evidence_is_pinned(self):
+        report = classify_regimes(load_fixture("fig6.json").to_ensemble())
+        assert (report.gap_regime, report.cert_regime) == ("inconclusive", "inconclusive")
+        assert report.evidence == {
+            "method": "sampled", "n_directions": 10_000,
+            "within_union": True, "contains_union": False,
+            "contains_intersection": True, "within_intersection": False,
+            "trivial_ensemble_certificate": False,
+        }
+
+    @pytest.mark.parametrize("logits, regime", [
+        (([0.62, 0.25, 0.12], [0.74, 0.02, 0.24]), "improvement"),
+        (([0.6, 0.4, 0.0], [0.4, 0.6, 0.0]), "reduction"),  # trivial ensemble certificate
+        (([0.7, 0.2, 0.1], [0.7, 0.2, 0.1]), "inconclusive"),
+        (([0.5, 0.3, 0.2], [0.5, 0.2, 0.3]), "indeterminate"),
+    ])
+    def test_region_against_ball_matches_the_reference_loop(self, logits, regime):
+        cloud = FinitePoints([[0.9, 0.2], [-0.4, 0.6], [-0.3, -0.7], [0.5, -0.5]])
+        spec = EnsembleSpec((ClassifierAtPoint(logits[0], Uniform(cloud)),
+                             ClassifierAtPoint(logits[1], Uniform(L2))))
+        certs = [s_certificate(ensemble_classifier(spec), "u")]
+        certs += [s_certificate(m, "u") for m in spec.members]
+        assert certs[1].region is not None and certs[2].ball is not None
+        report = classify_regimes(spec)
+        assert report.evidence["method"] == "sampled"
+        assert report.cert_regime == regime
+        reference, flags = _sampled_reference(*certs)
+        assert reference == regime
+        assert {key: report.evidence[key] for key in flags} == flags
 
 
 class TestSameTopExclusions:

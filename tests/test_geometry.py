@@ -1,12 +1,22 @@
 """Convex-body algebra: worked examples and randomized invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_pairwise_differences, brute_support, unit_directions
+from conftest import (
+    brute_pairwise_differences,
+    brute_support,
+    reference_extent,
+    reference_support,
+    unit_directions,
+)
 from scert import geometry as geo
+from scert.certificates import ClassDiff, ClassifierAtPoint, ClassWise, Uniform, s_certificate
 from scert.geometry import (
     Combination,
     Ellipsoid,
@@ -369,3 +379,113 @@ class TestCombinationExpansion:
         pts = geo.to_finite_points(formal)
         for d in unit_directions(32, seed=11):
             assert abs(brute_support(pts, d) - support(formal, d)) <= 1e-9
+
+
+_EIGHTHS = st.integers(-16, 16).map(lambda v: v / 8.0)
+
+
+def _rows(draw, m: int, dim: int) -> np.ndarray:
+    return np.array([[draw(_EIGHTHS) for _ in range(dim)] for _ in range(m)]).reshape(m, dim)
+
+
+@st.composite
+def bodies(draw, dim: int, depth: int = 0):
+    """Any body variant in `dim` dimensions: one or many points, l_p balls
+    with p in {1, 1.5, 2, 3, inf} off the origin, ellipsoids, and nested
+    combinations with negated and zero-coefficient terms."""
+    kinds = ["points", "lp", "ellipsoid"] + (["combination"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "points":
+        return FinitePoints(_rows(draw, draw(st.sampled_from([1, 2, 9])), dim))
+    if kind == "lp":
+        p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+        return LpBall(p, draw(st.integers(0, 16)) / 8.0, _rows(draw, 1, dim)[0])
+    if kind == "ellipsoid":
+        root = _rows(draw, dim, dim)
+        return Ellipsoid(root @ root.T + 0.25 * np.eye(dim), draw(st.integers(0, 16)) / 8.0)
+    terms = tuple((draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])), draw(bodies(dim, depth + 1)),
+                   draw(st.booleans()))
+                  for _ in range(draw(st.integers(1, 3))))
+    return Combination(terms)
+
+
+@st.composite
+def direction_stacks(draw, dim: int):
+    """Stacks of 7, 1 or 0 directions, zero rows included."""
+    dirs = _rows(draw, draw(st.sampled_from([7, 1, 0])), dim)
+    if len(dirs) and draw(st.booleans()):
+        dirs[draw(st.integers(0, len(dirs) - 1))] = 0.0
+    return dirs
+
+
+def _close(values, expected) -> bool:
+    return all(v == e or abs(v - e) <= 1e-12 * max(1.0, abs(e))
+               for v, e in zip(values, expected))
+
+
+class TestDirectionStacks:
+    """support, ray_extent and contains take one direction (d,) or a stack
+    (m, d); a stack answers each row as the single-direction call does."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_support_stack_matches_rows(self, data):
+        dim = data.draw(st.integers(1, 4))
+        body = data.draw(bodies(dim))
+        dirs = data.draw(direction_stacks(dim))
+        for values in (body.support(dirs), support(body, dirs)):
+            assert isinstance(values, np.ndarray) and values.shape == (len(dirs),)
+            rows = [body.support(u) for u in dirs]
+            assert all(isinstance(v, float) for v in rows)
+            assert _close(values, rows)
+            assert _close(values, [reference_support(body, u) for u in dirs])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_certificate_stack_matches_rows(self, data):
+        dim = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(2, 3))
+        logits = [data.draw(st.integers(0, 8)) / 8.0 for _ in range(k)]
+        per_class = [data.draw(bodies(dim, depth=1)) for _ in range(k)]
+        smoothness = data.draw(st.sampled_from([
+            Uniform(per_class[0]),
+            ClassWise(tuple(per_class)),
+            ClassDiff({(i, j): per_class[i] for i in range(k) for j in range(k) if i != j}),
+        ]))
+        cert = s_certificate(ClassifierAtPoint(logits, smoothness), smoothness.mode)
+        dirs = data.draw(direction_stacks(dim))
+        extents = cert.ray_extent(dirs)
+        assert extents.shape == (len(dirs),)
+        assert _close(extents, [cert.ray_extent(u) for u in dirs])
+        assert _close(extents, [reference_extent(cert, u) for u in dirs])
+        assert np.all(extents[~dirs.any(axis=1)] == math.inf)
+        inside = cert.contains(dirs)
+        assert inside.dtype == bool and inside.shape == (len(dirs),)
+        assert list(inside) == [cert.contains(u) for u in dirs]
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1.0, np.nan]]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.zeros((3, 3)), np.zeros((2, 1)), np.zeros((2, 2, 2)), np.zeros(0),
+    ])
+    def test_bad_stacks_rejected(self, bad):
+        cert = s_certificate(ClassifierAtPoint([0.6, 0.4], Uniform(LpBall(2, 1.0, [0.1, 0.0]))), "u")
+        body = Combination(((1.0, FinitePoints([[1.0, 0.0]]), False),
+                            (0.5, Ellipsoid(np.eye(2), 1.0), True)))
+        for call in (body.support, body.terms[0][1].support, body.terms[1][1].support,
+                     LpBall(2, 1.0, [0.0, 0.0]).support, cert.ray_extent, cert.contains):
+            with pytest.raises(ValueError):
+                call(bad)
+
+    def test_point_cloud_stack_memory_is_bounded(self):
+        rng = np.random.default_rng(0)
+        cloud = FinitePoints(rng.standard_normal((5_000, 2)))
+        dirs = unit_directions(10_000)
+        dense = dirs.shape[0] * cloud.points.shape[0] * 8
+        tracemalloc.start()
+        try:
+            values = cloud.support(dirs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense / 50
+        assert _close(values[:50], [brute_support(cloud.points, u) for u in dirs[:50]])
