@@ -51,6 +51,10 @@ class Uniform:
     body: ConvexBody
     mode = "u"
 
+    @property
+    def bodies(self) -> tuple[ConvexBody, ...]:
+        return (self.body,)
+
 
 @dataclass(frozen=True)
 class ClassWise:
@@ -79,6 +83,10 @@ class ClassDiff:
         for i, j in self.pairs:
             if i == j:
                 raise ValueError("class-difference pairs must have distinct indices")
+
+    @property
+    def bodies(self) -> tuple[ConvexBody, ...]:
+        return tuple(self.pairs.values())
 
 
 Smoothness = Uniform | ClassWise | ClassDiff
@@ -128,14 +136,7 @@ class ClassifierAtPoint:
 
     @property
     def dim(self) -> int | None:
-        s = self.smoothness
-        if s is None:
-            return None
-        if isinstance(s, Uniform):
-            return s.body.dim
-        if isinstance(s, ClassWise):
-            return s.bodies[0].dim
-        return next(iter(s.pairs.values())).dim
+        return None if self.smoothness is None else self.smoothness.bodies[0].dim
 
     @property
     def top(self) -> int:
@@ -284,6 +285,12 @@ def lipschitz_constant_from_gradients(points, q: float) -> float:
     return float(np.max(np.linalg.norm(pts, ord=ord_q, axis=1)))
 
 
+def _class_wise_constraints(bodies, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
+    """support(G_i (+) -G_top, delta) <= r_i for every class i other than the top."""
+    return [(geometry.minkowski_sum(b, geometry.negate(bodies[top])), float(r[i]))
+            for i, b in enumerate(bodies) if i != top]
+
+
 def lipschitz_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
     """Dual-norm-ball certificate from ball-shaped smoothness.
 
@@ -309,13 +316,7 @@ def lipschitz_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
         raise SmoothnessMismatch("lipschitz certificates need origin-centered balls")
     if len({ball_shape_key(b) for b in bodies}) != 1:
         raise SmoothnessMismatch("class-wise lipschitz balls must share one shape")
-    constraints = []
-    for i in range(clf.n_classes):
-        if i == c_a:
-            continue
-        pair = geometry.minkowski_sum(bodies[i], geometry.negate(bodies[c_a]))
-        constraints.append((pair, float(r[i])))
-    return _realize("cw", "lipschitz", bodies[0].dim, constraints)
+    return _realize("cw", "lipschitz", bodies[0].dim, _class_wise_constraints(bodies, c_a, r))
 
 
 def s_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
@@ -330,13 +331,7 @@ def s_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
     if mode == "cw":
         if not isinstance(s, ClassWise):
             raise SmoothnessMismatch("class-wise mode needs ClassWise smoothness")
-        constraints = []
-        for i in range(clf.n_classes):
-            if i == c_a:
-                continue
-            gen = geometry.minkowski_sum(s.bodies[i], geometry.negate(s.bodies[c_a]))
-            constraints.append((gen, float(r[i])))
-        return _realize("cw", "s", s.bodies[0].dim, constraints)
+        return _realize("cw", "s", s.bodies[0].dim, _class_wise_constraints(s.bodies, c_a, r))
     if mode == "cd":
         if not isinstance(s, ClassDiff):
             raise SmoothnessMismatch("class-difference mode needs ClassDiff smoothness")
@@ -348,8 +343,7 @@ def s_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
                 raise SmoothnessMismatch(
                     f"missing class-difference body for pair ({i}, {c_a})")
             constraints.append((s.pairs[(i, c_a)], float(r[i])))
-        dim = next(iter(s.pairs.values())).dim
-        return _realize("cd", "s", dim, constraints)
+        return _realize("cd", "s", s.bodies[0].dim, constraints)
     raise SmoothnessMismatch(f"unknown certification mode: {mode!r}")
 
 

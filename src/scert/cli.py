@@ -142,9 +142,9 @@ def _lipschitz_from_problem(member: ClassifierAtPoint, mode: str,
             ball_from(b, p) for b in smoothness.bodies)))
     elif norm is not None:
         # ball smoothness already fixes the certificate norm: the gradient
-        # ball lives in the dual norm, so --norm p needs a dual(p) ball
-        bodies = ([smoothness.body] if isinstance(smoothness, Uniform)
-                  else list(getattr(smoothness, "bodies", [])))
+        # ball lives in the dual norm, so --norm p needs a dual(p) ball;
+        # class-difference bodies are left to lipschitz_certificate's error
+        bodies = smoothness.bodies if isinstance(smoothness, (Uniform, ClassWise)) else ()
         wanted_dual = geometry.dual_exponent(_NORMS[norm])
         for body in bodies:
             if isinstance(body, LpBall) and not (

@@ -17,6 +17,7 @@ Two regime taxonomies are computed:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -184,24 +185,14 @@ def _cert_regime_balls(q_g: Certificate, member_certs: list[Certificate]) -> tup
     return "indeterminate", evidence
 
 
-def _beyond_union(g: HalfspaceRegion, q1: HalfspaceRegion, q2: HalfspaceRegion,
-                  margin: float) -> bool:
-    """True iff some point of g lies more than `margin` outside both q1 and q2."""
-    if q1.n_halfspaces == 0 or q2.n_halfspaces == 0:
-        return False
-    for normal, offset in zip(q1.normals, q1.offsets):
-        piece = g.with_halfspace(-normal, -(float(offset) + margin))
-        if region_exceeds(piece, q2, margin):
-            return True
-    return False
-
-
-def _cert_regime_regions(q_g: Certificate, q_1: Certificate, q_2: Certificate) -> tuple[str, dict]:
-    g, r1, r2 = q_g.region, q_1.region, q_2.region
-    inter = r1.intersect(r2)
+def _cert_regime_regions(q_g: Certificate, member_certs: list[Certificate]) -> tuple[str, dict]:
+    g = q_g.region
+    regions = [q.region for q in member_certs]
+    inter = functools.reduce(HalfspaceRegion.intersect, regions)
+    carves, last = regions[:-1], regions[-1]
     contains_inter = region_subset(inter, g)
-    within_union = region_minus_subset(g, r1, r2)
-    contains_union = region_subset(r1, g) and region_subset(r2, g)
+    within_union = region_minus_subset(g, carves, last)
+    contains_union = all(region_subset(r, g) for r in regions)
     within_inter = region_subset(g, inter)
     evidence = {
         "method": "lp",
@@ -210,10 +201,10 @@ def _cert_regime_regions(q_g: Certificate, q_1: Certificate, q_2: Certificate) -
         "contains_union": contains_union,
         "within_intersection": within_inter,
     }
-    if contains_union and _beyond_union(g, r1, r2, STRICT_MARGIN):
+    if contains_union and not region_minus_subset(g, carves, last, STRICT_MARGIN):
         evidence["strict_excess"] = True
         return "improvement", evidence
-    if within_inter and (region_exceeds(inter, g, STRICT_MARGIN)):
+    if within_inter and region_exceeds(inter, g, STRICT_MARGIN):
         evidence["strict_deficit"] = True
         return "reduction", evidence
     if contains_inter and within_union:
@@ -221,16 +212,17 @@ def _cert_regime_regions(q_g: Certificate, q_1: Certificate, q_2: Certificate) -
     return "indeterminate", evidence
 
 
-def _cert_regime_sampled(q_g: Certificate, q_1: Certificate, q_2: Certificate,
-                         n_directions: int = 10_000, seed: int = 0) -> tuple[str, dict]:
-    dim = q_g.dim
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_directions, dim))
+SAMPLED_DIRECTIONS = 10_000
+
+
+def _cert_regime_sampled(q_g: Certificate, member_certs: list[Certificate]) -> tuple[str, dict]:
+    rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((SAMPLED_DIRECTIONS, q_g.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    e_g, e_1, e_2 = (q.ray_extent(dirs) for q in (q_g, q_1, q_2))
-    hi = np.maximum(e_1, e_2)
-    lo = np.minimum(e_1, e_2)
-    evidence = {"method": "sampled", "n_directions": n_directions}
+    e_g = q_g.ray_extent(dirs)
+    extents = np.stack([q.ray_extent(dirs) for q in member_certs])
+    hi, lo = extents.max(axis=0), extents.min(axis=0)
+    evidence = {"method": "sampled", "n_directions": SAMPLED_DIRECTIONS}
     with np.errstate(invalid="ignore"):
         within_union = bool(np.all(e_g <= hi + GAP_TOL))
         contains_union = bool(np.all(e_g >= hi - GAP_TOL))
@@ -249,26 +241,19 @@ def _cert_regime_sampled(q_g: Certificate, q_1: Certificate, q_2: Certificate,
     return "indeterminate", evidence
 
 
-def _cert_regime_pair(q_g: Certificate, q_1: Certificate, q_2: Certificate) -> tuple[str, dict]:
-    certs = (q_g, q_1, q_2)
-    if all(c.ball is not None or c.unbounded for c in certs):
-        keys = {ball_shape_key(c.ball) for c in certs if c.ball is not None}
-        if len(keys) <= 1:
-            return _cert_regime_balls(q_g, [q_1, q_2])
-    if all(c.region is not None for c in certs):
-        return _cert_regime_regions(q_g, q_1, q_2)
-    return _cert_regime_sampled(q_g, q_1, q_2)
-
-
 def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
     """Gap regime from the prediction gaps, certificate regime from geometry.
 
-    The certificate regime is decided exactly for two members (shared-shape
-    ball fast path for any member count, LP containment for halfspace
-    certificates); other combinations fall back to a sampled-direction
-    falsification flagged in the evidence.  For more than two members the
-    members are folded pairwise left to right and the folded pair regimes
-    are reported alongside the global gap regime.
+    The certificate regime compares the ensemble certificate with the union
+    and the intersection of all member certificates, for any member count.
+    The evidence names the method that decided it: ``"radii"`` when every
+    certificate is a ball of one shape (or the whole space), ``"lp"`` when
+    every certificate is a halfspace region (containments decided exactly;
+    the union is handled by carving the ensemble region by each member
+    region in turn), and ``"sampled"`` otherwise, a falsification along
+    seeded directions.  Members without smoothness data get the gap regime
+    only; a failure to build a certificate is reported as
+    ``evidence["error"]`` with the regime ``"indeterminate"``.
     """
     member_gaps = np.array([m.gap for m in spec.members])
     r_best = float(member_gaps.max())
@@ -291,35 +276,15 @@ def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
         try:
             member_certs = [s_certificate(m, mode) for m in spec.members]
             q_g = s_certificate(ensemble_classifier(spec), mode)
-            all_ball = all(c.ball is not None or c.unbounded
-                           for c in member_certs + [q_g])
-            keys = {ball_shape_key(c.ball) for c in member_certs + [q_g]
-                    if c.ball is not None}
-            if all_ball and len(keys) <= 1:
+            certs = member_certs + [q_g]
+            if all(c.ball is not None or c.unbounded for c in certs) and len(
+                    {ball_shape_key(c.ball) for c in certs if c.ball is not None}) <= 1:
                 cert_regime, evidence = _cert_regime_balls(q_g, member_certs)
-                evidence["trivial_ensemble_certificate"] = q_g.trivial
-            elif spec.n_members == 2:
-                cert_regime, evidence = _cert_regime_pair(
-                    q_g, member_certs[0], member_certs[1])
-                evidence["trivial_ensemble_certificate"] = q_g.trivial
+            elif all(c.region is not None for c in certs):
+                cert_regime, evidence = _cert_regime_regions(q_g, member_certs)
             else:
-                folds = []
-                acc_member = spec.members[0]
-                acc_weight = float(spec.weights[0])
-                for j in range(1, spec.n_members):
-                    w_j = float(spec.weights[j])
-                    pair = EnsembleSpec((acc_member, spec.members[j]),
-                                        np.array([acc_weight, w_j]))
-                    p_1 = s_certificate(pair.members[0], mode)
-                    p_2 = s_certificate(pair.members[1], mode)
-                    folded = ensemble_classifier(pair)
-                    p_g = s_certificate(folded, mode)
-                    regime, ev = _cert_regime_pair(p_g, p_1, p_2)
-                    folds.append({"members": (0, j), "regime": regime, **ev})
-                    acc_member = folded
-                    acc_weight = acc_weight + w_j
-                cert_regime = folds[-1]["regime"]
-                evidence = {"method": "pairwise_fold", "folds": folds}
+                cert_regime, evidence = _cert_regime_sampled(q_g, member_certs)
+            evidence["trivial_ensemble_certificate"] = q_g.trivial
         except (SmoothnessMismatch, ValueError) as exc:
             evidence["error"] = str(exc)
             cert_regime = "indeterminate"
@@ -427,21 +392,14 @@ class BoundReport:
     inputs: dict
 
 
-def _smoothness_bodies(member: ClassifierAtPoint) -> list[ConvexBody]:
-    s = member.smoothness
-    if isinstance(s, Uniform):
-        return [s.body]
-    if isinstance(s, ClassWise):
-        return list(s.bodies)
-    if isinstance(s, ClassDiff):
-        return list(s.pairs.values())
-    raise PreconditionError("members carry no smoothness data")
-
-
 def _reference_norm(spec: EnsembleSpec) -> float:
     """Norm of the first member's first ellipsoid matrix (1 for l_p balls):
-    per-pair radii are expressed in that body's norm."""
-    ref = _smoothness_bodies(spec.members[0])[0]
+    per-pair radii are expressed in that body's norm.  Members share one
+    smoothness mode, so a first member without smoothness data means none
+    has any."""
+    if spec.members[0].smoothness is None:
+        raise PreconditionError("members carry no smoothness data")
+    ref = spec.members[0].smoothness.bodies[0]
     return float(np.linalg.norm(ref.sigma)) if isinstance(ref, Ellipsoid) else 1.0
 
 
@@ -479,10 +437,13 @@ def _pair_radii(member: ClassifierAtPoint, top: int, ref_norm: float) -> dict[in
     return radii
 
 
-def _common_shape_or_raise(spec: EnsembleSpec) -> None:
+def _common_shape_norm(spec: EnsembleSpec) -> float:
+    """The :func:`_reference_norm` of a spec whose smoothness bodies are
+    origin-centered balls of one shape; PreconditionError otherwise."""
+    ref_norm = _reference_norm(spec)
     keys = set()
     for m in spec.members:
-        for b in _smoothness_bodies(m):
+        for b in m.smoothness.bodies:
             if not isinstance(b, (LpBall, Ellipsoid)):
                 raise PreconditionError("smoothness bodies must be symmetric balls")
             if isinstance(b, LpBall) and np.any(np.abs(b.center) > 1e-12):
@@ -490,6 +451,7 @@ def _common_shape_or_raise(spec: EnsembleSpec) -> None:
             keys.add(ball_shape_key(b))
     if len(keys) != 1:
         raise PreconditionError("smoothness bodies must share one ball shape")
+    return ref_norm
 
 
 def radius_improvement_bound(spec: EnsembleSpec) -> tuple[BoundReport, BoundReport]:
@@ -510,9 +472,8 @@ def radius_improvement_bound(spec: EnsembleSpec) -> tuple[BoundReport, BoundRepo
         raise PreconditionError("the radius improvement bound is for two members")
     if not spec.same_top:
         raise PreconditionError("members must share the top prediction")
-    _common_shape_or_raise(spec)
+    ref_norm = _common_shape_norm(spec)
     top = spec.members[0].top
-    ref_norm = _reference_norm(spec)
     eps = [_pair_radii(m, top, ref_norm) for m in spec.members]
     if any(v <= 0.0 for table in eps for v in table.values()):
         raise PreconditionError("per-pair smoothness radii must be positive")
@@ -569,7 +530,7 @@ def improvement_conditions(spec: EnsembleSpec) -> bool:
     f_1, f_2 = spec.members
     if f_1.runner_up == f_2.runner_up:
         raise PreconditionError("members must have different runner-up predictions")
-    _common_shape_or_raise(spec)
+    ref_norm = _common_shape_norm(spec)
     top = f_1.top
     cb_1, cb_2 = f_1.runner_up, f_2.runner_up
     runner_floor = min(f_1.logits[cb_1], f_1.logits[cb_2],
@@ -580,7 +541,6 @@ def improvement_conditions(spec: EnsembleSpec) -> bool:
         if max(f_1.logits[c], f_2.logits[c]) >= runner_floor:
             raise PreconditionError(
                 "classes outside the top-two sets must have low confidences")
-    ref_norm = _reference_norm(spec)
     eps_1 = _pair_radii(f_1, top, ref_norm)
     eps_2 = _pair_radii(f_2, top, ref_norm)
     lhs_1 = float(f_1.logits[top])

@@ -508,21 +508,31 @@ def region_exceeds(a: HalfspaceRegion, b: HalfspaceRegion,
                for res, limit in zip(region_support(a, b.normals, limits), limits))
 
 
-def region_minus_subset(a: HalfspaceRegion, carve: HalfspaceRegion,
-                        b: HalfspaceRegion, slack: float = TOL) -> bool:
-    """True iff a \\ carve is contained in b (up to the slack tolerance).
+def region_minus_subset(a: HalfspaceRegion, carves, b: HalfspaceRegion,
+                        slack: float = TOL) -> bool:
+    """True iff a \\ (c_1 u ... u c_k) is contained in b (up to the slack
+    tolerance), for the sequence of regions `carves`.
 
-    The complement of `carve` is decomposed along its own halfspaces: for
-    every halfspace (v, c) the convex piece a intersected with
-    {v.delta >= c + slack} must be a subset of b.  The slack keeps the
-    closed pieces off carve's own boundary, so a \\ a correctly comes out
-    empty.
+    The complement of the first carve is decomposed along its own
+    halfspaces: for every halfspace (v, c), the convex piece of a with
+    {v.delta >= c + slack} must lie in b once the remaining carves are taken
+    out of it in turn.  Each piece is first tested against b with one
+    containment query, which also finds an empty piece at its first LP; a
+    piece inside b needs no further carving, and any other piece fails at
+    the last carve or is carved by the next one.  The slack keeps the
+    closed pieces off each carve's own boundary, so a \\ a correctly comes
+    out empty.
     """
+    if not carves:
+        return region_subset(a, b, slack)
+    carve, rest = carves[0], carves[1:]
     if not (a.dim == carve.dim == b.dim):
         raise ValueError("dimension mismatch in containment test")
     for normal, offset in zip(carve.normals, carve.offsets):
         piece = a.with_halfspace(-normal, -(float(offset) + slack))
-        if not region_subset(piece, b, slack):
+        if region_subset(piece, b, slack):
+            continue
+        if not rest or not region_minus_subset(piece, rest, b, slack):
             return False
     return True
 

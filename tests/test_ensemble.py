@@ -199,6 +199,22 @@ class TestClassifyRegimes:
         assert report.evidence["method"] == "radii"
         assert report.cert_regime == "inconclusive"
 
+    def test_nested_members_flags(self):
+        # one shared body, so each certificate is the same polygon scaled by
+        # its gap: members at 0.1, 0.2, 0.4 and the ensemble at 0.3 hold the
+        # two smaller members and sit inside the largest, the last one
+        body = Uniform(FinitePoints([[0.9, 0.2], [-0.4, 0.6], [-0.3, -0.7], [0.5, -0.5]]))
+        spec = EnsembleSpec(tuple(ClassifierAtPoint(row, body) for row in
+                                  ([0.55, 0.45], [0.6, 0.4], [0.7, 0.3])),
+                            np.array([0.2, 0.2, 0.6]))
+        report = classify_regimes(spec)
+        assert report.cert_regime == "inconclusive"
+        assert report.evidence == {
+            "method": "lp", "contains_intersection": True, "within_union": True,
+            "contains_union": False, "within_intersection": False,
+            "trivial_ensemble_certificate": False,
+        }
+
     def test_same_top_never_reduction(self, rng):
         for _ in range(50):
             logits = rng.uniform(0, 1, size=(2, 3))
@@ -539,29 +555,23 @@ class TestRegimeCrossValidation:
     the ball fast path against the region path on equivalent bodies."""
 
     def _grid_consistent(self, spec, regime):
-        q_1 = s_certificate(spec.members[0], "u")
-        q_2 = s_certificate(spec.members[1], "u")
+        """False iff a 161 x 161 grid over the certificates' window holds a
+        point that contradicts `regime` for the union and the intersection
+        of all member certificates (mode u, 2D)."""
         q_g = s_certificate(ensemble_classifier(spec), "u")
-        axis = np.linspace(-4.0, 4.0, 81)
-        for x in axis:
-            for y in axis:
-                p = np.array([x, y])
-                in_g = q_g.contains(p, tol=-1e-7)
-                out_g = not q_g.contains(p, tol=1e-7)
-                in_union = (q_1.contains(p, tol=-1e-7) or q_2.contains(p, tol=-1e-7))
-                out_union = (not q_1.contains(p, tol=1e-7)
-                             and not q_2.contains(p, tol=1e-7))
-                in_inter = (q_1.contains(p, tol=-1e-7) and q_2.contains(p, tol=-1e-7))
-                out_inter = (not q_1.contains(p, tol=1e-7)
-                             or not q_2.contains(p, tol=1e-7))
-                if regime == "improvement" and in_union and out_g:
-                    return False
-                if regime == "reduction" and in_g and out_inter:
-                    return False
-                if regime == "inconclusive" and ((in_inter and out_g)
-                                                 or (in_g and out_union)):
-                    return False
-        return True
+        members = [s_certificate(m, "u") for m in spec.members]
+        reach = max(float(np.max(q.ray_extent(unit_directions(256)))) for q in members + [q_g])
+        axis = np.linspace(-1.25 * reach, 1.25 * reach, 161)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        inside = np.stack([q.contains(grid, tol=-1e-7) for q in members])
+        outside = ~np.stack([q.contains(grid, tol=1e-7) for q in members])
+        in_g, out_g = q_g.contains(grid, tol=-1e-7), ~q_g.contains(grid, tol=1e-7)
+        contradiction = {
+            "improvement": inside.any(axis=0) & out_g,
+            "reduction": in_g & outside.any(axis=0),
+            "inconclusive": (inside.all(axis=0) & out_g) | (in_g & outside.all(axis=0)),
+        }[regime]
+        return not contradiction.any()
 
     def test_lp_regimes_match_membership_grid(self, rng):
         shared = FinitePoints([[0.9, 0.2], [-0.4, 0.6], [-0.3, -0.7], [0.5, -0.5]])
@@ -593,6 +603,69 @@ class TestRegimeCrossValidation:
                     f"grid oracle contradicts {report.cert_regime}"
         assert {"improvement", "reduction", "inconclusive"} <= seen
 
+    @pytest.mark.parametrize("n_members", [3, 4])
+    def test_more_members_match_membership_grid(self, n_members):
+        # the regime against the union and intersection of all members; the
+        # pairwise fold that decided these before was contradicted by the
+        # grid on some of the random draws
+        shared = FinitePoints([[0.9, 0.2], [-0.4, 0.6], [-0.3, -0.7], [0.5, -0.5]])
+        diverse = [[0.5, 0.3, 0.2, 0.0, 0.0], [0.5, 0.0, 0.3, 0.2, 0.0],
+                   [0.5, 0.0, 0.0, 0.3, 0.2], [0.5, 0.2, 0.0, 0.0, 0.3]]
+        crossing = [[0.6, 0.4], [0.4, 0.6], [0.45, 0.55], [0.55, 0.45]]
+        specs = [EnsembleSpec(tuple(ClassifierAtPoint(row, Uniform(shared))
+                                    for row in rows[:n_members]))
+                 for rows in (diverse, crossing)]
+        rng = np.random.default_rng(n_members)
+        for _ in range(12):
+            members = tuple(
+                ClassifierAtPoint(rng.dirichlet(np.ones(3)),
+                                  Uniform(FinitePoints(rng.standard_normal((6, 2)))))
+                for _ in range(n_members))
+            specs.append(EnsembleSpec(members, rng.dirichlet(np.ones(n_members))))
+        seen = set()
+        for spec in specs:
+            report = classify_regimes(spec)
+            assert report.evidence["method"] == "lp"
+            seen.add(report.cert_regime)
+            if report.cert_regime != "indeterminate":
+                assert self._grid_consistent(spec, report.cert_regime), \
+                    f"grid oracle contradicts {report.cert_regime}"
+        assert {"improvement", "reduction", "inconclusive"} <= seen
+
+    def test_three_members_pinned(self):
+        # equal weights; folding the members pairwise called this
+        # "inconclusive", which the grid contradicts
+        logits = [[0.726, 0.076, 0.198], [0.073, 0.6, 0.327], [0.207, 0.055, 0.738]]
+        points = [[[-2.92, -0.35], [1.25, 0.03], [0.51, 1.02], [-0.88, 2.65]],
+                  [[-0.11, 0.11], [-0.51, 0.33], [-2.13, -0.65], [1.69, 0.21]],
+                  [[0.15, 0.58], [-1.66, 0.59], [-0.67, 0.79], [-0.02, -1.0]]]
+        spec = EnsembleSpec(tuple(ClassifierAtPoint(row, Uniform(FinitePoints(pts)))
+                                  for row, pts in zip(logits, points)))
+        report = classify_regimes(spec)
+        assert report.cert_regime == "reduction"
+        assert report.evidence == {
+            "method": "lp", "contains_intersection": False, "within_union": True,
+            "contains_union": False, "within_intersection": True, "strict_deficit": True,
+            "trivial_ensemble_certificate": False,
+        }
+        assert self._grid_consistent(spec, "reduction")
+        assert not self._grid_consistent(spec, "inconclusive")
+
+    def test_zero_weight_members_are_decided(self):
+        # weights (0, 0, 1) once ended in evidence["error"] ("weights must
+        # not all be zero"); the same members at n = 2 were decided by LP
+        rng = np.random.default_rng(3)
+        members = tuple(ClassifierAtPoint(rng.dirichlet(np.ones(3)),
+                                          Uniform(FinitePoints(rng.standard_normal((5, 2)))))
+                        for _ in range(3))
+        spec = EnsembleSpec(members, np.array([0.0, 0.0, 1.0]))
+        report = classify_regimes(spec)
+        pair = classify_regimes(EnsembleSpec(members[1:], np.array([0.0, 1.0])))
+        assert "error" not in report.evidence
+        assert report.evidence["method"] == pair.evidence["method"] == "lp"
+        assert report.cert_regime == "inconclusive"
+        assert self._grid_consistent(spec, report.cert_regime)
+
     def test_ball_and_region_paths_agree(self, rng):
         # an linf ball equals the hull of its four corners, so the same
         # instance can be classified by radii or by LP regions
@@ -615,12 +688,12 @@ class TestRegimeCrossValidation:
             assert ball_report.gap_regime == region_report.gap_regime
 
 
-def _sampled_reference(q_g, q_1, q_2):
+def _sampled_reference(q_g, *member_certs):
     """The sampled regime decision, one direction at a time."""
     dirs = unit_directions(10_000, dim=q_g.dim, seed=0)
-    e_g, e_1, e_2 = (np.array([reference_extent(q, u) for u in dirs])
-                     for q in (q_g, q_1, q_2))
-    hi, lo = np.maximum(e_1, e_2), np.minimum(e_1, e_2)
+    e_g = np.array([reference_extent(q_g, u) for u in dirs])
+    extents = [[reference_extent(q, u) for q in member_certs] for u in dirs]
+    hi, lo = np.max(extents, axis=1), np.min(extents, axis=1)
     flags = {"within_union": bool(np.all(e_g <= hi + 1e-9)),
              "contains_union": bool(np.all(e_g >= hi - 1e-9)),
              "contains_intersection": bool(np.all(e_g >= lo - 1e-9)),
@@ -658,6 +731,29 @@ class TestSampledRegime:
         cloud = FinitePoints([[0.9, 0.2], [-0.4, 0.6], [-0.3, -0.7], [0.5, -0.5]])
         spec = EnsembleSpec((ClassifierAtPoint(logits[0], Uniform(cloud)),
                              ClassifierAtPoint(logits[1], Uniform(L2))))
+        certs = [s_certificate(ensemble_classifier(spec), "u")]
+        certs += [s_certificate(m, "u") for m in spec.members]
+        assert certs[1].region is not None and certs[2].ball is not None
+        report = classify_regimes(spec)
+        assert report.evidence["method"] == "sampled"
+        assert report.cert_regime == regime
+        reference, flags = _sampled_reference(*certs)
+        assert reference == regime
+        assert {key: report.evidence[key] for key in flags} == flags
+
+
+    @pytest.mark.parametrize("logits, regime", [
+        (([0.5, 0.3, 0.2, 0.0], [0.5, 0.0, 0.3, 0.2], [0.5, 0.2, 0.0, 0.3]), "improvement"),
+        (([0.6, 0.4, 0.0], [0.4, 0.6, 0.0], [0.55, 0.45, 0.0]), "reduction"),
+        (([0.5, 0.3, 0.2], [0.5, 0.2, 0.3], [0.6, 0.3, 0.1]), "inconclusive"),
+        (([0.5, 0.3, 0.2], [0.5, 0.2, 0.3], [0.5, 0.3, 0.2]), "indeterminate"),
+    ])
+    def test_three_member_mix_matches_the_reference_loop(self, logits, regime):
+        # a region, an l2 ball and an l1 ball (from an linf gradient ball)
+        cloud = FinitePoints([[0.9, 0.2], [-0.4, 0.6], [-0.3, -0.7], [0.5, -0.5]])
+        bodies = (cloud, L2, LpBall(np.inf, 0.6, [0.0, 0.0]))
+        spec = EnsembleSpec(tuple(ClassifierAtPoint(row, Uniform(body))
+                                  for row, body in zip(logits, bodies)))
         certs = [s_certificate(ensemble_classifier(spec), "u")]
         certs += [s_certificate(m, "u") for m in spec.members]
         assert certs[1].region is not None and certs[2].ball is not None

@@ -257,8 +257,8 @@ class TestContainment:
     def test_minus_subset_of_itself(self):
         a = box_region(1.0)
         tiny = box_region(1e-6)
-        assert region_minus_subset(a, a, tiny)
-        assert region_minus_subset(a, a, a)
+        assert region_minus_subset(a, [a], tiny)
+        assert region_minus_subset(a, [a], a)
 
     def test_minus_subset_union_probe(self, rng):
         # polygonal two-member uniform-mode ensemble: the ensemble polar must
@@ -273,13 +273,39 @@ class TestContainment:
         gen_g = minkowski_sum(mixed, negate(mixed))
         q1, q2 = polar_hrep(gen1, 1.0), polar_hrep(gen2, 1.0)
         qg = polar_hrep(gen_g, 1.0)
-        assert region_minus_subset(qg, q1, q2)
+        assert region_minus_subset(qg, [q1], q2)
         axis = np.linspace(-3.0, 3.0, 201)
         for x in axis[::10]:
             for y in axis[::10]:
                 p = np.array([x, y])
                 if qg.contains(p, tol=-1e-9):
                     assert q1.contains(p) or q2.contains(p)
+
+    def test_minus_subset_with_several_carves_against_a_grid(self, rng):
+        # a \ (c_1 u ... u c_k) inside b for k = 2 and 3 random pentagons,
+        # decided exactly, against a 321 x 321 membership grid
+        def pentagon(size=1.0):
+            angles = 2.0 * np.pi * (np.arange(5) + rng.uniform(0.0, 0.5, 5)) / 5
+            normals = np.column_stack([np.cos(angles), np.sin(angles)])
+            center = rng.normal(0.0, 0.5, 2)
+            return HalfspaceRegion(normals, size * rng.uniform(0.5, 1.5, 5) + normals @ center, 2)
+
+        def inside(region, points, tol):
+            return np.all(points @ region.normals.T <= region.offsets + tol, axis=1)
+
+        axis = np.linspace(-4.0, 4.0, 321)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        outcomes = []
+        for _ in range(40):
+            a = pentagon(0.5)
+            b, *carves = (pentagon() for _ in range(int(rng.integers(3, 5))))
+            uncovered = inside(a, grid, -1e-7) & ~inside(b, grid, 1e-7)
+            for carve in carves:
+                uncovered &= ~inside(carve, grid, 1e-7)
+            decided = region_minus_subset(a, carves, b)
+            assert decided == (not uncovered.any())
+            outcomes.append(decided)
+        assert 5 <= sum(outcomes) <= 35, sum(outcomes)
 
     def test_empty_region_subset_of_anything(self):
         empty = HalfspaceRegion([[1.0], [-1.0]], [-2.0, 1.0], 1)

@@ -189,3 +189,17 @@ class TestBatchedPlanarPath:
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         b = np.array([-1.0, 0.0, 1.0])  # x <= -1 and x >= 0
         assert [r.status for r in maximize(np.eye(2), A, b)] == [INFEASIBLE]
+
+
+@pytest.mark.xfail(strict=True, reason="the dense simplex reports a finite optimum on a "
+                   "near-degenerate region that is unbounded")
+def test_near_degenerate_unbounded_region():
+    # the last row is the first tilted by about 1e-5; the region is unbounded
+    # along (0.75, -0.125), which the exact 2D path finds from its rays
+    A = np.array([[0.125, 0.75], [-0.25, -1.5], [-0.75, -4.5], [0.1250125, 0.7500875]])
+    b = np.array([0.125, 0.0, 0.0, 0.0])
+    objective = np.array([1.0, 0.0])
+    ray = np.array([0.75, -0.125])
+    assert np.all(A @ ray <= 0.0) and objective @ ray > 0.0
+    assert maximize(objective[None, :], A, b)[0].status == UNBOUNDED
+    assert maximize(objective, A, b).status == UNBOUNDED
