@@ -5,10 +5,11 @@ one gradient set for all classes (uniform mode, ``u``), one per class
 (class-wise, ``cw``), or one per ordered class pair for the difference
 functions (class-difference, ``cd``).  Certificates come in two families:
 
-* ``lipschitz`` — classical dual-norm-ball certificates built from scalar
-  constants (ball-shaped smoothness only);
-* ``s`` — polar-set certificates built directly from the gradient sets,
-  which subsume the Lipschitz ones.
+* ``s`` — polar-set certificates built directly from the gradient sets;
+* ``lipschitz`` — classical dual-norm-ball certificates (ball-shaped
+  smoothness only).  A classifier that is L-Lipschitz in a norm has its
+  gradients in the dual-norm ball L B*, so its Lipschitz certificate is the
+  ``s`` certificate of that ball, relabelled.
 
 Every certificate keeps its defining support constraints
 ``support(G_i, delta) <= r_i`` so membership is exact for any body variant;
@@ -18,24 +19,20 @@ derivable.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import geometry
 from .geometry import (
-    Combination,
     ConvexBody,
-    Ellipsoid,
     FinitePoints,
     HalfspaceRegion,
-    LpBall,
     as_directions,
     as_vector,
-    ball_shape_key,
     ball_shape_radius,
-    dual_exponent,
     one_or_many,
 )
 
@@ -46,6 +43,9 @@ class SmoothnessMismatch(ValueError):
     """Certification mode incompatible with the available smoothness data."""
 
 
+# `constraints(top, r)` of each smoothness variant lists its certificate's
+# support constraints from the top class and the per-class gap vector r.
+
 @dataclass(frozen=True)
 class Uniform:
     body: ConvexBody
@@ -54,6 +54,11 @@ class Uniform:
     @property
     def bodies(self) -> tuple[ConvexBody, ...]:
         return (self.body,)
+
+    def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
+        """support(S (+) -S, delta) <= the runner-up gap."""
+        gen = geometry.minkowski_sum(self.body, geometry.negate(self.body))
+        return [(gen, float(np.delete(r, top).min()))]
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,12 @@ class ClassWise:
         dims = {b.dim for b in self.bodies}
         if len(dims) != 1:
             raise ValueError("class-wise bodies must share one dimension")
+
+    def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
+        """support(G_i (+) -G_top, delta) <= r_i for every class i other than the top."""
+        neg_top = geometry.negate(self.bodies[top])
+        return [(geometry.minkowski_sum(b, neg_top), float(r[i]))
+                for i, b in enumerate(self.bodies) if i != top]
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,15 @@ class ClassDiff:
     @property
     def bodies(self) -> tuple[ConvexBody, ...]:
         return tuple(self.pairs.values())
+
+    def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
+        """support(G_(i,top), delta) <= r_i for every class i other than the top."""
+        others = [i for i in range(len(r)) if i != top]
+        for i in others:
+            if (i, top) not in self.pairs:
+                raise SmoothnessMismatch(
+                    f"missing class-difference body for pair ({i}, {top})")
+        return [(self.pairs[(i, top)], float(r[i])) for i in others]
 
 
 Smoothness = Uniform | ClassWise | ClassDiff
@@ -124,9 +144,7 @@ class ClassifierAtPoint:
         values = as_vector(self.logits)
         if values.size < 2:
             raise ValueError("a classifier needs at least two classes")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "logits", values)
+        object.__setattr__(self, "logits", geometry.freeze(values))
         if isinstance(self.smoothness, ClassWise) and len(self.smoothness.bodies) != values.size:
             raise ValueError("class-wise smoothness needs one body per class")
 
@@ -153,23 +171,6 @@ class ClassifierAtPoint:
     @property
     def gap(self) -> float:
         return float(runner_up_gap(self.logits))
-
-
-def _is_origin_ball(body: ConvexBody) -> bool:
-    if isinstance(body, LpBall):
-        return bool(np.all(np.abs(body.center) <= 1e-12))
-    return isinstance(body, Ellipsoid)
-
-
-def _is_degenerate(body: ConvexBody) -> bool:
-    """True iff the body's support function is identically <= 0 (the set {0})."""
-    if isinstance(body, (LpBall, Ellipsoid)):
-        return _is_origin_ball(body) and body.radius <= 1e-15
-    if isinstance(body, FinitePoints):
-        return bool(np.all(np.abs(body.points) <= 1e-15))
-    if isinstance(body, Combination):
-        return all(c <= 1e-15 or _is_degenerate(b) for c, b, _ in body.terms)
-    return False
 
 
 @dataclass(frozen=True)
@@ -233,27 +234,23 @@ class Certificate:
 
 def _realize(mode: str, family: str, dim: int,
              constraints: list[tuple[ConvexBody, float]]) -> Certificate:
-    active = [(g, float(r)) for g, r in constraints if not _is_degenerate(g)]
+    active = [(g, float(r)) for g, r in constraints if not g.degenerate]
     if not active:
         return Certificate(mode, family, dim, tuple((g, float(r)) for g, r in constraints),
                            unbounded=True)
 
     ball = None
     region = None
-    if all(_is_origin_ball(g) and ball_shape_key(g) is not None for g, _ in active):
-        keys = {ball_shape_key(g) for g, _ in active}
-        if len(keys) == 1:
-            duals = [geometry.polar_dual_ball(g, r) for g, r in active]
-            ball = min(duals, key=ball_shape_radius)
+    keys = {g.shape_key for g, _ in active}
+    if len(keys) == 1 and None not in keys:
+        duals = [geometry.polar_dual_ball(g, r) for g, r in active]
+        ball = min(duals, key=ball_shape_radius)
     if ball is None:
         try:
-            pieces = [geometry.polar_hrep(g, r) for g, r in active]
-        except ValueError:
-            pieces = None
-        if pieces is not None:
-            region = pieces[0]
-            for piece in pieces[1:]:
-                region = region.intersect(piece)
+            region = functools.reduce(HalfspaceRegion.intersect,
+                                      [geometry.polar_hrep(g, r) for g, r in active])
+        except ValueError:  # no finite point form: a ball, or past the expansion cap
+            pass
 
     governing = min(r for _, r in active)
     trivial = False
@@ -281,70 +278,49 @@ def lipschitz_constant_from_gradients(points, q: float) -> float:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("the gradient set must be nonempty")
-    ord_q = np.inf if math.isinf(q) else q
-    return float(np.max(np.linalg.norm(pts, ord=ord_q, axis=1)))
+    return float(np.max(np.linalg.norm(pts, ord=q, axis=1)))
 
 
-def _class_wise_constraints(bodies, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
-    """support(G_i (+) -G_top, delta) <= r_i for every class i other than the top."""
-    return [(geometry.minkowski_sum(b, geometry.negate(bodies[top])), float(r[i]))
-            for i, b in enumerate(bodies) if i != top]
+_LIPSCHITZ_NEEDS = {"u": "uniform mode needs a single shared gradient ball",
+                    "cw": "class-wise mode needs one gradient ball per class"}
 
 
 def lipschitz_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
     """Dual-norm-ball certificate from ball-shaped smoothness.
 
     Uniform mode: radius gap/(2L).  Class-wise mode: radius
-    min over non-top classes of gap_i / (L_i + L_top).
+    min over non-top classes of gap_i / (L_i + L_top).  Both are the
+    :func:`s_certificate` of the gradient balls: for an origin-centered
+    ball B, B (+) -B is the ball 2B, and G_i (+) -G_top has radius
+    L_i + L_top.
     """
-    if mode not in ("u", "cw"):
+    if mode not in _LIPSCHITZ_NEEDS:
         raise SmoothnessMismatch("lipschitz certificates exist in modes 'u' and 'cw'")
-    c_a, c_b, r = gaps(clf.logits)
-    if mode == "u":
-        if not isinstance(clf.smoothness, Uniform):
-            raise SmoothnessMismatch("uniform mode needs a single shared gradient ball")
-        body = clf.smoothness.body
-        if not _is_origin_ball(body):
-            raise SmoothnessMismatch("lipschitz certificates need origin-centered balls")
-        constraints = [(geometry.scale(2.0, body), float(r[c_b]))]
-        return _realize("u", "lipschitz", body.dim, constraints)
-
-    if not isinstance(clf.smoothness, ClassWise):
-        raise SmoothnessMismatch("class-wise mode needs one gradient ball per class")
-    bodies = clf.smoothness.bodies
-    if not all(_is_origin_ball(b) for b in bodies):
+    s = clf.smoothness
+    if s is None or s.mode != mode:
+        raise SmoothnessMismatch(_LIPSCHITZ_NEEDS[mode])
+    keys = {b.shape_key for b in s.bodies}
+    if None in keys:
         raise SmoothnessMismatch("lipschitz certificates need origin-centered balls")
-    if len({ball_shape_key(b) for b in bodies}) != 1:
+    if len(keys) != 1:
         raise SmoothnessMismatch("class-wise lipschitz balls must share one shape")
-    return _realize("cw", "lipschitz", bodies[0].dim, _class_wise_constraints(bodies, c_a, r))
+    return replace(s_certificate(clf, mode), family="lipschitz")
+
+
+_S_NEEDS = {"u": "uniform mode needs Uniform smoothness",
+            "cw": "class-wise mode needs ClassWise smoothness",
+            "cd": "class-difference mode needs ClassDiff smoothness"}
 
 
 def s_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
     """Polar-set certificate in uniform, class-wise, or class-difference mode."""
-    c_a, c_b, r = gaps(clf.logits)
+    if mode not in _S_NEEDS:
+        raise SmoothnessMismatch(f"unknown certification mode: {mode!r}")
     s = clf.smoothness
-    if mode == "u":
-        if not isinstance(s, Uniform):
-            raise SmoothnessMismatch("uniform mode needs Uniform smoothness")
-        gen = geometry.minkowski_sum(s.body, geometry.negate(s.body))
-        return _realize("u", "s", s.body.dim, [(gen, float(r[c_b]))])
-    if mode == "cw":
-        if not isinstance(s, ClassWise):
-            raise SmoothnessMismatch("class-wise mode needs ClassWise smoothness")
-        return _realize("cw", "s", s.bodies[0].dim, _class_wise_constraints(s.bodies, c_a, r))
-    if mode == "cd":
-        if not isinstance(s, ClassDiff):
-            raise SmoothnessMismatch("class-difference mode needs ClassDiff smoothness")
-        constraints = []
-        for i in range(clf.n_classes):
-            if i == c_a:
-                continue
-            if (i, c_a) not in s.pairs:
-                raise SmoothnessMismatch(
-                    f"missing class-difference body for pair ({i}, {c_a})")
-            constraints.append((s.pairs[(i, c_a)], float(r[i])))
-        return _realize("cd", "s", s.bodies[0].dim, constraints)
-    raise SmoothnessMismatch(f"unknown certification mode: {mode!r}")
+    if s is None or s.mode != mode:
+        raise SmoothnessMismatch(_S_NEEDS[mode])
+    top, _, r = gaps(clf.logits)
+    return _realize(mode, "s", clf.dim, s.constraints(top, r))
 
 
 def smoothing_sigma_to_lipschitz(sigma: float) -> float:
@@ -352,44 +328,6 @@ def smoothing_sigma_to_lipschitz(sigma: float) -> float:
     if not (sigma > 0.0):
         raise ValueError("sigma must be positive")
     return math.sqrt(2.0 / (math.pi * sigma * sigma))
-
-
-def _support_point(body: ConvexBody, direction: np.ndarray) -> np.ndarray:
-    """A point of the body attaining its support in the given direction."""
-    if isinstance(body, FinitePoints):
-        return body.points[int(np.argmax(body.points @ direction))].copy()
-    if isinstance(body, LpBall):
-        d = direction
-        if np.all(np.abs(d) <= 1e-15):
-            return body.center.copy()
-        if math.isinf(body.p):
-            g = np.sign(d)
-            g[g == 0.0] = 1.0
-        elif body.p == 1.0:
-            g = np.zeros_like(d)
-            k = int(np.argmax(np.abs(d)))
-            g[k] = math.copysign(1.0, d[k])
-        elif body.p == 2.0:
-            g = d / np.linalg.norm(d)
-        else:
-            q = dual_exponent(body.p)
-            scaled = np.abs(d) / np.linalg.norm(d, ord=q)
-            g = np.sign(d) * scaled ** (q - 1.0)
-        return body.center + body.radius * g
-    if isinstance(body, Ellipsoid):
-        quad = float(direction @ body.sigma @ direction)
-        if quad <= 1e-30:
-            return np.zeros(body.dim)
-        return body.radius * (body.sigma @ direction) / math.sqrt(quad)
-    if isinstance(body, Combination):
-        total = np.zeros(body.dim)
-        for coeff, sub, negated in body.terms:
-            if negated:
-                total -= coeff * _support_point(sub, -direction)
-            else:
-                total += coeff * _support_point(sub, direction)
-        return total
-    raise TypeError(f"unknown body variant: {type(body).__name__}")
 
 
 @dataclass(frozen=True)
@@ -431,7 +369,7 @@ def adversarial_witness(body: ConvexBody, r: float, x, delta) -> AdversarialWitn
         raise ValueError(
             "no adversarial witness: the perturbation is certified "
             f"(support spread {spread:.6g} <= gap {r:.6g})")
-    c = _support_point(body, d)
-    c_prime = _support_point(body, -d)
+    c = body.support_point(d)
+    c_prime = body.support_point(-d)
     return AdversarialWitness(x=x, delta=d, gap=float(r),
                               grad_top=c_prime, grad_runner=c)

@@ -49,13 +49,7 @@ CSV_HEADER = "n,draw,r_bar,r_under,rg_uniform,rg_opt,gap_regime,same_ca,bound,sl
 
 def _shape_name(body) -> str:
     if isinstance(body, LpBall):
-        if body.p == 1.0:
-            return "l1"
-        if body.p == 2.0:
-            return "l2"
-        if math.isinf(body.p):
-            return "linf"
-        return f"l{body.p:g}"
+        return f"l{body.p:g}"  # l1, l2, linf, l1.5, ...
     if isinstance(body, Ellipsoid):
         return "ellipsoid"
     return type(body).__name__
@@ -132,30 +126,23 @@ def _lipschitz_from_problem(member: ClassifierAtPoint, mode: str,
         constant = lipschitz_constant_from_gradients(body, q)
         return LpBall(p, constant, np.zeros(body.dim))
 
-    if isinstance(smoothness, Uniform) and isinstance(smoothness.body, FinitePoints):
-        p = _NORMS[norm or "l2"]
-        member = ClassifierAtPoint(member.logits, Uniform(ball_from(smoothness.body, p)))
-    elif isinstance(smoothness, ClassWise) and all(
-            isinstance(b, FinitePoints) for b in smoothness.bodies):
-        p = _NORMS[norm or "l2"]
-        member = ClassifierAtPoint(member.logits, ClassWise(tuple(
-            ball_from(b, p) for b in smoothness.bodies)))
+    if smoothness.mode != "cd" and all(isinstance(b, FinitePoints) for b in smoothness.bodies):
+        balls = tuple(ball_from(b, _NORMS[norm or "l2"]) for b in smoothness.bodies)
+        member = ClassifierAtPoint(member.logits, Uniform(balls[0])
+                                   if smoothness.mode == "u" else ClassWise(balls))
     elif norm is not None:
         # ball smoothness already fixes the certificate norm: the gradient
         # ball lives in the dual norm, so --norm p needs a dual(p) ball;
-        # class-difference bodies are left to lipschitz_certificate's error
-        bodies = smoothness.bodies if isinstance(smoothness, (Uniform, ClassWise)) else ()
-        wanted_dual = geometry.dual_exponent(_NORMS[norm])
-        for body in bodies:
-            if isinstance(body, LpBall) and not (
-                    body.p == wanted_dual
-                    or (math.isinf(body.p) and math.isinf(wanted_dual))):
-                raise SmoothnessMismatch(
-                    f"--norm {norm} contradicts the file's l{body.p:g} gradient "
-                    "ball (the gradient bound lives in the dual norm)")
-            if isinstance(body, Ellipsoid):
-                raise SmoothnessMismatch(
-                    f"--norm {norm} contradicts the file's ellipsoid smoothness")
+        # class-difference bodies and bodies that are not origin-centered
+        # balls are left to lipschitz_certificate's errors
+        bodies = () if smoothness.mode == "cd" else smoothness.bodies
+        wanted = ("lp", geometry.dual_exponent(_NORMS[norm]))
+        for key in (body.shape_key for body in bodies):
+            if key is None or key == wanted:
+                continue
+            shape = (f"l{key[1]:g} gradient ball (the gradient bound lives in the dual norm)"
+                     if key[0] == "lp" else "ellipsoid smoothness")
+            raise SmoothnessMismatch(f"--norm {norm} contradicts the file's {shape}")
     return lipschitz_certificate(member, base_mode)
 
 

@@ -40,8 +40,6 @@ from .geometry import (
     ConvexBody,
     Ellipsoid,
     HalfspaceRegion,
-    LpBall,
-    ball_shape_key,
     ball_shape_radius,
     region_exceeds,
     region_minus_subset,
@@ -105,10 +103,6 @@ class EnsembleSpec:
         return len(tops) == 1
 
     @property
-    def different_top(self) -> bool:
-        return not self.same_top
-
-    @property
     def same_runner_up(self) -> bool:
         seconds = {m.runner_up for m in self.members}
         return len(seconds) == 1
@@ -170,19 +164,28 @@ def _ball_radius(cert: Certificate) -> float:
     return math.inf if cert.unbounded else ball_shape_radius(cert.ball)
 
 
+def _verdict(flags: dict, strict_excess, strict_deficit) -> str:
+    """The paper's regime rule on the containment flags of the ensemble
+    certificate against the union and the intersection of the members; the
+    strictness tests are callables, run only when their containment holds."""
+    if flags["contains_union"] and strict_excess():
+        return "improvement"
+    if flags["within_intersection"] and strict_deficit():
+        return "reduction"
+    if flags["contains_intersection"] and flags["within_union"]:
+        return "inconclusive"
+    return "indeterminate"
+
+
 def _cert_regime_balls(q_g: Certificate, member_certs: list[Certificate]) -> tuple[str, dict]:
     radii = tuple(_ball_radius(q) for q in member_certs)
     r_g = _ball_radius(q_g)
     lo, hi = min(radii), max(radii)
-    evidence = {"method": "radii", "radius_ensemble": r_g,
-                "radius_members": radii}
-    if r_g > hi + STRICT_MARGIN:
-        return "improvement", evidence
-    if r_g < lo - STRICT_MARGIN:
-        return "reduction", evidence
-    if lo - GAP_TOL <= r_g <= hi + GAP_TOL:
-        return "inconclusive", evidence
-    return "indeterminate", evidence
+    flags = {"contains_union": r_g >= hi - GAP_TOL, "within_union": r_g <= hi + GAP_TOL,
+             "contains_intersection": r_g >= lo - GAP_TOL,
+             "within_intersection": r_g <= lo + GAP_TOL}
+    regime = _verdict(flags, lambda: r_g > hi + STRICT_MARGIN, lambda: r_g < lo - STRICT_MARGIN)
+    return regime, {"method": "radii", "radius_ensemble": r_g, "radius_members": radii}
 
 
 def _cert_regime_regions(q_g: Certificate, member_certs: list[Certificate]) -> tuple[str, dict]:
@@ -190,26 +193,20 @@ def _cert_regime_regions(q_g: Certificate, member_certs: list[Certificate]) -> t
     regions = [q.region for q in member_certs]
     inter = functools.reduce(HalfspaceRegion.intersect, regions)
     carves, last = regions[:-1], regions[-1]
-    contains_inter = region_subset(inter, g)
-    within_union = region_minus_subset(g, carves, last)
-    contains_union = all(region_subset(r, g) for r in regions)
-    within_inter = region_subset(g, inter)
-    evidence = {
+    evidence = {  # the queries run in this order
         "method": "lp",
-        "contains_intersection": contains_inter,
-        "within_union": within_union,
-        "contains_union": contains_union,
-        "within_intersection": within_inter,
+        "contains_intersection": region_subset(inter, g),
+        "within_union": region_minus_subset(g, carves, last),
+        "contains_union": all(region_subset(r, g) for r in regions),
+        "within_intersection": region_subset(g, inter),
     }
-    if contains_union and not region_minus_subset(g, carves, last, STRICT_MARGIN):
-        evidence["strict_excess"] = True
-        return "improvement", evidence
-    if within_inter and region_exceeds(inter, g, STRICT_MARGIN):
-        evidence["strict_deficit"] = True
-        return "reduction", evidence
-    if contains_inter and within_union:
-        return "inconclusive", evidence
-    return "indeterminate", evidence
+    regime = _verdict(evidence,
+                      lambda: not region_minus_subset(g, carves, last, STRICT_MARGIN),
+                      lambda: region_exceeds(inter, g, STRICT_MARGIN))
+    strict = {"improvement": "strict_excess", "reduction": "strict_deficit"}.get(regime)
+    if strict:
+        evidence[strict] = True
+    return regime, evidence
 
 
 SAMPLED_DIRECTIONS = 10_000
@@ -224,21 +221,13 @@ def _cert_regime_sampled(q_g: Certificate, member_certs: list[Certificate]) -> t
     hi, lo = extents.max(axis=0), extents.min(axis=0)
     evidence = {"method": "sampled", "n_directions": SAMPLED_DIRECTIONS}
     with np.errstate(invalid="ignore"):
-        within_union = bool(np.all(e_g <= hi + GAP_TOL))
-        contains_union = bool(np.all(e_g >= hi - GAP_TOL))
-        contains_inter = bool(np.all(e_g >= lo - GAP_TOL))
-        within_inter = bool(np.all(e_g <= lo + GAP_TOL))
-        strict_excess = bool(np.any(e_g > hi + STRICT_MARGIN))
-        strict_deficit = bool(np.any(e_g < lo - STRICT_MARGIN))
-    evidence.update(within_union=within_union, contains_union=contains_union,
-                    contains_intersection=contains_inter, within_intersection=within_inter)
-    if contains_union and strict_excess:
-        return "improvement", evidence
-    if within_inter and strict_deficit:
-        return "reduction", evidence
-    if contains_inter and within_union:
-        return "inconclusive", evidence
-    return "indeterminate", evidence
+        evidence.update(within_union=bool(np.all(e_g <= hi + GAP_TOL)),
+                        contains_union=bool(np.all(e_g >= hi - GAP_TOL)),
+                        contains_intersection=bool(np.all(e_g >= lo - GAP_TOL)),
+                        within_intersection=bool(np.all(e_g <= lo + GAP_TOL)))
+        regime = _verdict(evidence, lambda: bool(np.any(e_g > hi + STRICT_MARGIN)),
+                          lambda: bool(np.any(e_g < lo - STRICT_MARGIN)))
+    return regime, evidence
 
 
 def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
@@ -278,16 +267,15 @@ def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
             q_g = s_certificate(ensemble_classifier(spec), mode)
             certs = member_certs + [q_g]
             if all(c.ball is not None or c.unbounded for c in certs) and len(
-                    {ball_shape_key(c.ball) for c in certs if c.ball is not None}) <= 1:
+                    {c.ball.shape_key for c in certs if c.ball is not None}) <= 1:
                 cert_regime, evidence = _cert_regime_balls(q_g, member_certs)
             elif all(c.region is not None for c in certs):
                 cert_regime, evidence = _cert_regime_regions(q_g, member_certs)
             else:
                 cert_regime, evidence = _cert_regime_sampled(q_g, member_certs)
             evidence["trivial_ensemble_certificate"] = q_g.trivial
-        except (SmoothnessMismatch, ValueError) as exc:
+        except ValueError as exc:
             evidence["error"] = str(exc)
-            cert_regime = "indeterminate"
 
     return RegimeReport(
         gap_regime=gap_regime,
@@ -441,14 +429,9 @@ def _common_shape_norm(spec: EnsembleSpec) -> float:
     """The :func:`_reference_norm` of a spec whose smoothness bodies are
     origin-centered balls of one shape; PreconditionError otherwise."""
     ref_norm = _reference_norm(spec)
-    keys = set()
-    for m in spec.members:
-        for b in m.smoothness.bodies:
-            if not isinstance(b, (LpBall, Ellipsoid)):
-                raise PreconditionError("smoothness bodies must be symmetric balls")
-            if isinstance(b, LpBall) and np.any(np.abs(b.center) > 1e-12):
-                raise PreconditionError("smoothness balls must be origin-centered")
-            keys.add(ball_shape_key(b))
+    keys = {b.shape_key for m in spec.members for b in m.smoothness.bodies}
+    if None in keys:
+        raise PreconditionError("smoothness bodies must be origin-centered balls")
     if len(keys) != 1:
         raise PreconditionError("smoothness bodies must share one ball shape")
     return ref_norm

@@ -16,6 +16,17 @@ Supported body variants:
   of bodies, with optional per-term negation.  Expansion to explicit points
   happens lazily, capped at :data:`MAX_EXPANSION` points and hull-pruned
   after every pairwise step in 2D.
+
+Each variant dispatches on itself: it implements ``support(u)`` (a float
+for one direction (d,), an (m,) array for a stack (m, d)),
+``support_point(u)`` (a point attaining the support), ``negate()``,
+``scale(alpha)``, ``degenerate`` (the support is identically <= 0, the set
+{0}) and ``shape_key`` (the hashable shape of an origin-centered ball, None
+for every other body).  The balls add
+``shape_radius`` (the radius on that normalized shape) and ``polar(r)``.
+The free functions below delegate to these; only :func:`minkowski_sum`
+and :func:`to_finite_points` dispatch on variants, as they look at two
+bodies or a whole combination.
 """
 
 from __future__ import annotations
@@ -68,7 +79,8 @@ def one_or_many(values: np.ndarray, single: bool):
     return values[0].item() if single else values
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def freeze(a: np.ndarray) -> np.ndarray:
+    """A read-only float copy of the array."""
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
@@ -86,16 +98,16 @@ def dual_exponent(p: float) -> float:
 
 
 class ConvexBody:
-    """Base class; concrete variants implement ``support``.
-
-    ``support`` takes one direction (d,) and returns a float, or a stack of
-    directions (m, d) and returns an (m,) array.
-    """
+    """Base class of the body variants; the module docstring lists their protocol."""
 
     dim: int
+    shape_key = None
 
     def support(self, direction):
         raise NotImplementedError
+
+    def polar(self, r: float):
+        raise ValueError("polar_dual_ball applies to ball variants only")
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,7 @@ class FinitePoints(ConvexBody):
             raise ValueError("a finite point set must be nonempty")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        object.__setattr__(self, "points", _freeze(pts))
+        object.__setattr__(self, "points", freeze(pts))
 
     @property
     def dim(self) -> int:
@@ -124,6 +136,19 @@ class FinitePoints(ConvexBody):
             values[start:start + block] = np.max(part @ self.points.T, axis=1)
         return one_or_many(values, single)
 
+    def support_point(self, direction: np.ndarray) -> np.ndarray:
+        return self.points[int(np.argmax(self.points @ direction))].copy()
+
+    def negate(self) -> "FinitePoints":
+        return FinitePoints(-self.points)
+
+    def scale(self, alpha: float) -> "FinitePoints":
+        return FinitePoints(alpha * self.points)
+
+    @property
+    def degenerate(self) -> bool:
+        return bool(np.all(np.abs(self.points) <= 1e-15))
+
 
 @dataclass(frozen=True)
 class LpBall(ConvexBody):
@@ -136,7 +161,7 @@ class LpBall(ConvexBody):
             raise ValueError("p must lie in [1, inf]")
         if not (self.radius >= 0.0) or not np.isfinite(self.radius):
             raise ValueError("radius must be a finite nonnegative real")
-        object.__setattr__(self, "center", _freeze(as_vector(self.center)))
+        object.__setattr__(self, "center", freeze(as_vector(self.center)))
 
     @property
     def dim(self) -> int:
@@ -150,6 +175,45 @@ class LpBall(ConvexBody):
         dirs, single = as_directions(direction, self.dim)
         values = dirs @ self.center + self.radius * np.linalg.norm(dirs, ord=self.dual_p, axis=1)
         return one_or_many(values, single)
+
+    def support_point(self, direction: np.ndarray) -> np.ndarray:
+        d = direction
+        if np.all(np.abs(d) <= 1e-15):
+            return self.center.copy()
+        if self.p == 1.0:  # one vertex; the formula below would split ties
+            g = np.zeros_like(d)
+            k = int(np.argmax(np.abs(d)))
+            g[k] = math.copysign(1.0, d[k])
+        else:  # g_i = sign(d_i) (|d_i| / |d|_q)^(q-1), the Holder equality case
+            q = self.dual_p
+            g = np.sign(d) * (np.abs(d) / np.linalg.norm(d, ord=q)) ** (q - 1.0)
+        return self.center + self.radius * g
+
+    def negate(self) -> "LpBall":
+        return LpBall(self.p, self.radius, -self.center)
+
+    def scale(self, alpha: float) -> "LpBall":
+        return LpBall(self.p, alpha * self.radius, alpha * self.center)
+
+    @property
+    def shape_key(self):
+        """("lp", p) for an origin-centered ball, None for a shifted one."""
+        return ("lp", float(self.p)) if np.all(np.abs(self.center) <= 1e-12) else None
+
+    @property
+    def shape_radius(self) -> float:
+        return float(self.radius)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.shape_key is not None and self.radius <= 1e-15
+
+    def polar(self, r: float):
+        if self.shape_key is None:
+            raise ValueError("polar_dual_ball needs an origin-centered ball")
+        if self.radius == 0.0:
+            return WholeSpace(self.dim)
+        return LpBall(self.dual_p, r / self.radius, np.zeros(self.dim))
 
 
 @dataclass(frozen=True)
@@ -169,7 +233,7 @@ class Ellipsoid(ConvexBody):
             raise ValueError("sigma must be positive definite") from None
         if not (self.radius >= 0.0) or not np.isfinite(self.radius):
             raise ValueError("radius must be a finite nonnegative real")
-        object.__setattr__(self, "sigma", _freeze(s))
+        object.__setattr__(self, "sigma", freeze(s))
 
     @property
     def dim(self) -> int:
@@ -179,6 +243,40 @@ class Ellipsoid(ConvexBody):
         dirs, single = as_directions(direction, self.dim)
         quad = np.sum((dirs @ self.sigma) * dirs, axis=1)
         return one_or_many(self.radius * np.sqrt(np.maximum(quad, 0.0)), single)
+
+    def support_point(self, direction: np.ndarray) -> np.ndarray:
+        quad = float(direction @ self.sigma @ direction)
+        if quad <= 1e-30:
+            return np.zeros(self.dim)
+        return self.radius * (self.sigma @ direction) / math.sqrt(quad)
+
+    def negate(self) -> "Ellipsoid":
+        return self
+
+    def scale(self, alpha: float) -> "Ellipsoid":
+        return Ellipsoid(self.sigma, alpha * self.radius)
+
+    @property
+    def shape_key(self):
+        """The matrix normalized, so that (Sigma, eps) and (4*Sigma, eps/2)
+        have one shape, and rounded to 10 decimals, so that a shape that went
+        through a matrix inverse (a dual ball) still matches."""
+        norm = float(np.linalg.norm(self.sigma))
+        return ("ellipsoid", tuple(np.round(self.sigma / norm, 10).ravel()))
+
+    @property
+    def shape_radius(self) -> float:
+        return float(self.radius * math.sqrt(float(np.linalg.norm(self.sigma))))
+
+    @property
+    def degenerate(self) -> bool:
+        return self.radius <= 1e-15
+
+    def polar(self, r: float):
+        if self.radius == 0.0:
+            return WholeSpace(self.dim)
+        inv = np.linalg.inv(self.sigma)
+        return Ellipsoid((inv + inv.T) / 2.0, r / self.radius)
 
 
 @dataclass(frozen=True)
@@ -212,6 +310,23 @@ class Combination(ConvexBody):
             total += coeff * body.support(-dirs if negated else dirs)
         return one_or_many(total, single)
 
+    def support_point(self, direction: np.ndarray) -> np.ndarray:
+        total = np.zeros(self.dim)
+        for coeff, body, negated in self.terms:
+            sign = -1.0 if negated else 1.0
+            total += sign * coeff * body.support_point(sign * direction)
+        return total
+
+    def negate(self) -> "Combination":
+        return Combination(tuple((c, b, not neg) for c, b, neg in self.terms))
+
+    def scale(self, alpha: float) -> "Combination":
+        return Combination(tuple((alpha * c, b, neg) for c, b, neg in self.terms))
+
+    @property
+    def degenerate(self) -> bool:
+        return all(c <= 1e-15 or b.degenerate for c, b, _ in self.terms)
+
 
 @dataclass(frozen=True)
 class WholeSpace:
@@ -228,30 +343,14 @@ def support(body: ConvexBody, direction):
 
 def negate(body: ConvexBody) -> ConvexBody:
     """Body whose support satisfies support(-S, u) = support(S, -u)."""
-    if isinstance(body, FinitePoints):
-        return FinitePoints(-body.points)
-    if isinstance(body, LpBall):
-        return LpBall(body.p, body.radius, -body.center)
-    if isinstance(body, Ellipsoid):
-        return body
-    if isinstance(body, Combination):
-        return Combination(tuple((c, b, not neg) for c, b, neg in body.terms))
-    raise TypeError(f"unknown body variant: {type(body).__name__}")
+    return body.negate()
 
 
 def scale(alpha: float, body: ConvexBody) -> ConvexBody:
     """Positive-homogeneous scaling: support(alpha*S, u) = alpha*support(S, u)."""
     if alpha < 0.0 or not np.isfinite(alpha):
         raise ValueError("scale factor must be a nonnegative real")
-    if isinstance(body, FinitePoints):
-        return FinitePoints(alpha * body.points)
-    if isinstance(body, LpBall):
-        return LpBall(body.p, alpha * body.radius, alpha * body.center)
-    if isinstance(body, Ellipsoid):
-        return Ellipsoid(body.sigma, alpha * body.radius)
-    if isinstance(body, Combination):
-        return Combination(tuple((alpha * c, b, neg) for c, b, neg in body.terms))
-    raise TypeError(f"unknown body variant: {type(body).__name__}")
+    return body.scale(alpha)
 
 
 def _pairwise_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -293,27 +392,13 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
 
 
 def ball_shape_key(body: ConvexBody):
-    """Hashable shape of a ball body, independent of its radius and scale;
-    None for other bodies.
-
-    The ellipsoid matrix is normalized, so that (Sigma, eps) and
-    (4*Sigma, eps/2) have one shape, and rounded to 10 decimals, so that a
-    shape that went through a matrix inverse (a dual ball) still matches.
-    """
-    if isinstance(body, LpBall):
-        return ("lp", float(body.p))
-    if isinstance(body, Ellipsoid):
-        norm = float(np.linalg.norm(body.sigma))
-        return ("ellipsoid", tuple(np.round(body.sigma / norm, 10).ravel()))
-    return None
+    """Hashable shape of an origin-centered ball (not of its size); None otherwise."""
+    return body.shape_key
 
 
 def ball_shape_radius(body: ConvexBody) -> float:
-    """Radius of a ball body on the normalized shape of
-    :func:`ball_shape_key`, so that balls with one key compare by it."""
-    if isinstance(body, LpBall):
-        return float(body.radius)
-    return float(body.radius * math.sqrt(float(np.linalg.norm(body.sigma))))
+    """Radius on the normalized shape, so that balls with one key compare by it."""
+    return body.shape_radius
 
 
 def _cross(o, a, b) -> float:
@@ -359,7 +444,7 @@ def hull_prune(body: FinitePoints) -> FinitePoints:
     return FinitePoints(np.unique(pts, axis=0))
 
 
-def to_finite_points(body: ConvexBody, cap: int = MAX_EXPANSION) -> np.ndarray:
+def to_finite_points(body: ConvexBody) -> np.ndarray:
     """Explicit generator points of a body, if it reduces to finitely many.
 
     Combinations of finite point sets are expanded to pairwise sums, pruning
@@ -370,17 +455,11 @@ def to_finite_points(body: ConvexBody, cap: int = MAX_EXPANSION) -> np.ndarray:
     if isinstance(body, Combination):
         acc: np.ndarray | None = None
         for coeff, sub, negated in body.terms:
-            pts = to_finite_points(sub, cap) * coeff
+            pts = to_finite_points(sub) * coeff
             if negated:
                 pts = -pts
-            if acc is None:
-                acc = pts
-            else:
-                if acc.shape[0] * pts.shape[0] > cap:
-                    raise ValueError(f"point expansion exceeds the {cap}-point cap")
-                acc = _pairwise_sum(acc, pts)
+            acc = pts if acc is None else _pairwise_sum(acc, pts)
             acc = hull_prune(FinitePoints(acc)).points
-        assert acc is not None
         return acc
     raise ValueError(f"{type(body).__name__} does not reduce to a finite point set")
 
@@ -400,8 +479,8 @@ class HalfspaceRegion:
             raise ValueError("each halfspace needs one normal and one offset")
         if not (np.all(np.isfinite(normals)) and np.all(np.isfinite(offsets))):
             raise ValueError("halfspace data must be finite")
-        object.__setattr__(self, "normals", _freeze(normals))
-        object.__setattr__(self, "offsets", _freeze(offsets))
+        object.__setattr__(self, "normals", freeze(normals))
+        object.__setattr__(self, "offsets", freeze(offsets))
 
     @property
     def n_halfspaces(self) -> int:
@@ -409,8 +488,6 @@ class HalfspaceRegion:
 
     def contains(self, point, tol: float = TOL) -> bool:
         x = as_vector(point, self.dim)
-        if self.n_halfspaces == 0:
-            return True
         return bool(np.all(self.normals @ x <= self.offsets + tol))
 
     def intersect(self, other: "HalfspaceRegion") -> "HalfspaceRegion":
@@ -431,10 +508,6 @@ class HalfspaceRegion:
         )
 
 
-def whole_region(dim: int) -> HalfspaceRegion:
-    return HalfspaceRegion(np.zeros((0, dim)), np.zeros(0), dim)
-
-
 def polar_hrep(body: ConvexBody, r: float) -> HalfspaceRegion:
     """Halfspace representation of {delta : support(S, delta) <= r}.
 
@@ -453,18 +526,7 @@ def polar_dual_ball(body: ConvexBody, r: float) -> ConvexBody | WholeSpace:
     """Polar set of an origin-centered ball: the dual-shape ball of radius r/eps."""
     if r < 0.0 or not np.isfinite(r):
         raise ValueError("polar radius must be a nonnegative real")
-    if isinstance(body, LpBall):
-        if np.any(np.abs(body.center) > 1e-12):
-            raise ValueError("polar_dual_ball needs an origin-centered ball")
-        if body.radius == 0.0:
-            return WholeSpace(body.dim)
-        return LpBall(body.dual_p, r / body.radius, np.zeros(body.dim))
-    if isinstance(body, Ellipsoid):
-        if body.radius == 0.0:
-            return WholeSpace(body.dim)
-        inv = np.linalg.inv(body.sigma)
-        return Ellipsoid((inv + inv.T) / 2.0, r / body.radius)
-    raise ValueError("polar_dual_ball applies to ball variants only")
+    return body.polar(r)
 
 
 def lp_maximize(objective, region: HalfspaceRegion) -> SimplexResult:

@@ -1,5 +1,6 @@
 """Certificates at a point: worked examples, the lattice, and the witness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from scert.certificates import (
     smoothing_sigma_to_lipschitz,
 )
 from scert.geometry import (
+    Ellipsoid,
     FinitePoints,
     LpBall,
     region_subset,
@@ -98,6 +100,60 @@ class TestLipschitzCertificate:
         clf = ClassifierAtPoint([1.0, 0.0], Uniform(FinitePoints(FIG1_CLOUD)))
         with pytest.raises(SmoothnessMismatch):
             lipschitz_certificate(clf, "u")
+
+
+def _same_body(a, b) -> bool:
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+
+
+class TestLipschitzIsTheBallSCertificate:
+    """A Lipschitz certificate is the S-certificate of its dual-norm ball,
+    exactly: for an origin-centered ball B, B (+) -B is the ball 2B."""
+
+    @staticmethod
+    def _balls(rng, kind, k: int) -> list:
+        if kind != "ellipsoid" and kind != "scaled ellipsoid":
+            return [LpBall(kind, rng.uniform(0.1, 2.0), np.zeros(2)) for _ in range(k)]
+        root = rng.standard_normal((2, 2))
+        sigma = root @ root.T + 0.25 * np.eye(2)
+        factors = rng.uniform(0.2, 5.0, k) if kind == "scaled ellipsoid" else np.ones(k)
+        return [Ellipsoid(f * sigma, rng.uniform(0.1, 2.0)) for f in factors]
+
+    @pytest.mark.parametrize("mode", ["u", "cw"])
+    @pytest.mark.parametrize("kind", [1.0, 2.0, 3.0, math.inf, "ellipsoid", "scaled ellipsoid"])
+    def test_equal_to_the_s_certificate(self, rng, kind, mode):
+        for draw in range(20):
+            k = int(rng.integers(2, 5))
+            balls = self._balls(rng, kind, k)
+            logits = rng.dirichlet(np.ones(k))
+            if draw % 5 == 0:  # a zero runner-up gap: the trivial certificate
+                logits[np.argsort(logits)[-2]] = logits.max()
+            smoothness = Uniform(balls[0]) if mode == "u" else ClassWise(tuple(balls))
+            clf = ClassifierAtPoint(logits, smoothness)
+            lip, s = lipschitz_certificate(clf, mode), s_certificate(clf, mode)
+            assert (lip.family, s.family, lip.mode) == ("lipschitz", "s", mode)
+            assert type(lip.ball) is type(s.ball)
+            if isinstance(s.ball, LpBall):
+                assert lip.ball.p == s.ball.p
+            else:
+                assert np.array_equal(lip.ball.sigma, s.ball.sigma)
+            assert lip.radius == s.radius
+            assert lip.trivial == s.trivial and lip.trivial == (draw % 5 == 0)
+            assert len(lip.constraints) == len(s.constraints)
+            for (g_lip, r_lip), (g_s, r_s) in zip(lip.constraints, s.constraints):
+                assert r_lip == r_s and _same_body(g_lip, g_s)
+
+    @pytest.mark.parametrize("smoothness, mode, message", [
+        (Uniform(LpBall(2, 1.0, [0.5, 0.0])), "u", "need origin-centered balls"),
+        (ClassWise((LpBall(2, 1.0, [0, 0]), LpBall(1, 1.0, [0, 0]))), "cw", "share one shape"),
+        (ClassWise((LpBall(2, 1.0, [0, 0]), LpBall(2, 1.0, [0, 0]))), "u",
+         "needs a single shared gradient ball"),
+        (Uniform(FinitePoints(FIG1_CLOUD)), "u", "need origin-centered balls"),
+    ])
+    def test_smoothness_mismatch(self, smoothness, mode, message):
+        with pytest.raises(SmoothnessMismatch, match=message):
+            lipschitz_certificate(ClassifierAtPoint([1.0, 0.0], smoothness), mode)
 
 
 class TestSCertificate:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import best_gap_by_vertices, reference_extent, unit_directions
 from scert.certificates import (
+    Certificate,
     ClassDiff,
     ClassifierAtPoint,
     ClassWise,
@@ -19,8 +20,10 @@ from scert.certificates import (
 )
 from scert.cli import load_fixture
 from scert.ensemble import (
+    GAP_TOL,
     EnsembleSpec,
     PreconditionError,
+    _cert_regime_balls,
     classify_regimes,
     common_shape_radii,
     damning_alpha,
@@ -33,6 +36,7 @@ from scert.ensemble import (
     radius_improvement_bound,
 )
 from scert.geometry import (
+    STRICT_MARGIN,
     Combination,
     Ellipsoid,
     FinitePoints,
@@ -224,6 +228,55 @@ class TestClassifyRegimes:
             report = classify_regimes(spec)
             assert report.cert_regime != "reduction"
             assert report.gap_regime != "loss"
+
+
+def _l2_cert(radius: float) -> Certificate:
+    if radius == np.inf:
+        return Certificate("u", "s", 2, (), unbounded=True)
+    return Certificate("u", "s", 2, (), ball=LpBall(2, radius, [0.0, 0.0]))
+
+
+_LO, _HI = 1.0, 2.0
+_UP, _DOWN = np.inf, -np.inf
+
+
+class TestRadiiVerdictBoundaries:
+    """The radii path's verdict on either side of each of its four edges,
+    for members of radius 1 and 2, and with unbounded certificates."""
+
+    @pytest.mark.parametrize("r_g, expected", [
+        (np.nextafter(_HI + STRICT_MARGIN, _UP), "improvement"),
+        (_HI + STRICT_MARGIN, "indeterminate"),
+        (np.nextafter(_HI + GAP_TOL, _UP), "indeterminate"),
+        (_HI + GAP_TOL, "inconclusive"),
+        (1.5, "inconclusive"),
+        (_LO - GAP_TOL, "inconclusive"),
+        (np.nextafter(_LO - GAP_TOL, _DOWN), "indeterminate"),
+        (_LO - STRICT_MARGIN, "indeterminate"),
+        (np.nextafter(_LO - STRICT_MARGIN, _DOWN), "reduction"),
+        (np.inf, "improvement"),
+    ])
+    def test_two_finite_members(self, r_g, expected):
+        regime, evidence = _cert_regime_balls(_l2_cert(r_g), [_l2_cert(_LO), _l2_cert(_HI)])
+        assert regime == expected
+        assert evidence == {"method": "radii", "radius_ensemble": r_g,
+                            "radius_members": (_LO, _HI)}
+
+    @pytest.mark.parametrize("r_g, expected", [
+        (np.inf, "inconclusive"),
+        (5.0, "inconclusive"),
+        (_LO - GAP_TOL, "inconclusive"),
+        (np.nextafter(_LO - GAP_TOL, _DOWN), "indeterminate"),
+        (np.nextafter(_LO - STRICT_MARGIN, _DOWN), "reduction"),
+    ])
+    def test_one_unbounded_member(self, r_g, expected):
+        regime, _ = _cert_regime_balls(_l2_cert(r_g), [_l2_cert(_LO), _l2_cert(np.inf)])
+        assert regime == expected
+
+    @pytest.mark.parametrize("r_g, expected", [(np.inf, "inconclusive"), (3.0, "reduction")])
+    def test_unbounded_members(self, r_g, expected):
+        regime, _ = _cert_regime_balls(_l2_cert(r_g), [_l2_cert(np.inf), _l2_cert(np.inf)])
+        assert regime == expected
 
 
 class TestGapGainBound:

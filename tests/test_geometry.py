@@ -392,11 +392,12 @@ class TestSymmetry:
 
 class TestCombinationExpansion:
     def test_expansion_cap(self, rng):
-        angles = np.linspace(0, 2 * np.pi, 60, endpoint=False)
+        # 101 extreme points on each side: 10,201 pairwise sums, just over the cap
+        angles = np.linspace(0, 2 * np.pi, 101, endpoint=False)
         circle = FinitePoints(np.column_stack([np.cos(angles), np.sin(angles)]))
         formal = Combination(((1.0, circle, False), (1.0, circle, True)))
-        with pytest.raises(ValueError):
-            geo.to_finite_points(formal, cap=100)
+        with pytest.raises(ValueError, match="10000-point cap"):
+            geo.to_finite_points(formal)
 
     def test_lazy_expansion_matches_support(self, rng):
         a = FinitePoints(rng.standard_normal((4, 2)))
@@ -515,3 +516,31 @@ class TestDirectionStacks:
             tracemalloc.stop()
         assert peak < dense / 50
         assert _close(values[:50], [brute_support(cloud.points, u) for u in dirs[:50]])
+
+
+class TestSupportPoint:
+    """Each variant's support_point(u) is a point of the body whose value
+    along u is the body's support (the attained maximum)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_attains_the_support_inside_the_body(self, data):
+        dim = data.draw(st.integers(1, 4))
+        body = data.draw(bodies(dim))
+        probes = data.draw(direction_stacks(dim))
+        for u in data.draw(direction_stacks(dim)):
+            x = body.support_point(u)
+            assert x.shape == (dim,) and np.all(np.isfinite(x))
+            expected = reference_support(body, u)
+            scale = 1.0 + np.linalg.norm(u) * np.linalg.norm(x) + abs(expected)
+            assert abs(float(u @ x) - expected) <= 1e-9 * scale
+            for v in np.vstack([probes, unit_directions(16, dim=dim, seed=3)]):
+                bound = support(body, v)
+                scale = 1.0 + np.linalg.norm(v) * np.linalg.norm(x) + abs(bound)
+                assert float(v @ x) <= bound + 1e-9 * scale
+
+    @pytest.mark.parametrize("variant", [FinitePoints, LpBall, Ellipsoid, Combination])
+    def test_each_variant_defines_its_own_protocol(self, variant):
+        # perfbench/tracer.py wraps `support` through each class's own dict
+        for name in ("support", "support_point", "negate", "scale", "degenerate"):
+            assert name in vars(variant), f"{variant.__name__}.{name}"
