@@ -43,8 +43,11 @@ class SmoothnessMismatch(ValueError):
     """Certification mode incompatible with the available smoothness data."""
 
 
-# `constraints(top, r)` of each smoothness variant lists its certificate's
-# support constraints from the top class and the per-class gap vector r.
+# Each smoothness variant dispatches on itself.  `constraints(top, r)` lists
+# its certificate's support constraints from the top class and the gap vector
+# r; `pair_terms(top, k)` maps each class i other than the top to the bodies
+# whose difference bounds the gradient of f_i - f_top: (S, S), (G_i, G_top) or
+# (G_(i,top),); `compose(members, weights)` is the weighted ensemble's smoothness.
 
 @dataclass(frozen=True)
 class Uniform:
@@ -60,6 +63,13 @@ class Uniform:
         gen = geometry.minkowski_sum(self.body, geometry.negate(self.body))
         return [(gen, float(np.delete(r, top).min()))]
 
+    def pair_terms(self, top: int, k: int) -> dict[int, tuple[ConvexBody, ...]]:
+        return {i: (self.body, self.body) for i in range(k) if i != top}
+
+    @classmethod
+    def compose(cls, members: list["Uniform"], weights) -> "Uniform":
+        return cls(geometry.weighted_sum([m.body for m in members], weights))
+
 
 @dataclass(frozen=True)
 class ClassWise:
@@ -74,9 +84,16 @@ class ClassWise:
 
     def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
         """support(G_i (+) -G_top, delta) <= r_i for every class i other than the top."""
-        neg_top = geometry.negate(self.bodies[top])
-        return [(geometry.minkowski_sum(b, neg_top), float(r[i]))
-                for i, b in enumerate(self.bodies) if i != top]
+        return [(geometry.minkowski_sum(g_i, geometry.negate(g_top)), float(r[i]))
+                for i, (g_i, g_top) in self.pair_terms(top, len(r)).items()]
+
+    def pair_terms(self, top: int, k: int) -> dict[int, tuple[ConvexBody, ...]]:
+        return {i: (self.bodies[i], self.bodies[top]) for i in range(k) if i != top}
+
+    @classmethod
+    def compose(cls, members: list["ClassWise"], weights) -> "ClassWise":
+        return cls(tuple(geometry.weighted_sum(bodies, weights)
+                         for bodies in zip(*(m.bodies for m in members))))
 
 
 @dataclass(frozen=True)
@@ -101,12 +118,25 @@ class ClassDiff:
 
     def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
         """support(G_(i,top), delta) <= r_i for every class i other than the top."""
-        others = [i for i in range(len(r)) if i != top]
-        for i in others:
-            if (i, top) not in self.pairs:
-                raise SmoothnessMismatch(
-                    f"missing class-difference body for pair ({i}, {top})")
-        return [(self.pairs[(i, top)], float(r[i])) for i in others]
+        return [(g, float(r[i])) for i, (g,) in self.pair_terms(top, len(r)).items()]
+
+    def pair_terms(self, top: int, k: int) -> dict[int, tuple[ConvexBody, ...]]:
+        missing = [(i, top) for i in range(k) if i != top and (i, top) not in self.pairs]
+        if missing:
+            raise SmoothnessMismatch(f"missing class-difference body for pair {missing[0]}")
+        return {i: (self.pairs[(i, top)],) for i in range(k) if i != top}
+
+    @classmethod
+    def compose(cls, members: list["ClassDiff"], weights) -> "ClassDiff":
+        """Composes the pairs every member has; SmoothnessMismatch when there are none."""
+        keys = set(members[0].pairs)
+        for m in members[1:]:
+            keys &= set(m.pairs)
+        pairs = {key: geometry.weighted_sum([m.pairs[key] for m in members], weights)
+                 for key in keys}
+        if not pairs:
+            raise SmoothnessMismatch("members share no class-difference pairs")
+        return cls(pairs)
 
 
 Smoothness = Uniform | ClassWise | ClassDiff
@@ -227,7 +257,7 @@ class Certificate:
         extent = np.full(dirs.shape[0], math.inf)
         for gen, r in self.constraints:
             rho = gen.support(dirs)
-            hit = rho > 1e-15
+            hit = rho > geometry.NEGLIGIBLE
             extent[hit] = np.minimum(extent[hit], r / rho[hit])
         return one_or_many(extent, single)
 
@@ -256,7 +286,7 @@ def _realize(mode: str, family: str, dim: int,
     trivial = False
     if governing <= ZERO_GAP_TOL:
         if ball is not None:
-            trivial = ball.radius <= 1e-9
+            trivial = ball.radius <= geometry.TOL
         elif region is not None:
             trivial = geometry.region_is_origin_only(region)
         else:
@@ -264,7 +294,7 @@ def _realize(mode: str, family: str, dim: int,
             dirs = rng.standard_normal((512, dim))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             cert_probe = Certificate(mode, family, dim, tuple(active))
-            trivial = bool(np.all(cert_probe.ray_extent(dirs) <= 1e-9))
+            trivial = bool(np.all(cert_probe.ray_extent(dirs) <= geometry.TOL))
 
     return Certificate(mode, family, dim, tuple(active), ball=ball, region=region,
                        trivial=trivial)
@@ -365,7 +395,7 @@ def adversarial_witness(body: ConvexBody, r: float, x, delta) -> AdversarialWitn
     x = as_vector(x, body.dim)
     d = as_vector(delta, body.dim)
     spread = body.support(d) + body.support(-d)
-    if spread <= r + 1e-12:
+    if spread <= r + ZERO_GAP_TOL:
         raise ValueError(
             "no adversarial witness: the perturbation is certified "
             f"(support spread {spread:.6g} <= gap {r:.6g})")

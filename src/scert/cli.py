@@ -20,6 +20,7 @@ import numpy as np
 
 from . import geometry, problemfile, render
 from .certificates import (
+    ZERO_GAP_TOL,
     Certificate,
     ClassifierAtPoint,
     ClassWise,
@@ -39,7 +40,7 @@ from .ensemble import (
     gap_gain_bound,
     radius_improvement_bound,
 )
-from .geometry import Ellipsoid, FinitePoints, LpBall
+from .geometry import STRICT_MARGIN, Ellipsoid, FinitePoints, LpBall
 from .problemfile import ProblemFile, ProblemFileError
 from .simulate import DrawRecord, ExperimentConfig, run_experiment
 
@@ -152,13 +153,10 @@ def cmd_certify(args) -> int:
         _fail(3, "error: the file describes an ensemble; use `scert ensemble`")
     member = problem.classifier()
     c_a, c_b, r = gaps(member.logits)
-    try:
-        if args.mode.startswith("lipschitz-"):
-            cert = _lipschitz_from_problem(member, args.mode, args.norm)
-        else:
-            cert = s_certificate(member, args.mode)
-    except SmoothnessMismatch as exc:
-        _fail(3, f"error: {exc}")
+    if args.mode.startswith("lipschitz-"):
+        cert = _lipschitz_from_problem(member, args.mode, args.norm)
+    else:
+        cert = s_certificate(member, args.mode)
     print(f"top class: {c_a} (runner-up: {c_b})")
     print("gaps:", " ".join(f"{v:.9g}" for v in r))
     for line in describe_certificate(cert):
@@ -190,10 +188,7 @@ def cmd_ensemble(args) -> int:
     if spec.members[0].smoothness is not None:
         composed = ensemble_classifier(spec)
         mode = composed.smoothness.mode
-        try:
-            cert = s_certificate(composed, mode)
-        except SmoothnessMismatch as exc:
-            _fail(3, f"error: {exc}")
+        cert = s_certificate(composed, mode)
         for line in describe_certificate(cert):
             print(line)
     return 0
@@ -314,10 +309,7 @@ def cmd_render(args) -> int:
             _fail(2, f"error: bad --window value: {args.window!r}")
         window = parts
     weights = _parse_weights(getattr(args, "weights", None))
-    try:
-        layers = _render_layers(problem, weights)
-    except SmoothnessMismatch as exc:
-        _fail(3, f"error: {exc}")
+    layers = _render_layers(problem, weights)
     svg = render.render_svg(layers, window)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(svg)
@@ -338,7 +330,7 @@ def load_fixture(name: str) -> ProblemFile:
 def _normalized_halfplanes(region: geometry.HalfspaceRegion) -> list[list[float]]:
     rows = []
     for normal, offset in zip(region.normals, region.offsets):
-        if offset <= 1e-12:
+        if offset <= ZERO_GAP_TOL:
             rows.append([*normal, float(offset)])
         else:
             rows.append([*(normal / offset), 1.0])
@@ -415,7 +407,7 @@ def run_fixture_check(check: dict, tol: float = 1e-9) -> tuple[bool, str]:
             np.vstack([np.eye(2), -np.eye(2)]), np.full(4, ball.radius), 2)
         contained = bool(np.all(
             ball.support(s_cert.region.normals) <= s_cert.region.offsets + tol))
-        strict = geometry.region_exceeds(s_cert.region, box, 1e-6)
+        strict = geometry.region_exceeds(s_cert.region, box, STRICT_MARGIN)
         return contained and strict, f"contained={contained} strict={strict}"
     if kind == "regime":
         spec = problem.to_ensemble()
@@ -442,7 +434,8 @@ def run_fixture_check(check: dict, tol: float = 1e-9) -> tuple[bool, str]:
         sweep = common_shape_radii(spec, np.linspace(0.0, 1.0, 101)[1:-1])
         lo, hi = min(radii), max(radii)
         ok = ok and bool(np.all((sweep > lo - tol) & (sweep < hi + tol)))
-        ok = ok and bool(np.all(sweep > lo + 1e-6) and np.all(sweep < hi - 1e-6))
+        ok = ok and bool(np.all(sweep > lo + STRICT_MARGIN)
+                         and np.all(sweep < hi - STRICT_MARGIN))
         return ok, f"radii {radii} sweep in ({sweep.min()}, {sweep.max()})"
     if kind == "ensemble_grid":
         ok = _grid_membership_consistent(problem, tol)

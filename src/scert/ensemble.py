@@ -23,15 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _simplex, geometry
+from . import _simplex
 from .certificates import (
+    ZERO_GAP_TOL,
     Certificate,
-    ClassDiff,
     ClassifierAtPoint,
-    ClassWise,
-    SmoothnessMismatch,
-    Uniform,
-    gaps,
     runner_up_gap,
     s_certificate,
 )
@@ -47,6 +43,16 @@ from .geometry import (
 )
 
 GAP_TOL = 1e-9
+
+
+def gap_regime(r_g: float, r_best: float, r_worst: float) -> str:
+    """"gain" when the ensemble gap r_g beats the best member gap by more than
+    GAP_TOL, "loss" when it falls that far below the worst, else "inconclusive"."""
+    if r_g > r_best + GAP_TOL:
+        return "gain"
+    if r_g < r_worst - GAP_TOL:
+        return "loss"
+    return "inconclusive"
 
 
 class PreconditionError(ValueError):
@@ -114,38 +120,14 @@ def ensemble_logits(spec: EnsembleSpec) -> np.ndarray:
     return spec.weights @ stacked
 
 
-def _compose_bodies(bodies: list[ConvexBody], weights: np.ndarray) -> ConvexBody:
-    composed = geometry.scale(float(weights[0]), bodies[0])
-    for w, body in zip(weights[1:], bodies[1:]):
-        composed = geometry.minkowski_sum(composed, geometry.scale(float(w), body))
-    return composed
-
-
 def ensemble_classifier(spec: EnsembleSpec) -> ClassifierAtPoint:
     """The ensemble as a classifier: weighted logits, weighted Minkowski smoothness."""
     logits = ensemble_logits(spec)
     first = spec.members[0].smoothness
     if first is None:
         return ClassifierAtPoint(logits, None)
-    if isinstance(first, Uniform):
-        body = _compose_bodies([m.smoothness.body for m in spec.members], spec.weights)
-        return ClassifierAtPoint(logits, Uniform(body))
-    if isinstance(first, ClassWise):
-        bodies = tuple(
-            _compose_bodies([m.smoothness.bodies[i] for m in spec.members], spec.weights)
-            for i in range(spec.n_classes)
-        )
-        return ClassifierAtPoint(logits, ClassWise(bodies))
-    keys = set(first.pairs)
-    for m in spec.members[1:]:
-        keys &= set(m.smoothness.pairs)
-    pairs = {
-        key: _compose_bodies([m.smoothness.pairs[key] for m in spec.members], spec.weights)
-        for key in keys
-    }
-    if not pairs:
-        raise SmoothnessMismatch("members share no class-difference pairs")
-    return ClassifierAtPoint(logits, ClassDiff(pairs))
+    smoothness = first.compose([m.smoothness for m in spec.members], spec.weights)
+    return ClassifierAtPoint(logits, smoothness)
 
 
 @dataclass(frozen=True)
@@ -177,14 +159,23 @@ def _verdict(flags: dict, strict_excess, strict_deficit) -> str:
     return "indeterminate"
 
 
+def _extent_regime(e_g, hi, lo) -> tuple[str, dict]:
+    """The regime and containment flags of the ensemble extent e_g against the
+    largest (hi) and smallest (lo) member extents: radii, or arrays of ray extents."""
+    with np.errstate(invalid="ignore"):
+        flags = {"within_union": bool(np.all(e_g <= hi + GAP_TOL)),
+                 "contains_union": bool(np.all(e_g >= hi - GAP_TOL)),
+                 "contains_intersection": bool(np.all(e_g >= lo - GAP_TOL)),
+                 "within_intersection": bool(np.all(e_g <= lo + GAP_TOL))}
+        regime = _verdict(flags, lambda: bool(np.any(e_g > hi + STRICT_MARGIN)),
+                          lambda: bool(np.any(e_g < lo - STRICT_MARGIN)))
+    return regime, flags
+
+
 def _cert_regime_balls(q_g: Certificate, member_certs: list[Certificate]) -> tuple[str, dict]:
     radii = tuple(_ball_radius(q) for q in member_certs)
     r_g = _ball_radius(q_g)
-    lo, hi = min(radii), max(radii)
-    flags = {"contains_union": r_g >= hi - GAP_TOL, "within_union": r_g <= hi + GAP_TOL,
-             "contains_intersection": r_g >= lo - GAP_TOL,
-             "within_intersection": r_g <= lo + GAP_TOL}
-    regime = _verdict(flags, lambda: r_g > hi + STRICT_MARGIN, lambda: r_g < lo - STRICT_MARGIN)
+    regime, _ = _extent_regime(r_g, max(radii), min(radii))
     return regime, {"method": "radii", "radius_ensemble": r_g, "radius_members": radii}
 
 
@@ -218,16 +209,8 @@ def _cert_regime_sampled(q_g: Certificate, member_certs: list[Certificate]) -> t
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     e_g = q_g.ray_extent(dirs)
     extents = np.stack([q.ray_extent(dirs) for q in member_certs])
-    hi, lo = extents.max(axis=0), extents.min(axis=0)
-    evidence = {"method": "sampled", "n_directions": SAMPLED_DIRECTIONS}
-    with np.errstate(invalid="ignore"):
-        evidence.update(within_union=bool(np.all(e_g <= hi + GAP_TOL)),
-                        contains_union=bool(np.all(e_g >= hi - GAP_TOL)),
-                        contains_intersection=bool(np.all(e_g >= lo - GAP_TOL)),
-                        within_intersection=bool(np.all(e_g <= lo + GAP_TOL)))
-        regime = _verdict(evidence, lambda: bool(np.any(e_g > hi + STRICT_MARGIN)),
-                          lambda: bool(np.any(e_g < lo - STRICT_MARGIN)))
-    return regime, evidence
+    regime, flags = _extent_regime(e_g, extents.max(axis=0), extents.min(axis=0))
+    return regime, {"method": "sampled", "n_directions": SAMPLED_DIRECTIONS, **flags}
 
 
 def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
@@ -248,13 +231,6 @@ def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
     r_best = float(member_gaps.max())
     r_worst = float(member_gaps.min())
     r_g = float(runner_up_gap(ensemble_logits(spec)))
-
-    if r_g > r_best + GAP_TOL:
-        gap_regime = "gain"
-    elif r_g < r_worst - GAP_TOL:
-        gap_regime = "loss"
-    else:
-        gap_regime = "inconclusive"
 
     evidence: dict = {}
     cert_regime = "indeterminate"
@@ -278,7 +254,7 @@ def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
             evidence["error"] = str(exc)
 
     return RegimeReport(
-        gap_regime=gap_regime,
+        gap_regime=gap_regime(r_g, r_best, r_worst),
         cert_regime=cert_regime,
         gap_ensemble=r_g,
         gap_best=r_best,
@@ -333,44 +309,29 @@ def gap_bound_witness(r_best: float, k: int) -> EnsembleSpec:
 def damning_alpha(f_1: ClassifierAtPoint, f_2: ClassifierAtPoint) -> float | None:
     """Mixing weight for member one that zeroes the ensemble gap.
 
-    Requires the two members to have different top predictions.  Returns the
-    crossing weight alpha* (ensemble = alpha* f_1 + (1 - alpha*) f_2); when a
-    third class overtakes at the closed-form crossing, the switch point is
-    located by bisection on the piecewise-linear argmax.  Returns None when
-    the top-two confidences tie for every weight (the gap is zero for all
-    alpha).
+    Requires different top predictions.  Returns the weight alpha* at which
+    the top class of alpha f_1 + (1 - alpha) f_2 first changes, in closed form:
+    with a, b the logits of f_1, f_2 and t the top class of f_2, class c gains
+    on t at the rate rise_c = (a_c - a_t) - (b_c - b_t), so alpha* is the least
+    (b_t - b_c) / rise_c over the classes with rise_c > 0.  Returns None when
+    the rise of f_1's top class is at most ZERO_GAP_TOL (the top-two
+    confidences tie for every weight, so the gap is zero for all alpha).
     """
-    top_1, top_2 = f_1.top, f_2.top
-    if top_1 == top_2:
+    top_1, t = f_1.top, f_2.top
+    if top_1 == t:
         # Exactly tied members (zero-denominator mirrors) already have a zero
         # gap for every weight; deterministic tie-breaking parks their argmax
         # on the same index, so they surface here rather than below.
-        if (f_1.gap <= 1e-12 and f_2.gap <= 1e-12
+        if (f_1.gap <= ZERO_GAP_TOL and f_2.gap <= ZERO_GAP_TOL
                 and f_1.runner_up == f_2.runner_up):
             return None
         raise ValueError("members share the top prediction; no zero-gap mixture exists")
-    d_1 = float(f_1.logits[top_1] - f_1.logits[top_2])
-    d_2 = float(f_2.logits[top_2] - f_2.logits[top_1])
-    if d_1 + d_2 <= 1e-12:
+    a, b = f_1.logits, f_2.logits
+    rise = (a - a[t]) - (b - b[t])
+    if rise[top_1] <= ZERO_GAP_TOL:
         return None
-    alpha = d_2 / (d_1 + d_2)
-    mixed = alpha * f_1.logits + (1.0 - alpha) * f_2.logits
-    others = [mixed[c] for c in range(mixed.size) if c not in (top_1, top_2)]
-    if not others or max(others) <= mixed[top_1] + 1e-12:
-        return alpha
-
-    def top_of(a: float) -> int:
-        return int(gaps(a * f_1.logits + (1.0 - a) * f_2.logits)[0])
-
-    lo, hi = 0.0, 1.0
-    top_lo = top_of(lo)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if top_of(mid) == top_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    up = rise > 0.0
+    return float(np.min((b[t] - b[up]) / rise[up]))
 
 
 @dataclass(frozen=True)
@@ -404,25 +365,8 @@ def _pair_radii(member: ClassifierAtPoint, top: int, ref_norm: float) -> dict[in
             return float(body.radius) * math.sqrt(float(np.linalg.norm(body.sigma)) / ref_norm)
         return float(body.radius)
 
-    s = member.smoothness
-    k = member.n_classes
-    radii: dict[int, float] = {}
-    if isinstance(s, Uniform):
-        for i in range(k):
-            if i != top:
-                radii[i] = 2.0 * radius(s.body)
-    elif isinstance(s, ClassWise):
-        for i in range(k):
-            if i != top:
-                radii[i] = radius(s.bodies[i]) + radius(s.bodies[top])
-    else:
-        for i in range(k):
-            if i != top:
-                if (i, top) not in s.pairs:
-                    raise SmoothnessMismatch(
-                        f"missing class-difference body for pair ({i}, {top})")
-                radii[i] = radius(s.pairs[(i, top)])
-    return radii
+    terms = member.smoothness.pair_terms(top, member.n_classes)
+    return {i: sum(radius(b) for b in bodies) for i, bodies in terms.items()}
 
 
 def _common_shape_norm(spec: EnsembleSpec) -> float:

@@ -20,13 +20,13 @@ Supported body variants:
 Each variant dispatches on itself: it implements ``support(u)`` (a float
 for one direction (d,), an (m,) array for a stack (m, d)),
 ``support_point(u)`` (a point attaining the support), ``negate()``,
-``scale(alpha)``, ``degenerate`` (the support is identically <= 0, the set
-{0}) and ``shape_key`` (the hashable shape of an origin-centered ball, None
-for every other body).  The balls add
-``shape_radius`` (the radius on that normalized shape) and ``polar(r)``.
-The free functions below delegate to these; only :func:`minkowski_sum`
-and :func:`to_finite_points` dispatch on variants, as they look at two
-bodies or a whole combination.
+``scale(alpha)``, ``degenerate`` (the set is {0} up to :data:`NEGLIGIBLE`)
+and ``shape_key`` (the hashable shape of an origin-centered ball, None for
+every other body); the balls add ``shape_radius`` (the radius on that
+normalized shape) and ``polar(r)``.  The free functions below delegate to
+these, and :func:`weighted_sum` folds them into a weighted combination; only
+:func:`minkowski_sum` and :func:`to_finite_points` dispatch on variants, as
+they look at two bodies or a whole combination.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from ._simplex import SimplexResult
 
 TOL = 1e-9            # exact-geometry comparisons
 STRICT_MARGIN = 1e-6  # strictness margins for proper-inclusion tests
+NEGLIGIBLE = 1e-15    # lengths, radii and support values treated as zero
 MAX_EXPANSION = 10_000
 SUPPORT_BLOCK = 1 << 18  # largest (directions x points) block FinitePoints.support forms
 
@@ -147,7 +148,7 @@ class FinitePoints(ConvexBody):
 
     @property
     def degenerate(self) -> bool:
-        return bool(np.all(np.abs(self.points) <= 1e-15))
+        return bool(np.all(np.abs(self.points) <= NEGLIGIBLE))
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ class LpBall(ConvexBody):
 
     def support_point(self, direction: np.ndarray) -> np.ndarray:
         d = direction
-        if np.all(np.abs(d) <= 1e-15):
+        if np.all(np.abs(d) <= NEGLIGIBLE):
             return self.center.copy()
         if self.p == 1.0:  # one vertex; the formula below would split ties
             g = np.zeros_like(d)
@@ -206,7 +207,7 @@ class LpBall(ConvexBody):
 
     @property
     def degenerate(self) -> bool:
-        return self.shape_key is not None and self.radius <= 1e-15
+        return self.shape_key is not None and self.radius <= NEGLIGIBLE
 
     def polar(self, r: float):
         if self.shape_key is None:
@@ -246,7 +247,7 @@ class Ellipsoid(ConvexBody):
 
     def support_point(self, direction: np.ndarray) -> np.ndarray:
         quad = float(direction @ self.sigma @ direction)
-        if quad <= 1e-30:
+        if quad <= NEGLIGIBLE ** 2:
             return np.zeros(self.dim)
         return self.radius * (self.sigma @ direction) / math.sqrt(quad)
 
@@ -270,7 +271,7 @@ class Ellipsoid(ConvexBody):
 
     @property
     def degenerate(self) -> bool:
-        return self.radius <= 1e-15
+        return self.radius <= NEGLIGIBLE
 
     def polar(self, r: float):
         if self.radius == 0.0:
@@ -325,7 +326,7 @@ class Combination(ConvexBody):
 
     @property
     def degenerate(self) -> bool:
-        return all(c <= 1e-15 or b.degenerate for c, b, _ in self.terms)
+        return all(c <= NEGLIGIBLE or b.degenerate for c, b, _ in self.terms)
 
 
 @dataclass(frozen=True)
@@ -351,6 +352,14 @@ def scale(alpha: float, body: ConvexBody) -> ConvexBody:
     if alpha < 0.0 or not np.isfinite(alpha):
         raise ValueError("scale factor must be a nonnegative real")
     return body.scale(alpha)
+
+
+def weighted_sum(bodies: list[ConvexBody], weights) -> ConvexBody:
+    """The weighted Minkowski sum w_1 B_1 (+) ... (+) w_n B_n, left to right."""
+    total = scale(float(weights[0]), bodies[0])
+    for w, body in zip(weights[1:], bodies[1:]):
+        total = minkowski_sum(total, scale(float(w), body))
+    return total
 
 
 def _pairwise_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -401,13 +410,13 @@ def ball_shape_radius(body: ConvexBody) -> float:
     return body.shape_radius
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _hull_2d(points: np.ndarray) -> np.ndarray:
-    """Monotone chain; extreme points in counterclockwise order."""
+    """Monotone chain; extreme points in counterclockwise order.  A turn is
+    collinear when its cross product is at most 1e-12 times the squared extent
+    of the cloud (its largest coordinate distance from the lowest point), so
+    that the hull of 2^k P is 2^k times the hull of P."""
     pts = sorted(map(tuple, points))
+    flat = 1e-12 * float(np.abs(points - pts[0]).max()) ** 2
     pts = [pts[i] for i in range(len(pts)) if i == 0 or pts[i] != pts[i - 1]]
     if len(pts) <= 2:
         return np.asarray(pts, dtype=float)
@@ -415,7 +424,10 @@ def _hull_2d(points: np.ndarray) -> np.ndarray:
     def build(seq):
         chain = []
         for p in seq:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 1e-12:
+            while len(chain) >= 2:  # pop while (o, a, p) turns clockwise or not at all
+                o, a = chain[-2], chain[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > flat:
+                    break
                 chain.pop()
             chain.append(p)
         return chain
@@ -517,7 +529,7 @@ def polar_hrep(body: ConvexBody, r: float) -> HalfspaceRegion:
     if r < 0.0 or not np.isfinite(r):
         raise ValueError("polar radius must be a nonnegative real")
     pts = to_finite_points(body)
-    keep = np.linalg.norm(pts, axis=1) > 1e-15
+    keep = np.linalg.norm(pts, axis=1) > NEGLIGIBLE
     pts = pts[keep] if keep.any() else pts[:0]
     return HalfspaceRegion(pts, np.full(pts.shape[0], float(r)), body.dim)
 
@@ -604,12 +616,12 @@ def _axis_directions(dim: int) -> np.ndarray:
     return np.repeat(np.eye(dim), 2, axis=0) * np.tile([1.0, -1.0], dim)[:, None]
 
 
-def region_is_origin_only(region: HalfspaceRegion, tol: float = TOL) -> bool:
-    """True iff the region is pinched to the single point {0}."""
+def region_is_origin_only(region: HalfspaceRegion) -> bool:
+    """True iff the region is pinched to the single point {0} (up to TOL)."""
     results = region_support(region, _axis_directions(region.dim),
-                             np.full(2 * region.dim, tol))
+                             np.full(2 * region.dim, TOL))
     return results[0].status != _simplex.INFEASIBLE and not any(
-        res.exceeds(tol) for res in results)
+        res.exceeds(TOL) for res in results)
 
 
 def region_is_unbounded(region: HalfspaceRegion) -> bool:

@@ -23,23 +23,18 @@ _PALETTE = ["#1b6ca8", "#c2571a", "#2a9d4e", "#8a4fae", "#b02e3a", "#6b6461"]
 
 
 def clip_polygon(polygon: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon by {x : normal.x <= offset}."""
+    """Sutherland-Hodgman clip of a convex polygon by {x : normal.x <= offset}:
+    each vertex inside, then the crossing point of its edge if the edge crosses."""
     if polygon.shape[0] == 0:
         return polygon
-    out: list[np.ndarray] = []
     values = polygon @ normal
-    n = polygon.shape[0]
-    for i in range(n):
-        p, q = polygon[i], polygon[(i + 1) % n]
-        vp, vq = values[i], values[(i + 1) % n]
-        p_in = vp <= offset + 1e-12
-        q_in = vq <= offset + 1e-12
-        if p_in:
-            out.append(p)
-        if p_in != q_in:
-            t = (offset - vp) / (vq - vp)
-            out.append(p + t * (q - p))
-    return np.asarray(out) if out else np.zeros((0, 2))
+    inside = values <= offset + 1e-12
+    following = np.roll(polygon, -1, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # edges that do not cross
+        t = (offset - values) / (np.roll(values, -1) - values)
+        crossings = polygon + t[:, None] * (following - polygon)
+    keep = np.column_stack([inside, inside != np.roll(inside, -1)])
+    return np.stack([polygon, crossings], axis=1)[keep]
 
 
 def window_polygon(window: tuple[float, float, float, float]) -> np.ndarray:

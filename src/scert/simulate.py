@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import ClassifierAtPoint, runner_up_gap
-from .ensemble import GAP_TOL, EnsembleSpec, gap_gain_bound, optimize_weights
+from .certificates import ZERO_GAP_TOL, ClassifierAtPoint, runner_up_gap
+from .ensemble import GAP_TOL, EnsembleSpec, gap_gain_bound, gap_regime, optimize_weights
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,6 @@ def evaluate_draw(member_logits: np.ndarray, n: int, index: int,
     spec = EnsembleSpec(tuple(ClassifierAtPoint(row) for row in member_logits))
     _, gap_optimized = optimize_weights(spec)
     governing = gap_uniform if weight_policy == "uniform" else gap_optimized
-    if governing > gap_best + GAP_TOL:
-        regime = "gain"
-    elif governing < gap_worst - GAP_TOL:
-        regime = "loss"
-    else:
-        regime = "inconclusive"
     bound = gap_gain_bound(gap_best, k)
     slack = bound - max(gap_uniform, gap_optimized)
     return DrawRecord(
@@ -87,7 +81,7 @@ def evaluate_draw(member_logits: np.ndarray, n: int, index: int,
         gap_worst=gap_worst,
         gap_uniform=float(gap_uniform),
         gap_optimized=float(gap_optimized),
-        gap_regime=regime,
+        gap_regime=gap_regime(governing, gap_best, gap_worst),
         same_top=bool(np.all(tops == tops[0])),
         bound=float(bound),
         slack=float(slack),
@@ -123,32 +117,24 @@ class SimulationSummary:
 
 def summarize(records: list[DrawRecord]) -> SimulationSummary:
     """Gap-regime fractions under uniform weights, the optimized-weights
-    improvement fraction, and population means.
-
-    The loss fraction counts strict losses (gap below the worst member by
-    more than 1e-9); draws whose uniform-weight gap is itself ~0 are counted
-    separately in ``zero_gap_draws``.
-    """
+    improvement fraction, and population means.  Regimes follow
+    :func:`scert.ensemble.gap_regime` (a loss is a gap below the worst member
+    by more than GAP_TOL); ``zero_gap_draws`` separately counts the draws whose
+    uniform-weight gap is itself ~0."""
     if not records:
         raise ValueError("no records to summarize")
     n = len(records)
-    uniform = np.array([rec.gap_uniform for rec in records])
-    best = np.array([rec.gap_best for rec in records])
-    worst = np.array([rec.gap_worst for rec in records])
-    optimized = np.array([rec.gap_optimized for rec in records])
-    slack = np.array([rec.slack for rec in records])
-    gain = np.count_nonzero(uniform > best + GAP_TOL)
-    loss = np.count_nonzero(uniform < worst - GAP_TOL)
+    regimes = [gap_regime(rec.gap_uniform, rec.gap_best, rec.gap_worst) for rec in records]
+    optimized = [gap_regime(rec.gap_optimized, rec.gap_best, rec.gap_worst) for rec in records]
     return SimulationSummary(
         n_records=n,
-        fraction_gain=gain / n,
-        fraction_inconclusive=(n - gain - loss) / n,
-        fraction_loss=loss / n,
-        zero_gap_draws=int(np.count_nonzero(uniform <= GAP_TOL)),
-        fraction_optimized_above_best=float(
-            np.count_nonzero(optimized > best + GAP_TOL) / n),
-        mean_gap_best=float(best.mean()),
-        mean_gap_worst=float(worst.mean()),
-        mean_gap_uniform=float(uniform.mean()),
-        bound_violations=int(np.count_nonzero(slack < -1e-12)),
+        fraction_gain=regimes.count("gain") / n,
+        fraction_inconclusive=regimes.count("inconclusive") / n,
+        fraction_loss=regimes.count("loss") / n,
+        zero_gap_draws=sum(rec.gap_uniform <= GAP_TOL for rec in records),
+        fraction_optimized_above_best=optimized.count("gain") / n,
+        mean_gap_best=float(np.mean([rec.gap_best for rec in records])),
+        mean_gap_worst=float(np.mean([rec.gap_worst for rec in records])),
+        mean_gap_uniform=float(np.mean([rec.gap_uniform for rec in records])),
+        bound_violations=sum(rec.slack < -ZERO_GAP_TOL for rec in records),
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,54 @@ def best_gap_by_vertices(logits) -> float:
     weights = weights[np.all(weights >= -1e-12, axis=1)]
     ordered = np.sort(weights @ logits, axis=1)
     return float(np.max(ordered[:, -1] - ordered[:, -2]))
+
+
+def reference_clip(polygon: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
+    """Sutherland-Hodgman clip of a convex polygon by {x : normal.x <= offset},
+    one edge at a time (the oracle for the array form in ``render``)."""
+    if polygon.shape[0] == 0:
+        return polygon
+    out: list[np.ndarray] = []
+    values = polygon @ normal
+    n = polygon.shape[0]
+    for i in range(n):
+        p, q = polygon[i], polygon[(i + 1) % n]
+        vp, vq = values[i], values[(i + 1) % n]
+        p_in = vp <= offset + 1e-12
+        q_in = vq <= offset + 1e-12
+        if p_in:
+            out.append(p)
+        if p_in != q_in:
+            t = (offset - vp) / (vq - vp)
+            out.append(p + t * (q - p))
+    return np.asarray(out) if out else np.zeros((0, 2))
+
+
+def exact_top(a, b, alpha: Fraction) -> int:
+    """Top class (lowest index among ties) of alpha a + (1 - alpha) b, in
+    exact rational arithmetic."""
+    mixed = [alpha * Fraction(x) + (1 - alpha) * Fraction(y) for x, y in zip(a, b)]
+    return mixed.index(max(mixed))
+
+
+def first_switch_alpha(a, b) -> Fraction:
+    """The weight at which the top class of alpha a + (1 - alpha) b first
+    leaves the top class at alpha = 0, found by enumerating every pairwise
+    crossing of the class lines alpha -> alpha a_c + (1 - alpha) b_c at
+    alpha >= 0 and testing the top class just after each one, exactly."""
+    a = [Fraction(x) for x in a]
+    b = [Fraction(y) for y in b]
+    crossings = {Fraction(0)}
+    for i, j in itertools.combinations(range(len(a)), 2):
+        slope = (a[i] - b[i]) - (a[j] - b[j])
+        if slope != 0 and (b[j] - b[i]) / slope >= 0:
+            crossings.add((b[j] - b[i]) / slope)
+    points = sorted(crossings)
+    start = exact_top(a, b, Fraction(0))
+    for here, after in zip(points, points[1:] + [points[-1] + 1]):
+        if exact_top(a, b, (here + after) / 2) != start:
+            return here
+    raise AssertionError("the top class never changes")
 
 
 def unit_directions(n: int, dim: int = 2, seed: int = 0) -> np.ndarray:

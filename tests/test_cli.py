@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
+from conftest import reference_clip
 from scert.certificates import Certificate, s_certificate
 from scert.cli import (
     CSV_HEADER,
@@ -22,7 +23,6 @@ from scert.render import (
     ANGLE_SAMPLES,
     DEFAULT_WINDOW,
     certificate_outline,
-    clip_polygon,
     window_polygon,
 )
 
@@ -159,6 +159,43 @@ class TestEnsembleAndRegime:
         assert "evidence error: point expansion exceeds the 10000-point cap" in out
 
 
+class TestExitThree:
+    """A smoothness mismatch reaches `main`, which prints one error line and
+    returns 3 (the `scert` entry point exits with it)."""
+
+    @staticmethod
+    def _cd_file_without_pair(tmp_path):
+        # both members carry only the pair (0, 1); the ensemble's top class
+        # is 0, so its certificate needs the missing pair (1, 0)
+        body = {"type": "points", "points": [[0.3, 0.1], [-0.2, 0.4]]}
+        member = {"smoothness": {"mode": "cd", "pairs": [{"i": 0, "j": 1, "body": body}]}}
+        path = tmp_path / "cd-missing.json"
+        path.write_text(json.dumps({"dimension": 2, "classes": 2, "members": [
+            {"logits": [0.8, 0.2], **member}, {"logits": [0.6, 0.4], **member}]}))
+        return str(path)
+
+    def test_certify_in_the_wrong_mode(self, capsys):
+        code, out, err = run_cli(capsys, "certify", str(fixture_path("appendix-c2-u.json")),
+                                 "--mode", "cw")
+        assert (code, out, err) == (3, "", "error: class-wise mode needs ClassWise smoothness\n")
+
+    def test_ensemble_missing_a_class_difference_pair(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "ensemble", self._cd_file_without_pair(tmp_path))
+        assert code == 3
+        assert out == ("weights: 0.5 0.5\nensemble logits: 0.7 0.3\n"
+                       "top class: 0 (runner-up: 1), gap 0.4\n"
+                       "member 0: top 0, gap 0.6\nmember 1: top 0, gap 0.2\n")
+        assert err == "error: missing class-difference body for pair (1, 0)\n"
+
+    def test_render_missing_a_class_difference_pair(self, tmp_path, capsys):
+        out_file = tmp_path / "never.svg"
+        code, out, err = run_cli(capsys, "render", self._cd_file_without_pair(tmp_path),
+                                 "--out", str(out_file))
+        assert (code, out) == (3, "")
+        assert err == "error: missing class-difference body for pair (1, 0)\n"
+        assert not out_file.exists()
+
+
 class TestBound:
     def test_gap_gain(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "gap-gain", "--rbar", "0.2", "--k", "4")
@@ -241,7 +278,7 @@ class TestRender:
         s3 = math.sqrt(3.0)
         expected = window_polygon((-3, 3, -3, 3))
         for normal, offset in (((-0.5, s3 / 2), 1.0), ((-0.5, 0.0), 1.0)):
-            expected = clip_polygon(expected, np.array(normal), offset)
+            expected = reference_clip(expected, np.array(normal), offset)
         assert pts.shape[0] == expected.shape[0]
         # same vertex cycle up to rotation
         matched = any(
@@ -288,7 +325,7 @@ def test_sampled_outline_matches_the_per_direction_outline():
     expected = dirs * np.minimum(extents, 4.0 * max(xmax, ymax, -xmin, -ymin))[:, None]
     for normal, offset in (((-1.0, 0.0), -xmin), ((1.0, 0.0), xmax),
                            ((0.0, -1.0), -ymin), ((0.0, 1.0), ymax)):
-        expected = clip_polygon(expected, np.asarray(normal), offset)
+        expected = reference_clip(expected, np.asarray(normal), offset)
     assert not unbounded and poly.shape == expected.shape
     assert np.allclose(poly, expected, rtol=0.0, atol=1e-12)
 

@@ -1,0 +1,111 @@
+"""Byte-for-byte golden snapshot of the documented CLI commands.
+
+Each entry of ``data/cli_golden.json`` holds one command line and what it
+produced: its exit code, stdout and stderr verbatim (fixture and output
+directories replaced by ``{FIXTURES}`` and ``{OUT}``), the warnings it
+raised, and the SHA-256 of every SVG it wrote.  The commands are every
+``certify`` check of the bundled ``expected.json``, ``ensemble`` and
+``regime`` on each ensemble fixture, ``bound radius-improvement`` where it
+applies, ``render`` on every two-dimensional fixture, ``scert examples``,
+and ``certify`` on two one-dimensional fixtures under every mode and norm
+(half of those exit 3).
+
+A change that means to alter an output regenerates the snapshot with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and shows the difference in its review.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+import warnings
+
+import pytest
+
+from scert import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+_ENSEMBLE_FIXTURES = ("appendix-c4.json", "fig5a.json", "fig5b.json", "fig5c.json",
+                      "fig6.json")
+_RENDER_FIXTURES = ("appendix-c3-cw.json", "appendix-c3-u.json", "fig1.json",
+                    *_ENSEMBLE_FIXTURES)
+
+
+def golden_commands() -> list[list[str]]:
+    commands = []
+    for check in cli.load_expected():
+        if check["kind"] == "certify":
+            norm = ["--norm", check["norm"]] if "norm" in check else []
+            commands.append(["certify", check["fixture"], "--mode", check["mode"], *norm])
+    for fixture in _ENSEMBLE_FIXTURES:
+        commands += [["ensemble", fixture], ["regime", fixture]]
+    for fixture in ("appendix-c4.json", "fig5b.json"):
+        commands.append(["bound", "radius-improvement", fixture])
+    for fixture in _RENDER_FIXTURES:
+        commands.append(["render", fixture, "--out", "render.svg"])
+    commands.append(["examples"])
+    for fixture in ("appendix-c2-u.json", "example-3-11-cd.json"):
+        for mode in ("u", "cw", "cd", "lipschitz-u", "lipschitz-cw"):
+            for norm in ([], ["--norm", "l1"], ["--norm", "linf"]):
+                commands.append(["certify", fixture, "--mode", mode, *norm])
+    return commands
+
+
+def run_command(command: list[str]) -> dict:
+    """Run one command in-process and record everything it produced."""
+    fixtures = os.path.dirname(str(cli.fixture_path("expected.json")))
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = [str(cli.fixture_path(a)) if a.endswith(".json")
+                else str(pathlib.Path(out_dir, a)) if a.endswith(".svg") else a
+                for a in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        svgs = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(pathlib.Path(out_dir).glob("*.svg"))}
+
+    def normalize(text: str) -> str:
+        return text.replace(out_dir, "{OUT}").replace(fixtures, "{FIXTURES}")
+
+    return {"command": command, "exit_code": code, "stdout": normalize(out.getvalue()),
+            "stderr": normalize(err.getvalue()),
+            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+            "svg_sha256": svgs}
+
+
+def _entries() -> list[dict]:
+    """The snapshot's entries; none while it is being generated (the
+    coverage test then fails)."""
+    if not GOLDEN.exists():
+        return []
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))["commands"]
+
+
+def test_snapshot_covers_the_documented_commands():
+    assert [e["command"] for e in _entries()] == golden_commands()
+
+
+@pytest.mark.parametrize("entry", _entries(), ids=lambda e: " ".join(e["command"]))
+def test_command_output_is_byte_identical(entry):
+    assert run_command(entry["command"]) == entry
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    snapshot = {"commands": [run_command(c) for c in golden_commands()]}
+    GOLDEN.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN} ({len(snapshot['commands'])} commands)", file=sys.stderr)

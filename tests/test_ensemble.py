@@ -1,11 +1,20 @@
 """Ensemble composition, regimes, bounds, and weight optimization."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import best_gap_by_vertices, reference_extent, unit_directions
+from conftest import (
+    best_gap_by_vertices,
+    exact_top,
+    first_switch_alpha,
+    reference_extent,
+    unit_directions,
+)
 from scert.certificates import (
     Certificate,
     ClassDiff,
@@ -24,6 +33,8 @@ from scert.ensemble import (
     EnsembleSpec,
     PreconditionError,
     _cert_regime_balls,
+    _pair_radii,
+    _reference_norm,
     classify_regimes,
     common_shape_radii,
     damning_alpha,
@@ -31,6 +42,7 @@ from scert.ensemble import (
     ensemble_logits,
     gap_bound_witness,
     gap_gain_bound,
+    gap_regime,
     improvement_conditions,
     optimize_weights,
     radius_improvement_bound,
@@ -46,6 +58,7 @@ from scert.geometry import (
     region_subset,
     support,
 )
+from scert.simulate import evaluate_draw, summarize
 
 L2 = LpBall(2, 1.0, [0.0, 0.0])
 
@@ -371,6 +384,189 @@ class TestDamningAlpha:
             mixed = alpha * logits[0] + (1 - alpha) * logits[1]
             _, c_b, r = gaps(mixed)
             assert abs(float(r[c_b])) <= 1e-9
+
+
+class TestDamningAlphaIsTheFirstSwitch:
+    """damning_alpha against an exact oracle that enumerates every pairwise
+    crossing of the class lines and tests the top class after each one."""
+
+    @staticmethod
+    def _check(a, b, exact_value=False):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        alpha = damning_alpha(ClassifierAtPoint(a), ClassifierAtPoint(b))
+        switch = first_switch_alpha(a, b)
+        assert alpha == float(switch) if exact_value else abs(alpha - float(switch)) <= 1e-13
+        top = exact_top(a, b, Fraction(0))
+        # f_2's top holds just below alpha* (it holds on all of [0, alpha*]) ...
+        assert exact_top(a, b, switch * (1 - Fraction(1, 10**9))) == top
+        # ... and is gone just after it
+        assert exact_top(a, b, switch + Fraction(1, 10**9)) != top
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_random_pairs(self, k):
+        rng = np.random.default_rng(100 + k)
+        checked = 0
+        while checked < 40:
+            a, b = rng.dirichlet(np.ones(k), size=2)
+            if np.argmax(a) != np.argmax(b):
+                self._check(a, b)
+                checked += 1
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_integer_count_logits_are_exact(self, k):
+        # integer logits make every crossing a quotient of two exact
+        # integers, so the closed form is the correctly rounded switch
+        rng = np.random.default_rng(200 + k)
+        checked = 0
+        while checked < 40:
+            a, b = rng.integers(0, 7, size=(2, k)).astype(float)
+            if ClassifierAtPoint(a).top != ClassifierAtPoint(b).top:
+                self._check(a, b, exact_value=True)
+                checked += 1
+
+    def test_third_class_overtakes_first(self):
+        self._check([0.52, 0.08, 0.40], [0.08, 0.52, 0.40])
+        self._check([0.6, 0.0, 0.3, 0.1], [0.0, 0.5, 0.1, 0.4])
+
+    def test_ties(self):
+        # f_2 ties its top with a class that rises: the top changes at once
+        assert damning_alpha(ClassifierAtPoint([0.0, 0.2, 0.8]),
+                             ClassifierAtPoint([0.4, 0.4, 0.2])) == 0.0
+        self._check([0.0, 0.2, 0.8], [0.4, 0.4, 0.2])
+        # a tie that is broken toward the lower index at alpha*
+        self._check([0.3, 0.3, 0.4], [0.1, 0.6, 0.3])
+        self._check([0.5, 0.25, 0.25], [0.25, 0.5, 0.25], exact_value=True)
+
+    def test_near_tie_and_same_top(self):
+        # the top-two rise 2e-13 is below ZERO_GAP_TOL: no zero-gap weight
+        assert damning_alpha(ClassifierAtPoint([0.5, 0.5 - 1e-13]),
+                             ClassifierAtPoint([0.5 - 1e-13, 0.5])) is None
+        assert damning_alpha(ClassifierAtPoint([0.5, 0.5, 0.0]),
+                             ClassifierAtPoint([0.5, 0.5, 0.0])) is None
+        with pytest.raises(ValueError, match="share the top prediction"):
+            damning_alpha(ClassifierAtPoint([0.7, 0.3, 0.0]),
+                          ClassifierAtPoint([0.6, 0.0, 0.4]))
+
+
+def _boundary_members(kind: str, step: int) -> np.ndarray:
+    """Two members' logits whose equal-weight ensemble gap lies `step` ulps
+    (-1, 0 or 1) from the gap-regime threshold: r_best + GAP_TOL for
+    "gain", r_worst - GAP_TOL for "loss".
+
+    Gain: [2y, 0, z] and [0, 2y, z] share the gap z - 2y and mix to z - y.
+    Loss: [z, 0, 2y] and [0, z, 2y] share the gap z - 2y and mix to 2y - z/2.
+    Member gaps are tried until every gap comes out exactly in floats.
+    """
+    for member_gap in np.arange(4, 64) / 64.0:
+        threshold = member_gap + GAP_TOL if kind == "gain" else member_gap - GAP_TOL
+        target = np.nextafter(threshold, step * math.inf) if step else threshold
+        if kind == "gain":
+            y, z = target - member_gap, 2.0 * target - member_gap
+            logits = np.array([[2.0 * y, 0.0, z], [0.0, 2.0 * y, z]])
+        else:
+            z, y = 2.0 * (target + member_gap), (2.0 * target + member_gap) / 2.0
+            logits = np.array([[z, 0.0, 2.0 * y], [0.0, z, 2.0 * y]])
+        mixed = ensemble_logits(EnsembleSpec(tuple(ClassifierAtPoint(r) for r in logits)))
+        if (np.all(runner_up_gap(logits) == member_gap)
+                and runner_up_gap(mixed) == runner_up_gap(logits.mean(axis=0)) == target):
+            return logits
+    raise AssertionError("no exact construction found")
+
+
+class TestGapRegimeBoundary:
+    """One rule, one ulp either side of each threshold, through every caller."""
+
+    @pytest.mark.parametrize("kind, step, expected", [
+        ("gain", 1, "gain"), ("gain", 0, "inconclusive"), ("gain", -1, "inconclusive"),
+        ("loss", -1, "loss"), ("loss", 0, "inconclusive"), ("loss", 1, "inconclusive")])
+    def test_every_caller_applies_the_rule(self, kind, step, expected):
+        logits = _boundary_members(kind, step)
+        report = classify_regimes(EnsembleSpec(tuple(ClassifierAtPoint(r) for r in logits)))
+        record = evaluate_draw(logits, 2, 0)
+        summary = summarize([record])
+        assert gap_regime(report.gap_ensemble, report.gap_best, report.gap_worst) == expected
+        assert report.gap_regime == record.gap_regime == expected
+        assert (summary.fraction_gain, summary.fraction_inconclusive,
+                summary.fraction_loss) == tuple(
+            float(expected == r) for r in ("gain", "inconclusive", "loss"))
+
+    def test_thresholds_are_strict(self):
+        for r in (0.0, 0.25, 0.7):
+            assert gap_regime(r + GAP_TOL, r, r) == "inconclusive"
+            assert gap_regime(np.nextafter(r + GAP_TOL, 1.0), r, r) == "gain"
+            assert gap_regime(r - GAP_TOL, r, r) == "inconclusive"
+            assert gap_regime(np.nextafter(r - GAP_TOL, -1.0), r, r) == "loss"
+
+
+class TestSmoothnessDispatch:
+    """pair_terms and compose for each smoothness variant."""
+
+    A = FinitePoints([[0.4, 0.1], [-0.2, 0.5]])
+    B = FinitePoints([[0.1, -0.3], [0.3, 0.3], [-0.1, 0.0]])
+    C = LpBall(2, 0.5, [0.0, 0.0])
+
+    def test_pair_terms(self):
+        assert Uniform(self.A).pair_terms(1, 3) == {0: (self.A, self.A), 2: (self.A, self.A)}
+        assert ClassWise((self.A, self.B, self.C)).pair_terms(0, 3) == {
+            1: (self.B, self.A), 2: (self.C, self.A)}
+        pairs = ClassDiff({(0, 2): self.A, (1, 2): self.B, (2, 0): self.C})
+        assert pairs.pair_terms(2, 3) == {0: (self.A,), 1: (self.B,)}
+        with pytest.raises(SmoothnessMismatch, match=r"missing class-difference body "
+                                                      r"for pair \(1, 0\)"):
+            pairs.pair_terms(0, 3)
+
+    def _assert_same_support(self, composed, parts, weights):
+        for u in unit_directions(24, seed=8):
+            expected = sum(w * support(p, u) for w, p in zip(weights, parts))
+            assert support(composed, u) == pytest.approx(expected, abs=1e-12)
+
+    def test_compose_is_the_weighted_minkowski_sum(self):
+        w = np.array([0.25, 0.75])
+        self._assert_same_support(Uniform.compose([Uniform(self.A), Uniform(self.B)], w).body,
+                                  (self.A, self.B), w)
+        composed = ClassWise.compose([ClassWise((self.A, self.C)), ClassWise((self.B, self.A))], w)
+        self._assert_same_support(composed.bodies[0], (self.A, self.B), w)
+        self._assert_same_support(composed.bodies[1], (self.C, self.A), w)
+
+    def test_class_diff_composes_the_shared_pairs(self):
+        w = np.array([0.5, 0.5])
+        composed = ClassDiff.compose([ClassDiff({(0, 1): self.A, (1, 0): self.B}),
+                                      ClassDiff({(0, 1): self.B})], w)
+        assert set(composed.pairs) == {(0, 1)}
+        self._assert_same_support(composed.pairs[(0, 1)], (self.A, self.B), w)
+
+    def test_class_diff_members_sharing_no_pair(self):
+        members = (ClassifierAtPoint([0.6, 0.4], ClassDiff({(0, 1): self.A})),
+                   ClassifierAtPoint([0.3, 0.7], ClassDiff({(1, 0): self.B})))
+        with pytest.raises(SmoothnessMismatch, match="members share no class-difference pairs"):
+            ensemble_classifier(EnsembleSpec(members))
+
+    SIGMA = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+    @pytest.mark.parametrize("bodies", [
+        (LpBall(2, 0.5, [0.0, 0.0]), LpBall(2, 0.3, [0.0, 0.0]), LpBall(2, 0.7, [0.0, 0.0])),
+        (Ellipsoid(SIGMA, 0.5), Ellipsoid(4.0 * SIGMA, 0.25), Ellipsoid(0.5 * SIGMA, 0.3)),
+    ], ids=["lp", "ellipsoid"])
+    def test_pair_radii_are_the_per_variant_sums(self, bodies):
+        # the per-variant sums, written out in the order they are added
+        logits = [0.5, 0.3, 0.2]
+        cases = [
+            (Uniform(bodies[1]), lambda rad: {i: 2.0 * rad(bodies[1]) for i in (1, 2)}),
+            (ClassWise(bodies), lambda rad: {i: rad(bodies[i]) + rad(bodies[0]) for i in (1, 2)}),
+            (ClassDiff({(1, 0): bodies[1], (2, 0): bodies[2], (0, 1): bodies[0]}),
+             lambda rad: {1: rad(bodies[1]), 2: rad(bodies[2])}),
+        ]
+        for smoothness, expected in cases:
+            member = ClassifierAtPoint(logits, smoothness)
+            ref_norm = _reference_norm(EnsembleSpec((member, member)))
+
+            def rad(body):
+                if isinstance(body, Ellipsoid):
+                    return float(body.radius) * math.sqrt(
+                        float(np.linalg.norm(body.sigma)) / ref_norm)
+                return float(body.radius)
+
+            assert _pair_radii(member, 0, ref_norm) == expected(rad)
 
 
 class TestBallShapeKey:

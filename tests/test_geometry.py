@@ -155,6 +155,25 @@ class TestHullPrune:
             cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
             assert cross > 0
 
+    def test_tiny_triangle_keeps_every_vertex(self):
+        # collinearity is judged against the cloud's own span: at 1e-7 an
+        # absolute 1e-12 on the cross product dropped a vertex, and the
+        # certificate then reached twice the true extent along -y
+        triangle = 1e-7 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        assert hull_prune(FinitePoints(triangle)).points.shape == (3, 2)
+        cert = s_certificate(ClassifierAtPoint([0.7, 0.3], Uniform(FinitePoints(triangle))), "u")
+        assert cert.ray_extent(np.array([0.0, -1.0])) == pytest.approx(2.0e6, rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(-40, 41))
+    def test_scaling_by_a_power_of_two_is_exact(self, k):
+        rng = np.random.default_rng(21)
+        cloud = np.vstack([rng.standard_normal((40, 2)),
+                           # nearly collinear triples, where the tolerance bites
+                           [[0.0, 0.0], [1.0, 1.0 + 1e-13], [2.0, 2.0]]])
+        hull = hull_prune(FinitePoints(cloud)).points
+        scaled = hull_prune(FinitePoints(2.0 ** k * cloud)).points
+        assert np.array_equal(scaled, 2.0 ** k * hull)
+
     def test_one_dimensional_prune(self):
         out = hull_prune(FinitePoints([[0.3], [-1.0], [0.9], [0.0]]))
         assert sorted(map(tuple, out.points)) == [(-1.0,), (0.9,)]
