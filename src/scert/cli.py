@@ -168,12 +168,14 @@ def _ensemble_from_args(args) -> tuple[ProblemFile, EnsembleSpec]:
     problem = _load_problem(args.file)
     if not problem.is_ensemble:
         _fail(3, "error: the file describes a single classifier; use `scert certify`")
-    weights = _parse_weights(getattr(args, "weights", None))
+    return problem, _to_ensemble(problem, _parse_weights(getattr(args, "weights", None)))
+
+
+def _to_ensemble(problem: ProblemFile, weights) -> EnsembleSpec:
     try:
-        spec = problem.to_ensemble(weights)
+        return problem.to_ensemble(weights)
     except ValueError as exc:
         _fail(2, f"error: {exc}")
-    return problem, spec
 
 
 def cmd_ensemble(args) -> int:
@@ -279,7 +281,7 @@ def cmd_simulate(args) -> int:
 def _render_layers(problem: ProblemFile, spec_weights) -> list[tuple[str, Certificate]]:
     layers: list[tuple[str, Certificate]] = []
     if problem.is_ensemble:
-        spec = problem.to_ensemble(spec_weights)
+        spec = _to_ensemble(problem, spec_weights)
         mode = spec.members[0].smoothness.mode if spec.members[0].smoothness else None
         if mode is None:
             _fail(3, "error: rendering needs smoothness data")

@@ -14,8 +14,8 @@ Supported body variants:
   ``radius * sqrt(u' Sigma u)`` for a symmetric positive-definite Sigma.
 * :class:`Combination` — a formal nonnegative-weighted Minkowski combination
   of bodies, with optional per-term negation.  Expansion to explicit points
-  happens lazily, capped at :data:`MAX_EXPANSION` points and hull-pruned
-  after every pairwise step in 2D.
+  happens lazily, capped at :data:`MAX_EXPANSION` points and pruned by
+  :func:`hull_prune` after every pairwise step.
 
 Each variant dispatches on itself: it implements ``support(u)`` (a float
 for one direction (d,), an (m,) array for a stack (m, d)),
@@ -42,8 +42,10 @@ from ._simplex import SimplexResult
 TOL = 1e-9            # exact-geometry comparisons
 STRICT_MARGIN = 1e-6  # strictness margins for proper-inclusion tests
 NEGLIGIBLE = 1e-15    # lengths, radii and support values treated as zero
+PRUNE_MARGIN = 1e-6   # 3D prune: least barycentric depth, least |det| / extent^3
 MAX_EXPANSION = 10_000
 SUPPORT_BLOCK = 1 << 18  # largest (directions x points) block FinitePoints.support forms
+PRUNE_BLOCK = 1 << 15    # largest (points x tetrahedra) block the 3D prune forms
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -440,11 +442,66 @@ def _hull_2d(points: np.ndarray) -> np.ndarray:
     return np.asarray(hull, dtype=float)
 
 
+def _sphere_mesh() -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions on a latitude-longitude grid from pole to pole (each
+    pole once per sector) and the (3, t) corners of the t triangles tiling it."""
+    rings, sectors = 26, 48
+    theta, phi = np.meshgrid(np.linspace(0.0, np.pi, rings),
+                             2.0 * np.pi * np.arange(sectors) / sectors, indexing="ij")
+    dirs = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+                    axis=-1).reshape(-1, 3)
+    ring = np.arange(rings * sectors).reshape(rings, sectors)
+    turn = np.roll(ring, -1, axis=1)
+    triangles = np.stack([np.stack([ring[:-1], ring[1:], turn[1:]]),
+                          np.stack([ring[:-1], turn[1:], turn[:-1]])], axis=1)
+    return dirs, triangles.reshape(3, -1)
+
+
+_SPHERE, _SPHERE_TRIANGLES = _sphere_mesh()
+
+
+def _prune_3d(pts: np.ndarray) -> np.ndarray:
+    """Distinct 3D points (np.unique order) less some inside their hull: the
+    argmax of every sphere-mesh direction is kept, and a point is dropped only
+    when its barycentric coordinates are all >= PRUNE_MARGIN in a tetrahedron
+    of the kept points' centroid and a mesh triangle mapped to its corners'
+    argmax points, so every extreme point is kept."""
+    block = max(1, SUPPORT_BLOCK // pts.shape[0])
+    top = np.concatenate([np.argmax(_SPHERE[start:start + block] @ pts.T, axis=1)
+                          for start in range(0, len(_SPHERE), block)])
+    keep = np.zeros(pts.shape[0], dtype=bool)
+    keep[top] = True
+    kept = pts[keep]
+    centre = kept.mean(axis=0)
+    tri = (np.cumsum(keep) - 1)[top][_SPHERE_TRIANGLES]  # corners as rows of kept
+    lo, hi = tri.min(axis=0), tri.max(axis=0)
+    mid = tri.sum(axis=0) - lo - hi
+    m, distinct = kept.shape[0], (lo < mid) & (mid < hi)
+    _, first = np.unique(((lo * m + mid) * m + hi)[distinct], return_index=True)
+    a, b, c = (kept[corner[distinct][first]] - centre for corner in (lo, mid, hi))
+    u, v = np.stack([b, c, a]), np.stack([c, a, b])  # (3, t, 3): normals u x v
+    normals = u[..., [1, 2, 0]] * v[..., [2, 0, 1]] - u[..., [2, 0, 1]] * v[..., [1, 2, 0]]
+    det = np.sum(a * normals[0], axis=1)
+    extent = float(np.abs(pts - centre).max())
+    solid = np.abs(det) > PRUNE_MARGIN * extent * extent * extent
+    normals, det = normals[:, solid].reshape(-1, 3).T, det[solid]
+    rest = np.flatnonzero(~keep)
+    block = max(1, PRUNE_BLOCK // max(1, det.size))
+    for start in range(0, rest.size, block):
+        part = rest[start:start + block]
+        bary = ((pts[part] - centre) @ normals).reshape(part.size, 3, -1) / det
+        inside = ((bary[:, 0] >= PRUNE_MARGIN) & (bary[:, 1] >= PRUNE_MARGIN)
+                  & (bary[:, 2] >= PRUNE_MARGIN) & (bary.sum(axis=1) <= 1.0 - PRUNE_MARGIN))
+        keep[part] = ~np.any(inside, axis=1)
+    return pts[keep]
+
+
 def hull_prune(body: FinitePoints) -> FinitePoints:
     """Drop points that do not affect the support function.
 
     Exact in one and two dimensions (extreme points only; 2D output is in
-    counterclockwise order); deduplication-only fallback in higher dimension.
+    counterclockwise order); in 3D every extreme point and possibly others
+    (:func:`_prune_3d`); deduplication only in higher dimension.
     """
     pts = body.points
     if pts.shape[0] == 1:
@@ -453,7 +510,8 @@ def hull_prune(body: FinitePoints) -> FinitePoints:
         return FinitePoints(np.array([[pts[:, 0].min()], [pts[:, 0].max()]]))
     if body.dim == 2:
         return FinitePoints(_hull_2d(pts))
-    return FinitePoints(np.unique(pts, axis=0))
+    pts = np.unique(pts, axis=0)
+    return FinitePoints(_prune_3d(pts) if body.dim == 3 else pts)
 
 
 def to_finite_points(body: ConvexBody) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from conftest import reference_clip
 from scert.certificates import Certificate, s_certificate
@@ -143,20 +144,36 @@ class TestEnsembleAndRegime:
         assert "certificate regime: inconclusive" in out
 
 
-    def test_expansion_cap_error_is_printed(self, tmp_path, capsys):
-        # the ensemble's 900-point cloud minus itself is far over the
-        # 10,000-point cap, so the certificate regime cannot be decided
-        rng = np.random.default_rng(5)
+    @staticmethod
+    def _two_3d_members(tmp_path, clouds):
         members = [{"logits": [0.6, 0.3, 0.1],
-                    "smoothness": {"mode": "u", "body": {
-                        "type": "points", "points": rng.standard_normal((30, 3)).tolist()}}}
-                   for _ in range(2)]
-        path = tmp_path / "cap.json"
+                    "smoothness": {"mode": "u", "body": {"type": "points", "points": c.tolist()}}}
+                   for c in clouds]
+        path = tmp_path / "members.json"
         path.write_text(json.dumps({"dimension": 3, "classes": 3, "members": members}))
-        code, out, _ = run_cli(capsys, "regime", str(path))
+        return str(path)
+
+    def test_expansion_cap_error_is_printed(self, tmp_path, capsys):
+        # every point on the sphere is extreme, so the ensemble's first
+        # pairwise sum has 101 x 101 = 10,201 points, over the 10,000-point
+        # cap, and the certificate regime cannot be decided
+        rng = np.random.default_rng(5)
+        spheres = [p / np.linalg.norm(p, axis=1, keepdims=True)
+                   for p in (rng.standard_normal((101, 3)) for _ in range(2))]
+        code, out, _ = run_cli(capsys, "regime", self._two_3d_members(tmp_path, spheres))
         assert code == 0
         assert "certificate regime: indeterminate" in out
         assert "evidence error: point expansion exceeds the 10000-point cap" in out
+
+    def test_two_30_point_3d_members_decide(self, tmp_path, capsys):
+        # the ensemble's 900-point cloud minus itself is far over the cap
+        # unpruned; pruned after every pairwise step, the LP path decides
+        rng = np.random.default_rng(5)
+        clouds = [rng.standard_normal((30, 3)) for _ in range(2)]
+        code, out, _ = run_cli(capsys, "regime", self._two_3d_members(tmp_path, clouds))
+        assert code == 0
+        assert "certificate regime: inconclusive" in out
+        assert "evidence method: lp" in out
 
 
 class TestExitThree:
@@ -309,6 +326,17 @@ class TestRender:
         code, _, err = run_cli(capsys, "render", str(fixture_path("appendix-c2-u.json")),
                                "--out", "/tmp/never.svg")
         assert code == 3
+
+    @pytest.mark.parametrize("fixture", ["appendix-c4.json", "fig5a.json", "fig5b.json",
+                                         "fig5c.json", "fig6.json"])
+    def test_wrong_weight_count_exit_2(self, fixture, tmp_path, capsys):
+        out_file = tmp_path / "never.svg"
+        weights = ",".join(["1"] * (load_fixture(fixture).to_ensemble().n_members + 1))
+        code, out, err = run_cli(capsys, "render", str(fixture_path(fixture)),
+                                 "--out", str(out_file), "--weights", weights)
+        assert (code, out) == (2, "")
+        assert err == "error: one weight per member is required\n"
+        assert not out_file.exists()
 
 
 def test_sampled_outline_matches_the_per_direction_outline():

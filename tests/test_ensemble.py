@@ -1,6 +1,9 @@
 """Ensemble composition, regimes, bounds, and weight optimization."""
 
+import json
 import math
+import pathlib
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -1041,3 +1044,83 @@ class TestSameTopExclusions:
             q_2 = s_certificate(spec.members[1], "cd").region
             q_g = s_certificate(ensemble_classifier(spec), "cd").region
             assert region_subset(q_1.intersect(q_2), q_g)
+
+
+_FLAGS = ("contains_union", "within_union", "contains_intersection", "within_intersection")
+# the eight op kinds of one perfbench `regimes` cycle: (dimension, mode, points)
+_REGIME_KINDS = ((2, "u", 8), (2, "cw", 8), (2, "cd", 8), (3, "u", 4),
+                 (2, "u", 8), (2, "cw", 8), (2, "cd", 8), (3, "cd", 6))
+
+
+def _point_cloud_member(logits, grads, mode: str) -> ClassifierAtPoint:
+    if mode == "u":
+        return ClassifierAtPoint(logits, Uniform(FinitePoints(grads)))
+    k = grads.shape[1]
+    if mode == "cw":
+        return ClassifierAtPoint(logits, ClassWise(tuple(
+            FinitePoints(grads[:, i, :]) for i in range(k))))
+    return ClassifierAtPoint(logits, ClassDiff({
+        (i, j): FinitePoints(grads[:, i, :] - grads[:, j, :])
+        for i in range(k) for j in range(k) if i != j}))
+
+
+def _regime_ops(seed: int, n_ops: int):
+    """The inputs of the perfbench `regimes` op list of a seed, as ensembles."""
+    rng = np.random.default_rng([seed, 4])
+    for index in range(n_ops):
+        dim, mode, points = _REGIME_KINDS[index % len(_REGIME_KINDS)]
+        members = []
+        for _ in range(2):
+            logits = rng.dirichlet(np.ones(3))
+            grads = rng.standard_normal((points, dim) if mode == "u" else (points, 3, dim))
+            members.append(_point_cloud_member(logits, grads, mode))
+        yield EnsembleSpec(tuple(members), rng.dirichlet(np.ones(2)))
+
+
+def _timed_regime(spec: EnsembleSpec):
+    start = time.perf_counter()
+    report = classify_regimes(spec)
+    elapsed = time.perf_counter() - start
+    assert report.evidence["method"] == "lp"
+    return report.cert_regime, tuple(report.evidence[key] for key in _FLAGS), elapsed
+
+
+class TestPointCloudRegimes:
+    """Point-cloud ensembles on the LP path: verdicts pinned from before the
+    3D extreme-point prune, and 3D cases that took seconds to minutes there."""
+
+    SNAPSHOT = pathlib.Path(__file__).parent / "data" / "regimes_verdicts.json"
+
+    def test_perfbench_verdicts_replay(self):
+        recorded = json.loads(self.SNAPSHOT.read_text())["ops"]
+        for seed in (1, 2, 3):
+            rows = [r for r in recorded if r["seed"] == seed]
+            for row, spec in zip(rows, _regime_ops(seed, len(rows)), strict=True):
+                regime, flags, _ = _timed_regime(spec)
+                assert (regime, list(flags)) == (row["cert_regime"], row["flags"]), row
+
+    def test_two_3d_members_with_eight_points(self):
+        # 3,721 distinct points in S + (-S) of the ensemble, 92 of them extreme
+        rng = np.random.default_rng(1)
+        members = tuple(ClassifierAtPoint(rng.dirichlet(np.ones(3)),
+                                          Uniform(FinitePoints(rng.standard_normal((8, 3)))))
+                        for _ in range(2))
+        regime, flags, elapsed = _timed_regime(EnsembleSpec(members))
+        assert (regime, flags) == ("reduction", (False, True, False, True))
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("draw, flags", [
+        (0, (False, True, False, False)),
+        (1, (False, False, True, False)),
+        (2, (False, True, False, False)),
+    ])
+    def test_three_3d_members_with_four_points(self, draw, flags):
+        rng = np.random.default_rng(5)
+        for _ in range(draw + 1):
+            members = tuple(ClassifierAtPoint(rng.dirichlet(np.ones(3)),
+                                              Uniform(FinitePoints(rng.standard_normal((4, 3)))))
+                            for _ in range(3))
+            weights = rng.dirichlet(np.ones(3))
+        regime, got, elapsed = _timed_regime(EnsembleSpec(members, weights))
+        assert (regime, got) == ("indeterminate", flags)
+        assert elapsed < 1.0

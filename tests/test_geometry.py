@@ -183,6 +183,93 @@ class TestHullPrune:
             FinitePoints(np.zeros((0, 2)))
 
 
+def _octahedron_cubed() -> np.ndarray:
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    twice = (octahedron[:, None] + octahedron[None, :]).reshape(-1, 3)
+    return (twice[:, None] + octahedron[None, :]).reshape(-1, 3)
+
+
+def _prune_3d_inputs() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(31)
+    sphere = unit_directions(300, dim=3, seed=32)
+    s, t = rng.standard_normal((8, 3)), rng.standard_normal((6, 3))
+    axis, tilt = rng.standard_normal(3), rng.standard_normal((2, 3))
+    return {
+        "gaussian-40": rng.standard_normal((40, 3)),
+        "gaussian-3000": rng.standard_normal((3_000, 3)),
+        "sphere": sphere,
+        # every point extreme, most of them between the mesh's directions
+        "dense-sphere": unit_directions(4_000, dim=3, seed=35),
+        "sphere-and-shrunk-copy": np.vstack([sphere, 0.999 * sphere, (1 - 1e-9) * sphere]),
+        "s-minus-s": brute_pairwise_differences(s, s),
+        "sum-of-two-s-minus-s": brute_pairwise_differences(
+            brute_pairwise_differences(s, s), brute_pairwise_differences(0.5 * t, 0.5 * t)),
+        "octahedron-cubed": _octahedron_cubed(),
+        "grid-3x3x3": np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3), axis=-1).reshape(-1, 3),
+        "duplicates": np.repeat(rng.standard_normal((25, 3)), 3, axis=0),
+        "one-point": rng.standard_normal((1, 3)),
+        "two-points": rng.standard_normal((2, 3)),
+        "three-points": rng.standard_normal((3, 3)),
+        "four-points": rng.standard_normal((4, 3)),
+        "tetrahedron-and-inside": np.vstack([np.eye(3), [[0, 0, 0], [0.1, 0.2, 0.3]]]),
+        "coplanar": rng.standard_normal((40, 2)) @ tilt + axis,
+        "collinear": rng.standard_normal((15, 1)) * axis + tilt[0],
+    }
+
+
+class TestHullPrune3D:
+    """The 3D prune keeps every extreme point, drops only points inside the
+    hull of what it keeps, and keeps the np.unique order (scipy is the
+    oracle, for tests only)."""
+
+    @pytest.fixture(scope="class")
+    def spatial(self):
+        return pytest.importorskip("scipy.spatial")
+
+    @pytest.mark.parametrize("name", list(_prune_3d_inputs()))
+    def test_sound_against_qhull(self, name, spatial):
+        cloud = _prune_3d_inputs()[name]
+        distinct = np.unique(cloud, axis=0)
+        kept = hull_prune(FinitePoints(cloud)).points
+        rank = {tuple(p): i for i, p in enumerate(distinct)}
+        order = [rank[tuple(p)] for p in kept]
+        assert order == sorted(set(order))  # distinct input points, in np.unique order
+        dirs = unit_directions(512, dim=3, seed=33)
+        scale = np.abs(cloud).max()
+        assert np.all(np.abs(np.max(dirs @ kept.T, axis=1) - np.max(dirs @ cloud.T, axis=1))
+                      <= 1e-12 * scale)
+        if distinct.shape[0] < 4 or np.linalg.matrix_rank(distinct - distinct[0]) < 3:
+            assert np.array_equal(kept, distinct)  # a flat set has no tetrahedron to drop into
+            return
+        vertices = {tuple(p) for p in cloud[spatial.ConvexHull(cloud).vertices]}
+        assert vertices <= {tuple(p) for p in kept}
+        dropped = np.delete(distinct, order, axis=0)
+        assert np.all(spatial.Delaunay(kept).find_simplex(dropped) >= 0)
+
+    def test_interior_points_are_dropped(self):
+        cloud = _prune_3d_inputs()["sum-of-two-s-minus-s"]
+        assert hull_prune(FinitePoints(cloud)).points.shape[0] < cloud.shape[0] / 10
+
+    @pytest.mark.parametrize("k", range(-40, 41))
+    def test_scaling_by_a_power_of_two_is_exact(self, k):
+        inputs = _prune_3d_inputs()
+        cloud = np.vstack([inputs["sum-of-two-s-minus-s"], inputs["sphere-and-shrunk-copy"]])
+        kept = hull_prune(FinitePoints(cloud)).points
+        assert np.array_equal(hull_prune(FinitePoints(2.0 ** k * cloud)).points, 2.0 ** k * kept)
+
+    def test_memory_is_bounded(self):
+        cloud = FinitePoints(np.random.default_rng(34).standard_normal((10_000, 3)))
+        # one dense (directions x points) product alone would take 100 MB
+        tracemalloc.start()
+        try:
+            kept = hull_prune(cloud).points
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert kept.shape[0] < 100
+
+
 class TestPolarHrep:
     def test_single_generator(self):
         region = polar_hrep(FinitePoints([[2.0, 0.0]]), 1.0)
