@@ -14,8 +14,14 @@ Supported body variants:
   ``radius * sqrt(u' Sigma u)`` for a symmetric positive-definite Sigma.
 * :class:`Combination` — a formal nonnegative-weighted Minkowski combination
   of bodies, with optional per-term negation.  Expansion to explicit points
-  happens lazily, capped at :data:`MAX_EXPANSION` points and pruned by
-  :func:`hull_prune` after every pairwise step.
+  happens lazily, one pruned Minkowski step per term (:func:`_sum_points`).
+
+Finite point sets are summed through their hulls.  In 2D a step merges the
+edge sequences of the two hulls by angle, forming no pairwise sum; in other
+dimensions it prunes the pairwise sum, capped at :data:`MAX_EXPANSION` points
+(a cap only d >= 3 can reach, as a 1D hull has two points).
+:func:`hull_prune` memoises on the body, a 2D hull or merge result is its own
+hull, and a body keeps its negation, so each 2D cloud is hulled once.
 
 Each variant dispatches on itself: it implements ``support(u)`` (a float
 for one direction (d,), an (m,) array for a stack (m, d)),
@@ -31,6 +37,7 @@ they look at two bodies or a whole combination.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +50,9 @@ TOL = 1e-9            # exact-geometry comparisons
 STRICT_MARGIN = 1e-6  # strictness margins for proper-inclusion tests
 NEGLIGIBLE = 1e-15    # lengths, radii and support values treated as zero
 PRUNE_MARGIN = 1e-6   # 3D prune: least barycentric depth, least |det| / extent^3
-MAX_EXPANSION = 10_000
+FLAT_SINE = 1e-12     # 2D turns with |sin| at most this are collinear
+MAX_EXPANSION = 10_000   # largest pairwise sum formed; 2D sums merge edges instead
+OCTAGON_MIN_POINTS = 20  # 2D clouds larger than this meet the octagon filter before the chain
 SUPPORT_BLOCK = 1 << 18  # largest (directions x points) block FinitePoints.support forms
 PRUNE_BLOCK = 1 << 15    # largest (points x tetrahedra) block the 3D prune forms
 
@@ -143,10 +152,20 @@ class FinitePoints(ConvexBody):
         return self.points[int(np.argmax(self.points @ direction))].copy()
 
     def negate(self) -> "FinitePoints":
+        return self._negated
+
+    @functools.cached_property
+    def _negated(self) -> "FinitePoints":
+        """-S, one body per S, so that its hull is computed once."""
         return FinitePoints(-self.points)
 
     def scale(self, alpha: float) -> "FinitePoints":
         return FinitePoints(alpha * self.points)
+
+    @functools.cached_property
+    def _hull(self) -> "FinitePoints":
+        """The memo of :func:`hull_prune`."""
+        return _prune(self)
 
     @property
     def degenerate(self) -> bool:
@@ -373,16 +392,22 @@ def _pairwise_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
 
 
+def _sum_points(a: FinitePoints, b: FinitePoints) -> FinitePoints:
+    """The pruned Minkowski sum of two point sets.  The operands are pruned
+    first, as the sum of hulls is the hull of the sum: in 2D their hulls are
+    merged edge by edge, otherwise their pairwise sum is pruned."""
+    lhs, rhs = hull_prune(a).points, hull_prune(b).points
+    if a.dim == 2:
+        return _merge_2d(lhs, rhs)
+    return hull_prune(FinitePoints(_pairwise_sum(lhs, rhs)))
+
+
 def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     """Minkowski sum; support functions add.  Closed forms where available."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch in Minkowski sum")
     if isinstance(a, FinitePoints) and isinstance(b, FinitePoints):
-        # prune the operands first: the sum of hulls is the hull of the sum,
-        # and it keeps the pairwise product small
-        lhs = hull_prune(a).points
-        rhs = hull_prune(b).points
-        return hull_prune(FinitePoints(_pairwise_sum(lhs, rhs)))
+        return _sum_points(a, b)
     if isinstance(a, LpBall) and isinstance(b, LpBall):
         same_p = (math.isinf(a.p) and math.isinf(b.p)) or abs(a.p - b.p) < 1e-12
         if same_p:
@@ -412,34 +437,104 @@ def ball_shape_radius(body: ConvexBody) -> float:
     return body.shape_radius
 
 
+def _chain(seq) -> list:
+    """One monotone chain over a sequence of [x, y] lists: the middle point of
+    a triple (o, a, p) is popped unless the triple turns counterclockwise, by
+    |sin| > FLAT_SINE where p lies past a along o -> a.  The test is relative
+    to the triple itself, so that it holds exactly under scaling by a power of
+    two and under negation.  A turn back towards o is never flat: where x
+    ties up to rounding the sort can put p after a on a near-vertical line
+    yet short of it, and popping a would lose an extreme point."""
+    chain, flat = [], FLAT_SINE ** 2
+    for p in seq:
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            ux, uy, vx, vy = ax - ox, ay - oy, p[0] - ox, p[1] - oy
+            turn, uu = ux * vy - uy * vx, ux * ux + uy * uy
+            if turn > 0.0 and (ux * vx + uy * vy < uu
+                               or turn * turn > flat * uu * (vx * vx + vy * vy)):
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+# directions whose argmax points are the corners of the Akl-Toussaint octagon,
+# counterclockwise, and the first of them again to close it
+_OCTAGON = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1],
+                     [1, 0]], dtype=float).T
+
+
+def _octagon_filter(points: np.ndarray) -> np.ndarray:
+    """The points less those surely inside the octagon of their argmaxes
+    (Akl & Toussaint 1978): inside by the chain's own relative turn test
+    against every edge, so that a point the test is unsure of is kept."""
+    z = np.ascontiguousarray(points).view(complex)[:, 0]
+    top = (points @ _OCTAGON).argmax(axis=0)
+    corners = z[top]
+    edges = corners[1:] - corners[:-1]
+    solid = edges != 0  # a corner repeated has no edge
+    # turn = Im(w) and |edge| |point - corner| = |w|
+    w = (z[:, None] - corners[:-1][solid]) * edges[solid].conj()
+    inside = (w.imag > FLAT_SINE * np.abs(w)).all(axis=1)
+    inside[top] = False
+    return points[~inside]
+
+
 def _hull_2d(points: np.ndarray) -> np.ndarray:
-    """Monotone chain; extreme points in counterclockwise order.  A turn is
-    collinear when its cross product is at most 1e-12 times the squared extent
-    of the cloud (its largest coordinate distance from the lowest point), so
-    that the hull of 2^k P is 2^k times the hull of P."""
-    pts = sorted(map(tuple, points))
-    flat = 1e-12 * float(np.abs(points - pts[0]).max()) ** 2
-    pts = [pts[i] for i in range(len(pts)) if i == 0 or pts[i] != pts[i - 1]]
+    """Extreme points in counterclockwise order from the lexicographic
+    minimum: the monotone chain, behind the octagon filter on a large cloud."""
+    if points.shape[0] > OCTAGON_MIN_POINTS:
+        points = _octagon_filter(points)
+    return np.asarray(_monotone_chain(points.tolist()), dtype=float)
+
+
+def _monotone_chain(pts: list) -> list:
+    """The extreme points of [x, y] lists, counterclockwise from the
+    lexicographic minimum (Andrew's monotone chain)."""
+    pts = sorted(pts)
+    pts = [p for p, prev in zip(pts, [None] + pts) if p != prev]
     if len(pts) <= 2:
-        return np.asarray(pts, dtype=float)
+        return pts
+    return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
 
-    def build(seq):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2:  # pop while (o, a, p) turns clockwise or not at all
-                o, a = chain[-2], chain[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > flat:
-                    break
-                chain.pop()
-            chain.append(p)
-        return chain
 
-    lower = build(pts)
-    upper = build(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if not hull:  # fully collinear input collapses the chains
-        hull = [pts[0], pts[-1]]
-    return np.asarray(hull, dtype=float)
+def _edge_keys(hull: list) -> list:
+    """Sort keys of the edges of a hull in _hull_2d order, increasing with the
+    edge angle in (-pi/2, 3pi/2] from its lexicographic minimum; a point has
+    no edge.  A key is the half (pointing left or straight down), exact from
+    the sign of dx, then dy / dx, which increases within each half and keeps
+    the relative precision of a tiny dx that an angle would round away."""
+    keys = []
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1] if len(hull) > 1 else []):
+        dx, dy = x1 - x0, y1 - y0
+        keys.append((dx < 0.0 or (dx == 0.0 and dy < 0.0), dy / dx if dx else math.inf))
+    return keys
+
+
+def _merge_2d(p: np.ndarray, q: np.ndarray) -> FinitePoints:
+    """The hull of p (+) q for two hulls in _hull_2d order, by merging their
+    edge sequences by angle (de Berg et al., Computational Geometry, 13.3).
+    Each vertex is the float sum p[i] + q[j], bit-equal to its entry in the
+    pairwise sum.  The chain then drops those between parallel edges and puts
+    the rest in _hull_2d order: rounding can make another vertex than
+    p[0] + q[0] the lexicographic minimum (the sort sees two sorted runs)."""
+    p, q = p.tolist(), q.tolist()
+    i = j = 0
+    vertices = [[p[0][0] + q[0][0], p[0][1] + q[0][1]]]
+    for *_, from_q in sorted([(*k, 0) for k in _edge_keys(p)]
+                             + [(*k, 1) for k in _edge_keys(q)]):
+        i, j = (i, j + 1) if from_q else (i + 1, j)
+        a, b = p[i % len(p)], q[j % len(q)]
+        vertices.append([a[0] + b[0], a[1] + b[1]])  # the last is the first again
+    return _own_hull(np.asarray(_monotone_chain(vertices), dtype=float))
+
+
+def _own_hull(points: np.ndarray) -> FinitePoints:
+    """A body of extreme points, marked as its own hull."""
+    body = FinitePoints(points)
+    body.__dict__["_hull"] = body
+    return body
 
 
 def _sphere_mesh() -> tuple[np.ndarray, np.ndarray]:
@@ -500,16 +595,21 @@ def hull_prune(body: FinitePoints) -> FinitePoints:
     """Drop points that do not affect the support function.
 
     Exact in one and two dimensions (extreme points only; 2D output is in
-    counterclockwise order); in 3D every extreme point and possibly others
-    (:func:`_prune_3d`); deduplication only in higher dimension.
+    counterclockwise order from the lexicographic minimum); in 3D every
+    extreme point and possibly others (:func:`_prune_3d`); deduplication
+    only in higher dimension.  Memoised on the body.
     """
+    return body._hull
+
+
+def _prune(body: FinitePoints) -> FinitePoints:
     pts = body.points
     if pts.shape[0] == 1:
         return body
     if body.dim == 1:
-        return FinitePoints(np.array([[pts[:, 0].min()], [pts[:, 0].max()]]))
+        return _own_hull(np.array([[pts[:, 0].min()], [pts[:, 0].max()]]))
     if body.dim == 2:
-        return FinitePoints(_hull_2d(pts))
+        return _own_hull(_hull_2d(pts))
     pts = np.unique(pts, axis=0)
     return FinitePoints(_prune_3d(pts) if body.dim == 3 else pts)
 
@@ -517,20 +617,18 @@ def hull_prune(body: FinitePoints) -> FinitePoints:
 def to_finite_points(body: ConvexBody) -> np.ndarray:
     """Explicit generator points of a body, if it reduces to finitely many.
 
-    Combinations of finite point sets are expanded to pairwise sums, pruning
-    after every step; ball variants raise (use :func:`polar_dual_ball`).
+    Combinations of finite point sets are expanded one term at a time, each
+    step a pruned Minkowski sum; ball variants raise (use
+    :func:`polar_dual_ball`).
     """
     if isinstance(body, FinitePoints):
         return hull_prune(body).points
     if isinstance(body, Combination):
-        acc: np.ndarray | None = None
+        acc: FinitePoints | None = None
         for coeff, sub, negated in body.terms:
-            pts = to_finite_points(sub) * coeff
-            if negated:
-                pts = -pts
-            acc = pts if acc is None else _pairwise_sum(acc, pts)
-            acc = hull_prune(FinitePoints(acc)).points
-        return acc
+            term = FinitePoints((-coeff if negated else coeff) * to_finite_points(sub))
+            acc = term if acc is None else _sum_points(acc, term)
+        return hull_prune(acc).points
     raise ValueError(f"{type(body).__name__} does not reduce to a finite point set")
 
 

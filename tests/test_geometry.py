@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -156,7 +156,7 @@ class TestHullPrune:
             assert cross > 0
 
     def test_tiny_triangle_keeps_every_vertex(self):
-        # collinearity is judged against the cloud's own span: at 1e-7 an
+        # collinearity is judged relative to each triple: at 1e-7 an
         # absolute 1e-12 on the cross product dropped a vertex, and the
         # certificate then reached twice the true extent along -y
         triangle = 1e-7 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
@@ -177,6 +177,182 @@ class TestHullPrune:
     def test_one_dimensional_prune(self):
         out = hull_prune(FinitePoints([[0.3], [-1.0], [0.9], [0.0]]))
         assert sorted(map(tuple, out.points)) == [(-1.0,), (0.9,)]
+
+    def test_sum_with_a_tiny_polygon_keeps_every_extreme_point(self):
+        # collinearity judged against 1e-12 x the cloud's squared extent
+        # dropped (-3, -2.0000003) from this sum, and the cw certificate then
+        # reached a delta where the true support exceeds the gap by 190 TOL
+        spatial = pytest.importorskip("scipy.spatial")
+        big = np.array([[-3.0, -2.0], [3.0, -1.0], [2.0, 3.0], [-2.0, 2.0]])
+        tiny = -np.array([[-3e-7, 3e-7], [0.0, -3e-7], [2e-7, 2e-7]])
+        raw = brute_pairwise_differences(big, tiny)
+        extreme = {tuple(p) for p in raw[spatial.ConvexHull(raw).vertices]}
+        assert (-3.0, -2.0000003) in extreme
+        summed = minkowski_sum(FinitePoints(big), negate(FinitePoints(tiny)))
+        assert {tuple(p) for p in summed.points} == extreme
+        assert {tuple(p) for p in hull_prune(FinitePoints(raw)).points} == extreme
+        cert = s_certificate(ClassifierAtPoint(
+            [0.0, 1.0], ClassWise((FinitePoints(big), FinitePoints(tiny)))), "cw")
+        d = np.array([-1.0, -4.0]) / math.sqrt(17.0)
+        assert brute_support(raw, cert.ray_extent(d) * d) <= 1.0 + geo.TOL
+
+
+@st.composite
+def clouds_2d(draw):
+    """Gaussian clouds on both sides of the octagon filter's threshold,
+    integer grids with collinear points and duplicates, and clusters of
+    points 1e-7 apart; never all on one line."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "grid", "clusters"]))
+    if kind == "gaussian":
+        cloud = rng.standard_normal((draw(st.integers(3, 400)), 2))
+    elif kind == "grid":
+        cloud = rng.integers(-3, 4, size=(draw(st.integers(3, 120)), 2)).astype(float)
+    else:
+        centres = rng.standard_normal((draw(st.integers(1, 6)), 2))
+        n = draw(st.integers(3, 200))
+        cloud = centres[rng.integers(0, len(centres), n)] + 1e-7 * rng.standard_normal((n, 2))
+    assume(np.linalg.matrix_rank(cloud - cloud[0]) == 2)
+    return cloud
+
+
+@st.composite
+def hulls_2d(draw):
+    """2D hulls of one, two or more points, in hull_prune order: small
+    integer clouds give parallel edges and edges straight down into the
+    lexicographic minimum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 3, 5, 9, 30]))
+    if draw(st.booleans()):
+        cloud = rng.integers(-2, 3, size=(n, 2)).astype(float)
+    else:
+        cloud = rng.standard_normal((n, 2)) * 10.0 ** draw(st.integers(-7, 3))
+    return hull_prune(FinitePoints(cloud)).points
+
+
+@st.composite
+def near_vertical_hulls(draw):
+    """2D hulls with near-vertical edges: x one ulp or 1e-17 apart near 0, 1
+    or -3, where atan2 rounds an edge to straight up or down and the sort by
+    x disagrees with the order along an edge; sometimes one generic point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = draw(st.sampled_from([0.0, 1.0, -3.0]))
+    step = draw(st.sampled_from([1e-17, float(np.spacing(max(abs(x0), 1.0)))]))
+    n = draw(st.integers(1, 8))
+    cloud = np.column_stack([x0 + step * rng.integers(0, 3, n), rng.integers(-5, 6, n)])
+    if draw(st.booleans()):
+        cloud = np.vstack([cloud, x0 + rng.standard_normal((1, 2))])
+    return hull_prune(FinitePoints(cloud.astype(float))).points
+
+
+class TestHull2D:
+    """The 2D hull, the edge merge and the negated hull against their oracles
+    (scipy is the oracle, for tests only)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(clouds_2d())
+    def test_equals_qhull_counterclockwise_from_the_lexicographic_minimum(self, cloud):
+        spatial = pytest.importorskip("scipy.spatial")
+        expected = cloud[spatial.ConvexHull(cloud).vertices]  # counterclockwise
+        expected = np.roll(expected, -int(np.lexsort(expected.T[::-1])[0]), axis=0)
+        assert np.array_equal(hull_prune(FinitePoints(cloud)).points, expected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hulls_2d(), hulls_2d())
+    def test_merge_equals_the_hull_of_the_pairwise_sum(self, a, b):
+        pairwise = (a[:, None, :] + b[None, :, :]).reshape(-1, 2)
+        assert np.array_equal(geo._merge_2d(a, b).points, geo._hull_2d(pairwise))
+
+    @pytest.mark.parametrize("a, b", [
+        ([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]),  # one line: two points
+        ([[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, -1.0]]),  # a square
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]),  # down into the min
+        ([[0.5, 0.5]], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),  # a translation
+        ([[0.5, 0.5]], [[1.5, -0.5]]),
+        ([[1e20, 1e20]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),  # rounds to one point
+        # the edge out of the minimum points right by 1e-17: atan2 rounds it
+        # to straight down; and a tie in x after rounding moves the minimum
+        ([[0.0, 5.0], [1e-17, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),
+        ([[0.0, 5.0], [1e-17, 0.0], [2.0, 3.0]], [[1.0, 0.0], [2.0, 1.0], [1.0, 1.0]]),
+        ([[1.0, 0.0], [1.0 + 2.0**-52, 4.0]], [[0.0, 0.0], [1e-17, -3.0], [2.0, 0.0]]),
+    ])
+    def test_merge_of_small_hulls(self, a, b):
+        a, b = np.array(a), np.array(b)
+        pairwise = (a[:, None, :] + b[None, :, :]).reshape(-1, 2)
+        assert np.array_equal(geo._merge_2d(a, b).points, geo._hull_2d(pairwise))
+
+    def test_edge_out_of_the_minimum_that_rounds_to_straight_down(self):
+        # filed as the last edge, it paired every later vertex of p with the
+        # wrong one of q: the sum lost (3, 0) and (1, 5), support 2 along +x
+        p = hull_prune(FinitePoints([[0.0, 5.0], [1e-17, 0.0], [2.0, 0.0]])).points
+        summed = geo._merge_2d(p, np.array([[0.0, 0.0], [1.0, 0.0]])).points
+        assert summed.tolist() == [[0.0, 5.0], [1e-17, 0.0], [3.0, 0.0], [1.0, 5.0]]
+
+    def test_turn_back_on_a_near_vertical_line_keeps_the_extreme_point(self):
+        # sorted by x, (1 + u, -1) comes after (1 + u, -3) yet lies between it
+        # and (1, 0); a flat test that ignored the direction popped (1 + u, -3)
+        # and the support along -y fell from 3 to 1
+        u = 2.0**-52
+        cloud = [[1.0, 0.0], [1.0 + u, -3.0], [1.0 + u, -1.0], [2.0, 0.0]]
+        assert hull_prune(FinitePoints(cloud)).points.tolist() == [
+            [1.0, 0.0], [1.0 + u, -3.0], [2.0, 0.0]]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(near_vertical_hulls(), st.one_of(near_vertical_hulls(), hulls_2d()))
+    def test_merge_of_near_vertical_hulls_keeps_the_support(self, a, b):
+        # where edges differ by rounding, which of two points within the
+        # flat tolerance stays can differ from the hull of the pairwise sum;
+        # every output point is a pairwise sum and no support falls by more
+        # than FLAT_SINE times the extent (plus rounding of the coordinates)
+        pairwise = (a[:, None, :] + b[None, :, :]).reshape(-1, 2)
+        merged = geo._merge_2d(a, b).points
+        assert {tuple(p) for p in merged} <= {tuple(p) for p in pairwise}
+        angles = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+        dirs = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), np.eye(2), -np.eye(2)])
+        slack = geo.FLAT_SINE * np.ptp(pairwise, axis=0).max() + 1e-15 * np.abs(pairwise).max()
+        deficit = (pairwise @ dirs.T).max(axis=0) - (merged @ dirs.T).max(axis=0)
+        assert deficit.max() <= slack
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(clouds_2d(), st.sampled_from([1, 2]))
+    def test_negated_hull_is_bit_equal_to_a_fresh_one(self, cloud, dim):
+        body = FinitePoints(cloud[:, :dim])
+        assert negate(body) is negate(body)
+        assert np.array_equal(hull_prune(negate(body)).points,
+                              hull_prune(FinitePoints(-body.points)).points)
+
+    def test_octagon_filter_keeps_the_boundary_and_drops_the_interior(self):
+        # the square's corners repeat among the eight argmaxes; a point on
+        # an edge is one the turn test cannot call inside, so it stays
+        square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [0.0, 1.0]])
+        inner = np.random.default_rng(3).uniform(-0.99, 0.99, size=(60, 2))
+        kept = geo._octagon_filter(np.vstack([square, inner]))
+        assert {tuple(p) for p in kept} == {tuple(p) for p in square}
+        one_point = np.tile([[0.5, -2.0]], (30, 1))  # no edge at all
+        assert np.array_equal(hull_prune(FinitePoints(one_point)).points, [[0.5, -2.0]])
+
+    def test_each_body_is_hulled_once(self, monkeypatch):
+        # one lattice op of the benchmark: S and -S in mode u, the two other
+        # classes and -G_top in cw, the two bodies G_(i, top) in cd; no
+        # pairwise sum in any Minkowski step, and nothing again on re-certifying
+        runs = []
+        hull_2d = geo._hull_2d
+        monkeypatch.setattr(geo, "_hull_2d", lambda pts: runs.append(len(pts)) or hull_2d(pts))
+        monkeypatch.setattr(geo, "_pairwise_sum", None)  # forming one would raise
+        rng = np.random.default_rng(8)
+        grads, logits = rng.standard_normal((30, 3, 2)), rng.uniform(0.0, 1.0, size=3)
+        smoothness = {
+            "u": Uniform(FinitePoints(grads.reshape(-1, 2))),
+            "cw": ClassWise(tuple(FinitePoints(grads[:, i]) for i in range(3))),
+            "cd": ClassDiff({(i, j): FinitePoints(grads[:, i] - grads[:, j])
+                             for i in range(3) for j in range(3) if i != j}),
+        }
+        for mode, expected in (("u", 2), ("cw", 3), ("cd", 2)):
+            clf = ClassifierAtPoint(logits, smoothness[mode])
+            for again in (False, True):
+                runs.clear()
+                assert s_certificate(clf, mode).region is not None
+                assert len(runs) == (0 if again else expected), (mode, again)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -497,11 +673,23 @@ class TestSymmetry:
 
 
 class TestCombinationExpansion:
-    def test_expansion_cap(self, rng):
-        # 101 extreme points on each side: 10,201 pairwise sums, just over the cap
+    def test_2d_expansion_has_no_cap(self):
+        # 101 extreme points on each side: 10,201 pairwise sums, over the cap,
+        # but the 2D edge merge never forms them
+        spatial = pytest.importorskip("scipy.spatial")
         angles = np.linspace(0, 2 * np.pi, 101, endpoint=False)
-        circle = FinitePoints(np.column_stack([np.cos(angles), np.sin(angles)]))
-        formal = Combination(((1.0, circle, False), (1.0, circle, True)))
+        circle = np.column_stack([np.cos(angles), np.sin(angles)])
+        formal = Combination(((1.0, FinitePoints(circle), False), (1.0, FinitePoints(circle), True)))
+        pts = geo.to_finite_points(formal)
+        pairwise = brute_pairwise_differences(circle, circle)
+        assert pts.shape == (202, 2)
+        assert ({tuple(p) for p in pts}
+                == {tuple(p) for p in pairwise[spatial.ConvexHull(pairwise).vertices]})
+
+    def test_expansion_cap(self, rng):
+        # in 4D only deduplication happens: 10,201 pairwise sums, just over the cap
+        cloud = FinitePoints(rng.standard_normal((101, 4)))
+        formal = Combination(((1.0, cloud, False), (1.0, cloud, True)))
         with pytest.raises(ValueError, match="10000-point cap"):
             geo.to_finite_points(formal)
 
