@@ -45,6 +45,7 @@ from .ensemble import (
     EnsembleSpec,
     PreconditionError,
     RegimeReport,
+    WeightLPError,
     classify_regimes,
     damning_alpha,
     ensemble_classifier,

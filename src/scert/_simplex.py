@@ -12,8 +12,10 @@ basis index leaves on ratio ties), which precludes cycling.
 The problems handled here are tiny (a handful of variables, tens of rows),
 so a dense tableau is the right tool.  A stack of objectives over a region
 of the plane whose nonzero rows span it is answered instead from the
-region's vertices and extreme rays, computed once; the simplex solves every
-other batch objective by objective and is the reference for the 2D path.
+region's vertices and extreme rays, computed once.  Any other stack builds
+the tableau and runs phase 1 once; each objective then runs phase 2 from a
+copy of that tableau and basis, so it takes the pivots a one-objective call
+takes.  The one-objective simplex is the reference for both stack paths.
 """
 
 from __future__ import annotations
@@ -91,14 +93,13 @@ def _run(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     raise RuntimeError("simplex did not converge within the iteration cap")
 
 
-def _solve(objective: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
-    """Maximize objective.x over {x : A x <= b} with x free, by the simplex."""
+def _phase1(A: np.ndarray, b: np.ndarray):
+    """Standard-form tableau of {x : A x <= b} with a feasible basis, or None
+    when the region is empty.  Rows with negative offsets get an artificial
+    variable, and phase 1 drives the artificials out.  Returns the tableau
+    (m + 1 rows, the last for reduced costs), the basis and the columns that
+    may enter in phase 2."""
     m, n = A.shape
-    if m == 0:
-        if np.all(np.abs(objective) <= PIVOT_TOL):
-            return SimplexResult(OPTIMAL, 0.0, np.zeros(n))
-        return SimplexResult(UNBOUNDED)
-
     # Standard form columns: [u (n), v (n), slacks (m), artificials (k)].
     flip = b < 0.0
     A_std = np.hstack([A, -A, np.eye(m)])
@@ -128,7 +129,7 @@ def _solve(objective: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult
         _run(tableau, basis, phase1, allowed)
         residual = -(phase1[basis] @ tableau[:m, -1])
         if residual > FEASIBILITY_TOL:
-            return SimplexResult(INFEASIBLE)
+            return None
         # Drive leftover zero-level artificials out of the basis.
         for r in range(m):
             if basis[r] >= n_core:
@@ -136,18 +137,50 @@ def _solve(objective: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult
                 if cols.size:
                     _pivot(tableau, basis, r, cols[0])
         allowed[n_core:] = False
+    return tableau, basis, allowed
 
-    cost = np.zeros(total)
+
+def _phase2(objective: np.ndarray, tableau: np.ndarray, basis: np.ndarray,
+            allowed: np.ndarray) -> SimplexResult:
+    """Maximize objective.x from a tableau that `_phase1` returned; pivots
+    the tableau and basis in place."""
+    m, n = basis.size, objective.size
+    if m == 0:
+        if np.all(np.abs(objective) <= PIVOT_TOL):
+            return SimplexResult(OPTIMAL, 0.0, np.zeros(n))
+        return SimplexResult(UNBOUNDED)
+    cost = np.zeros(allowed.size)
     cost[:n] = objective
     cost[n:2 * n] = -objective
     status = _run(tableau, basis, cost, allowed)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED)
 
-    solution = np.zeros(total)
+    solution = np.zeros(allowed.size)
     solution[basis] = tableau[:m, -1]
     x = solution[:n] - solution[n:2 * n]
     return SimplexResult(OPTIMAL, float(objective @ x), x)
+
+
+def _solve(objective: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
+    """Maximize objective.x over {x : A x <= b} with x free, by the simplex."""
+    start = _phase1(A, b)
+    if start is None:
+        return SimplexResult(INFEASIBLE)
+    return _phase2(objective, *start)
+
+
+def _solve_stack(objectives: np.ndarray, A: np.ndarray, b: np.ndarray):
+    """Results of each objective by the simplex, lazily.  Phase 1 runs once;
+    each objective starts from a copy of its tableau and basis, so it takes
+    the pivots `_solve` would take."""
+    start = _phase1(A, b)
+    if start is None:
+        yield SimplexResult(INFEASIBLE)
+        return
+    tableau, basis, allowed = start
+    for c in objectives:
+        yield _phase2(c, tableau.copy(), basis.copy(), allowed)
 
 
 def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -228,7 +261,7 @@ def maximize(objectives, A, b, limits=None):
     if polygon is not None:
         candidates = _polygon_results(objectives, *polygon)
     else:
-        candidates = (_solve(c, A, b) for c in objectives)
+        candidates = _solve_stack(objectives, A, b)
     results = []
     for res, limit in zip(candidates, limits):
         results.append(res)

@@ -477,6 +477,16 @@ def improvement_conditions(spec: EnsembleSpec) -> bool:
     return bool(lhs_1 > rhs_1 + GAP_TOL and lhs_2 > rhs_2 + GAP_TOL)
 
 
+class WeightLPError(RuntimeError):
+    """A class LP of :func:`optimize_weights` returned no optimum, more than
+    its optimum can be, or weights whose gap is below the best member's."""
+
+
+def _weight_lp_error(a: int, res, lower, upper, detail: str = "") -> WeightLPError:
+    return WeightLPError(f"the LP of class {a} returned {res.status} with value {res.value}; "
+                         f"its optimum lies in [{float(lower)!r}, {float(upper)!r}]{detail}")
+
+
 def optimize_weights(spec: EnsembleSpec) -> tuple[np.ndarray, float]:
     """Weights maximizing the ensemble runner-up gap, exactly.
 
@@ -485,12 +495,29 @@ def optimize_weights(spec: EnsembleSpec) -> tuple[np.ndarray, float]:
     when a is the top class and at most 0 otherwise.  So the best gap is the
     best of one linear program per class a:  maximize t  subject to
     t <= (L[:, a] - L[:, c]).w  for every c != a,  w >= 0  and  sum(w) = 1.
+
+    Each program is a matrix game (Dantzig 1951), and its value lies in a
+    bracket from pure strategies: at least max_i min_c (L[i, a] - L[i, c]),
+    its value at the vertex w = e_i, and at most min_c max_i (L[i, a] -
+    L[i, c]), since one fixed c bounds the inner minimum.  The best member's
+    gap is the largest lower end, so a class whose upper end is below it
+    cannot win, and only the others are solved.  A solved program that is
+    not optimal or whose value is above its upper end, or an answer whose gap
+    is below the best member's, by more than `FEASIBILITY_TOL`, raises
+    :class:`WeightLPError`.
+
     Returns the weights of the best program, clipped and renormalized onto
     the simplex, and the gap recomputed at them.  Ties go to the lowest
     class, and within its program to the optimum Bland's rule reaches.
     """
     logits = np.stack([m.logits for m in spec.members])
     n, k = logits.shape
+    # diffs[i, a, c] = L[i, a] - L[i, c]; c = a is left out of every bound
+    diffs = logits[:, :, None] - logits[:, None, :]
+    own = np.eye(k, dtype=bool)
+    lower = np.where(own, np.inf, diffs).min(axis=2).max(axis=0)
+    upper = np.where(own, np.inf, diffs.max(axis=0)).min(axis=1)
+    floor, tol = float(lower.max()), _simplex.FEASIBILITY_TOL  # the best member's gap
     objective = np.zeros(n + 1)
     objective[-1] = 1.0
     # w >= 0 and sum(w) = 1 as three blocks of rows over x = (w, t)
@@ -500,12 +527,18 @@ def optimize_weights(spec: EnsembleSpec) -> tuple[np.ndarray, float]:
     on_simplex[n + 1, :n] = -1.0
     offsets = np.concatenate([np.zeros(n), [1.0, -1.0], np.zeros(k - 1)])
     best = None
-    for a in range(k):
+    for a in np.flatnonzero(upper >= floor - tol).tolist():
         margins = logits[:, [a]] - np.delete(logits, a, axis=1)
         rows = np.column_stack([-margins.T, np.ones(k - 1)])
         res = _simplex.maximize(objective, np.vstack([on_simplex, rows]), offsets)
+        if res.status != _simplex.OPTIMAL or res.value > upper[a] + tol:
+            raise _weight_lp_error(a, res, lower[a], upper[a])
         if best is None or res.value > best.value:
-            best = res
+            best, top = res, a
     weights = np.clip(best.point[:n], 0.0, None)
     weights /= weights.sum()
-    return weights, float(runner_up_gap(weights @ logits))
+    gap = float(runner_up_gap(weights @ logits))
+    if gap < floor - tol:
+        raise _weight_lp_error(top, best, lower[top], upper[top],
+                               f", and its weights give the gap {gap!r}, below {floor!r}")
+    return weights, gap

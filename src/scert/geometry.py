@@ -134,6 +134,16 @@ class FinitePoints(ConvexBody):
             raise ValueError("points must be finite")
         object.__setattr__(self, "points", freeze(pts))
 
+    @classmethod
+    def _checked(cls, points: np.ndarray) -> "FinitePoints":
+        """A body of a fresh (n, d) float array of points already known to be
+        finite (a subset or the negation of a body's points): made read-only
+        in place, with no check and no copy."""
+        points.flags.writeable = False
+        body = object.__new__(cls)
+        object.__setattr__(body, "points", points)
+        return body
+
     @property
     def dim(self) -> int:
         return self.points.shape[1]
@@ -157,7 +167,7 @@ class FinitePoints(ConvexBody):
     @functools.cached_property
     def _negated(self) -> "FinitePoints":
         """-S, one body per S, so that its hull is computed once."""
-        return FinitePoints(-self.points)
+        return FinitePoints._checked(-self.points)
 
     def scale(self, alpha: float) -> "FinitePoints":
         return FinitePoints(alpha * self.points)
@@ -527,12 +537,12 @@ def _merge_2d(p: np.ndarray, q: np.ndarray) -> FinitePoints:
         i, j = (i, j + 1) if from_q else (i + 1, j)
         a, b = p[i % len(p)], q[j % len(q)]
         vertices.append([a[0] + b[0], a[1] + b[1]])  # the last is the first again
-    return _own_hull(np.asarray(_monotone_chain(vertices), dtype=float))
+    # a sum of finite points can overflow, so this body is checked
+    return _own_hull(FinitePoints(_monotone_chain(vertices)))
 
 
-def _own_hull(points: np.ndarray) -> FinitePoints:
-    """A body of extreme points, marked as its own hull."""
-    body = FinitePoints(points)
+def _own_hull(body: FinitePoints) -> FinitePoints:
+    """The body, marked as its own hull: its points are all extreme."""
     body.__dict__["_hull"] = body
     return body
 
@@ -607,11 +617,11 @@ def _prune(body: FinitePoints) -> FinitePoints:
     if pts.shape[0] == 1:
         return body
     if body.dim == 1:
-        return _own_hull(np.array([[pts[:, 0].min()], [pts[:, 0].max()]]))
+        return _own_hull(FinitePoints._checked(np.array([[pts[:, 0].min()], [pts[:, 0].max()]])))
     if body.dim == 2:
-        return _own_hull(_hull_2d(pts))
+        return _own_hull(FinitePoints._checked(_hull_2d(pts)))
     pts = np.unique(pts, axis=0)
-    return FinitePoints(_prune_3d(pts) if body.dim == 3 else pts)
+    return FinitePoints._checked(_prune_3d(pts) if body.dim == 3 else pts)
 
 
 def to_finite_points(body: ConvexBody) -> np.ndarray:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scert import _simplex
 from scert.certificates import ClassDiff, ClassifierAtPoint, ClassWise, Uniform
 from scert.geometry import Ellipsoid, FinitePoints, LpBall, dual_exponent
 
@@ -91,6 +92,32 @@ def best_gap_by_vertices(logits) -> float:
     weights = weights[np.all(weights >= -1e-12, axis=1)]
     ordered = np.sort(weights @ logits, axis=1)
     return float(np.max(ordered[:, -1] - ordered[:, -2]))
+
+
+def reference_optimize_weights(logits) -> tuple[np.ndarray, float]:
+    """`optimize_weights` solving the LP of every class, in class order, and
+    keeping the first best by strict `>` (the reference that skipping the
+    classes that cannot win must match bit for bit)."""
+    logits = np.asarray(logits, dtype=float)
+    n, k = logits.shape
+    objective = np.zeros(n + 1)
+    objective[-1] = 1.0
+    on_simplex = np.zeros((n + 2, n + 1))
+    on_simplex[:n, :n] = -np.eye(n)
+    on_simplex[n, :n] = 1.0
+    on_simplex[n + 1, :n] = -1.0
+    offsets = np.concatenate([np.zeros(n), [1.0, -1.0], np.zeros(k - 1)])
+    best = None
+    for a in range(k):
+        margins = logits[:, [a]] - np.delete(logits, a, axis=1)
+        rows = np.column_stack([-margins.T, np.ones(k - 1)])
+        res = _simplex.maximize(objective, np.vstack([on_simplex, rows]), offsets)
+        if best is None or res.value > best.value:
+            best = res
+    weights = np.clip(best.point[:n], 0.0, None)
+    weights /= weights.sum()
+    ordered = np.sort(weights @ logits)
+    return weights, float(ordered[-1] - ordered[-2])
 
 
 def reference_clip(polygon: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:

@@ -16,8 +16,10 @@ from conftest import (
     exact_top,
     first_switch_alpha,
     reference_extent,
+    reference_optimize_weights,
     unit_directions,
 )
+from scert import _simplex
 from scert.certificates import (
     Certificate,
     ClassDiff,
@@ -35,6 +37,7 @@ from scert.ensemble import (
     GAP_TOL,
     EnsembleSpec,
     PreconditionError,
+    WeightLPError,
     _cert_regime_balls,
     _pair_radii,
     _reference_norm,
@@ -800,6 +803,89 @@ class TestOptimizeWeights:
         assert abs(value - best_gap_by_vertices(logits)) <= 1e-9
         r_best = float(runner_up_gap(logits).max())
         assert value <= gap_gain_bound(r_best, logits.shape[1]) + 1e-12
+
+    @staticmethod
+    def _test_logits(rng, kind, n, k):
+        if kind == "dirichlet":
+            return rng.dirichlet(np.ones(k), size=n)
+        if kind == "counts":
+            counts = rng.integers(0, 5, size=(n, k)).astype(float)
+            counts[counts.sum(axis=1) == 0.0] = 1.0
+            return counts / counts.sum(axis=1, keepdims=True)
+        logits = rng.dirichlet(np.ones(k), size=n)
+        if kind == "duplicated":
+            logits[-1] = logits[0]
+        else:  # tied: the first member ties its top two classes
+            top = np.argsort(logits[0])[-2:]
+            logits[0, top] = logits[0, top].mean()
+        return logits
+
+    def test_skipping_classes_changes_no_bit(self, monkeypatch):
+        # only classes whose ceiling min_c max_i (L[i, a] - L[i, c]) reaches
+        # the best member's gap are solved, and the answer is the one solving
+        # every class gives
+        rng = np.random.default_rng(16)
+        cases = [(kind, n, k) for kind in ("dirichlet", "counts", "duplicated", "tied")
+                 for n in range(2, 6) for k in range(2, 7)]
+        solved = []
+        maximize = _simplex.maximize
+        monkeypatch.setattr(_simplex, "maximize",
+                            lambda *args: solved.append(1) or maximize(*args))
+        total = lp_total = 0
+        for kind, n, k in cases * 4:
+            logits = self._test_logits(rng, kind, n, k)
+            spec = EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits))
+            solved.clear()
+            weights, value = optimize_weights(spec)
+            lp_count = len(solved)
+            expected_weights, expected = reference_optimize_weights(logits)
+            assert weights.tobytes() == expected_weights.tobytes()
+            assert value == expected
+            r_best = float(runner_up_gap(logits).max())
+            ceilings = [min(max(row[a] - row[c] for row in logits) for c in range(k) if c != a)
+                        for a in range(k)]
+            assert lp_count == sum(ceiling >= r_best - 1e-9 for ceiling in ceilings)
+            total, lp_total = total + k, lp_total + lp_count
+        assert lp_total < 0.5 * total
+
+    @pytest.mark.parametrize("second", [
+        [0.5, 0.0, 0.5, 0.0, 0.0],  # the class-4 LP reports 1.4999999
+        [0.0, 0.0, 0.5, 0.0, 0.5],  # the class-4 LP reports unbounded
+    ])
+    def test_a_wrong_class_lp_raises(self, second):
+        # the best member's gap is 0.99999960000008, the class-4 LP's optimum
+        # (scipy); solving every class returned a gap of 0.0 on the first
+        # input and died with TypeError on the second
+        logits = [[0.0, 0.2678741658722593, 0.2440419447092469, 0.4880838894184938, 0.0],
+                  second,
+                  [0.5, 0.0, 0.0, 0.5, 0.0],
+                  [0.0, 0.0, 0.0, 0.5, 0.5],
+                  [0.0, 0.0, 0.0, 1.9999996000000803e-07, 0.9999998000000401]]
+        spec = EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits))
+        with pytest.raises(WeightLPError, match="class 4"):
+            optimize_weights(spec)
+
+    def test_weights_renormalized_onto_the_optimum_are_kept(self):
+        # draw (4, 810) of criterion 6 (seed 7): the class-3 LP reports
+        # 0.7365343 at weights summing to 0.99988, below the best member's gap
+        # 0.73657506; renormalized, those weights are the best member alone
+        logits = np.array([
+            [0.07315221465458084, 0.14171762371460034, 0.7235589147447342, 0.06157124688608458],
+            [0.08616956819768419, 0.07270432958599563, 0.1309216184373643, 0.7102044837789558],
+            [0.03686515283110442, 0.03215123338010883, 0.09720427624385862, 0.8337793375449281],
+            [0.026152140236205285, 0.5173253782232933, 0.17193342910946496, 0.28458905243103655]])
+        weights, value = optimize_weights(EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits)))
+        assert np.array_equal(weights, [0.0, 0.0, 1.0, 0.0])
+        assert value == runner_up_gap(logits[2]) == best_gap_by_vertices(logits)
+
+    def test_an_answer_below_the_best_member_raises(self, monkeypatch):
+        # only class 0 can reach the best member's gap 0.6; an "optimal" LP
+        # answer at equal weights, whose gap is 0.1, must not reach the caller
+        monkeypatch.setattr(_simplex, "maximize", lambda *args: _simplex.SimplexResult(
+            _simplex.OPTIMAL, 0.5, np.array([0.5, 0.5, 0.5])))
+        spec = EnsembleSpec((ClassifierAtPoint([0.8, 0.2]), ClassifierAtPoint([0.3, 0.7])))
+        with pytest.raises(WeightLPError, match="class 0 .* below 0.6"):
+            optimize_weights(spec)
 
 
 class TestRegimeCrossValidation:

@@ -95,6 +95,20 @@ class TestNegateScale:
             assert support(negate(body), d) == support(body, -d)
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_bodies_built_inside_stay_read_only(self, rng, dim):
+        # hulls and negations skip the finiteness check and the copy; sums keep
+        # the check, since a sum of finite points can overflow
+        body = FinitePoints(rng.standard_normal((12, dim)))
+        for built in (hull_prune(body), negate(body), minkowski_sum(body, negate(body))):
+            assert not built.points.flags.writeable
+            assert np.all(np.isfinite(built.points))
+        big = np.zeros((2, dim))
+        big[:, 0] = 1e308
+        big[1, -1] += 1.0
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            minkowski_sum(FinitePoints(big), FinitePoints(big))
+
 class TestMinkowskiSum:
     def test_singleton_difference(self):
         out = minkowski_sum(FinitePoints([[2.0, 1.0]]), negate(FinitePoints([[0.5, 3.0]])))

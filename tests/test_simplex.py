@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import vertex_enum_max
-from scert._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize
+from scert import _simplex
+from scert._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _solve, maximize
 
 
 class TestBasics:
@@ -190,6 +191,82 @@ class TestBatchedPlanarPath:
         b = np.array([-1.0, 0.0, 1.0])  # x <= -1 and x >= 0
         assert [r.status for r in maximize(np.eye(2), A, b)] == [INFEASIBLE]
 
+
+def _random_3d_regions(seed: int, count: int):
+    """3D regions with negative offsets, so phase 1 runs: bounded, empty and
+    unbounded ones, each with a stack of objectives."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(1, 12))
+        yield (rng.standard_normal((int(rng.integers(1, 6)), 3)),
+               rng.standard_normal((m, 3)), rng.uniform(-1.0, 2.0, size=m))
+
+
+class TestStackedSimplex:
+    """A stack of objectives in d != 2 runs phase 1 once and starts every
+    objective from its tableau; each result must be the one-objective
+    simplex's, bit for bit."""
+
+    def test_stack_equals_one_solve_per_objective(self):
+        statuses = {OPTIMAL: 0, UNBOUNDED: 0, INFEASIBLE: 0}
+        for objectives, A, b in _random_3d_regions(16, 300):
+            batch = maximize(objectives, A, b)
+            singles = [_solve(c, A, b) for c in objectives]
+            if singles[0].status == INFEASIBLE:
+                singles = singles[:1]
+            assert len(batch) == len(singles)
+            for res, ref in zip(batch, singles):
+                assert (res.status, res.value) == (ref.status, ref.value)
+                assert (res.point is None) == (ref.point is None)
+                if ref.point is not None:
+                    assert res.point.tobytes() == ref.point.tobytes()
+                statuses[res.status] += 1
+        assert min(statuses.values()) > 0
+
+    def test_phase1_runs_once_per_batch(self, monkeypatch):
+        runs = []
+        phase1 = _simplex._phase1
+        monkeypatch.setattr(_simplex, "_phase1", lambda A, b: runs.append(1) or phase1(A, b))
+        for objectives, A, b in _random_3d_regions(17, 50):
+            runs.clear()
+            maximize(objectives, A, b)
+            assert len(runs) == 1
+            runs.clear()
+            maximize(objectives[0], A, b)
+            assert len(runs) == 1
+
+
+def _weight_lp(margin_rows):
+    """The class LP of `optimize_weights` over five members and five classes:
+    x = (w, t), w >= 0, sum(w) = 1 and one row per other class."""
+    on_simplex = np.vstack([-np.eye(5), np.ones(5), -np.ones(5)])
+    A = np.vstack([np.column_stack([on_simplex, np.zeros(7)]), margin_rows])
+    b = np.concatenate([np.zeros(5), [1.0, -1.0], np.zeros(4)])
+    return np.eye(6)[5], A, b
+
+
+@pytest.mark.xfail(strict=True, reason="the dense simplex misreports a near-degenerate "
+                   "weight LP (too high, or unbounded)")
+@pytest.mark.parametrize("margin_rows", [
+    # reported optimal at 1.4999999
+    [[-0.0, 0.5, 0.5, -0.5, -0.9999998000000401, 1.0],
+     [0.2678741658722593, -0.0, -0.0, -0.5, -0.9999998000000401, 1.0],
+     [0.2440419447092469, 0.5, -0.0, -0.5, -0.9999998000000401, 1.0],
+     [0.4880838894184938, -0.0, 0.5, -0.0, -0.99999960000008, 1.0]],
+    # reported unbounded
+    [[-0.0, -0.5, 0.5, -0.5, -0.9999998000000401, 1.0],
+     [0.2678741658722593, -0.5, -0.0, -0.5, -0.9999998000000401, 1.0],
+     [0.2440419447092469, -0.0, -0.0, -0.5, -0.9999998000000401, 1.0],
+     [0.4880838894184938, -0.5, 0.5, -0.0, -0.99999960000008, 1.0]],
+], ids=["too_high", "unbounded"])
+def test_near_degenerate_weight_lp(margin_rows):
+    # the class-4 LPs of the two inputs that tests/test_ensemble.py pins in
+    # TestOptimizeWeights::test_a_wrong_class_lp_raises; scipy's optimum of
+    # both is 0.99999960000008, at w = e_5
+    objective, A, b = _weight_lp(np.array(margin_rows))
+    res = maximize(objective, A, b)
+    assert res.status == OPTIMAL
+    assert abs(res.value - 0.99999960000008) <= 1e-9
 
 @pytest.mark.xfail(strict=True, reason="the dense simplex reports a finite optimum on a "
                    "near-degenerate region that is unbounded")
