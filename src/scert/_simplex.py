@@ -36,6 +36,7 @@ VERTEX_TOL = 1e-12
 # region whose rows are all parallel goes to the simplex.  It is below
 # VERTEX_TOL, so the direction along such a pair still counts as a ray.
 PARALLEL_TOL = 1e-13
+RATIO_TIE_TOL = 1e-12  # ratios this close to the least tie; Bland's rule breaks the tie
 MAX_ITERATIONS = 10_000
 
 OPTIMAL = "optimal"
@@ -87,7 +88,7 @@ def _run(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
             return UNBOUNDED
         ratios = tableau[rows, -1] / column[rows]
         best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
+        ties = rows[ratios <= best + RATIO_TIE_TOL]
         leaving = ties[np.argmin(basis[ties])]
         _pivot(tableau, basis, leaving, entering)
     raise RuntimeError("simplex did not converge within the iteration cap")

@@ -32,7 +32,7 @@ from .geometry import (
     HalfspaceRegion,
     as_directions,
     as_vector,
-    ball_shape_radius,
+    one_ball_shape,
     one_or_many,
 )
 
@@ -271,10 +271,9 @@ def _realize(mode: str, family: str, dim: int,
 
     ball = None
     region = None
-    keys = {g.shape_key for g, _ in active}
-    if len(keys) == 1 and None not in keys:
+    if one_ball_shape([g for g, _ in active]):
         duals = [geometry.polar_dual_ball(g, r) for g, r in active]
-        ball = min(duals, key=ball_shape_radius)
+        ball = min(duals, key=lambda dual: dual.shape_radius)
     if ball is None:
         try:
             region = functools.reduce(HalfspaceRegion.intersect,
@@ -329,10 +328,9 @@ def lipschitz_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
     s = clf.smoothness
     if s is None or s.mode != mode:
         raise SmoothnessMismatch(_LIPSCHITZ_NEEDS[mode])
-    keys = {b.shape_key for b in s.bodies}
-    if None in keys:
+    if not all(b.centered_ball for b in s.bodies):
         raise SmoothnessMismatch("lipschitz certificates need origin-centered balls")
-    if len(keys) != 1:
+    if not one_ball_shape(s.bodies):
         raise SmoothnessMismatch("class-wise lipschitz balls must share one shape")
     return replace(s_certificate(clf, mode), family="lipschitz")
 

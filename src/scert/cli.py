@@ -46,6 +46,8 @@ from .simulate import DrawRecord, ExperimentConfig, run_experiment
 
 _NORMS = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
 CSV_HEADER = "n,draw,r_bar,r_under,rg_uniform,rg_opt,gap_regime,same_ca,bound,slack"
+FIXTURE_TOL = 1e-9  # fixture checks: largest difference from an expected value
+GRID_BOUNDARY = 1e-7  # grid points this close to the oracle boundary are not compared
 
 
 def _shape_name(body) -> str:
@@ -137,12 +139,12 @@ def _lipschitz_from_problem(member: ClassifierAtPoint, mode: str,
         # class-difference bodies and bodies that are not origin-centered
         # balls are left to lipschitz_certificate's errors
         bodies = () if smoothness.mode == "cd" else smoothness.bodies
-        wanted = ("lp", geometry.dual_exponent(_NORMS[norm]))
-        for key in (body.shape_key for body in bodies):
-            if key is None or key == wanted:
+        wanted = LpBall(geometry.dual_exponent(_NORMS[norm]), 1.0, np.zeros(member.dim))
+        for body in bodies:
+            if not body.centered_ball or body.same_shape(wanted):
                 continue
-            shape = (f"l{key[1]:g} gradient ball (the gradient bound lives in the dual norm)"
-                     if key[0] == "lp" else "ellipsoid smoothness")
+            shape = (f"l{body.p:g} gradient ball (the gradient bound lives in the dual norm)"
+                     if isinstance(body, LpBall) else "ellipsoid smoothness")
             raise SmoothnessMismatch(f"--norm {norm} contradicts the file's {shape}")
     return lipschitz_certificate(member, base_mode)
 
@@ -368,11 +370,11 @@ def _grid_membership_consistent(problem: ProblemFile, tol: float) -> bool:
     rho = sum(2.0 * w * eps * np.sqrt(np.einsum("ij,jk,ik->i", grid, sig, grid))
               for w, eps, sig in zip(weights, radii, sigmas))
     oracle = rho <= r_g + tol
-    mismatch = (cert.contains(grid, tol) != oracle) & (np.abs(rho - r_g) > 1e-7)
+    mismatch = (cert.contains(grid, tol) != oracle) & (np.abs(rho - r_g) > GRID_BOUNDARY)
     return not mismatch.any()
 
 
-def run_fixture_check(check: dict, tol: float = 1e-9) -> tuple[bool, str]:
+def run_fixture_check(check: dict, tol: float = FIXTURE_TOL) -> tuple[bool, str]:
     """Execute one expected-value check; returns (passed, detail)."""
     kind = check["kind"]
     problem = load_fixture(check["fixture"])

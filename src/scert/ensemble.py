@@ -33,10 +33,8 @@ from .certificates import (
 )
 from .geometry import (
     STRICT_MARGIN,
-    ConvexBody,
-    Ellipsoid,
     HalfspaceRegion,
-    ball_shape_radius,
+    one_ball_shape,
     region_exceeds,
     region_minus_subset,
     region_subset,
@@ -143,7 +141,7 @@ class RegimeReport:
 
 
 def _ball_radius(cert: Certificate) -> float:
-    return math.inf if cert.unbounded else ball_shape_radius(cert.ball)
+    return math.inf if cert.unbounded else cert.ball.shape_radius
 
 
 def _verdict(flags: dict, strict_excess, strict_deficit) -> str:
@@ -242,8 +240,8 @@ def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
             member_certs = [s_certificate(m, mode) for m in spec.members]
             q_g = s_certificate(ensemble_classifier(spec), mode)
             certs = member_certs + [q_g]
-            if all(c.ball is not None or c.unbounded for c in certs) and len(
-                    {c.ball.shape_key for c in certs if c.ball is not None}) <= 1:
+            if all(c.ball is not None or c.unbounded for c in certs) and one_ball_shape(
+                    [c.ball for c in certs if c.ball is not None]):
                 cert_regime, evidence = _cert_regime_balls(q_g, member_certs)
             elif all(c.region is not None for c in certs):
                 cert_regime, evidence = _cert_regime_regions(q_g, member_certs)
@@ -341,44 +339,33 @@ class BoundReport:
     inputs: dict
 
 
-def _reference_norm(spec: EnsembleSpec) -> float:
-    """Norm of the first member's first ellipsoid matrix (1 for l_p balls):
-    per-pair radii are expressed in that body's norm.  Members share one
-    smoothness mode, so a first member without smoothness data means none
-    has any."""
-    if spec.members[0].smoothness is None:
-        raise PreconditionError("members carry no smoothness data")
-    ref = spec.members[0].smoothness.bodies[0]
-    return float(np.linalg.norm(ref.sigma)) if isinstance(ref, Ellipsoid) else 1.0
-
-
-def _pair_radii(member: ClassifierAtPoint, top: int, ref_norm: float) -> dict[int, float]:
-    """Ball radii of the difference-smoothness bodies for pairs (i, top);
-    the member has smoothness data (:func:`_reference_norm` checks that).
+def _shared_ball_radii(spec: EnsembleSpec,
+                       two_members: str) -> tuple[int, list[dict[int, float]]]:
+    """The top class and each member's ball radii of the difference-smoothness
+    bodies for the pairs (i, top), after checking the shared-ball
+    preconditions: two members (else PreconditionError(two_members)) with one
+    top class whose smoothness bodies are origin-centered balls of one shape.
 
     An ellipsoid (Sigma, eps) is the same set as (c Sigma, eps / sqrt(c)), so
-    its radius is rescaled to the reference matrix norm as
-    eps * sqrt(|Sigma| / ref_norm); l_p ball radii are taken as they are.
+    every radius is expressed on the first body's matrix norm as
+    eps * sqrt(|Sigma| / |Sigma_ref|); for l_p balls (norm 1) that is eps.
     """
-    def radius(body: ConvexBody) -> float:
-        if isinstance(body, Ellipsoid):
-            return float(body.radius) * math.sqrt(float(np.linalg.norm(body.sigma)) / ref_norm)
-        return float(body.radius)
-
-    terms = member.smoothness.pair_terms(top, member.n_classes)
-    return {i: sum(radius(b) for b in bodies) for i, bodies in terms.items()}
-
-
-def _common_shape_norm(spec: EnsembleSpec) -> float:
-    """The :func:`_reference_norm` of a spec whose smoothness bodies are
-    origin-centered balls of one shape; PreconditionError otherwise."""
-    ref_norm = _reference_norm(spec)
-    keys = {b.shape_key for m in spec.members for b in m.smoothness.bodies}
-    if None in keys:
+    if spec.n_members != 2:
+        raise PreconditionError(two_members)
+    if not spec.same_top:
+        raise PreconditionError("members must share the top prediction")
+    # members share one smoothness mode: if the first has none, none has
+    if spec.members[0].smoothness is None:
+        raise PreconditionError("members carry no smoothness data")
+    bodies = [b for m in spec.members for b in m.smoothness.bodies]
+    if not all(b.centered_ball for b in bodies):
         raise PreconditionError("smoothness bodies must be origin-centered balls")
-    if len(keys) != 1:
+    if not one_ball_shape(bodies):
         raise PreconditionError("smoothness bodies must share one ball shape")
-    return ref_norm
+    top, ref_norm = spec.members[0].top, bodies[0].shape_norm
+    return top, [{i: sum(float(b.radius) * math.sqrt(b.shape_norm / ref_norm) for b in pair)
+                  for i, pair in m.smoothness.pair_terms(top, m.n_classes).items()}
+                 for m in spec.members]
 
 
 def radius_improvement_bound(spec: EnsembleSpec) -> tuple[BoundReport, BoundReport]:
@@ -395,13 +382,7 @@ def radius_improvement_bound(spec: EnsembleSpec) -> tuple[BoundReport, BoundRepo
     M = max(M_1, M_2) ("proof" variant); both are reported because the
     source of the formula disagrees between the two.
     """
-    if spec.n_members != 2:
-        raise PreconditionError("the radius improvement bound is for two members")
-    if not spec.same_top:
-        raise PreconditionError("members must share the top prediction")
-    ref_norm = _common_shape_norm(spec)
-    top = spec.members[0].top
-    eps = [_pair_radii(m, top, ref_norm) for m in spec.members]
+    _, eps = _shared_ball_radii(spec, "the radius improvement bound is for two members")
     if any(v <= 0.0 for table in eps for v in table.values()):
         raise PreconditionError("per-pair smoothness radii must be positive")
     m_values = [min(table.values()) for table in eps]
@@ -422,11 +403,10 @@ def common_shape_radii(spec: EnsembleSpec, alphas: np.ndarray) -> np.ndarray:
 
     For each alpha the certificate radius is
     min_i (alpha gap1_i + (1-alpha) gap2_i) / (alpha eps1_i + (1-alpha) eps2_i).
-    Assumes the preconditions of :func:`radius_improvement_bound`.
+    Needs two members in the shared-ball-shape setting of
+    :func:`radius_improvement_bound` (PreconditionError otherwise).
     """
-    top = spec.members[0].top
-    ref_norm = _reference_norm(spec)
-    eps = [_pair_radii(m, top, ref_norm) for m in spec.members]
+    _, eps = _shared_ball_radii(spec, "the common-shape radii are for two members")
     classes = sorted(eps[0])
     g1 = spec.members[0].gap_vector
     g2 = spec.members[1].gap_vector
@@ -450,15 +430,11 @@ def improvement_conditions(spec: EnsembleSpec) -> bool:
     a margin over the other member's runner-up class after rescaling by the
     smoothness ratio for that class.
     """
-    if spec.n_members != 2:
-        raise PreconditionError("the improvement conditions are for two members")
-    if not spec.same_top:
-        raise PreconditionError("members must share the top prediction")
+    top, (eps_1, eps_2) = _shared_ball_radii(
+        spec, "the improvement conditions are for two members")
     f_1, f_2 = spec.members
     if f_1.runner_up == f_2.runner_up:
         raise PreconditionError("members must have different runner-up predictions")
-    ref_norm = _common_shape_norm(spec)
-    top = f_1.top
     cb_1, cb_2 = f_1.runner_up, f_2.runner_up
     runner_floor = min(f_1.logits[cb_1], f_1.logits[cb_2],
                        f_2.logits[cb_1], f_2.logits[cb_2])
@@ -468,8 +444,6 @@ def improvement_conditions(spec: EnsembleSpec) -> bool:
         if max(f_1.logits[c], f_2.logits[c]) >= runner_floor:
             raise PreconditionError(
                 "classes outside the top-two sets must have low confidences")
-    eps_1 = _pair_radii(f_1, top, ref_norm)
-    eps_2 = _pair_radii(f_2, top, ref_norm)
     lhs_1 = float(f_1.logits[top])
     rhs_1 = float(f_1.logits[cb_2]) + f_2.gap_vector[cb_2] * eps_1[cb_2] / eps_2[cb_2]
     lhs_2 = float(f_2.logits[top])

@@ -27,12 +27,13 @@ Each variant dispatches on itself: it implements ``support(u)`` (a float
 for one direction (d,), an (m,) array for a stack (m, d)),
 ``support_point(u)`` (a point attaining the support), ``negate()``,
 ``scale(alpha)``, ``degenerate`` (the set is {0} up to :data:`NEGLIGIBLE`)
-and ``shape_key`` (the hashable shape of an origin-centered ball, None for
-every other body); the balls add ``shape_radius`` (the radius on that
-normalized shape) and ``polar(r)``.  The free functions below delegate to
-these, and :func:`weighted_sum` folds them into a weighted combination; only
-:func:`minkowski_sum` and :func:`to_finite_points` dispatch on variants, as
-they look at two bodies or a whole combination.
+and ``centered_ball`` (an ellipsoid, or an l_p ball centered exactly at 0);
+the balls add ``same_shape(other)`` (one shape up to size and center),
+``shape_norm`` (the matrix norm, 1 for an l_p ball), ``shape_radius`` (the
+radius on the normalized shape) and ``polar(r)``.  The free functions below
+delegate to these, and :func:`weighted_sum` folds them into a weighted
+combination; only :func:`minkowski_sum` and :func:`to_finite_points`
+dispatch on variants, as they look at two bodies or a whole combination.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ STRICT_MARGIN = 1e-6  # strictness margins for proper-inclusion tests
 NEGLIGIBLE = 1e-15    # lengths, radii and support values treated as zero
 PRUNE_MARGIN = 1e-6   # 3D prune: least barycentric depth, least |det| / extent^3
 FLAT_SINE = 1e-12     # 2D turns with |sin| at most this are collinear
+SHAPE_TOL = 1e-12     # normalized ellipsoid matrices this close are one shape
+SYMMETRY_TOL = 1e-9   # largest asymmetry accepted in an ellipsoid matrix
 MAX_EXPANSION = 10_000   # largest pairwise sum formed; 2D sums merge edges instead
 OCTAGON_MIN_POINTS = 20  # 2D clouds larger than this meet the octagon filter before the chain
 SUPPORT_BLOCK = 1 << 18  # largest (directions x points) block FinitePoints.support forms
@@ -113,7 +116,7 @@ class ConvexBody:
     """Base class of the body variants; the module docstring lists their protocol."""
 
     dim: int
-    shape_key = None
+    centered_ball = False
 
     def support(self, direction):
         raise NotImplementedError
@@ -187,6 +190,7 @@ class LpBall(ConvexBody):
     p: float
     radius: float
     center: np.ndarray
+    shape_norm = 1.0
 
     def __post_init__(self):
         if not (self.p >= 1.0):
@@ -228,9 +232,11 @@ class LpBall(ConvexBody):
         return LpBall(self.p, alpha * self.radius, alpha * self.center)
 
     @property
-    def shape_key(self):
-        """("lp", p) for an origin-centered ball, None for a shifted one."""
-        return ("lp", float(self.p)) if np.all(np.abs(self.center) <= 1e-12) else None
+    def centered_ball(self) -> bool:
+        return not self.center.any()
+
+    def same_shape(self, other: ConvexBody) -> bool:
+        return isinstance(other, LpBall) and other.p == self.p
 
     @property
     def shape_radius(self) -> float:
@@ -238,10 +244,10 @@ class LpBall(ConvexBody):
 
     @property
     def degenerate(self) -> bool:
-        return self.shape_key is not None and self.radius <= NEGLIGIBLE
+        return self.centered_ball and self.radius <= NEGLIGIBLE
 
     def polar(self, r: float):
-        if self.shape_key is None:
+        if not self.centered_ball:
             raise ValueError("polar_dual_ball needs an origin-centered ball")
         if self.radius == 0.0:
             return WholeSpace(self.dim)
@@ -252,12 +258,13 @@ class LpBall(ConvexBody):
 class Ellipsoid(ConvexBody):
     sigma: np.ndarray  # (d, d) symmetric positive definite
     radius: float
+    centered_ball = True
 
     def __post_init__(self):
         s = np.atleast_2d(np.asarray(self.sigma, dtype=float))
         if s.shape[0] != s.shape[1]:
             raise ValueError("sigma must be square")
-        if not np.allclose(s, s.T, atol=1e-9):
+        if not np.allclose(s, s.T, atol=SYMMETRY_TOL):
             raise ValueError("sigma must be symmetric")
         try:
             np.linalg.cholesky(s)
@@ -288,17 +295,19 @@ class Ellipsoid(ConvexBody):
     def scale(self, alpha: float) -> "Ellipsoid":
         return Ellipsoid(self.sigma, alpha * self.radius)
 
-    @property
-    def shape_key(self):
-        """The matrix normalized, so that (Sigma, eps) and (4*Sigma, eps/2)
-        have one shape, and rounded to 10 decimals, so that a shape that went
-        through a matrix inverse (a dual ball) still matches."""
-        norm = float(np.linalg.norm(self.sigma))
-        return ("ellipsoid", tuple(np.round(self.sigma / norm, 10).ravel()))
+    @functools.cached_property
+    def shape_norm(self) -> float:
+        return float(np.linalg.norm(self.sigma))
+
+    def same_shape(self, other: ConvexBody) -> bool:
+        """The matrices agree within SHAPE_TOL once normalized, so that
+        (Sigma, eps) and (4*Sigma, eps/2) are one shape."""
+        return isinstance(other, Ellipsoid) and bool(np.all(
+            np.abs(self.sigma / self.shape_norm - other.sigma / other.shape_norm) <= SHAPE_TOL))
 
     @property
     def shape_radius(self) -> float:
-        return float(self.radius * math.sqrt(float(np.linalg.norm(self.sigma))))
+        return float(self.radius * math.sqrt(self.shape_norm))
 
     @property
     def degenerate(self) -> bool:
@@ -418,16 +427,11 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
         raise ValueError("dimension mismatch in Minkowski sum")
     if isinstance(a, FinitePoints) and isinstance(b, FinitePoints):
         return _sum_points(a, b)
-    if isinstance(a, LpBall) and isinstance(b, LpBall):
-        same_p = (math.isinf(a.p) and math.isinf(b.p)) or abs(a.p - b.p) < 1e-12
-        if same_p:
-            return LpBall(a.p, a.radius + b.radius, a.center + b.center)
-    if isinstance(a, Ellipsoid) and isinstance(b, Ellipsoid):
-        norm_a = float(np.linalg.norm(a.sigma))
-        norm_b = float(np.linalg.norm(b.sigma))
-        if np.allclose(a.sigma / norm_a, b.sigma / norm_b, rtol=0.0, atol=1e-12):
-            # (Sigma, r1) + (c Sigma, r2) = (Sigma, r1 + r2 sqrt(c))
-            return Ellipsoid(a.sigma, a.radius + b.radius * math.sqrt(norm_b / norm_a))
+    if isinstance(a, LpBall) and a.same_shape(b):
+        return LpBall(a.p, a.radius + b.radius, a.center + b.center)
+    if isinstance(a, Ellipsoid) and a.same_shape(b):
+        # (Sigma, r1) + (c Sigma, r2) = (Sigma, r1 + r2 sqrt(c))
+        return Ellipsoid(a.sigma, a.radius + b.radius * math.sqrt(b.shape_norm / a.shape_norm))
     terms = []
     for body in (a, b):
         if isinstance(body, Combination):
@@ -437,14 +441,10 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     return Combination(tuple(terms))
 
 
-def ball_shape_key(body: ConvexBody):
-    """Hashable shape of an origin-centered ball (not of its size); None otherwise."""
-    return body.shape_key
-
-
-def ball_shape_radius(body: ConvexBody) -> float:
-    """Radius on the normalized shape, so that balls with one key compare by it."""
-    return body.shape_radius
+def one_ball_shape(bodies) -> bool:
+    """Whether the bodies are origin-centered balls of one shape: each is
+    centered and has the first one's shape."""
+    return all(b.centered_ball and bodies[0].same_shape(b) for b in bodies)
 
 
 def _chain(seq) -> list:

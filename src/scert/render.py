@@ -18,6 +18,7 @@ from .geometry import HalfspaceRegion
 
 ANGLE_SAMPLES = 256
 DEFAULT_WINDOW = (-3.0, 3.0, -3.0, 3.0)
+CLIP_SLACK = 1e-12  # a vertex this far past a clipping line still counts as inside
 
 _PALETTE = ["#1b6ca8", "#c2571a", "#2a9d4e", "#8a4fae", "#b02e3a", "#6b6461"]
 
@@ -28,7 +29,7 @@ def clip_polygon(polygon: np.ndarray, normal: np.ndarray, offset: float) -> np.n
     if polygon.shape[0] == 0:
         return polygon
     values = polygon @ normal
-    inside = values <= offset + 1e-12
+    inside = values <= offset + CLIP_SLACK
     following = np.roll(polygon, -1, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):  # edges that do not cross
         t = (offset - values) / (np.roll(values, -1) - values)

@@ -39,8 +39,7 @@ from scert.ensemble import (
     PreconditionError,
     WeightLPError,
     _cert_regime_balls,
-    _pair_radii,
-    _reference_norm,
+    _shared_ball_radii,
     classify_regimes,
     common_shape_radii,
     damning_alpha,
@@ -59,8 +58,8 @@ from scert.geometry import (
     Ellipsoid,
     FinitePoints,
     LpBall,
-    ball_shape_key,
     minkowski_sum,
+    one_ball_shape,
     region_subset,
     support,
 )
@@ -564,7 +563,8 @@ class TestSmoothnessDispatch:
         ]
         for smoothness, expected in cases:
             member = ClassifierAtPoint(logits, smoothness)
-            ref_norm = _reference_norm(EnsembleSpec((member, member)))
+            ref = member.smoothness.bodies[0]
+            ref_norm = float(np.linalg.norm(ref.sigma)) if isinstance(ref, Ellipsoid) else 1.0
 
             def rad(body):
                 if isinstance(body, Ellipsoid):
@@ -572,22 +572,39 @@ class TestSmoothnessDispatch:
                         float(np.linalg.norm(body.sigma)) / ref_norm)
                 return float(body.radius)
 
-            assert _pair_radii(member, 0, ref_norm) == expected(rad)
+            top, radii = _shared_ball_radii(EnsembleSpec((member, member)), "")
+            assert top == 0
+            assert radii[0] == radii[1] == expected(rad)
 
 
-class TestBallShapeKey:
+class TestBallShape:
     """(Sigma, eps) and (4 Sigma, eps/2) are one ball shape for every caller."""
 
     SIGMA = np.array([[2.0, 0.3], [0.3, 1.0]])
+    # S and 10 S normalize to matrices 1.1e-16 apart, on either side of a
+    # tenth-decimal rounding boundary
+    S1 = np.array([[1.4851794381732037, 0.19312303916865298],
+                   [0.19312303916865298, 1.02904008280099]])
+    S2 = np.array([[1.3797417069828286, 0.1520940219406201],
+                   [0.1520940219406201, 1.1568355142745779]])
 
     def _bodies(self):
         return Ellipsoid(self.SIGMA, 0.5), Ellipsoid(4.0 * self.SIGMA, 0.25)
 
-    def test_key_ignores_matrix_scale(self):
+    def test_shape_ignores_matrix_scale(self):
         small, large = self._bodies()
-        assert ball_shape_key(small) == ball_shape_key(large)
-        assert ball_shape_key(small) != ball_shape_key(Ellipsoid(np.eye(2), 0.5))
-        assert ball_shape_key(FinitePoints([[1.0, 0.0]])) is None
+        assert one_ball_shape([small, large])
+        assert not one_ball_shape([small, Ellipsoid(np.eye(2), 0.5)])
+        assert not one_ball_shape([small, Ellipsoid(self.SIGMA + 1e-9 * np.eye(2), 0.5)])
+        assert not one_ball_shape([FinitePoints([[1.0, 0.0]])])
+        assert not one_ball_shape([small, FinitePoints([[1.0, 0.0]])])
+
+    def test_shape_ignores_the_center_but_a_ball_off_the_origin_is_not_one(self):
+        centered, shifted = LpBall(2, 1.0, [0.0, 0.0]), LpBall(2, 1.0, [1e-300, 0.0])
+        assert centered.same_shape(shifted) and not shifted.centered_ball
+        assert one_ball_shape([centered, LpBall(2, 3.0, [-0.0, 0.0])])
+        assert not one_ball_shape([centered, shifted])
+        assert not one_ball_shape([centered, LpBall(1, 1.0, [0.0, 0.0])])
 
     def test_class_wise_lipschitz_accepts_the_pair(self):
         small, large = self._bodies()
@@ -596,10 +613,37 @@ class TestBallShapeKey:
             lipschitz_certificate(ClassifierAtPoint(
                 [0.6, 0.4], ClassWise((small, Ellipsoid(np.eye(2), 0.5)))), "cw")
 
-    def test_dual_balls_compared_by_the_regime_share_the_key(self):
+    def test_dual_balls_compared_by_the_regime_share_the_shape(self):
         duals = [s_certificate(ClassifierAtPoint([0.6, 0.4], Uniform(body)), "u").ball
                  for body in self._bodies()]
-        assert ball_shape_key(duals[0]) == ball_shape_key(duals[1])
+        assert one_ball_shape(duals)
+
+    def test_class_wise_certificate_of_one_shape_is_a_ball(self):
+        logits = [0.6, 0.3, 0.1]
+        mixed = ClassifierAtPoint(logits, ClassWise((
+            Ellipsoid(self.S1, 0.5), Ellipsoid(10.0 * self.S1, 0.2 / math.sqrt(10.0)),
+            Ellipsoid(self.S1, 0.3))))
+        plain = ClassifierAtPoint(logits, ClassWise((
+            Ellipsoid(self.S1, 0.5), Ellipsoid(self.S1, 0.2), Ellipsoid(self.S1, 0.3))))
+        cert, reference = s_certificate(mixed, "cw"), s_certificate(plain, "cw")
+        assert cert.kind == reference.kind == "ball"
+        assert reference.radius == pytest.approx(0.428571428571, abs=1e-12)
+        for u in unit_directions(16):
+            assert cert.ball.support(u) == pytest.approx(reference.ball.support(u), rel=1e-12)
+        assert lipschitz_certificate(mixed, "cw").kind == "ball"
+
+    def test_regime_of_one_shape_takes_the_radii(self):
+        first = ClassifierAtPoint([0.6, 0.3, 0.1], Uniform(Ellipsoid(self.S2, 0.5)))
+        report = classify_regimes(EnsembleSpec((first, ClassifierAtPoint(
+            [0.6, 0.1, 0.3], Uniform(Ellipsoid(10.0 * self.S2, 0.5 / math.sqrt(10.0)))))))
+        plain = classify_regimes(EnsembleSpec((first, ClassifierAtPoint(
+            [0.6, 0.1, 0.3], Uniform(Ellipsoid(self.S2, 0.5))))))
+        assert report.evidence["method"] == plain.evidence["method"] == "radii"
+        assert report.cert_regime == plain.cert_regime
+        assert report.evidence["radius_members"] == pytest.approx(
+            (0.3221045891052563, 0.3221045891052563), rel=1e-12)
+        assert report.evidence["radius_members"] == pytest.approx(
+            plain.evidence["radius_members"], rel=1e-12)
 
     def test_minkowski_sum_merges_the_pair(self):
         small, large = self._bodies()
@@ -612,6 +656,13 @@ class TestBallShapeKey:
         # a matrix that is not proportional is not merged into either shape
         tilted = Ellipsoid(self.SIGMA + 1e-9 * np.eye(2), 0.5)
         assert isinstance(minkowski_sum(small, tilted), Combination)
+
+    def test_minkowski_sum_merges_only_one_exponent(self):
+        ball = LpBall(2, 0.5, [0.0, 0.0])
+        merged = minkowski_sum(ball, LpBall(2.0, 0.25, [1.0, 0.0]))
+        assert isinstance(merged, LpBall)
+        assert (merged.p, merged.radius, list(merged.center)) == (2, 0.75, [1.0, 0.0])
+        assert isinstance(minkowski_sum(ball, LpBall(2 + 1e-13, 0.25, [0.0, 0.0])), Combination)
 
     def test_regime_of_the_pair_is_decided_on_the_radii(self):
         small, large = self._bodies()
@@ -696,6 +747,22 @@ class TestRadiusImprovementBound:
         members = (ball_member([0.8, 0.2]), ball_member([0.2, 0.8]))
         with pytest.raises(PreconditionError):
             radius_improvement_bound(EnsembleSpec(members))
+
+    def test_common_shape_radii_check_the_preconditions(self):
+        # at alpha = 0 the ensemble is member 2 alone: certificate radius 0.15
+        # and not the 0.0 that a sweep across different tops would report
+        ball = LpBall(2, 1.0, [0.0, 0.0])
+        tops_differ = EnsembleSpec((ClassifierAtPoint([0.6, 0.3, 0.1], Uniform(ball)),
+                                    ClassifierAtPoint([0.1, 0.3, 0.6], Uniform(ball))))
+        with pytest.raises(PreconditionError, match="members must share the top prediction"):
+            common_shape_radii(tops_differ, np.array([0.0, 0.5, 1.0]))
+        cloud = FinitePoints([[1.0, 0.0], [0.0, 1.0]])
+        clouds = EnsembleSpec((ClassifierAtPoint([0.6, 0.3, 0.1], Uniform(cloud)),
+                               ClassifierAtPoint([0.6, 0.1, 0.3], Uniform(cloud))))
+        with pytest.raises(PreconditionError, match="must be origin-centered balls"):
+            common_shape_radii(clouds, np.array([0.5]))
+        with pytest.raises(PreconditionError, match="common-shape radii are for two members"):
+            common_shape_radii(EnsembleSpec(tops_differ.members[:1] * 3), np.array([0.5]))
 
 
 class TestImprovementConditions:
