@@ -1,21 +1,19 @@
 """Small linear programs: a dense two-phase simplex and an exact 2D path.
 
 Solves   max  c.x   subject to   A x <= b,   x free (unrestricted sign),
-for one objective or for a stack of objectives over the same region.
+for one objective or for a stack of objectives over the same region; one
+objective is a stack of one, so the method depends on the region alone.
 
-Free variables are split as x = u - v with u, v >= 0 and slack variables
-turn the inequalities into equalities.  Rows with negative right-hand side
-receive an artificial variable and a phase-1 feasibility problem is solved
-first.  Pivoting uses Bland's rule (lowest eligible index enters, lowest
-basis index leaves on ratio ties), which precludes cycling.
-
-The problems handled here are tiny (a handful of variables, tens of rows),
-so a dense tableau is the right tool.  A stack of objectives over a region
-of the plane whose nonzero rows span it is answered instead from the
-region's vertices and extreme rays, computed once.  Any other stack builds
-the tableau and runs phase 1 once; each objective then runs phase 2 from a
-copy of that tableau and basis, so it takes the pivots a one-objective call
-takes.  The one-objective simplex is the reference for both stack paths.
+A region of the plane whose nonzero rows span it is answered from its
+vertices and extreme rays, computed once.  Any other region goes to the
+simplex: free variables are split as x = u - v with u, v >= 0 and slack
+variables turn the inequalities into equalities.  Rows with negative
+right-hand side receive an artificial variable, and a phase-1 feasibility
+problem is solved once per region; each objective then runs phase 2 from a
+copy of that tableau and basis.  Pivoting uses Bland's rule (lowest eligible
+index enters, lowest basis index leaves on ratio ties), which precludes
+cycling.  The problems handled here are tiny (a handful of variables, tens
+of rows), so a dense tableau is the right tool.
 """
 
 from __future__ import annotations
@@ -163,18 +161,10 @@ def _phase2(objective: np.ndarray, tableau: np.ndarray, basis: np.ndarray,
     return SimplexResult(OPTIMAL, float(objective @ x), x)
 
 
-def _solve(objective: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
-    """Maximize objective.x over {x : A x <= b} with x free, by the simplex."""
-    start = _phase1(A, b)
-    if start is None:
-        return SimplexResult(INFEASIBLE)
-    return _phase2(objective, *start)
-
-
 def _solve_stack(objectives: np.ndarray, A: np.ndarray, b: np.ndarray):
     """Results of each objective by the simplex, lazily.  Phase 1 runs once;
-    each objective starts from a copy of its tableau and basis, so it takes
-    the pivots `_solve` would take."""
+    each objective starts from a copy of its tableau and basis, so its
+    pivots do not depend on the other objectives."""
     start = _phase1(A, b)
     if start is None:
         yield SimplexResult(INFEASIBLE)
@@ -242,30 +232,30 @@ def _polygon_results(objectives: np.ndarray, vertices: np.ndarray, rays: np.ndar
 def maximize(objectives, A, b, limits=None):
     """Maximize objective.x over {x : A x <= b} with x free.
 
-    A single objective (shape (n,)) is solved by the simplex and gives one
-    :class:`SimplexResult`.  A stack of objectives (shape (k, n)) gives a list
-    of results in order.  The list stops after the first result that is
-    infeasible or exceeds its entry of `limits` (see
+    A single objective (shape (n,)) gives one :class:`SimplexResult`, the
+    result of it as a stack of one.  A stack of objectives (shape (k, n))
+    gives a list of results in order.  The list stops after the first
+    result that is infeasible or exceeds its entry of `limits` (see
     :meth:`SimplexResult.exceeds`); without limits it stops only on an
     infeasible region.  In the plane, when the nonzero rows span it, the
     stack is answered from the region's vertices and extreme rays; otherwise
-    the simplex solves one objective at a time.
+    the simplex solves one objective at a time after one phase 1.
     """
     objectives = np.asarray(objectives, dtype=float)
-    A = np.asarray(A, dtype=float).reshape(-1, objectives.shape[-1])
+    single = objectives.ndim == 1
+    stack = objectives.reshape(-1, objectives.shape[-1])
+    A = np.asarray(A, dtype=float).reshape(-1, stack.shape[1])
     b = np.asarray(b, dtype=float).reshape(-1)
-    if objectives.ndim == 1:
-        return _solve(objectives, A, b)
-    if limits is None:
-        limits = np.full(objectives.shape[0], math.inf)
     polygon = _polygon(A, b) if A.shape[1] == 2 else None
     if polygon is not None:
-        candidates = _polygon_results(objectives, *polygon)
+        candidates = _polygon_results(stack, *polygon)
     else:
-        candidates = _solve_stack(objectives, A, b)
+        candidates = _solve_stack(stack, A, b)
+    if limits is None:
+        limits = [math.inf] * len(stack)
     results = []
     for res, limit in zip(candidates, limits):
         results.append(res)
         if res.status == INFEASIBLE or res.exceeds(limit):
             break
-    return results
+    return results[0] if single else results

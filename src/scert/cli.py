@@ -115,10 +115,13 @@ def _parse_weights(text: str | None):
         _fail(2, f"error: bad --weights value: {text!r}")
 
 
-def _lipschitz_from_problem(member: ClassifierAtPoint, mode: str,
-                            norm: str | None) -> Certificate:
-    """Build a Lipschitz certificate, deriving constants from gradient clouds
-    when the smoothness bodies are point sets."""
+def _certificate_from_problem(member: ClassifierAtPoint, mode: str,
+                              norm: str | None) -> Certificate:
+    """The certificate a mode names: an S-certificate for u/cw/cd, else a
+    Lipschitz certificate, deriving constants from gradient clouds when the
+    smoothness bodies are point sets."""
+    if not mode.startswith("lipschitz-"):
+        return s_certificate(member, mode)
     smoothness = member.smoothness
     base_mode = mode.removeprefix("lipschitz-")
     if smoothness is None:
@@ -155,10 +158,7 @@ def cmd_certify(args) -> int:
         _fail(3, "error: the file describes an ensemble; use `scert ensemble`")
     member = problem.classifier()
     c_a, c_b, r = gaps(member.logits)
-    if args.mode.startswith("lipschitz-"):
-        cert = _lipschitz_from_problem(member, args.mode, args.norm)
-    else:
-        cert = s_certificate(member, args.mode)
+    cert = _certificate_from_problem(member, args.mode, args.norm)
     print(f"top class: {c_a} (runner-up: {c_b})")
     print("gaps:", " ".join(f"{v:.9g}" for v in r))
     for line in describe_certificate(cert):
@@ -380,11 +380,7 @@ def run_fixture_check(check: dict, tol: float = FIXTURE_TOL) -> tuple[bool, str]
     problem = load_fixture(check["fixture"])
     if kind == "certify":
         member = problem.classifier()
-        mode = check["mode"]
-        if mode.startswith("lipschitz-"):
-            cert = _lipschitz_from_problem(member, mode, check.get("norm"))
-        else:
-            cert = s_certificate(member, mode)
+        cert = _certificate_from_problem(member, check["mode"], check.get("norm"))
         if "radius" in check:
             actual = cert.radius
             ok = actual is not None and abs(actual - check["radius"]) <= tol
@@ -404,7 +400,7 @@ def run_fixture_check(check: dict, tol: float = FIXTURE_TOL) -> tuple[bool, str]
         return False, "check carries no expectation"
     if kind == "strict_subsumes":
         member = problem.classifier()
-        lip = _lipschitz_from_problem(member, "lipschitz-u", check.get("norm"))
+        lip = _certificate_from_problem(member, "lipschitz-u", check.get("norm"))
         s_cert = s_certificate(member, "u")
         ball = lip.ball
         box = geometry.HalfspaceRegion(

@@ -344,7 +344,8 @@ def _shared_ball_radii(spec: EnsembleSpec,
     """The top class and each member's ball radii of the difference-smoothness
     bodies for the pairs (i, top), after checking the shared-ball
     preconditions: two members (else PreconditionError(two_members)) with one
-    top class whose smoothness bodies are origin-centered balls of one shape.
+    top class whose smoothness bodies are origin-centered balls of one shape,
+    and every per-pair radius positive.
 
     An ellipsoid (Sigma, eps) is the same set as (c Sigma, eps / sqrt(c)), so
     every radius is expressed on the first body's matrix norm as
@@ -363,9 +364,12 @@ def _shared_ball_radii(spec: EnsembleSpec,
     if not one_ball_shape(bodies):
         raise PreconditionError("smoothness bodies must share one ball shape")
     top, ref_norm = spec.members[0].top, bodies[0].shape_norm
-    return top, [{i: sum(float(b.radius) * math.sqrt(b.shape_norm / ref_norm) for b in pair)
-                  for i, pair in m.smoothness.pair_terms(top, m.n_classes).items()}
-                 for m in spec.members]
+    eps = [{i: sum(float(b.radius) * math.sqrt(b.shape_norm / ref_norm) for b in pair)
+            for i, pair in m.smoothness.pair_terms(top, m.n_classes).items()}
+           for m in spec.members]
+    if any(v <= 0.0 for table in eps for v in table.values()):
+        raise PreconditionError("per-pair smoothness radii must be positive")
+    return top, eps
 
 
 def radius_improvement_bound(spec: EnsembleSpec) -> tuple[BoundReport, BoundReport]:
@@ -383,8 +387,6 @@ def radius_improvement_bound(spec: EnsembleSpec) -> tuple[BoundReport, BoundRepo
     source of the formula disagrees between the two.
     """
     _, eps = _shared_ball_radii(spec, "the radius improvement bound is for two members")
-    if any(v <= 0.0 for table in eps for v in table.values()):
-        raise PreconditionError("per-pair smoothness radii must be positive")
     m_values = [min(table.values()) for table in eps]
     delta = max(v - m_k for table, m_k in zip(eps, m_values) for v in table.values())
     min_gap = min(m.gap for m in spec.members)

@@ -20,8 +20,9 @@ Finite point sets are summed through their hulls.  In 2D a step merges the
 edge sequences of the two hulls by angle, forming no pairwise sum; in other
 dimensions it prunes the pairwise sum, capped at :data:`MAX_EXPANSION` points
 (a cap only d >= 3 can reach, as a 1D hull has two points).
-:func:`hull_prune` memoises on the body, a 2D hull or merge result is its own
-hull, and a body keeps its negation, so each 2D cloud is hulled once.
+:func:`hull_prune` memoises on the body, every prune or 2D merge result is
+its own prune, and a body keeps its negation, so no prune result is pruned
+again and each 2D cloud is hulled once.
 
 Each variant dispatches on itself: it implements ``support(u)`` (a float
 for one direction (d,), an (m,) array for a stack (m, d)),
@@ -542,7 +543,8 @@ def _merge_2d(p: np.ndarray, q: np.ndarray) -> FinitePoints:
 
 
 def _own_hull(body: FinitePoints) -> FinitePoints:
-    """The body, marked as its own hull: its points are all extreme."""
+    """The body, marked as its own :func:`hull_prune`: a prune result is not
+    pruned again."""
     body.__dict__["_hull"] = body
     return body
 
@@ -607,7 +609,9 @@ def hull_prune(body: FinitePoints) -> FinitePoints:
     Exact in one and two dimensions (extreme points only; 2D output is in
     counterclockwise order from the lexicographic minimum); in 3D every
     extreme point and possibly others (:func:`_prune_3d`); deduplication
-    only in higher dimension.  Memoised on the body.
+    only in higher dimension.  Memoised on the body, and every result is
+    its own prune: a kept point that is not extreme is a redundant
+    halfspace of the polar region, never a change to it.
     """
     return body._hull
 
@@ -617,11 +621,14 @@ def _prune(body: FinitePoints) -> FinitePoints:
     if pts.shape[0] == 1:
         return body
     if body.dim == 1:
-        return _own_hull(FinitePoints._checked(np.array([[pts[:, 0].min()], [pts[:, 0].max()]])))
-    if body.dim == 2:
-        return _own_hull(FinitePoints._checked(_hull_2d(pts)))
-    pts = np.unique(pts, axis=0)
-    return FinitePoints._checked(_prune_3d(pts) if body.dim == 3 else pts)
+        pts = np.array([[pts[:, 0].min()], [pts[:, 0].max()]])
+    elif body.dim == 2:
+        pts = _hull_2d(pts)
+    else:
+        pts = np.unique(pts, axis=0)
+        if body.dim == 3:
+            pts = _prune_3d(pts)
+    return _own_hull(FinitePoints._checked(pts))
 
 
 def to_finite_points(body: ConvexBody) -> np.ndarray:
@@ -708,10 +715,12 @@ def polar_dual_ball(body: ConvexBody, r: float) -> ConvexBody | WholeSpace:
 
 
 def lp_maximize(objective, region: HalfspaceRegion) -> SimplexResult:
-    """Exact maximum of objective.delta over the region (or unboundedness).
+    """Maximum of objective.delta over the region (or unboundedness).
 
-    Two-phase dense simplex with Bland's anti-cycling rule; an infeasible
-    region is reported distinctly (it cannot arise from polar constructions).
+    The query of :func:`region_support` for one direction, so it takes the
+    same path: a 2D region whose rows span the plane is answered from its
+    vertices and rays, any other by the simplex.  An infeasible region is
+    reported distinctly (it cannot arise from polar constructions).
     """
     return _simplex.maximize(as_vector(objective, region.dim), region.normals, region.offsets)
 

@@ -764,6 +764,21 @@ class TestRadiusImprovementBound:
         with pytest.raises(PreconditionError, match="common-shape radii are for two members"):
             common_shape_radii(EnsembleSpec(tops_differ.members[:1] * 3), np.array([0.5]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("query", [
+        radius_improvement_bound,
+        improvement_conditions,
+        lambda spec: common_shape_radii(spec, np.array([0.0, 0.5, 1.0])),
+    ], ids=["bound", "conditions", "radii"])
+    def test_zero_radii_rejected(self, query):
+        # zero-radius balls: the conditions divided 0 by 0 and the radii
+        # divided by zero, where the bound raised
+        ball = LpBall(2, 0.0, [0.0, 0.0])
+        spec = EnsembleSpec((ClassifierAtPoint([0.6, 0.3, 0.1], Uniform(ball)),
+                             ClassifierAtPoint([0.6, 0.1, 0.3], Uniform(ball))))
+        with pytest.raises(PreconditionError, match="per-pair smoothness radii must be positive"):
+            query(spec)
+
 
 class TestImprovementConditions:
     def _instance(self, swap=False, third=0.02):

@@ -188,6 +188,11 @@ class TestHullPrune:
         scaled = hull_prune(FinitePoints(2.0 ** k * cloud)).points
         assert np.array_equal(scaled, 2.0 ** k * hull)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_a_prune_is_its_own_prune(self, dim):
+        body = FinitePoints(np.random.default_rng(dim).standard_normal((40, dim)))
+        assert hull_prune(hull_prune(body)) is hull_prune(body)
+
     def test_one_dimensional_prune(self):
         out = hull_prune(FinitePoints([[0.3], [-1.0], [0.9], [0.0]]))
         assert sorted(map(tuple, out.points)) == [(-1.0,), (0.9,)]
@@ -446,6 +451,21 @@ class TestHullPrune3D:
         cloud = np.vstack([inputs["sum-of-two-s-minus-s"], inputs["sphere-and-shrunk-copy"]])
         kept = hull_prune(FinitePoints(cloud)).points
         assert np.array_equal(hull_prune(FinitePoints(2.0 ** k * cloud)).points, 2.0 ** k * kept)
+
+    @pytest.mark.parametrize("mode, bodies", [("u", 3), ("cw", 5)])
+    def test_s_certificate_prunes_each_body_once(self, monkeypatch, mode, bodies):
+        # u: S, -S and S (+) -S; cw: the two other classes, -G_top and the
+        # two sums; polar_hrep takes each sum as its Minkowski step left it
+        inputs = []
+        prune_3d = geo._prune_3d
+        monkeypatch.setattr(geo, "_prune_3d",
+                            lambda pts: inputs.append(pts.tobytes()) or prune_3d(pts))
+        grads = np.random.default_rng(35).standard_normal((12, 3, 3))
+        smoothness = (Uniform(FinitePoints(grads[:, 0])) if mode == "u"
+                      else ClassWise(tuple(FinitePoints(grads[:, i]) for i in range(3))))
+        clf = ClassifierAtPoint([0.6, 0.3, 0.1], smoothness)
+        assert s_certificate(clf, mode).region is not None
+        assert len(inputs) == len(set(inputs)) == bodies
 
     def test_memory_is_bounded(self):
         cloud = FinitePoints(np.random.default_rng(34).standard_normal((10_000, 3)))

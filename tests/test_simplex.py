@@ -1,5 +1,5 @@
-"""The dense simplex against a vertex-enumeration oracle and edge cases, and
-the batched 2D path against the simplex."""
+"""The LP paths against a vertex-enumeration oracle, scipy and edge cases,
+the batched 2D path against the simplex, and one objective as a stack of one."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,19 @@ from hypothesis import strategies as st
 
 from conftest import vertex_enum_max
 from scert import _simplex
-from scert._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _solve, maximize
+from scert._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _solve_stack, maximize
+from scert.geometry import HalfspaceRegion, lp_maximize
+
+
+def simplex_alone(objective, A, b):
+    """The simplex's result for one objective, whatever the region."""
+    return next(_solve_stack(objective[None, :], A, b))
+
+
+# every oracle test runs on the public call and on the simplex itself, which
+# the public call bypasses for 2D regions whose rows span the plane
+both_paths = pytest.mark.parametrize("solve", [maximize, simplex_alone],
+                                     ids=["maximize", "simplex"])
 
 
 class TestBasics:
@@ -55,7 +67,8 @@ class TestBasics:
 
 
 class TestAgainstVertexEnumeration:
-    def test_random_bounded_regions(self):
+    @both_paths
+    def test_random_bounded_regions(self, solve):
         rng = np.random.default_rng(7)
         box = np.vstack([np.eye(2), -np.eye(2)])
         for _ in range(300):
@@ -64,7 +77,7 @@ class TestAgainstVertexEnumeration:
             offsets = np.concatenate([rng.uniform(0.2, 2.0, size=m),
                                       np.full(4, 5.0)])
             objective = rng.standard_normal(2)
-            res = maximize(objective, normals, offsets)
+            res = solve(objective, normals, offsets)
             assert res.status == OPTIMAL
             expected = vertex_enum_max(objective, normals, offsets)
             assert abs(res.value - expected) <= 1e-9
@@ -75,7 +88,8 @@ class TestAgainstScipy:
     """Cross-check against an external solver when one is installed,
     exercising the phase-1 path with negative right-hand sides."""
 
-    def test_random_general_problems(self):
+    @both_paths
+    def test_random_general_problems(self, solve):
         linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(17)
         statuses = {OPTIMAL: 0, UNBOUNDED: 0, INFEASIBLE: 0}
@@ -85,7 +99,7 @@ class TestAgainstScipy:
             normals = rng.standard_normal((m, n))
             offsets = rng.uniform(-1.0, 2.0, size=m)
             objective = rng.standard_normal(n)
-            res = maximize(objective, normals, offsets)
+            res = solve(objective, normals, offsets)
             ref = linprog(-objective, A_ub=normals, b_ub=offsets,
                           bounds=[(None, None)] * n, method="highs")
             if ref.status == 2:
@@ -133,7 +147,7 @@ def planar_regions(draw):
 
 class TestBatchedPlanarPath:
     """The batched call answers 2D regions from their vertices and rays; the
-    per-objective simplex is the reference it must agree with."""
+    simplex is the reference it must agree with."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(planar_regions())
@@ -142,7 +156,7 @@ class TestBatchedPlanarPath:
         batch = maximize(objectives, A, b)
         assert len(batch) == len(objectives) or [r.status for r in batch] == [INFEASIBLE]
         for objective, res in zip(objectives, batch):
-            ref = maximize(objective, A, b)
+            ref = simplex_alone(objective, A, b)
             assert res.status == ref.status
             if ref.status == OPTIMAL:
                 assert abs(res.value - ref.value) <= 1e-7 * max(1.0, abs(ref.value))
@@ -167,7 +181,7 @@ class TestBatchedPlanarPath:
     ])
     def test_far_vertex_of_a_thin_sliver(self, A, b, objective, expected):
         A, b, objective = np.array(A), np.array(b), np.array(objective)
-        ref = maximize(objective, A, b)
+        ref = simplex_alone(objective, A, b)
         (res,) = maximize(objective[None, :], A, b)
         assert ref.status == res.status == OPTIMAL
         assert ref.value == pytest.approx(expected, rel=1e-6)
@@ -204,14 +218,14 @@ def _random_3d_regions(seed: int, count: int):
 
 class TestStackedSimplex:
     """A stack of objectives in d != 2 runs phase 1 once and starts every
-    objective from its tableau; each result must be the one-objective
-    simplex's, bit for bit."""
+    objective from its tableau; each result must be the simplex's for that
+    objective alone, bit for bit."""
 
     def test_stack_equals_one_solve_per_objective(self):
         statuses = {OPTIMAL: 0, UNBOUNDED: 0, INFEASIBLE: 0}
         for objectives, A, b in _random_3d_regions(16, 300):
             batch = maximize(objectives, A, b)
-            singles = [_solve(c, A, b) for c in objectives]
+            singles = [simplex_alone(c, A, b) for c in objectives]
             if singles[0].status == INFEASIBLE:
                 singles = singles[:1]
             assert len(batch) == len(singles)
@@ -268,9 +282,7 @@ def test_near_degenerate_weight_lp(margin_rows):
     assert res.status == OPTIMAL
     assert abs(res.value - 0.99999960000008) <= 1e-9
 
-@pytest.mark.xfail(strict=True, reason="the dense simplex reports a finite optimum on a "
-                   "near-degenerate region that is unbounded")
-def test_near_degenerate_unbounded_region():
+def _near_degenerate_unbounded_region():
     # the last row is the first tilted by about 1e-5; the region is unbounded
     # along (0.75, -0.125), which the exact 2D path finds from its rays
     A = np.array([[0.125, 0.75], [-0.25, -1.5], [-0.75, -4.5], [0.1250125, 0.7500875]])
@@ -278,5 +290,42 @@ def test_near_degenerate_unbounded_region():
     objective = np.array([1.0, 0.0])
     ray = np.array([0.75, -0.125])
     assert np.all(A @ ray <= 0.0) and objective @ ray > 0.0
+    return objective, A, b
+
+
+def test_one_objective_over_a_near_degenerate_region_is_unbounded():
+    objective, A, b = _near_degenerate_unbounded_region()
     assert maximize(objective[None, :], A, b)[0].status == UNBOUNDED
     assert maximize(objective, A, b).status == UNBOUNDED
+    assert lp_maximize(objective, HalfspaceRegion(A, b, 2)).status == UNBOUNDED
+
+
+@pytest.mark.xfail(strict=True, reason="the dense simplex reports a finite optimum on a "
+                   "near-degenerate region that is unbounded")
+def test_near_degenerate_unbounded_region():
+    objective, A, b = _near_degenerate_unbounded_region()
+    assert simplex_alone(objective, A, b).status == UNBOUNDED
+
+
+class TestOnePath:
+    """One objective is a stack of one: the same method, the same bits."""
+
+    @staticmethod
+    def _assert_one_path(objective, A, b):
+        alone, (first,) = maximize(objective, A, b), maximize(objective[None, :], A, b)
+        assert (alone.status, alone.value) == (first.status, first.value)
+        assert (alone.point is None) == (first.point is None)
+        if first.point is not None:
+            assert alone.point.tobytes() == first.point.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(planar_regions())
+    def test_planar_regions(self, region):
+        A, b, objectives = region
+        for objective in objectives:
+            self._assert_one_path(objective, A, b)
+
+    def test_3d_regions(self):
+        for objectives, A, b in _random_3d_regions(18, 100):
+            for objective in objectives:
+                self._assert_one_path(objective, A, b)
