@@ -61,7 +61,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * tableau[row]
     basis[row] = col
 
 
@@ -73,18 +73,19 @@ def _run(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     Bland's rule: lowest eligible column enters, lowest basis index leaves
     on ratio ties."""
     m = tableau.shape[0] - 1
-    tableau[-1, :-1] = cost - cost[basis] @ tableau[:-1, :-1]
+    reduced, rhs = tableau[-1, :-1], tableau[:m, -1]  # views: the pivots keep them current
+    reduced[:] = cost - cost[basis] @ tableau[:-1, :-1]
     tableau[-1, -1] = 0.0
     for _ in range(MAX_ITERATIONS):
-        eligible = allowed & (tableau[-1, :-1] > FEASIBILITY_TOL)
-        if not eligible.any():
+        eligible = np.flatnonzero(allowed & (reduced > FEASIBILITY_TOL))
+        if eligible.size == 0:
             return OPTIMAL
-        entering = int(np.argmax(eligible))  # first True: Bland's rule
+        entering = eligible[0]  # Bland's rule
         column = tableau[:m, entering]
         rows = np.flatnonzero(column > PIVOT_TOL)
         if rows.size == 0:
             return UNBOUNDED
-        ratios = tableau[rows, -1] / column[rows]
+        ratios = rhs[rows] / column[rows]
         best = ratios.min()
         ties = rows[ratios <= best + RATIO_TIE_TOL]
         leaving = ties[np.argmin(basis[ties])]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,7 +101,7 @@ class ClassWise:
 class ClassDiff:
     """Bodies for the gradient sets of f_i - f_j, keyed by the ordered pair (i, j)."""
 
-    pairs: dict[tuple[int, int], ConvexBody]
+    pairs: Mapping[tuple[int, int], ConvexBody]
     mode = "cd"
 
     def __post_init__(self):
@@ -128,15 +129,34 @@ class ClassDiff:
 
     @classmethod
     def compose(cls, members: list["ClassDiff"], weights) -> "ClassDiff":
-        """Composes the pairs every member has; SmoothnessMismatch when there are none."""
-        keys = set(members[0].pairs)
-        for m in members[1:]:
-            keys &= set(m.pairs)
-        pairs = {key: geometry.weighted_sum([m.pairs[key] for m in members], weights)
-                 for key in keys}
-        if not pairs:
+        """Composes the pairs every member has; SmoothnessMismatch when there
+        are none.  A pair's weighted sum is formed when the pair is first
+        read, so a certificate pays only for its pairs (i, top)."""
+        keys = set.intersection(*(set(m.pairs) for m in members))
+        if not keys:
             raise SmoothnessMismatch("members share no class-difference pairs")
-        return cls(pairs)
+        composed = object.__new__(cls)  # the members' pairs are checked already
+        object.__setattr__(composed, "pairs", _SumOnRead(
+            {key: [m.pairs[key] for m in members] for key in keys}, weights))
+        return composed
+
+
+class _SumOnRead(Mapping):
+    """Keys to weighted sums of bodies, each formed on its key's first read."""
+
+    def __init__(self, terms: dict, weights):
+        self._terms, self._weights, self._sums = terms, weights, {}
+
+    def __getitem__(self, key):
+        if key not in self._sums:
+            self._sums[key] = geometry.weighted_sum(self._terms[key], self._weights)
+        return self._sums[key]
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self):
+        return len(self._terms)
 
 
 Smoothness = Uniform | ClassWise | ClassDiff
@@ -262,8 +282,9 @@ class Certificate:
         return one_or_many(extent, single)
 
 
-def _realize(mode: str, family: str, dim: int,
+def _realize(mode: str, family: str,
              constraints: list[tuple[ConvexBody, float]]) -> Certificate:
+    dim = constraints[0][0].dim
     active = [(g, float(r)) for g, r in constraints if not g.degenerate]
     if not active:
         return Certificate(mode, family, dim, tuple((g, float(r)) for g, r in constraints),
@@ -348,7 +369,7 @@ def s_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
     if s is None or s.mode != mode:
         raise SmoothnessMismatch(_S_NEEDS[mode])
     top, _, r = gaps(clf.logits)
-    return _realize(mode, "s", clf.dim, s.constraints(top, r))
+    return _realize(mode, "s", s.constraints(top, r))
 
 
 def smoothing_sigma_to_lipschitz(sigma: float) -> float:

@@ -13,8 +13,9 @@ Supported body variants:
 * :class:`Ellipsoid` — an origin-centered ellipsoidal ball whose support is
   ``radius * sqrt(u' Sigma u)`` for a symmetric positive-definite Sigma.
 * :class:`Combination` — a formal nonnegative-weighted Minkowski combination
-  of bodies, with optional per-term negation.  Expansion to explicit points
-  happens lazily, one pruned Minkowski step per term (:func:`_sum_points`).
+  of bodies, with optional per-term negation, made where no closed form
+  applies.  :func:`to_finite_points` expands it, one pruned Minkowski step
+  per term (:func:`_sum_points`); point sets are summed at once instead.
 
 Finite point sets are summed through their hulls.  In 2D a step merges the
 edge sequences of the two hulls by angle, forming no pairwise sum; in other
@@ -634,9 +635,10 @@ def _prune(body: FinitePoints) -> FinitePoints:
 def to_finite_points(body: ConvexBody) -> np.ndarray:
     """Explicit generator points of a body, if it reduces to finitely many.
 
-    Combinations of finite point sets are expanded one term at a time, each
-    step a pruned Minkowski sum; ball variants raise (use
-    :func:`polar_dual_ball`).
+    A point set gives its pruned points; :func:`weighted_sum` makes one point
+    set of point sets (an ensemble's class-difference pair too, once read).
+    A formal combination is expanded one term at a time, each step a pruned
+    Minkowski sum.  Ball variants raise (use :func:`polar_dual_ball`).
     """
     if isinstance(body, FinitePoints):
         return hull_prune(body).points
@@ -681,14 +683,6 @@ class HalfspaceRegion:
         return HalfspaceRegion(
             np.vstack([self.normals, other.normals]),
             np.concatenate([self.offsets, other.offsets]),
-            self.dim,
-        )
-
-    def with_halfspace(self, normal, offset: float) -> "HalfspaceRegion":
-        n = as_vector(normal, self.dim)
-        return HalfspaceRegion(
-            np.vstack([self.normals, n[None, :]]),
-            np.concatenate([self.offsets, [float(offset)]]),
             self.dim,
         )
 
@@ -765,24 +759,26 @@ def region_minus_subset(a: HalfspaceRegion, carves, b: HalfspaceRegion,
     The complement of the first carve is decomposed along its own
     halfspaces: for every halfspace (v, c), the convex piece of a with
     {v.delta >= c + slack} must lie in b once the remaining carves are taken
-    out of it in turn.  Each piece is first tested against b with one
-    containment query, which also finds an empty piece at its first LP; a
-    piece inside b needs no further carving, and any other piece fails at
-    the last carve or is carved by the next one.  The slack keeps the
-    closed pieces off each carve's own boundary, so a \\ a correctly comes
-    out empty.
+    out of it in turn.  One batched query of every v over a screens them: a
+    piece is empty, and is never built, unless the maximum of v over a
+    exceeds c + slack.  So a tangent piece (maximum equal to c + slack) is
+    empty, and an empty `a` gives True.  Each other piece is tested against
+    b; a piece inside b needs no further carving, and any other piece fails
+    at the last carve or is carved by the next one.  The slack keeps the
+    closed pieces off each carve's own boundary, so a \\ a comes out empty.
     """
     if not carves:
         return region_subset(a, b, slack)
     carve, rest = carves[0], carves[1:]
     if not (a.dim == carve.dim == b.dim):
         raise ValueError("dimension mismatch in containment test")
-    for normal, offset in zip(carve.normals, carve.offsets):
-        piece = a.with_halfspace(-normal, -(float(offset) + slack))
-        if region_subset(piece, b, slack):
-            continue
-        if not rest or not region_minus_subset(piece, rest, b, slack):
-            return False
+    for normal, offset, top in zip(carve.normals, carve.offsets,
+                                   region_support(a, carve.normals)):
+        if top.exceeds(limit := float(offset) + slack):
+            piece = a.intersect(HalfspaceRegion(-normal, [-limit], a.dim))
+            if not region_subset(piece, b, slack) and (
+                    not rest or not region_minus_subset(piece, rest, b, slack)):
+                return False
     return True
 
 

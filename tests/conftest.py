@@ -11,7 +11,15 @@ import pytest
 
 from scert import _simplex
 from scert.certificates import ClassDiff, ClassifierAtPoint, ClassWise, Uniform
-from scert.geometry import Ellipsoid, FinitePoints, LpBall, dual_exponent
+from scert.geometry import (
+    TOL,
+    Ellipsoid,
+    FinitePoints,
+    HalfspaceRegion,
+    LpBall,
+    dual_exponent,
+    region_subset,
+)
 
 
 def brute_support(points: np.ndarray, direction: np.ndarray) -> float:
@@ -50,6 +58,23 @@ def brute_pairwise_differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return (a[:, None, :] - b[None, :, :]).reshape(-1, a.shape[1])
+
+
+def reference_minus_subset(a, carves, b, slack: float = TOL) -> bool:
+    """Whether a \\ (c_1 u ... u c_k) lies in b, by the unscreened piece
+    loop: for every row (v, c) of the first carve the piece of a with
+    {v.delta >= c + slack} is built and tested against b with its own
+    containment query, and carved by the remaining carves when it is not
+    inside b (the oracle for the screened `region_minus_subset`)."""
+    if not carves:
+        return region_subset(a, b, slack)
+    for normal, offset in zip(carves[0].normals, carves[0].offsets):
+        piece = a.intersect(HalfspaceRegion(-normal, [-(float(offset) + slack)], a.dim))
+        if region_subset(piece, b, slack):
+            continue
+        if len(carves) == 1 or not reference_minus_subset(piece, carves[1:], b, slack):
+            return False
+    return True
 
 
 def vertex_enum_max(objective, normals, offsets, tol=1e-9):

@@ -20,6 +20,7 @@ from conftest import (
     unit_directions,
 )
 from scert import _simplex
+from scert import geometry as geo
 from scert.certificates import (
     Certificate,
     ClassDiff,
@@ -60,8 +61,10 @@ from scert.geometry import (
     LpBall,
     minkowski_sum,
     one_ball_shape,
+    polar_hrep,
     region_subset,
     support,
+    weighted_sum,
 )
 from scert.simulate import evaluate_draw, summarize
 
@@ -575,6 +578,59 @@ class TestSmoothnessDispatch:
             top, radii = _shared_ball_radii(EnsembleSpec((member, member)), "")
             assert top == 0
             assert radii[0] == radii[1] == expected(rad)
+
+
+
+def _cd_ensemble(make_body) -> EnsembleSpec:
+    """Two k = 3 members with top class 0 and a body for every ordered pair,
+    ``make_body(member, i, j)``."""
+    members = tuple(ClassifierAtPoint(logits, ClassDiff({
+        (i, j): make_body(m, i, j) for i in range(3) for j in range(3) if i != j}))
+        for m, logits in enumerate(([0.5, 0.2, 0.3], [0.6, 0.3, 0.1])))
+    return EnsembleSpec(members, np.array([0.3, 0.7]))
+
+
+def _cloud_pairs(dim: int) -> EnsembleSpec:
+    grads = np.random.default_rng(dim).standard_normal((2, 6, 3, dim))
+    return _cd_ensemble(lambda m, i, j: FinitePoints(grads[m, :, i] - grads[m, :, j]))
+
+
+class TestClassDiffComposition:
+    """The ensemble forms a class-difference pair's weighted sum when the pair
+    is first read, once, and exactly as `weighted_sum` forms it."""
+
+    @pytest.mark.parametrize("dim, prunes", [(2, 4), (3, 6)])
+    def test_only_the_read_pairs_are_summed(self, dim, prunes, monkeypatch):
+        # the certificate reads the pairs (1, 0) and (2, 0).  Each of their sums
+        # prunes its two scaled member bodies, and in 3D their pairwise sum as
+        # well; the 4 unread pairs are never hulled or pruned, and nothing is
+        # pruned again on re-certifying
+        spec = _cloud_pairs(dim)
+        runs = []
+        prune = geo._prune
+        monkeypatch.setattr(geo, "_prune", lambda body: runs.append(body) or prune(body))
+        composed = ensemble_classifier(spec)
+        assert runs == []
+        for _ in range(2):
+            assert s_certificate(composed, "cd").region is not None
+            assert len(runs) == prunes
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_read_pair_is_the_weighted_sum(self, dim):
+        spec = _cloud_pairs(dim)
+        pairs = ensemble_classifier(spec).smoothness.pairs
+        for key in ((1, 0), (2, 0)):
+            eager = weighted_sum([m.smoothness.pairs[key] for m in spec.members], spec.weights)
+            lazy = pairs[key]
+            assert type(lazy) is type(eager) and pairs[key] is lazy
+            got, want = polar_hrep(lazy, 0.3), polar_hrep(eager, 0.3)
+            assert got.normals.tobytes() == want.normals.tobytes()
+            assert got.offsets.tobytes() == want.offsets.tobytes()
+
+    def test_same_shape_ball_pairs_stay_on_the_radii_path(self):
+        spec = _cd_ensemble(lambda m, i, j: LpBall(2, (0.4 + 0.3 * m) * (1 + i + j), [0.0, 0.0]))
+        assert isinstance(ensemble_classifier(spec).smoothness.pairs[(1, 0)], LpBall)
+        assert classify_regimes(spec).evidence["method"] == "radii"
 
 
 class TestBallShape:

@@ -12,12 +12,16 @@ from conftest import (
     brute_pairwise_differences,
     brute_support,
     reference_extent,
+    reference_minus_subset,
     reference_support,
     unit_directions,
 )
+from scert import _simplex
 from scert import geometry as geo
 from scert.certificates import ClassDiff, ClassifierAtPoint, ClassWise, Uniform, s_certificate
 from scert.geometry import (
+    STRICT_MARGIN,
+    TOL,
     Combination,
     Ellipsoid,
     FinitePoints,
@@ -626,6 +630,85 @@ class TestContainment:
     def test_empty_region_subset_of_anything(self):
         empty = HalfspaceRegion([[1.0], [-1.0]], [-2.0, 1.0], 1)
         assert region_subset(empty, HalfspaceRegion([[1.0]], [0.0], 1))
+
+
+def _random_region(rng, dim: int, size: float) -> HalfspaceRegion:
+    """dim + 2 to dim + 5 random rows around a random center, each at a
+    distance between size / 2 and 3 size / 2 from it."""
+    m = int(rng.integers(dim + 2, dim + 6))
+    normals = rng.standard_normal((m, dim))
+    reach = size * rng.uniform(0.5, 1.5, m) * np.linalg.norm(normals, axis=1)
+    return HalfspaceRegion(normals, reach + normals @ rng.normal(0.0, 0.5, dim), dim)
+
+
+def _box(dim: int, radius: float = 1.0) -> HalfspaceRegion:
+    return HalfspaceRegion(np.vstack([np.eye(dim), -np.eye(dim)]), np.full(2 * dim, radius), dim)
+
+
+class TestCarveScreen:
+    """`region_minus_subset` screens each carve's pieces with one batched
+    query; the unscreened piece loop of `reference_minus_subset` is the oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 3),
+           st.sampled_from([0.3, 0.6]))
+    def test_matches_the_unscreened_piece_loop(self, seed, dim, n_carves, size):
+        rng = np.random.default_rng(seed)
+        a = _random_region(rng, dim, size)
+        b, *carves = (_random_region(rng, dim, 1.0) for _ in range(n_carves + 1))
+        for slack in (TOL, STRICT_MARGIN):
+            assert (region_minus_subset(a, carves, b, slack)
+                    == reference_minus_subset(a, carves, b, slack))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_an_empty_a_is_one_query(self, dim, monkeypatch):
+        # x_0 <= -1 and x_0 >= 1: every piece is empty, and the screen's one
+        # batched query finds it at once
+        empty = HalfspaceRegion(np.vstack([np.eye(dim)[:1], -np.eye(dim)[:1]]), [-1.0, -1.0], dim)
+        calls = []
+        maximize = _simplex.maximize
+        monkeypatch.setattr(_simplex, "maximize", lambda *args: calls.append(1) or maximize(*args))
+        carves = [_box(dim, 0.5), _box(dim, 0.25)]
+        assert region_minus_subset(empty, carves, _box(dim, 0.1))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert reference_minus_subset(empty, carves, _box(dim, 0.1))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_normal_carve_rows(self, dim):
+        # 0.delta <= 1 holds everywhere, so its piece is empty; 0.delta <= -1
+        # holds nowhere, so its piece is all of a
+        a, inner = _box(dim), _box(dim, 0.5)
+        always = HalfspaceRegion(np.vstack([inner.normals, np.zeros(dim)]),
+                                 np.append(inner.offsets, 1.0), dim)
+        never = HalfspaceRegion(np.zeros((1, dim)), [-1.0], dim)
+        for carves, b, expected in (([always], _box(dim), True),
+                                    ([always], _box(dim, 0.9), False),
+                                    ([never], _box(dim, 2.0), True),
+                                    ([never], _box(dim, 0.5), False),
+                                    ([never, always], _box(dim), True),
+                                    ([never, always], _box(dim, 0.9), False)):
+            assert region_minus_subset(a, carves, b) == expected
+            assert reference_minus_subset(a, carves, b) == expected
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_tangent_piece_is_empty(self, dim):
+        # the carve x_0 <= 1/2 with slack 1/2: the maximum of x_0 over the
+        # unit box is 1 = offset + slack exactly, so the piece {x_0 >= 1}
+        # only touches the box.  The screen counts it as empty; the
+        # unscreened loop builds the face x_0 = 1 and tests it against b.
+        a, slack = _box(dim), 0.5
+        carve = HalfspaceRegion(np.eye(dim)[:1], [0.5], dim)
+        holds_the_face = _box(dim, 0.75)
+        misses_the_face = HalfspaceRegion(np.eye(dim)[:1], [0.0], dim)
+        assert region_minus_subset(a, [carve], holds_the_face, slack)
+        assert reference_minus_subset(a, [carve], holds_the_face, slack)
+        assert region_minus_subset(a, [carve], misses_the_face, slack)
+        assert not reference_minus_subset(a, [carve], misses_the_face, slack)
+        # just past the tangent the piece is built, and both find it outside b
+        nudged = HalfspaceRegion(np.eye(dim)[:1], [0.5 - 1e-3], dim)
+        assert not region_minus_subset(a, [nudged], misses_the_face, slack)
+        assert not reference_minus_subset(a, [nudged], misses_the_face, slack)
 
 
 class TestOriginOnly:
