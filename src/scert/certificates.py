@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,10 @@ class Uniform:
     def bodies(self) -> tuple[ConvexBody, ...]:
         return (self.body,)
 
+    @property
+    def dim(self) -> int:
+        return self.body.dim
+
     def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
         """support(S (+) -S, delta) <= the runner-up gap."""
         gen = geometry.minkowski_sum(self.body, geometry.negate(self.body))
@@ -75,6 +79,7 @@ class Uniform:
 @dataclass(frozen=True)
 class ClassWise:
     bodies: tuple[ConvexBody, ...]
+    dim: int = field(init=False, repr=False, compare=False)
     mode = "cw"
 
     def __post_init__(self):
@@ -82,6 +87,7 @@ class ClassWise:
         dims = {b.dim for b in self.bodies}
         if len(dims) != 1:
             raise ValueError("class-wise bodies must share one dimension")
+        object.__setattr__(self, "dim", dims.pop())
 
     def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
         """support(G_i (+) -G_top, delta) <= r_i for every class i other than the top."""
@@ -99,16 +105,23 @@ class ClassWise:
 
 @dataclass(frozen=True)
 class ClassDiff:
-    """Bodies for the gradient sets of f_i - f_j, keyed by the ordered pair (i, j)."""
+    """Bodies for the gradient sets of f_i - f_j, keyed by the ordered pair (i, j).
+    A composed ensemble's pair is summed when first read: `dim` sums none, and
+    `bodies`, `pairs.values()`, `pairs.items()` and ``==`` sum them all."""
 
     pairs: Mapping[tuple[int, int], ConvexBody]
+    dim: int = field(init=False, repr=False, compare=False)
     mode = "cd"
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", dict(self.pairs))
-        dims = {b.dim for b in self.pairs.values()}
+        if isinstance(self.pairs, _SumOnRead):  # a composed ensemble's pairs stay unsummed
+            dims = self.pairs.dims
+        else:
+            object.__setattr__(self, "pairs", dict(self.pairs))
+            dims = {b.dim for b in self.pairs.values()}
         if len(dims) != 1:
             raise ValueError("class-difference bodies must share one dimension")
+        object.__setattr__(self, "dim", dims.pop())
         for i, j in self.pairs:
             if i == j:
                 raise ValueError("class-difference pairs must have distinct indices")
@@ -135,10 +148,7 @@ class ClassDiff:
         keys = set.intersection(*(set(m.pairs) for m in members))
         if not keys:
             raise SmoothnessMismatch("members share no class-difference pairs")
-        composed = object.__new__(cls)  # the members' pairs are checked already
-        object.__setattr__(composed, "pairs", _SumOnRead(
-            {key: [m.pairs[key] for m in members] for key in keys}, weights))
-        return composed
+        return cls(_SumOnRead({key: [m.pairs[key] for m in members] for key in keys}, weights))
 
 
 class _SumOnRead(Mapping):
@@ -146,6 +156,7 @@ class _SumOnRead(Mapping):
 
     def __init__(self, terms: dict, weights):
         self._terms, self._weights, self._sums = terms, weights, {}
+        self.dims = {b.dim for bodies in terms.values() for b in bodies}
 
     def __getitem__(self, key):
         if key not in self._sums:
@@ -204,7 +215,7 @@ class ClassifierAtPoint:
 
     @property
     def dim(self) -> int | None:
-        return None if self.smoothness is None else self.smoothness.bodies[0].dim
+        return None if self.smoothness is None else self.smoothness.dim
 
     @property
     def top(self) -> int:
@@ -282,9 +293,8 @@ class Certificate:
         return one_or_many(extent, single)
 
 
-def _realize(mode: str, family: str,
+def _realize(mode: str, family: str, dim: int,
              constraints: list[tuple[ConvexBody, float]]) -> Certificate:
-    dim = constraints[0][0].dim
     active = [(g, float(r)) for g, r in constraints if not g.degenerate]
     if not active:
         return Certificate(mode, family, dim, tuple((g, float(r)) for g, r in constraints),
@@ -369,7 +379,7 @@ def s_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
     if s is None or s.mode != mode:
         raise SmoothnessMismatch(_S_NEEDS[mode])
     top, _, r = gaps(clf.logits)
-    return _realize(mode, "s", s.constraints(top, r))
+    return _realize(mode, "s", clf.dim, s.constraints(top, r))
 
 
 def smoothing_sigma_to_lipschitz(sigma: float) -> float:

@@ -603,13 +603,14 @@ class TestClassDiffComposition:
     def test_only_the_read_pairs_are_summed(self, dim, prunes, monkeypatch):
         # the certificate reads the pairs (1, 0) and (2, 0).  Each of their sums
         # prunes its two scaled member bodies, and in 3D their pairwise sum as
-        # well; the 4 unread pairs are never hulled or pruned, and nothing is
-        # pruned again on re-certifying
+        # well; the 4 unread pairs are never hulled or pruned, reading the
+        # dimension sums nothing, and nothing is pruned again on re-certifying
         spec = _cloud_pairs(dim)
         runs = []
         prune = geo._prune
         monkeypatch.setattr(geo, "_prune", lambda body: runs.append(body) or prune(body))
         composed = ensemble_classifier(spec)
+        assert composed.dim == composed.smoothness.dim == dim
         assert runs == []
         for _ in range(2):
             assert s_certificate(composed, "cd").region is not None

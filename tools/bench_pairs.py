@@ -3,21 +3,22 @@
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload regimes \\
-        --seeds 1-10 --seconds 16 --metric ops_per_s --out BENCH_19.json
+        --seeds 1-10 --seconds 16 --out BENCH_19.json
 
-PARENT and CHANGE are the roots of two checkouts.  For each seed, one pair
-of runs of ``perfbench/run.py --trace 0`` is made, one per checkout, each
-from its own root; the side that runs first alternates from pair to pair.
-``--repeat N`` makes N pairs per seed.
+PARENT and CHANGE are the roots of two checkouts.  For each seed listed, one
+pair of runs of ``perfbench/run.py --trace 0`` is made, one per checkout,
+each from its own root; the side that runs first alternates from pair to
+pair.  A seed listed n times (``--seeds 11,11,11,11``) makes n pairs.
 
 The comparison appended to ``--out`` (a JSON file holding a list under
 ``comparisons``; created if missing) has every run's end-to-end metrics and,
-per metric, each side's median and quartiles, the pairs the change won and
+per metric, each side's median and quartiles, the pairs the change won,
 whether the change's median is worse than the parent's by more than the
-bound in the change's ``BENCHMARK.json``.  The claimed ``--metric`` gains
-when the change wins at least nine tenths of the pairs (ties count for
-neither side) and the medians differ by more than the distance between the
-parent's quartiles.  Standard library only.
+bound in the change's ``BENCHMARK.json``, and whether the change gains on
+it.  A metric gains when at least ten pairs ran, the change won at least
+nine tenths of them (ties count for neither side), its median is better by
+more than the distance between the parent's quartiles, and it failed no
+more ops than the parent.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import sys
 import time
 
 WIN_SHARE = 0.9  # a gain needs the change to win at least this share of the pairs
+MIN_PAIRS = 10  # and at least this many pairs
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -63,21 +65,24 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: str, bound: float | None) -> dict:
-    """Medians, quartiles and pair wins of one metric; `pairs` holds
-    {"parent": value, "change": value} per pair."""
+def summarize(pairs: list[dict], better: str, bound: float | None, failed_ops: dict) -> dict:
+    """Medians, quartiles, pair wins and the gain verdict of one metric;
+    `pairs` and `failed_ops` hold {"parent": ..., "change": ...}."""
     sign = 1.0 if better == "higher" else -1.0
     parent = quartiles([p["parent"] for p in pairs])
     change = quartiles([p["change"] for p in pairs])
     wins = sum(sign * (p["change"] - p["parent"]) > 0.0 for p in pairs)
     difference = change["median"] - parent["median"]
     worse_by = -sign * difference / abs(parent["median"]) if parent["median"] else 0.0
+    spread = parent["q3"] - parent["q1"]
+    gain = (len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs)
+            and sign * difference > spread and failed_ops["change"] <= failed_ops["parent"])
     return {"better": better, "parent": parent, "change": change,
             "change_won": wins, "pairs": len(pairs),
             "median_difference": difference,
-            "parent_quartile_distance": parent["q3"] - parent["q1"],
+            "parent_quartile_distance": spread,
             "change_worse_by": worse_by, "bound": bound,
-            "within_bound": bound is None or worse_by <= bound}
+            "within_bound": bound is None or worse_by <= bound, "gain": gain}
 
 
 def main() -> int:
@@ -85,10 +90,9 @@ def main() -> int:
     parser.add_argument("parent", help="root of the parent checkout")
     parser.add_argument("change", help="root of the changed checkout")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-10 or 1,4,7")
+    parser.add_argument("--seeds", type=parse_seeds, required=True,
+                        help="one pair per seed listed, e.g. 1-10 or 1,4,7 or 11,11")
     parser.add_argument("--seconds", type=int, required=True)
-    parser.add_argument("--repeat", type=int, default=1, help="pairs per seed")
-    parser.add_argument("--metric", default="ops_per_s", help="the metric a gain is claimed on")
     parser.add_argument("--out", required=True, help="JSON file the comparison is appended to")
     args = parser.parse_args()
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -96,8 +100,7 @@ def main() -> int:
         declared = {m["name"]: m for m in json.load(f)["end_to_end"]}
 
     runs, pairs = [], []
-    schedule = [seed for seed in args.seeds for _ in range(args.repeat)]
-    for index, seed in enumerate(schedule):
+    for index, seed in enumerate(args.seeds):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         pair = {}
         for position, side in enumerate(order):
@@ -107,34 +110,26 @@ def main() -> int:
                        wall_s=round(time.monotonic() - start, 1))
             runs.append(run)
             pair[side] = run
-            print(f"pair {index} seed {seed} {side}: {args.metric} "
-                  f"{run['metrics'][args.metric]:.4g}", file=sys.stderr)
+            print(f"pair {index} seed {seed} {side}: ops_per_s "
+                  f"{run['metrics']['ops_per_s']:.4g}", file=sys.stderr)
         if pair["parent"]["op_list_digest"] != pair["change"]["op_list_digest"]:
             raise SystemExit(f"seed {seed}: the two checkouts made different op lists")
         pairs.append(pair)
 
+    failed_ops = {side: sum(r["failed"] for r in runs if r["side"] == side) for side in roots}
     metrics = {}
     for name in runs[0]["metrics"]:
         values = [{side: p[side]["metrics"][name] for side in roots} for p in pairs]
         spec = declared.get(name, {"better": "higher" if name == "ops_per_s" else "lower"})
-        metrics[name] = summarize(values, spec["better"], spec.get("bound"))
-    claimed = metrics[args.metric]
-    gain = (claimed["change_won"] >= WIN_SHARE * claimed["pairs"]
-            and abs(claimed["median_difference"]) > claimed["parent_quartile_distance"]
-            and claimed["change_worse_by"] < 0.0)
+        metrics[name] = summarize(values, spec["better"], spec.get("bound"), failed_ops)
     comparison = {
-        "workload": args.workload, "seeds": args.seeds, "repeat": args.repeat,
-        "seconds": args.seconds,
+        "workload": args.workload, "seeds": args.seeds, "seconds": args.seconds,
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
                    f"--seconds {args.seconds} --trace 0",
         "correct_all_runs": all(r["correct"] for r in runs),
-        "failed_ops": {side: sum(r["failed"] for r in runs if r["side"] == side)
-                       for side in roots},
-        "verdict": {"metric": args.metric, "change_won": claimed["change_won"],
-                    "pairs": claimed["pairs"],
-                    "median_difference": claimed["median_difference"],
-                    "parent_quartile_distance": claimed["parent_quartile_distance"],
-                    "gain": gain},
+        "failed_ops": failed_ops,
+        "gains": [name for name, m in metrics.items() if m["gain"]],
+        "beyond_bound": [name for name, m in metrics.items() if not m["within_bound"]],
         "metrics": metrics,
         "runs": runs,
     }
@@ -146,7 +141,7 @@ def main() -> int:
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(document, f, indent=1)
         f.write("\n")
-    print(json.dumps(comparison["verdict"]))
+    print(json.dumps({key: comparison[key] for key in ("workload", "gains", "beyond_bound")}))
     return 0
 
 
