@@ -35,6 +35,7 @@ from .certificates import (
 from .ensemble import (
     EnsembleSpec,
     classify_regimes,
+    common_shape_radii,
     ensemble_classifier,
     ensemble_logits,
     gap_gain_bound,
@@ -356,7 +357,7 @@ def _match_halfplanes(actual: list[list[float]], expected: list[list[float]],
     return True
 
 
-def _grid_membership_consistent(problem: ProblemFile, tol: float) -> bool:
+def _grid_membership_consistent(problem: ProblemFile) -> bool:
     """Independent support-arithmetic oracle for a two-member uniform-mode
     ellipsoid ensemble, evaluated on a sampled grid."""
     spec = problem.to_ensemble()
@@ -369,12 +370,12 @@ def _grid_membership_consistent(problem: ProblemFile, tol: float) -> bool:
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     rho = sum(2.0 * w * eps * np.sqrt(np.einsum("ij,jk,ik->i", grid, sig, grid))
               for w, eps, sig in zip(weights, radii, sigmas))
-    oracle = rho <= r_g + tol
-    mismatch = (cert.contains(grid, tol) != oracle) & (np.abs(rho - r_g) > GRID_BOUNDARY)
+    oracle = rho <= r_g + FIXTURE_TOL
+    mismatch = (cert.contains(grid, FIXTURE_TOL) != oracle) & (np.abs(rho - r_g) > GRID_BOUNDARY)
     return not mismatch.any()
 
 
-def run_fixture_check(check: dict, tol: float = FIXTURE_TOL) -> tuple[bool, str]:
+def run_fixture_check(check: dict) -> tuple[bool, str]:
     """Execute one expected-value check; returns (passed, detail)."""
     kind = check["kind"]
     problem = load_fixture(check["fixture"])
@@ -383,19 +384,19 @@ def run_fixture_check(check: dict, tol: float = FIXTURE_TOL) -> tuple[bool, str]
         cert = _certificate_from_problem(member, check["mode"], check.get("norm"))
         if "radius" in check:
             actual = cert.radius
-            ok = actual is not None and abs(actual - check["radius"]) <= tol
+            ok = actual is not None and abs(actual - check["radius"]) <= FIXTURE_TOL
             return ok, f"radius {actual} vs {check['radius']}"
         if "interval" in check:
             lo, hi = geometry.region_to_interval(cert.region)
             exp_lo, exp_hi = check["interval"]
             ok = ((lo is None) == (exp_lo is None)
                   and (hi is None) == (exp_hi is None)
-                  and (lo is None or abs(lo - exp_lo) <= tol)
-                  and (hi is None or abs(hi - exp_hi) <= tol))
+                  and (lo is None or abs(lo - exp_lo) <= FIXTURE_TOL)
+                  and (hi is None or abs(hi - exp_hi) <= FIXTURE_TOL))
             return ok, f"interval ({lo}, {hi}) vs ({exp_lo}, {exp_hi})"
         if "halfplanes" in check:
             rows = _normalized_halfplanes(cert.region)
-            ok = _match_halfplanes(rows, check["halfplanes"], tol)
+            ok = _match_halfplanes(rows, check["halfplanes"], FIXTURE_TOL)
             return ok, f"halfplanes {rows}"
         return False, "check carries no expectation"
     if kind == "strict_subsumes":
@@ -406,7 +407,7 @@ def run_fixture_check(check: dict, tol: float = FIXTURE_TOL) -> tuple[bool, str]
         box = geometry.HalfspaceRegion(
             np.vstack([np.eye(2), -np.eye(2)]), np.full(4, ball.radius), 2)
         contained = bool(np.all(
-            ball.support(s_cert.region.normals) <= s_cert.region.offsets + tol))
+            ball.support(s_cert.region.normals) <= s_cert.region.offsets + FIXTURE_TOL))
         strict = geometry.region_exceeds(s_cert.region, box, STRICT_MARGIN)
         return contained and strict, f"contained={contained} strict={strict}"
     if kind == "regime":
@@ -419,7 +420,7 @@ def run_fixture_check(check: dict, tol: float = FIXTURE_TOL) -> tuple[bool, str]
         if "cert_regime" in check:
             ok = ok and report.cert_regime == check["cert_regime"]
         if "gap" in check:
-            ok = ok and abs(report.gap_ensemble - check["gap"]) <= tol
+            ok = ok and abs(report.gap_ensemble - check["gap"]) <= FIXTURE_TOL
         if "trivial" in check:
             ok = ok and bool(report.evidence.get(
                 "trivial_ensemble_certificate")) == check["trivial"]
@@ -429,16 +430,15 @@ def run_fixture_check(check: dict, tol: float = FIXTURE_TOL) -> tuple[bool, str]
         certs = [s_certificate(m, "u") for m in spec.members]
         radii = [c.ball.radius for c in certs]
         exp = check["radii"]
-        ok = all(abs(a - e) <= tol for a, e in zip(radii, exp))
-        from .ensemble import common_shape_radii
+        ok = all(abs(a - e) <= FIXTURE_TOL for a, e in zip(radii, exp))
         sweep = common_shape_radii(spec, np.linspace(0.0, 1.0, 101)[1:-1])
         lo, hi = min(radii), max(radii)
-        ok = ok and bool(np.all((sweep > lo - tol) & (sweep < hi + tol)))
+        ok = ok and bool(np.all((sweep > lo - FIXTURE_TOL) & (sweep < hi + FIXTURE_TOL)))
         ok = ok and bool(np.all(sweep > lo + STRICT_MARGIN)
                          and np.all(sweep < hi - STRICT_MARGIN))
         return ok, f"radii {radii} sweep in ({sweep.min()}, {sweep.max()})"
     if kind == "ensemble_grid":
-        ok = _grid_membership_consistent(problem, tol)
+        ok = _grid_membership_consistent(problem)
         return ok, "grid membership vs support oracle"
     return False, f"unknown check kind {kind!r}"
 

@@ -33,11 +33,12 @@ from .certificates import (
 )
 from .geometry import (
     STRICT_MARGIN,
+    TOL,
     HalfspaceRegion,
     one_ball_shape,
-    region_exceeds,
     region_minus_subset,
     region_subset,
+    region_support,
 )
 
 GAP_TOL = 1e-9
@@ -144,13 +145,13 @@ def _ball_radius(cert: Certificate) -> float:
     return math.inf if cert.unbounded else cert.ball.shape_radius
 
 
-def _verdict(flags: dict, strict_excess, strict_deficit) -> str:
+def _verdict(flags: dict, strict_excess: bool, strict_deficit: bool) -> str:
     """The paper's regime rule on the containment flags of the ensemble
-    certificate against the union and the intersection of the members; the
-    strictness tests are callables, run only when their containment holds."""
-    if flags["contains_union"] and strict_excess():
+    certificate against the union and the intersection of the members, and on
+    whether it strictly exceeds the union or falls short of the intersection."""
+    if flags["contains_union"] and strict_excess:
         return "improvement"
-    if flags["within_intersection"] and strict_deficit():
+    if flags["within_intersection"] and strict_deficit:
         return "reduction"
     if flags["contains_intersection"] and flags["within_union"]:
         return "inconclusive"
@@ -165,8 +166,8 @@ def _extent_regime(e_g, hi, lo) -> tuple[str, dict]:
                  "contains_union": bool(np.all(e_g >= hi - GAP_TOL)),
                  "contains_intersection": bool(np.all(e_g >= lo - GAP_TOL)),
                  "within_intersection": bool(np.all(e_g <= lo + GAP_TOL))}
-        regime = _verdict(flags, lambda: bool(np.any(e_g > hi + STRICT_MARGIN)),
-                          lambda: bool(np.any(e_g < lo - STRICT_MARGIN)))
+        regime = _verdict(flags, bool(np.any(e_g > hi + STRICT_MARGIN)),
+                          bool(np.any(e_g < lo - STRICT_MARGIN)))
     return regime, flags
 
 
@@ -182,16 +183,18 @@ def _cert_regime_regions(q_g: Certificate, member_certs: list[Certificate]) -> t
     regions = [q.region for q in member_certs]
     inter = functools.reduce(HalfspaceRegion.intersect, regions)
     carves, last = regions[:-1], regions[-1]
+    # one batch of g's maxima over inter; it stops only past offset + STRICT_MARGIN > TOL
+    tops = region_support(inter, g.normals, g.offsets + STRICT_MARGIN)
     evidence = {  # the queries run in this order
         "method": "lp",
-        "contains_intersection": region_subset(inter, g),
+        "contains_intersection": not any(r.exceeds(t) for r, t in zip(tops, g.offsets + TOL)),
         "within_union": region_minus_subset(g, carves, last),
         "contains_union": all(region_subset(r, g) for r in regions),
         "within_intersection": region_subset(g, inter),
     }
-    regime = _verdict(evidence,
-                      lambda: not region_minus_subset(g, carves, last, STRICT_MARGIN),
-                      lambda: region_exceeds(inter, g, STRICT_MARGIN))
+    regime = _verdict(evidence, evidence["contains_union"] and not region_minus_subset(
+                          g, carves, last, STRICT_MARGIN),
+                      any(r.exceeds(t) for r, t in zip(tops, g.offsets + STRICT_MARGIN)))
     strict = {"improvement": "strict_excess", "reduction": "strict_deficit"}.get(regime)
     if strict:
         evidence[strict] = True
@@ -285,10 +288,7 @@ def gap_bound_witness(r_best: float, k: int) -> EnsembleSpec:
     construction degenerates (binary ensembles cannot gain gap): two
     identical members whose gap is r_best.
     """
-    if not (0.0 <= r_best <= 1.0):
-        raise ValueError("the best member gap must lie in [0, 1]")
-    if k < 2:
-        raise ValueError("at least two classes are required")
+    gap_gain_bound(r_best, k)  # raises ValueError on the arguments the bound rejects
     top_value = r_best + (1.0 - r_best) / 2.0
     side_value = (1.0 - r_best) / 2.0
     if k == 2:

@@ -660,7 +660,11 @@ class HalfspaceRegion:
     dim: int
 
     def __post_init__(self):
-        normals = np.asarray(self.normals, dtype=float).reshape(-1, self.dim)
+        normals = np.asarray(self.normals, dtype=float)
+        if not (normals.ndim == 2 and normals.shape[1] == self.dim
+                or normals.shape in ((0,), (self.dim,))):
+            raise ValueError(f"normals must be rows of {self.dim} coordinates")
+        normals = normals.reshape(-1, self.dim)
         offsets = np.asarray(self.offsets, dtype=float).reshape(-1)
         if normals.shape[0] != offsets.shape[0]:
             raise ValueError("each halfspace needs one normal and one offset")

@@ -77,7 +77,7 @@ def test_criterion_01_golden_fixtures():
     checks = {c["name"]: c for c in load_expected()}
     failures = []
     for name in GOLDEN_CHECKS:
-        ok, detail = run_fixture_check(checks[name], tol=1e-9)
+        ok, detail = run_fixture_check(checks[name])
         if not ok:
             failures.append(f"{name}: {detail}")
     elapsed = time.perf_counter() - start

@@ -157,6 +157,14 @@ class TestLipschitzIsTheBallSCertificate:
 
 
 class TestSCertificate:
+    def test_kind_and_radius_of_whole_space_and_region(self):
+        whole = s_certificate(ClassifierAtPoint([1.0, 0.0], Uniform(FinitePoints([[0.0, 0.0]]))),
+                              "u")
+        assert (whole.kind, whole.radius) == ("whole_space", math.inf)
+        region = s_certificate(ClassifierAtPoint([1.0, 0.0], Uniform(FinitePoints(FIG1_CLOUD))),
+                               "u")
+        assert (region.kind, region.radius) == ("region", None)
+
     def test_piecewise_linear_class_wise(self):
         clf = ClassifierAtPoint(
             [0.9, 0.7],

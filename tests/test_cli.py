@@ -82,6 +82,17 @@ class TestCertify:
         code, _, err = run_cli(capsys, "certify", "no-such-file.json", "--mode", "u")
         assert code == 2
 
+    def test_whole_space_certificate(self, tmp_path, capsys):
+        problem = tmp_path / "flat.json"
+        problem.write_text(json.dumps({
+            "dimension": 2, "classes": 2,
+            "members": [{"logits": [1.0, 0.0],
+                         "smoothness": {"mode": "u",
+                                        "body": {"type": "points", "points": [[0.0, 0.0]]}}}]}))
+        code, out, _ = run_cli(capsys, "certify", str(problem), "--mode", "u")
+        assert code == 0
+        assert "entire space (no constraint)" in out
+
     def test_contradicting_norm_exit_3(self, tmp_path, capsys):
         problem = tmp_path / "ball.json"
         problem.write_text(json.dumps({

@@ -100,6 +100,20 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec((ball_member([1.0, 0.0]), ClassifierAtPoint([0.0, 1.0])))
 
+    @pytest.mark.parametrize("members, weights, message", [
+        ((ClassifierAtPoint([1.0, 0.0]),), None, "at least two members"),
+        ((ClassifierAtPoint([1.0, 0.0]), ClassifierAtPoint([1.0, 0.0, 0.0])), None,
+         "same class count"),
+        ((ball_member([1.0, 0.0]),
+          ClassifierAtPoint([0.0, 1.0], Uniform(LpBall(2, 1.0, [0.0, 0.0, 0.0])))), None,
+         "one input dimension"),
+        ((ClassifierAtPoint([1.0, 0.0]), ClassifierAtPoint([0.0, 1.0])), np.zeros(2),
+         "must not all be zero"),
+    ], ids=["one member", "class counts", "input dimensions", "zero weights"])
+    def test_malformed_ensembles_rejected(self, members, weights, message):
+        with pytest.raises(ValueError, match=message):
+            EnsembleSpec(members, weights)
+
 
 class TestEnsembleLogits:
     def test_symmetric_crossing(self):
@@ -142,6 +156,13 @@ class TestEnsembleLogits:
 
 
 class TestEnsembleClassifier:
+    def test_gap_only_members_compose_no_smoothness(self):
+        spec = EnsembleSpec((ClassifierAtPoint([0.6, 0.4]), ClassifierAtPoint([0.2, 0.8])),
+                            np.array([0.5, 0.5]))
+        composed = ensemble_classifier(spec)
+        assert composed.smoothness is None
+        assert np.allclose(composed.logits, [0.4, 0.6])
+
     def test_identical_uniform_bodies_fixed_point(self):
         body = FinitePoints([[0.4, 0.1], [-0.2, 0.5], [0.1, -0.3]])
         members = (ClassifierAtPoint([0.8, 0.2], Uniform(body)),
@@ -343,6 +364,14 @@ class TestGapBoundWitness:
         spec = gap_bound_witness(0.4, 2)
         _, c_b, r = gaps(ensemble_logits(spec))
         assert abs(float(r[c_b]) - 0.4) < 1e-12
+
+    @pytest.mark.parametrize("r_best, k, message", [
+        (1.5, 4, r"must lie in \[0, 1\]"), (-0.1, 3, r"must lie in \[0, 1\]"),
+        (0.5, 1, "at least two classes")])
+    def test_rejects_what_the_bound_rejects(self, r_best, k, message):
+        for function in (gap_gain_bound, gap_bound_witness):
+            with pytest.raises(ValueError, match=message):
+                function(r_best, k)
 
 
 class TestDamningAlpha:
@@ -632,6 +661,19 @@ class TestClassDiffComposition:
         spec = _cd_ensemble(lambda m, i, j: LpBall(2, (0.4 + 0.3 * m) * (1 + i + j), [0.0, 0.0]))
         assert isinstance(ensemble_classifier(spec).smoothness.pairs[(1, 0)], LpBall)
         assert classify_regimes(spec).evidence["method"] == "radii"
+
+    def test_a_nested_ensemble_reads_pairs_of_another_top(self):
+        # the outer top class (2) is not the inner ensemble's (0), so the outer
+        # certificate reads inner pairs (i, 2) that no inner certificate reads
+        inner = ensemble_classifier(_cloud_pairs(2))
+        grads = np.random.default_rng(5).standard_normal((6, 3, 2))
+        other = ClassifierAtPoint([0.1, 0.2, 0.7], ClassDiff({
+            (i, j): FinitePoints(grads[:, i] - grads[:, j])
+            for i in range(3) for j in range(3) if i != j}))
+        spec = EnsembleSpec((inner, other), np.array([0.3, 0.7]))
+        assert (inner.top, ensemble_classifier(spec).top) == (0, 2)
+        evidence = classify_regimes(spec).evidence
+        assert "error" not in evidence and evidence["method"] == "lp"
 
 
 class TestBallShape:

@@ -37,6 +37,7 @@ from scert.geometry import (
     region_is_origin_only,
     region_minus_subset,
     region_subset,
+    region_to_interval,
     scale,
     support,
 )
@@ -557,6 +558,34 @@ class TestLpMaximize:
         assert abs(res.value - 2 / 3) <= 1e-9
 
 
+class TestHalfspaceRegion:
+    @pytest.mark.parametrize("normals, offsets, dim, expected", [
+        (np.ones((3, 2)), np.ones(3), 2, np.ones((3, 2))),
+        ([1.0, -2.0], [0.5], 2, [[1.0, -2.0]]),
+        ([], [], 3, np.zeros((0, 3))),
+    ], ids=["rows", "one row", "empty"])
+    def test_accepted_shapes(self, normals, offsets, dim, expected):
+        region = HalfspaceRegion(normals, offsets, dim)
+        assert region.normals.shape == np.shape(expected)
+        assert np.array_equal(region.normals, expected)
+        assert region.n_halfspaces == len(offsets)
+
+    @pytest.mark.parametrize("normals, offsets, dim", [
+        (np.ones((3, 2)), np.ones(2), 3),
+        (np.arange(4.0), np.ones(2), 2),
+    ], ids=["rows of the wrong width", "flat rows"])
+    def test_rows_of_the_wrong_shape_rejected(self, normals, offsets, dim):
+        with pytest.raises(ValueError, match=f"rows of {dim} coordinates"):
+            HalfspaceRegion(normals, offsets, dim)
+
+    def test_interval_form_rejects_2d_and_empty_regions(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            region_to_interval(box_region(1.0))
+        empty = HalfspaceRegion([[1.0], [-1.0]], [1.0, -2.0], 1)
+        with pytest.raises(ValueError, match="region is empty"):
+            region_to_interval(empty)
+
+
 class TestContainment:
     def test_nested_boxes(self):
         assert region_subset(box_region(1 / 3), box_region(0.5))
@@ -573,6 +602,13 @@ class TestContainment:
         cloud = minkowski_sum(FinitePoints(pts), negate(FinitePoints(pts)))
         ball_vertices = FinitePoints([[3, 0], [0, 3], [-3, 0], [0, -3]])
         assert region_subset(polar_hrep(ball_vertices, 1.0), polar_hrep(cloud, 1.0))
+
+    def test_minus_subset_without_carves_is_subset(self, rng):
+        for _ in range(20):
+            a, b = _random_region(rng, 2, 1.0), _random_region(rng, 2, 1.0)
+            assert region_minus_subset(a, [], b) == region_subset(a, b)
+        assert region_minus_subset(box_region(0.5), [], box_region(1.0))
+        assert not region_minus_subset(box_region(1.0), [], box_region(0.5))
 
     def test_minus_subset_of_itself(self):
         a = box_region(1.0)
