@@ -309,7 +309,7 @@ def _realize(mode: str, family: str, dim: int,
         try:
             region = functools.reduce(HalfspaceRegion.intersect,
                                       [geometry.polar_hrep(g, r) for g, r in active])
-        except ValueError:  # no finite point form: a ball, or past the expansion cap
+        except ValueError:  # a generator that is not a finite point set
             pass
 
     governing = min(r for _, r in active)

@@ -408,7 +408,7 @@ def run_fixture_check(check: dict) -> tuple[bool, str]:
             np.vstack([np.eye(2), -np.eye(2)]), np.full(4, ball.radius), 2)
         contained = bool(np.all(
             ball.support(s_cert.region.normals) <= s_cert.region.offsets + FIXTURE_TOL))
-        strict = geometry.region_exceeds(s_cert.region, box, STRICT_MARGIN)
+        strict = not geometry.region_subset(s_cert.region, box, STRICT_MARGIN)
         return contained and strict, f"contained={contained} strict={strict}"
     if kind == "regime":
         spec = problem.to_ensemble()

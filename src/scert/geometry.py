@@ -13,14 +13,15 @@ Supported body variants:
 * :class:`Ellipsoid` — an origin-centered ellipsoidal ball whose support is
   ``radius * sqrt(u' Sigma u)`` for a symmetric positive-definite Sigma.
 * :class:`Combination` — a formal nonnegative-weighted Minkowski combination
-  of bodies, with optional per-term negation, made where no closed form
-  applies.  :func:`to_finite_points` expands it, one pruned Minkowski step
-  per term (:func:`_sum_points`); point sets are summed at once instead.
+  of bodies, made where no closed form applies.  It is a support oracle and
+  is never expanded: :func:`minkowski_sum` sums point sets at once, so every
+  combination holds a term that is not a point set.
 
 Finite point sets are summed through their hulls.  In 2D a step merges the
 edge sequences of the two hulls by angle, forming no pairwise sum; in other
-dimensions it prunes the pairwise sum, capped at :data:`MAX_EXPANSION` points
-(a cap only d >= 3 can reach, as a 1D hull has two points).
+dimensions it prunes the pairwise sum, capped at :data:`MAX_EXPANSION` points.
+Only :func:`minkowski_sum` of two point sets in d >= 3 can reach the cap (a 1D
+hull has two points), and its error reaches the caller.
 :func:`hull_prune` memoises on the body, every prune or 2D merge result is
 its own prune, and a body keeps its negation, so no prune result is pruned
 again and each 2D cloud is hulled once.
@@ -34,8 +35,8 @@ the balls add ``same_shape(other)`` (one shape up to size and center),
 ``shape_norm`` (the matrix norm, 1 for an l_p ball), ``shape_radius`` (the
 radius on the normalized shape) and ``polar(r)``.  The free functions below
 delegate to these, and :func:`weighted_sum` folds them into a weighted
-combination; only :func:`minkowski_sum` and :func:`to_finite_points`
-dispatch on variants, as they look at two bodies or a whole combination.
+combination; only :func:`minkowski_sum` dispatches on variants, as it looks
+at two bodies.
 """
 
 from __future__ import annotations
@@ -324,23 +325,18 @@ class Ellipsoid(ConvexBody):
 
 @dataclass(frozen=True)
 class Combination(ConvexBody):
-    """Formal weighted Minkowski combination: sum_k coeff_k * (+-body_k)."""
+    """Formal weighted Minkowski combination: sum_k coeff_k * body_k."""
 
-    terms: tuple[tuple[float, ConvexBody, bool], ...]
+    terms: tuple[tuple[float, ConvexBody], ...]
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("a combination needs at least one term")
-        norm_terms = []
-        dims = set()
-        for coeff, body, negated in self.terms:
-            if coeff < 0.0 or not np.isfinite(coeff):
-                raise ValueError("combination coefficients must be nonnegative reals")
-            dims.add(body.dim)
-            norm_terms.append((float(coeff), body, bool(negated)))
-        if len(dims) != 1:
+        if any(c < 0.0 or not np.isfinite(c) for c, _ in self.terms):
+            raise ValueError("combination coefficients must be nonnegative reals")
+        if len({b.dim for _, b in self.terms}) != 1:
             raise ValueError("all combination terms must share one dimension")
-        object.__setattr__(self, "terms", tuple(norm_terms))
+        object.__setattr__(self, "terms", tuple((float(c), b) for c, b in self.terms))
 
     @property
     def dim(self) -> int:
@@ -349,26 +345,25 @@ class Combination(ConvexBody):
     def support(self, direction):
         dirs, single = as_directions(direction, self.dim)
         total = np.zeros(dirs.shape[0])
-        for coeff, body, negated in self.terms:
-            total += coeff * body.support(-dirs if negated else dirs)
+        for coeff, body in self.terms:
+            total += coeff * body.support(dirs)
         return one_or_many(total, single)
 
     def support_point(self, direction: np.ndarray) -> np.ndarray:
         total = np.zeros(self.dim)
-        for coeff, body, negated in self.terms:
-            sign = -1.0 if negated else 1.0
-            total += sign * coeff * body.support_point(sign * direction)
+        for coeff, body in self.terms:
+            total += coeff * body.support_point(direction)
         return total
 
     def negate(self) -> "Combination":
-        return Combination(tuple((c, b, not neg) for c, b, neg in self.terms))
+        return Combination(tuple((c, b.negate()) for c, b in self.terms))
 
     def scale(self, alpha: float) -> "Combination":
-        return Combination(tuple((alpha * c, b, neg) for c, b, neg in self.terms))
+        return Combination(tuple((alpha * c, b) for c, b in self.terms))
 
     @property
     def degenerate(self) -> bool:
-        return all(c <= NEGLIGIBLE or b.degenerate for c, b, _ in self.terms)
+        return all(c <= NEGLIGIBLE or b.degenerate for c, b in self.terms)
 
 
 @dataclass(frozen=True)
@@ -436,10 +431,7 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
         return Ellipsoid(a.sigma, a.radius + b.radius * math.sqrt(b.shape_norm / a.shape_norm))
     terms = []
     for body in (a, b):
-        if isinstance(body, Combination):
-            terms.extend(body.terms)
-        else:
-            terms.append((1.0, body, False))
+        terms.extend(body.terms if isinstance(body, Combination) else [(1.0, body)])
     return Combination(tuple(terms))
 
 
@@ -632,25 +624,6 @@ def _prune(body: FinitePoints) -> FinitePoints:
     return _own_hull(FinitePoints._checked(pts))
 
 
-def to_finite_points(body: ConvexBody) -> np.ndarray:
-    """Explicit generator points of a body, if it reduces to finitely many.
-
-    A point set gives its pruned points; :func:`weighted_sum` makes one point
-    set of point sets (an ensemble's class-difference pair too, once read).
-    A formal combination is expanded one term at a time, each step a pruned
-    Minkowski sum.  Ball variants raise (use :func:`polar_dual_ball`).
-    """
-    if isinstance(body, FinitePoints):
-        return hull_prune(body).points
-    if isinstance(body, Combination):
-        acc: FinitePoints | None = None
-        for coeff, sub, negated in body.terms:
-            term = FinitePoints((-coeff if negated else coeff) * to_finite_points(sub))
-            acc = term if acc is None else _sum_points(acc, term)
-        return hull_prune(acc).points
-    raise ValueError(f"{type(body).__name__} does not reduce to a finite point set")
-
-
 @dataclass(frozen=True)
 class HalfspaceRegion:
     """Intersection of halfspaces {delta : normals[k].delta <= offsets[k]}."""
@@ -694,12 +667,14 @@ class HalfspaceRegion:
 def polar_hrep(body: ConvexBody, r: float) -> HalfspaceRegion:
     """Halfspace representation of {delta : support(S, delta) <= r}.
 
-    One halfspace per generator point; the body must reduce to a finite
-    point set.
+    One halfspace per pruned generator point; the body must be a finite
+    point set (a ball's polar is :func:`polar_dual_ball`).
     """
     if r < 0.0 or not np.isfinite(r):
         raise ValueError("polar radius must be a nonnegative real")
-    pts = to_finite_points(body)
+    if not isinstance(body, FinitePoints):
+        raise ValueError(f"{type(body).__name__} does not reduce to a finite point set")
+    pts = hull_prune(body).points
     keep = np.linalg.norm(pts, axis=1) > NEGLIGIBLE
     pts = pts[keep] if keep.any() else pts[:0]
     return HalfspaceRegion(pts, np.full(pts.shape[0], float(r)), body.dim)

@@ -34,6 +34,8 @@ class ExperimentConfig:
         if self.weight_policy not in ("uniform", "optimized"):
             raise ValueError("weight policy must be 'uniform' or 'optimized'")
         object.__setattr__(self, "member_counts", tuple(self.member_counts))
+        if any(n < 2 for n in self.member_counts):
+            raise ValueError("ensembles need at least two members")
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,6 @@ def run_experiment(config: ExperimentConfig) -> list[DrawRecord]:
     """All draws for every member count, deterministic for a fixed seed."""
     records = []
     for n in config.member_counts:
-        if n < 2:
-            raise ValueError("ensembles need at least two members")
         for index in range(config.draws):
             rng = np.random.default_rng((config.seed, n, index))
             members = np.stack([draw_classifier(config.k, rng) for _ in range(n)])

@@ -38,8 +38,7 @@ def reference_support(body, direction) -> float:
         return float(body.center @ d + body.radius * np.linalg.norm(d, ord=q))
     if isinstance(body, Ellipsoid):
         return body.radius * math.sqrt(max(float(d @ body.sigma @ d), 0.0))
-    return float(sum(coeff * reference_support(sub, -d if negated else d)
-                     for coeff, sub, negated in body.terms))
+    return float(sum(coeff * reference_support(sub, d) for coeff, sub in body.terms))
 
 
 def reference_extent(cert, direction) -> float:

@@ -81,19 +81,53 @@ class TestBound:
     def test_worse_by_exactly_the_bound_is_within_it(self):
         pairs = _pairs([100.0] * 10, [75.0] * 10)
         result = bench_pairs.summarize(pairs, "higher", 0.25, NO_FAILURES)
-        assert result["change_worse_by"] == 0.25 and result["within_bound"]
+        assert result["change_worse_by"] == 0.25 and result["bound_verdict"] == "within_bound"
 
     def test_beyond_the_bound(self):
         higher = bench_pairs.summarize(_pairs([100.0] * 10, [74.0] * 10), "higher", 0.25,
                                        NO_FAILURES)
-        assert not higher["within_bound"]
+        assert higher["bound_verdict"] == "beyond_bound"
         lower = bench_pairs.summarize(_pairs([100.0] * 10, [126.0] * 10), "lower", 0.25,
                                       NO_FAILURES)
-        assert lower["change_worse_by"] == pytest.approx(0.26) and not lower["within_bound"]
+        assert lower["change_worse_by"] == pytest.approx(0.26)
+        assert lower["bound_verdict"] == "beyond_bound"
         assert bench_pairs.summarize(_pairs([100.0] * 10, [125.0] * 10), "lower", 0.25,
-                                     NO_FAILURES)["within_bound"]
+                                     NO_FAILURES)["bound_verdict"] == "within_bound"
 
     def test_no_bound_is_always_within(self):
         result = bench_pairs.summarize(_pairs([100.0] * 10, [1.0] * 10), "higher", None,
                                        NO_FAILURES)
-        assert result["within_bound"]
+        assert result["bound_verdict"] == "within_bound"
+
+
+class TestUnresolved:
+    """A median beyond the bound is unresolved when too few pairs ran or the
+    parent's own spread exceeds the bound, unless every change run is worse
+    than every parent run."""
+
+    @pytest.mark.parametrize("better, worse, outlier", [("higher", 70.0, 101.0),
+                                                        ("lower", 130.0, 99.0)])
+    def test_fewer_than_ten_pairs(self, better, worse, outlier):
+        mixed = _pairs([100.0] * 3, [worse, worse, outlier])
+        result = bench_pairs.summarize(mixed, better, 0.25, NO_FAILURES)
+        assert result["change_worse_by"] == pytest.approx(0.3)
+        assert result["bound_verdict"] == "unresolved"
+        separated = _pairs([100.0] * 3, [worse] * 3)
+        assert bench_pairs.summarize(separated, better, 0.25,
+                                     NO_FAILURES)["bound_verdict"] == "beyond_bound"
+        ten = _pairs([100.0] * 10, [worse] * 9 + [outlier])
+        assert bench_pairs.summarize(ten, better, 0.25,
+                                     NO_FAILURES)["bound_verdict"] == "beyond_bound"
+
+    def test_parent_quartile_distance_beyond_the_bound(self):
+        wide = [50.0 + 10.0 * i for i in range(10)]  # median 95, quartile distance 45
+        change = [p - 30.0 for p in wide[:9]] + [200.0]  # median 65
+        result = bench_pairs.summarize(_pairs(wide, change), "higher", 0.25, NO_FAILURES)
+        assert result["parent_quartile_distance"] / result["parent"]["median"] > 0.25
+        assert result["change_worse_by"] > 0.25 and result["bound_verdict"] == "unresolved"
+        narrow = [95.0 + i / 10.0 for i in range(10)]
+        assert bench_pairs.summarize(_pairs(narrow, change), "higher", 0.25,
+                                     NO_FAILURES)["bound_verdict"] == "beyond_bound"
+        below_all = [40.0] * 10
+        assert bench_pairs.summarize(_pairs(wide, below_all), "higher", 0.25,
+                                     NO_FAILURES)["bound_verdict"] == "beyond_bound"

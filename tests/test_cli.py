@@ -280,6 +280,13 @@ class TestSimulate:
         assert overridden != base
         assert matching == base
 
+    def test_one_member_ensemble_is_a_bad_argument(self, capsys, monkeypatch):
+        # rejected before any draw is computed
+        monkeypatch.setattr("scert.simulate.evaluate_draw", None)
+        code, out, err = run_cli(capsys, "simulate", "--k", "3", "--n", "2,1", "--draws", "2")
+        assert code == 2 and out == ""
+        assert "error: ensembles need at least two members" in err
+
     def test_out_file(self, tmp_path, capsys):
         out_file = tmp_path / "sim.csv"
         code, _, _ = run_cli(capsys, "simulate", "--k", "3", "--n", "2", "--draws", "2",

@@ -40,6 +40,7 @@ from scert.geometry import (
     region_to_interval,
     scale,
     support,
+    weighted_sum,
 )
 
 
@@ -826,15 +827,16 @@ class TestSymmetry:
 
 
 class TestCombinationExpansion:
+    """Point sets are summed at once by minkowski_sum, through their hulls."""
+
     def test_2d_expansion_has_no_cap(self):
         # 101 extreme points on each side: 10,201 pairwise sums, over the cap,
         # but the 2D edge merge never forms them
         spatial = pytest.importorskip("scipy.spatial")
         angles = np.linspace(0, 2 * np.pi, 101, endpoint=False)
-        circle = np.column_stack([np.cos(angles), np.sin(angles)])
-        formal = Combination(((1.0, FinitePoints(circle), False), (1.0, FinitePoints(circle), True)))
-        pts = geo.to_finite_points(formal)
-        pairwise = brute_pairwise_differences(circle, circle)
+        circle = FinitePoints(np.column_stack([np.cos(angles), np.sin(angles)]))
+        pts = minkowski_sum(circle, negate(circle)).points
+        pairwise = brute_pairwise_differences(circle.points, circle.points)
         assert pts.shape == (202, 2)
         assert ({tuple(p) for p in pts}
                 == {tuple(p) for p in pairwise[spatial.ConvexHull(pairwise).vertices]})
@@ -842,17 +844,8 @@ class TestCombinationExpansion:
     def test_expansion_cap(self, rng):
         # in 4D only deduplication happens: 10,201 pairwise sums, just over the cap
         cloud = FinitePoints(rng.standard_normal((101, 4)))
-        formal = Combination(((1.0, cloud, False), (1.0, cloud, True)))
         with pytest.raises(ValueError, match="10000-point cap"):
-            geo.to_finite_points(formal)
-
-    def test_lazy_expansion_matches_support(self, rng):
-        a = FinitePoints(rng.standard_normal((4, 2)))
-        b = FinitePoints(rng.standard_normal((3, 2)))
-        formal = Combination(((0.5, a, False), (0.7, b, True)))
-        pts = geo.to_finite_points(formal)
-        for d in unit_directions(32, seed=11):
-            assert abs(brute_support(pts, d) - support(formal, d)) <= 1e-9
+            minkowski_sum(cloud, negate(cloud))
 
 
 _EIGHTHS = st.integers(-16, 16).map(lambda v: v / 8.0)
@@ -877,10 +870,11 @@ def bodies(draw, dim: int, depth: int = 0):
     if kind == "ellipsoid":
         root = _rows(draw, dim, dim)
         return Ellipsoid(root @ root.T + 0.25 * np.eye(dim), draw(st.integers(0, 16)) / 8.0)
-    terms = tuple((draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])), draw(bodies(dim, depth + 1)),
-                   draw(st.booleans()))
-                  for _ in range(draw(st.integers(1, 3))))
-    return Combination(terms)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff, body = draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])), draw(bodies(dim, depth + 1))
+        terms.append((coeff, body.negate() if draw(st.booleans()) else body))
+    return Combination(tuple(terms))
 
 
 @st.composite
@@ -943,8 +937,8 @@ class TestDirectionStacks:
     ])
     def test_bad_stacks_rejected(self, bad):
         cert = s_certificate(ClassifierAtPoint([0.6, 0.4], Uniform(LpBall(2, 1.0, [0.1, 0.0]))), "u")
-        body = Combination(((1.0, FinitePoints([[1.0, 0.0]]), False),
-                            (0.5, Ellipsoid(np.eye(2), 1.0), True)))
+        body = Combination(((1.0, FinitePoints([[1.0, 0.0]])),
+                            (0.5, Ellipsoid(np.eye(2), 1.0))))
         for call in (body.support, body.terms[0][1].support, body.terms[1][1].support,
                      LpBall(2, 1.0, [0.0, 0.0]).support, cert.ray_extent, cert.contains):
             with pytest.raises(ValueError):
@@ -991,3 +985,38 @@ class TestSupportPoint:
         # perfbench/tracer.py wraps `support` through each class's own dict
         for name in ("support", "support_point", "negate", "scale", "degenerate"):
             assert name in vars(variant), f"{variant.__name__}.{name}"
+
+
+class TestCombinationHoldsABall:
+    """minkowski_sum sums two point sets at once, so a combination always
+    holds a term that is not a point set, and polar_hrep rejects it whole."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_every_fold_of_leaves_keeps_a_term_that_is_not_a_point_set(self, data):
+        dim = data.draw(st.integers(1, 3))
+        pool = [data.draw(bodies(dim, depth=2)) for _ in range(3)]  # leaves only
+        for _ in range(data.draw(st.integers(1, 6))):
+            op = data.draw(st.sampled_from(["sum", "negate", "scale", "weighted_sum"]))
+            a, b = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+            factor = data.draw(st.sampled_from([0.0, 0.5, 2.5]))
+            pool.append(minkowski_sum(a, b) if op == "sum"
+                        else negate(a) if op == "negate"
+                        else scale(factor, a) if op == "scale"
+                        else weighted_sum([a, b], [factor, 1.0]))
+        for body in pool:
+            if isinstance(body, Combination):
+                assert any(not isinstance(term, FinitePoints) for _, term in body.terms)
+                with pytest.raises(ValueError, match="does not reduce to a finite point set"):
+                    polar_hrep(body, 1.0)
+
+    def test_polar_hrep_rejects_a_combination_before_pruning(self, monkeypatch):
+        runs = []
+        prune = geo._prune
+        monkeypatch.setattr(geo, "_prune", lambda body: runs.append(body) or prune(body))
+        cloud = FinitePoints([[1.0, 0.0], [0.0, 1.0], [0.25, 0.25]])
+        body = minkowski_sum(cloud, LpBall(2, 0.5, [0.0, 0.0]))
+        assert isinstance(body, Combination) and body.terms[0][1] is cloud
+        with pytest.raises(ValueError, match="does not reduce to a finite point set"):
+            polar_hrep(body, 1.0)
+        assert runs == []

@@ -73,6 +73,8 @@ class TestRunExperiment:
             ExperimentConfig(draws=0)
         with pytest.raises(ValueError):
             ExperimentConfig(weight_policy="best")
+        with pytest.raises(ValueError, match="at least two members"):
+            ExperimentConfig(member_counts=(2, 1))
 
 
 class TestSummarize:

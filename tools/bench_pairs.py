@@ -13,12 +13,16 @@ pair.  A seed listed n times (``--seeds 11,11,11,11``) makes n pairs.
 The comparison appended to ``--out`` (a JSON file holding a list under
 ``comparisons``; created if missing) has every run's end-to-end metrics and,
 per metric, each side's median and quartiles, the pairs the change won,
-whether the change's median is worse than the parent's by more than the
-bound in the change's ``BENCHMARK.json``, and whether the change gains on
-it.  A metric gains when at least ten pairs ran, the change won at least
-nine tenths of them (ties count for neither side), its median is better by
-more than the distance between the parent's quartiles, and it failed no
-more ops than the parent.  Standard library only.
+its verdict on the bound in the change's ``BENCHMARK.json``, and whether the
+change gains on it.  A metric is ``within_bound`` unless the change's median
+is worse than the parent's by more than the bound.  Such a metric is
+``beyond_bound`` when every change run is worse than every parent run, or
+when the pairs resolve it: at least ten pairs ran and the parent's quartile
+distance, relative to its median, is within the bound.  Otherwise it is
+``unresolved``.  A metric gains when at least ten pairs ran, the change won
+at least nine tenths of them (ties count for neither side), its median is
+better by more than the distance between the parent's quartiles, and it
+failed no more ops than the parent.  Standard library only.
 """
 
 from __future__ import annotations
@@ -77,12 +81,20 @@ def summarize(pairs: list[dict], better: str, bound: float | None, failed_ops: d
     spread = parent["q3"] - parent["q1"]
     gain = (len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs)
             and sign * difference > spread and failed_ops["change"] <= failed_ops["parent"])
+    if bound is None or worse_by <= bound:
+        verdict = "within_bound"
+    elif max(sign * p["change"] for p in pairs) < min(sign * p["parent"] for p in pairs):
+        verdict = "beyond_bound"  # every change run is worse than every parent run
+    elif len(pairs) < MIN_PAIRS or spread / abs(parent["median"]) > bound:
+        verdict = "unresolved"
+    else:
+        verdict = "beyond_bound"
     return {"better": better, "parent": parent, "change": change,
             "change_won": wins, "pairs": len(pairs),
             "median_difference": difference,
             "parent_quartile_distance": spread,
             "change_worse_by": worse_by, "bound": bound,
-            "within_bound": bound is None or worse_by <= bound, "gain": gain}
+            "bound_verdict": verdict, "gain": gain}
 
 
 def main() -> int:
@@ -129,7 +141,8 @@ def main() -> int:
         "correct_all_runs": all(r["correct"] for r in runs),
         "failed_ops": failed_ops,
         "gains": [name for name, m in metrics.items() if m["gain"]],
-        "beyond_bound": [name for name, m in metrics.items() if not m["within_bound"]],
+        **{verdict: [name for name, m in metrics.items() if m["bound_verdict"] == verdict]
+           for verdict in ("beyond_bound", "unresolved")},
         "metrics": metrics,
         "runs": runs,
     }
@@ -141,7 +154,8 @@ def main() -> int:
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(document, f, indent=1)
         f.write("\n")
-    print(json.dumps({key: comparison[key] for key in ("workload", "gains", "beyond_bound")}))
+    print(json.dumps({key: comparison[key] for key in ("workload", "gains", "beyond_bound",
+                                                          "unresolved")}))
     return 0
 
 
