@@ -217,14 +217,16 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
 
 def _polygon_results(objectives: np.ndarray, vertices: np.ndarray, rays: np.ndarray):
     """Results of every objective over a 2D region with the given vertices
-    and rays: one product with the vertices and one with the rays."""
+    and rays, from their products term by term: unlike a matrix product,
+    these round an objective alike in a stack of any size."""
     if vertices.shape[0] == 0:
         return [SimplexResult(INFEASIBLE)]
-    values = objectives @ vertices.T
+    values = objectives[:, :1] * vertices[:, 0] + objectives[:, 1:] * vertices[:, 1]
     top = values.argmax(axis=1)
     best = values[np.arange(len(top)), top].tolist()
     scale = VERTEX_TOL * np.hypot(objectives[:, 0], objectives[:, 1])
-    unbounded = np.any(objectives @ rays.T > scale[:, None], axis=1).tolist()
+    along = objectives[:, :1] * rays[:, 0] + objectives[:, 1:] * rays[:, 1]
+    unbounded = np.any(along > scale[:, None], axis=1).tolist()
     return (SimplexResult(UNBOUNDED) if unbounded[i]
             else SimplexResult(OPTIMAL, best[i], vertices[top[i]])
             for i in range(len(top)))

@@ -320,9 +320,7 @@ def _realize(mode: str, family: str, dim: int,
         elif region is not None:
             trivial = geometry.region_is_origin_only(region)
         else:
-            rng = np.random.default_rng(0)
-            dirs = rng.standard_normal((512, dim))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            dirs = geometry.seeded_unit_directions(512, dim)
             cert_probe = Certificate(mode, family, dim, tuple(active))
             trivial = bool(np.all(cert_probe.ray_extent(dirs) <= geometry.TOL))
 

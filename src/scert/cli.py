@@ -73,7 +73,11 @@ def describe_certificate(cert: Certificate) -> list[str]:
     if cert.trivial:
         lines.append("  trivial: only the zero perturbation is certified")
     if cert.ball is not None:
-        lines.append(f"  {_shape_name(cert.ball)} ball, radius {cert.ball.radius:.9g}")
+        line = f"  {_shape_name(cert.ball)} ball, radius {cert.ball.radius:.9g}"
+        if isinstance(cert.ball, Ellipsoid):  # the radius is in units of this matrix
+            line += ", matrix [" + ", ".join(
+                "[" + ", ".join(f"{v:.9g}" for v in row) + "]" for row in cert.ball.sigma) + "]"
+        lines.append(line)
         return lines
     if cert.region is not None:
         if cert.dim == 1:
@@ -167,11 +171,11 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _ensemble_from_args(args) -> tuple[ProblemFile, EnsembleSpec]:
+def _ensemble_from_args(args) -> EnsembleSpec:
     problem = _load_problem(args.file)
     if not problem.is_ensemble:
         _fail(3, "error: the file describes a single classifier; use `scert certify`")
-    return problem, _to_ensemble(problem, _parse_weights(getattr(args, "weights", None)))
+    return _to_ensemble(problem, _parse_weights(getattr(args, "weights", None)))
 
 
 def _to_ensemble(problem: ProblemFile, weights) -> EnsembleSpec:
@@ -182,7 +186,7 @@ def _to_ensemble(problem: ProblemFile, weights) -> EnsembleSpec:
 
 
 def cmd_ensemble(args) -> int:
-    _, spec = _ensemble_from_args(args)
+    spec = _ensemble_from_args(args)
     logits = ensemble_logits(spec)
     c_a, c_b, r = gaps(logits)
     print("weights:", " ".join(f"{w:.9g}" for w in spec.weights))
@@ -200,7 +204,7 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_regime(args) -> int:
-    _, spec = _ensemble_from_args(args)
+    spec = _ensemble_from_args(args)
     report = classify_regimes(spec)
     print(f"gap regime: {report.gap_regime}")
     print(f"certificate regime: {report.cert_regime}")
@@ -231,7 +235,7 @@ def cmd_bound(args) -> int:
         return 0
     if args.file is None:
         _fail(2, "error: bound radius-improvement needs a problem file")
-    _, spec = _ensemble_from_args(args)
+    spec = _ensemble_from_args(args)
     try:
         statement, proof = radius_improvement_bound(spec)
     except ValueError as exc:
@@ -490,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?")
     p.add_argument("--rbar", type=float)
     p.add_argument("--k", type=int)
-    p.add_argument("--weights")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("simulate", help="Monte Carlo regime statistics as CSV")

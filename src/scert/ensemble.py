@@ -35,10 +35,11 @@ from .geometry import (
     STRICT_MARGIN,
     TOL,
     HalfspaceRegion,
+    lp_maximize,
     one_ball_shape,
     region_minus_subset,
     region_subset,
-    region_support,
+    seeded_unit_directions,
 )
 
 GAP_TOL = 1e-9
@@ -184,7 +185,7 @@ def _cert_regime_regions(q_g: Certificate, member_certs: list[Certificate]) -> t
     inter = functools.reduce(HalfspaceRegion.intersect, regions)
     carves, last = regions[:-1], regions[-1]
     # one batch of g's maxima over inter; it stops only past offset + STRICT_MARGIN > TOL
-    tops = region_support(inter, g.normals, g.offsets + STRICT_MARGIN)
+    tops = lp_maximize(g.normals, inter, g.offsets + STRICT_MARGIN)
     evidence = {  # the queries run in this order
         "method": "lp",
         "contains_intersection": not any(r.exceeds(t) for r, t in zip(tops, g.offsets + TOL)),
@@ -205,9 +206,7 @@ SAMPLED_DIRECTIONS = 10_000
 
 
 def _cert_regime_sampled(q_g: Certificate, member_certs: list[Certificate]) -> tuple[str, dict]:
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((SAMPLED_DIRECTIONS, q_g.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = seeded_unit_directions(SAMPLED_DIRECTIONS, q_g.dim)
     e_g = q_g.ray_extent(dirs)
     extents = np.stack([q.ray_extent(dirs) for q in member_certs])
     regime, flags = _extent_regime(e_g, extents.max(axis=0), extents.min(axis=0))

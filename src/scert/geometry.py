@@ -2,7 +2,8 @@
 
 Bodies are represented canonically through their support function
 ``rho(S, u) = sup_{c in S} c.u``; explicit halfspace representations are
-derived only for bodies reducible to finite point sets.  All values are
+derived only for finite point sets, and every LP over such a region, one
+objective or a stack, is one call of :func:`lp_maximize`.  All values are
 immutable after construction and every operation is a pure function, so
 bodies and regions can be shared freely across workers.
 
@@ -48,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _simplex
-from ._simplex import SimplexResult
 
 TOL = 1e-9            # exact-geometry comparisons
 STRICT_MARGIN = 1e-6  # strictness margins for proper-inclusion tests
@@ -95,6 +95,12 @@ def as_directions(x, dim: int) -> tuple[np.ndarray, bool]:
 def one_or_many(values: np.ndarray, single: bool):
     """A scalar for a single direction, else the (m,) array of values."""
     return values[0].item() if single else values
+
+
+def seeded_unit_directions(n: int, dim: int) -> np.ndarray:
+    """n unit directions as rows: the normalized rows of a seed-0 normal draw."""
+    dirs = np.random.default_rng(0).standard_normal((n, dim))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -687,26 +693,17 @@ def polar_dual_ball(body: ConvexBody, r: float) -> ConvexBody | WholeSpace:
     return body.polar(r)
 
 
-def lp_maximize(objective, region: HalfspaceRegion) -> SimplexResult:
-    """Maximum of objective.delta over the region (or unboundedness).
+def lp_maximize(objectives, region: HalfspaceRegion, limits=None):
+    """Maximum of each objective over the region, from one LP call.
 
-    The query of :func:`region_support` for one direction, so it takes the
-    same path: a 2D region whose rows span the plane is answered from its
-    vertices and rays, any other by the simplex.  An infeasible region is
-    reported distinctly (it cannot arise from polar constructions).
+    One objective (d,) gives one result; a stack (m, d) gives a list in its
+    order, which stops after the first result that is infeasible or exceeds
+    its entry of `limits`.  A 2D region whose rows span the plane is answered
+    from its vertices and rays, any other by the simplex.  An infeasible
+    region is reported distinctly (it cannot arise from polar constructions).
     """
-    return _simplex.maximize(as_vector(objective, region.dim), region.normals, region.offsets)
-
-
-def region_support(region: HalfspaceRegion, directions, limits=None) -> list[SimplexResult]:
-    """Maximum of each direction over the region, from one batched LP call.
-
-    Results come in the order of `directions`.  The list stops after the
-    first result that is infeasible or exceeds its entry of `limits`, so a
-    containment query stops at the first direction that decides it.
-    """
-    return _simplex.maximize(np.reshape(directions, (-1, region.dim)),
-                             region.normals, region.offsets, limits)
+    dirs, single = as_directions(objectives, region.dim)
+    return _simplex.maximize(dirs[0] if single else dirs, region.normals, region.offsets, limits)
 
 
 def region_subset(a: HalfspaceRegion, b: HalfspaceRegion, slack: float = TOL) -> bool:
@@ -727,7 +724,7 @@ def region_exceeds(a: HalfspaceRegion, b: HalfspaceRegion,
         raise ValueError("dimension mismatch in containment test")
     limits = b.offsets + margin
     return any(res.exceeds(limit)
-               for res, limit in zip(region_support(a, b.normals, limits), limits))
+               for res, limit in zip(lp_maximize(b.normals, a, limits), limits))
 
 
 def region_minus_subset(a: HalfspaceRegion, carves, b: HalfspaceRegion,
@@ -752,7 +749,7 @@ def region_minus_subset(a: HalfspaceRegion, carves, b: HalfspaceRegion,
     if not (a.dim == carve.dim == b.dim):
         raise ValueError("dimension mismatch in containment test")
     for normal, offset, top in zip(carve.normals, carve.offsets,
-                                   region_support(a, carve.normals)):
+                                   lp_maximize(carve.normals, a)):
         if top.exceeds(limit := float(offset) + slack):
             piece = a.intersect(HalfspaceRegion(-normal, [-limit], a.dim))
             if not region_subset(piece, b, slack) and (
@@ -768,8 +765,8 @@ def _axis_directions(dim: int) -> np.ndarray:
 
 def region_is_origin_only(region: HalfspaceRegion) -> bool:
     """True iff the region is pinched to the single point {0} (up to TOL)."""
-    results = region_support(region, _axis_directions(region.dim),
-                             np.full(2 * region.dim, TOL))
+    results = lp_maximize(_axis_directions(region.dim), region,
+                          np.full(2 * region.dim, TOL))
     return results[0].status != _simplex.INFEASIBLE and not any(
         res.exceeds(TOL) for res in results)
 
@@ -778,14 +775,14 @@ def region_is_unbounded(region: HalfspaceRegion) -> bool:
     """True iff the region is unbounded along some coordinate axis, i.e.
     unbounded at all (an empty region is bounded)."""
     return any(res.status == _simplex.UNBOUNDED
-               for res in region_support(region, _axis_directions(region.dim)))
+               for res in lp_maximize(_axis_directions(region.dim), region))
 
 
 def region_to_interval(region: HalfspaceRegion) -> tuple[float | None, float | None]:
     """Endpoints of a one-dimensional region; None marks an unbounded side."""
     if region.dim != 1:
         raise ValueError("interval form is defined for one-dimensional regions")
-    results = region_support(region, _axis_directions(1))
+    results = lp_maximize(_axis_directions(1), region)
     if results[0].status == _simplex.INFEASIBLE:
         raise ValueError("region is empty")
     hi_res, lo_res = results

@@ -240,6 +240,13 @@ class TestBound:
         code, _, err = run_cli(capsys, "bound", "gap-gain")
         assert code == 2
 
+    def test_weights_are_not_an_option(self, capsys):
+        # no bound reads the weights, so the option is gone
+        code, out, err = run_cli(capsys, "bound", "radius-improvement",
+                                 str(fixture_path("appendix-c4.json")), "--weights", "1,0")
+        assert code == 2 and not out
+        assert "unrecognized arguments: --weights" in err
+
 
 class TestSimulate:
     def test_csv_contract(self, capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import re
 import time
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from scert.certificates import (
     runner_up_gap,
     s_certificate,
 )
-from scert.cli import load_fixture
+from scert.cli import describe_certificate, load_fixture
 from scert.ensemble import (
     GAP_TOL,
     EnsembleSpec,
@@ -730,6 +731,21 @@ class TestBallShape:
         for u in unit_directions(16):
             assert cert.ball.support(u) == pytest.approx(reference.ball.support(u), rel=1e-12)
         assert lipschitz_certificate(mixed, "cw").kind == "ball"
+
+    def test_printed_ball_names_one_set(self):
+        # the merge keeps one member's matrix, so the radius alone differs
+        # (1.35526185 against 0.428571429); the ball {x : x' M^-1 x <= r^2}
+        # fixes r^2 M.  Nine printed digits round each number by up to 5e-9
+        # relative, which bounds how close the printed products can come.
+        logits = [0.6, 0.3, 0.1]
+        printed = []
+        for second in (Ellipsoid(10.0 * self.S1, 0.2 / math.sqrt(10.0)), Ellipsoid(self.S1, 0.2)):
+            clf = ClassifierAtPoint(logits, ClassWise((
+                Ellipsoid(self.S1, 0.5), second, Ellipsoid(self.S1, 0.3))))
+            line = describe_certificate(s_certificate(clf, "cw"))[-1]
+            radius, matrix = re.fullmatch(r"  ellipsoid ball, radius (\S+), matrix (.+)", line).groups()
+            printed.append(float(radius) ** 2 * np.array(json.loads(matrix)))
+        np.testing.assert_allclose(printed[0], printed[1], rtol=3e-8)
 
     def test_regime_of_one_shape_takes_the_radii(self):
         first = ClassifierAtPoint([0.6, 0.3, 0.1], Uniform(Ellipsoid(self.S2, 0.5)))

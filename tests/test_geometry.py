@@ -1,6 +1,8 @@
 """Convex-body algebra: worked examples and randomized invariants."""
 
+import importlib.util
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -557,6 +559,89 @@ class TestLpMaximize:
         region = polar_hrep(FinitePoints([[3, 0], [0, 3], [-3, 0], [0, -3]]), 1.0)
         res = lp_maximize([1, 1], region)
         assert abs(res.value - 2 / 3) <= 1e-9
+
+    @staticmethod
+    def _region(rng, dim: int, kind: str) -> HalfspaceRegion:
+        """A random region of the given kind: in 2D "bounded", "empty" and
+        "unbounded" take the polygon path and "slab" the simplex; in 3D all
+        take the simplex."""
+        region = _random_region(rng, dim, 1.0)
+        if kind == "empty":  # x_0 <= -1 and x_0 >= 1
+            return region.intersect(HalfspaceRegion(
+                np.vstack([np.eye(dim)[:1], -np.eye(dim)[:1]]), [-1.0, -1.0], dim))
+        if kind == "unbounded":  # dim rows leave a cone open
+            return HalfspaceRegion(region.normals[:dim], region.offsets[:dim], dim)
+        if kind == "slab":  # parallel rows do not span the plane
+            normal = region.normals[:1]
+            return HalfspaceRegion(np.vstack([normal, -normal]), rng.uniform(0.1, 1.0, 2), dim)
+        return region
+
+    @staticmethod
+    def _same(a, b) -> bool:
+        """Equal status and value, and bit-equal points."""
+        return (a.status == b.status and a.value == b.value
+                and (a.point is None) == (b.point is None)
+                and (a.point is None or a.point.tobytes() == b.point.tobytes()))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
+           st.sampled_from(["bounded", "empty", "unbounded", "slab"]), st.integers(1, 6))
+    def test_a_stack_is_its_objectives_one_by_one(self, seed, dim, kind, m):
+        rng = np.random.default_rng(seed)
+        region = self._region(rng, dim, kind)
+        stack = rng.standard_normal((m, dim))
+        singles = [lp_maximize(c, region) for c in stack]
+        # the stack stops after an infeasible region's first result
+        stop = next((i + 1 for i, r in enumerate(singles) if r.status == _simplex.INFEASIBLE), m)
+        results = lp_maximize(stack, region)
+        assert isinstance(results, list) and len(results) == stop
+        assert all(self._same(r, s) for r, s in zip(results, singles))
+        assert (kind == "empty") == (results[0].status == _simplex.INFEASIBLE)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
+           st.sampled_from(["bounded", "empty", "unbounded", "slab"]), st.integers(1, 6))
+    def test_limits_stop_the_stack_as_the_solver_does(self, seed, dim, kind, m):
+        rng = np.random.default_rng(seed)
+        region = self._region(rng, dim, kind)
+        stack = rng.standard_normal((m, dim))
+        limits = rng.uniform(-0.5, 2.0, m) * np.linalg.norm(stack, axis=1)
+        singles = [lp_maximize(c, region) for c in stack]
+        stop = next((i + 1 for i, (r, limit) in enumerate(zip(singles, limits))
+                     if r.status == _simplex.INFEASIBLE or r.exceeds(limit)), m)
+        results = lp_maximize(stack, region, limits)
+        solver = _simplex.maximize(stack, region.normals, region.offsets, limits)
+        assert len(results) == len(solver) == stop
+        assert all(self._same(r, s) and self._same(r, t)
+                   for r, s, t in zip(results, singles, solver))
+
+    @pytest.mark.parametrize("objectives, match", [
+        (np.ones(3), "dimension mismatch"),
+        # six entries would reshape into three 2D objectives
+        (np.ones((2, 3)), r"an \(m, 2\) stack"),
+        ([1.0, np.nan], "finite"),
+        ([[1.0, 0.0], [np.inf, 1.0]], "finite"),
+    ], ids=["d + 1 objective", "m x (d + 1) stack", "nan", "inf in a stack"])
+    def test_bad_objectives_rejected(self, objectives, match):
+        with pytest.raises(ValueError, match=match):
+            lp_maximize(objectives, box_region(1.0))
+
+    def test_the_tracer_attributes_a_region_query_lp_to_lp_maximize(self):
+        import scert.cli  # noqa: F401  (loads every module the tracer wraps)
+
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        t = tracer.Tracer().install()
+        try:
+            geo.region_subset(box_region(1.0), box_region(1.0))
+        finally:
+            t.uninstall()
+        lps = [i for i, s in enumerate(t.spans) if s.name == "geometry.lp_maximize"]
+        assert len(lps) == 1
+        assert tracer._has_ancestor(t.spans, lps[0], "geometry.region_query")
+        assert tracer.layer_metrics(t.spans, 1)["geometry.region_query.lp_per_call"] == 1.0
 
 
 class TestHalfspaceRegion:

@@ -39,3 +39,54 @@ def test_the_rule_sees_bodies_and_defaults_but_not_module_constants():
                      "def f(x, tol=1e-7):\n    return x < 2e-12 and x > -5e-4\n"
                      "class C:\n    EPS = 1e-6\n    BIG = 0.5\n")
     assert _small_literals_in_bodies(tree) == [(2, 1e-07), (3, 2e-12), (3, 0.0005), (5, 1e-06)]
+
+
+# the only functions that may call the LP solver: every LP over a halfspace
+# region goes through lp_maximize, and the weight simplex of optimize_weights
+# is not a perturbation region
+LP_CALLERS = {"geometry.lp_maximize", "ensemble.optimize_weights"}
+
+
+def _solver_callers(tree: ast.Module, module: str) -> set[str]:
+    """module.function of each function calling `_simplex.maximize`, by the
+    module attribute or by a name imported from `_simplex`; a call outside
+    any function counts for the module."""
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_simplex")
+                for alias in node.names if alias.name == "maximize"}
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{module}.{node.name}"
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr == "maximize"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "_simplex"
+                or isinstance(node.func, ast.Name) and node.func.id in imported):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_lp_maximize_and_the_weight_lp_call_the_solver():
+    package = os.path.dirname(scert.__file__)
+    callers = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                callers |= _solver_callers(ast.parse(handle.read(), filename=name), name[:-3])
+    stray = sorted(callers - LP_CALLERS)
+    assert not stray, f"the LP solver is called outside {sorted(LP_CALLERS)}: {stray}"
+
+
+def test_the_solver_rule_sees_attributes_imports_and_module_level_calls():
+    tree = ast.parse("from . import _simplex\nfrom ._simplex import maximize as m\n"
+                     "def f(a):\n    def g():\n        return _simplex.maximize(a)\n"
+                     "    return g\n"
+                     "class C:\n    def h(self):\n        return m(1)\n"
+                     "def k():\n    return other.maximize(1)\n"
+                     "X = _simplex.maximize(0)\n")
+    assert _solver_callers(tree, "mod") == {"mod.g", "mod.h", "mod"}
