@@ -77,18 +77,17 @@ def _run(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     reduced[:] = cost - cost[basis] @ tableau[:-1, :-1]
     tableau[-1, -1] = 0.0
     for _ in range(MAX_ITERATIONS):
-        eligible = np.flatnonzero(allowed & (reduced > FEASIBILITY_TOL))
-        if eligible.size == 0:
+        eligible = allowed & (reduced > FEASIBILITY_TOL)
+        entering = int(eligible.argmax())  # Bland's rule: the first eligible column
+        if not eligible[entering]:
             return OPTIMAL
-        entering = eligible[0]  # Bland's rule
         column = tableau[:m, entering]
-        rows = np.flatnonzero(column > PIVOT_TOL)
-        if rows.size == 0:
+        rows = column > PIVOT_TOL
+        if not rows.any():
             return UNBOUNDED
-        ratios = rhs[rows] / column[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + RATIO_TIE_TOL]
-        leaving = ties[np.argmin(basis[ties])]
+        ratios = np.divide(rhs, column, out=np.full(m, np.inf), where=rows)
+        ties = rows & (ratios <= ratios.min() + RATIO_TIE_TOL)
+        leaving = int(np.where(ties, basis, allowed.size).argmin())  # size > any basis index
         _pivot(tableau, basis, leaving, entering)
     raise RuntimeError("simplex did not converge within the iteration cap")
 

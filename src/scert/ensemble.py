@@ -180,21 +180,29 @@ def _cert_regime_balls(q_g: Certificate, member_certs: list[Certificate]) -> tup
 
 
 def _cert_regime_regions(q_g: Certificate, member_certs: list[Certificate]) -> tuple[str, dict]:
+    """The regime from the LP containment flags, none queried that another
+    decides at the same slack: g inside a member region is within the union
+    and nowhere strictly past it, so the carve runs only when none holds g,
+    and g contains the union only if it contains the intersection."""
     g = q_g.region
     regions = [q.region for q in member_certs]
     inter = functools.reduce(HalfspaceRegion.intersect, regions)
     carves, last = regions[:-1], regions[-1]
-    # one batch of g's maxima over inter; it stops only past offset + STRICT_MARGIN > TOL
+    # the queries run in this order: g's maxima over inter in one batch (it stops
+    # only past offset + STRICT_MARGIN > TOL), g in each r, the carve, each r in g
     tops = lp_maximize(g.normals, inter, g.offsets + STRICT_MARGIN)
-    evidence = {  # the queries run in this order
+    contains_intersection = not any(r.exceeds(t) for r, t in zip(tops, g.offsets + TOL))
+    inside = [region_subset(g, r) for r in regions]
+    held = any(inside)
+    evidence = {
         "method": "lp",
-        "contains_intersection": not any(r.exceeds(t) for r, t in zip(tops, g.offsets + TOL)),
-        "within_union": region_minus_subset(g, carves, last),
-        "contains_union": all(region_subset(r, g) for r in regions),
-        "within_intersection": region_subset(g, inter),
+        "contains_intersection": contains_intersection,
+        "within_union": held or region_minus_subset(g, carves, last),
+        "contains_union": contains_intersection and all(region_subset(r, g) for r in regions),
+        "within_intersection": all(inside),
     }
-    regime = _verdict(evidence, evidence["contains_union"] and not region_minus_subset(
-                          g, carves, last, STRICT_MARGIN),
+    regime = _verdict(evidence, evidence["contains_union"] and not held and not
+                      region_minus_subset(g, carves, last, STRICT_MARGIN),
                       any(r.exceeds(t) for r, t in zip(tops, g.offsets + STRICT_MARGIN)))
     strict = {"improvement": "strict_excess", "reduction": "strict_deficit"}.get(regime)
     if strict:
@@ -220,11 +228,12 @@ def classify_regimes(spec: EnsembleSpec) -> RegimeReport:
     and the intersection of all member certificates, for any member count.
     The evidence names the method that decided it: ``"radii"`` when every
     certificate is a ball of one shape (or the whole space), ``"lp"`` when
-    every certificate is a halfspace region (containments decided exactly;
-    the union is handled by carving the ensemble region by each member
-    region in turn), and ``"sampled"`` otherwise, a falsification along
-    seeded directions.  Members without smoothness data get the gap regime
-    only; a failure to build a certificate is reported as
+    every certificate is a halfspace region (containments decided exactly,
+    none queried that another implies: the ensemble region is carved by each
+    member region in turn only when none holds it, and the union is tested
+    inside it only when the intersection is), and ``"sampled"`` otherwise, a
+    falsification along seeded directions.  Members without smoothness data
+    get the gap regime only; a failure to build a certificate is reported as
     ``evidence["error"]`` with the regime ``"indeterminate"``.
     """
     member_gaps = np.array([m.gap for m in spec.members])

@@ -23,9 +23,9 @@ edge sequences of the two hulls by angle, forming no pairwise sum; in other
 dimensions it prunes the pairwise sum, capped at :data:`MAX_EXPANSION` points.
 Only :func:`minkowski_sum` of two point sets in d >= 3 can reach the cap (a 1D
 hull has two points), and its error reaches the caller.
-:func:`hull_prune` memoises on the body, every prune or 2D merge result is
-its own prune, and a body keeps its negation, so no prune result is pruned
-again and each 2D cloud is hulled once.
+:func:`hull_prune` memoises on the body, every prune, 2D merge or scale
+by alpha > 0 (alpha times the prune) is its own prune, and a body keeps its
+negation, so no prune result is pruned again and each 2D cloud is hulled once.
 
 Each variant dispatches on itself: it implements ``support(u)`` (a float
 for one direction (d,), an (m,) array for a stack (m, d)),
@@ -182,7 +182,9 @@ class FinitePoints(ConvexBody):
         return FinitePoints._checked(-self.points)
 
     def scale(self, alpha: float) -> "FinitePoints":
-        return FinitePoints(alpha * self.points)
+        if alpha == 0.0:
+            return FinitePoints(alpha * self.points)
+        return _own_hull(FinitePoints(alpha * hull_prune(self).points))
 
     @functools.cached_property
     def _hull(self) -> "FinitePoints":

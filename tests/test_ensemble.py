@@ -1,5 +1,6 @@
 """Ensemble composition, regimes, bounds, and weight optimization."""
 
+import functools
 import json
 import math
 import pathlib
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -59,10 +60,12 @@ from scert.geometry import (
     Combination,
     Ellipsoid,
     FinitePoints,
+    HalfspaceRegion,
     LpBall,
     minkowski_sum,
     one_ball_shape,
     polar_hrep,
+    region_minus_subset,
     region_subset,
     support,
     weighted_sum,
@@ -1407,3 +1410,107 @@ class TestPointCloudRegimes:
         regime, got, elapsed = _timed_regime(EnsembleSpec(members, weights))
         assert (regime, got) == ("indeterminate", flags)
         assert elapsed < 1.0
+
+
+def _full_queries(spec: EnsembleSpec) -> tuple[str, dict]:
+    """The LP regime and evidence from every containment query run in full:
+    the carve even when a member region holds g, and the union against g even
+    when the intersection is not inside g."""
+    mode = spec.members[0].smoothness.mode
+    g = s_certificate(ensemble_classifier(spec), mode).region
+    regions = [s_certificate(m, mode).region for m in spec.members]
+    inter = functools.reduce(HalfspaceRegion.intersect, regions)
+    carves, last = regions[:-1], regions[-1]
+    flags = {"contains_intersection": region_subset(inter, g),
+             "within_union": region_minus_subset(g, carves, last),
+             "contains_union": all(region_subset(r, g) for r in regions),
+             "within_intersection": region_subset(g, inter)}
+    strict_excess = not region_minus_subset(g, carves, last, STRICT_MARGIN)
+    strict_deficit = not region_subset(inter, g, STRICT_MARGIN)
+    if flags["contains_union"] and strict_excess:
+        return "improvement", {"method": "lp", **flags, "strict_excess": True}
+    if flags["within_intersection"] and strict_deficit:
+        return "reduction", {"method": "lp", **flags, "strict_deficit": True}
+    if flags["contains_intersection"] and flags["within_union"]:
+        return "inconclusive", {"method": "lp", **flags}
+    return "indeterminate", {"method": "lp", **flags}
+
+
+@st.composite
+def point_cloud_ensembles(draw):
+    """2 to 4 members in 2D or 3D, in mode u, cw or cd, from a drawn seed; a
+    3D member holds 3-point clouds, and a 3D cw ensemble at most 3 members (a
+    fourth takes a second or more).  2D members may share their gradients and
+    differ only in their logits, which is where improvements are found (in 3D
+    the full carve of such members takes seconds)."""
+    dim, mode = draw(st.sampled_from([2, 3])), draw(st.sampled_from(["u", "cw", "cd"]))
+    n = draw(st.integers(2, 3 if (dim, mode) == (3, "cw") else 4))
+    points = draw(st.integers(3, 6)) if dim == 2 else 3
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (points, dim) if mode == "u" else (points, 3, dim)
+    shared = rng.standard_normal(shape) if dim == 2 and draw(st.booleans()) else None
+    members = tuple(_point_cloud_member(
+        rng.dirichlet(np.ones(3)), rng.standard_normal(shape) if shared is None else shared, mode)
+        for _ in range(n))
+    return EnsembleSpec(members, rng.dirichlet(np.ones(n)))
+
+
+class TestRegimeQueries:
+    """The LP path queries a flag only where no other flag decides it, and
+    reports what every query run in full reports."""
+
+    # g inside the second member region and not the first (an `inconclusive`)
+    HELD_BY_ONE = EnsembleSpec((
+        ClassifierAtPoint([0.57, 0.39, 0.05], Uniform(FinitePoints(
+            [[-0.5, 1.4], [0.4, -0.5], [-1.9, -1.3], [1.1, -0.1]]))),
+        ClassifierAtPoint([0.11, 0.78, 0.11], Uniform(FinitePoints(
+            [[-0.3, 1.6], [-1.3, -0.6], [-0.5, 0.6], [-0.7, -0.6]])))))
+    # the intersection is not inside g (an `indeterminate`)
+    MISSES_INTERSECTION = EnsembleSpec((
+        ClassifierAtPoint([0.33, 0.17, 0.5], Uniform(FinitePoints(
+            [[-1.0, -0.6], [-1.0, 0.4], [0.8, -0.5], [-0.2, -0.6]]))),
+        ClassifierAtPoint([0.67, 0.14, 0.19], Uniform(FinitePoints(
+            [[0.5, 0.1], [1.6, -1.1], [0.4, 0.4], [-0.4, 0.6]])))))
+
+    # members of one body with diverse runner-ups: improvements, which random
+    # draws rarely give
+    IMPROVEMENTS = [EnsembleSpec(tuple(
+        ClassifierAtPoint(row, Uniform(FinitePoints(
+            [[0.9, 0.2], [-0.4, 0.6], [-0.3, -0.7], [0.5, -0.5]]))) for row in rows))
+        for rows in ([[0.5, 0.3, 0.2], [0.5, 0.2, 0.3]],
+                     [[0.5, 0.3, 0.2, 0.0], [0.5, 0.0, 0.3, 0.2], [0.5, 0.2, 0.0, 0.3]])]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(point_cloud_ensembles())
+    @example(spec=IMPROVEMENTS[0])
+    @example(spec=IMPROVEMENTS[1])
+    def test_flags_equal_every_query_run_in_full(self, spec):
+        report = classify_regimes(spec)
+        assert report.evidence.pop("trivial_ensemble_certificate") in (True, False)
+        assert (report.cert_regime, report.evidence) == _full_queries(spec)
+
+    def test_no_carve_when_one_member_region_holds_g(self, monkeypatch):
+        spec = self.HELD_BY_ONE
+        g = s_certificate(ensemble_classifier(spec), "u").region
+        r_1, r_2 = (s_certificate(m, "u").region for m in spec.members)
+        assert region_subset(g, r_2) and not region_subset(g, r_1)
+        carves = []
+        monkeypatch.setattr("scert.ensemble.region_minus_subset",
+                            lambda *args: carves.append(args) or region_minus_subset(*args))
+        report = classify_regimes(spec)
+        assert carves == []
+        assert report.cert_regime == "inconclusive"
+        assert report.evidence["within_union"] and not report.evidence["within_intersection"]
+
+    def test_no_union_query_when_the_intersection_is_not_inside_g(self, monkeypatch):
+        spec = self.MISSES_INTERSECTION
+        g = s_certificate(ensemble_classifier(spec), "u").region
+        queries = []
+        monkeypatch.setattr("scert.ensemble.region_subset",
+                            lambda a, b: queries.append((a, b)) or region_subset(a, b))
+        report = classify_regimes(spec)
+        assert not report.evidence["contains_intersection"]
+        assert not report.evidence["contains_union"]
+        # only g against each member region: no member region against g
+        assert len(queries) == 2
+        assert all(a.normals.tobytes() == g.normals.tobytes() for a, _ in queries)

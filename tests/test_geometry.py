@@ -95,6 +95,41 @@ class TestNegateScale:
         with pytest.raises(ValueError):
             scale(-0.5, LpBall(2, 1.0, [0, 0]))
 
+    def test_scale_zero_keeps_every_point(self):
+        assert scale(0.0, FinitePoints([[3, -1], [2, 5], [0, 1]])).points.tolist() == [[0, 0]] * 3
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("alpha", [0.37, 1.0, 3.5, 1e-300])
+    def test_a_positive_scale_is_the_scaled_prune(self, dim, alpha):
+        body = FinitePoints(np.random.default_rng(dim).standard_normal((40, dim)))
+        scaled = scale(alpha, body)
+        assert hull_prune(scaled) is scaled
+        assert scaled.points.tobytes() == (alpha * hull_prune(body).points).tobytes()
+        dirs = unit_directions(64, dim=dim)
+        assert np.allclose(scaled.support(dirs), alpha * body.support(dirs), rtol=1e-14, atol=0.0)
+        if dim == 2:
+            # in _hull_2d order; the chain is read at unit size (an exact power
+            # of two away), as its turns underflow at 1e-300
+            unit = np.ldexp(scaled.points, -np.frexp(np.abs(scaled.points).max())[1])
+            assert geo._hull_2d(unit).tolist() == unit.tolist()
+
+    @pytest.mark.parametrize("dim, prunes", [(2, 0), (3, 1)])
+    def test_a_weighted_sum_prunes_no_pruned_member_again(self, dim, prunes, monkeypatch):
+        # the member clouds hold their prunes, as after their certificates: only
+        # the 3D pairwise sum is pruned, and a 2D sum merges the scaled hulls
+        rng = np.random.default_rng(dim)
+        bodies = [FinitePoints(rng.standard_normal((12, dim))) for _ in range(2)]
+        for body in bodies:
+            hull_prune(body)
+        runs = []
+        prune = geo._prune
+        monkeypatch.setattr(geo, "_prune", lambda body: runs.append(body) or prune(body))
+        total = weighted_sum(bodies, [0.3, 0.7])
+        assert len(runs) == prunes
+        dirs = unit_directions(64, dim=dim)
+        want = 0.3 * bodies[0].support(dirs) + 0.7 * bodies[1].support(dirs)
+        assert np.allclose(total.support(dirs), want, rtol=1e-12, atol=0.0)
+
     def test_negation_identity_random(self, rng):
         for _ in range(50):
             pts = rng.standard_normal((6, 2))

@@ -250,6 +250,60 @@ class TestStackedSimplex:
             assert len(runs) == 1
 
 
+def _bland_run(tableau, basis, cost, allowed):
+    """`_simplex._run` as Bland's rule reads, one index at a time: the lowest
+    allowed column whose reduced cost is above FEASIBILITY_TOL enters, and of
+    the rows whose ratio is within RATIO_TIE_TOL of the least the one with
+    the lowest basis index leaves."""
+    m = tableau.shape[0] - 1
+    tableau[-1, :-1] = cost - cost[basis] @ tableau[:-1, :-1]
+    tableau[-1, -1] = 0.0
+    while True:
+        eligible = [j for j in range(allowed.size)
+                    if allowed[j] and tableau[-1, j] > _simplex.FEASIBILITY_TOL]
+        if not eligible:
+            return OPTIMAL
+        col = eligible[0]
+        ratios = {r: tableau[r, -1] / tableau[r, col] for r in range(m)
+                  if tableau[r, col] > _simplex.PIVOT_TOL}
+        if not ratios:
+            return UNBOUNDED
+        best = min(ratios.values())
+        ties = [r for r, ratio in ratios.items() if ratio <= best + _simplex.RATIO_TIE_TOL]
+        _simplex._pivot(tableau, basis, min(ties, key=lambda r: basis[r]), col)
+
+
+def _degenerate_3d_regions(seed: int, count: int):
+    """3D regions whose rows repeat up to a positive scale, so that ratios tie."""
+    for objectives, A, b in _random_3d_regions(seed, count):
+        scale = np.random.default_rng(seed).uniform(0.5, 2.0, size=(A.shape[0], 1))
+        yield objectives, np.vstack([A, scale * A]), np.concatenate([b, scale[:, 0] * b])
+
+
+def test_every_run_pivots_by_blands_rule(monkeypatch):
+    # each phase-1 and phase-2 run must reach the same status, basis and
+    # tableau bytes as the rule run index by index from a copy of its start
+    runs = []
+    run = _simplex._run
+
+    def checked(tableau, basis, cost, allowed):
+        want_tableau, want_basis = tableau.copy(), basis.copy()
+        want = _bland_run(want_tableau, want_basis, cost, allowed)
+        status = run(tableau, basis, cost, allowed)
+        runs.append(status)
+        assert status == want
+        assert basis.tolist() == want_basis.tolist()
+        assert tableau.tobytes() == want_tableau.tobytes()
+        return status
+
+    monkeypatch.setattr(_simplex, "_run", checked)
+    for objectives, A, b in [*_random_3d_regions(18, 60), *_degenerate_3d_regions(19, 60)]:
+        maximize(objectives, A, b)
+    for margin_rows in np.random.default_rng(20).uniform(-1.0, 1.0, size=(20, 4, 5)):
+        maximize(*_weight_lp(np.column_stack([margin_rows, np.ones(4)])))
+    assert {OPTIMAL, UNBOUNDED} <= set(runs)
+
+
 def _weight_lp(margin_rows):
     """The class LP of `optimize_weights` over five members and five classes:
     x = (w, t), w >= 0, sum(w) = 1 and one row per other class."""
