@@ -18,9 +18,9 @@ def test_the_regimes_digest_is_repeatable_and_sees_a_flipped_flag(monkeypatch):
     assert first != report_digest.regimes_digest([2], 8)
     regions = ensemble._cert_regime_regions
 
-    def flipped(q_g, member_certs):
+    def flipped(q_g, member_certs):  # a flag the op runner's consistency check does not read
         regime, evidence = regions(q_g, member_certs)
-        return regime, {**evidence, "within_union": not evidence["within_union"]}
+        return regime, {**evidence, "strict_excess": not evidence.get("strict_excess", False)}
 
     monkeypatch.setattr(ensemble, "_cert_regime_regions", flipped)
     assert report_digest.regimes_digest([1], 8) != first

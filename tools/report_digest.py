@@ -5,11 +5,12 @@ Usage, from anywhere:
     python3 tools/report_digest.py --seeds 1-3
 
 prints two lines, each a label and a digest.  ``regimes`` covers the
-`classify_regimes` reports of the perfbench ``regimes`` op list of each seed
-(``--ops`` ops, by default those of one 16 s run): both verdicts, the gaps as
-``float.hex``, ``same_top``, ``same_runner_up`` and every evidence key and
+`classify_regimes` reports of the perfbench ``regimes`` ops of each seed,
+880 of them (those of one 16 s run), each run by the workload's own op runner,
+which also checks the report against its evidence: both verdicts, the gaps
+as ``float.hex``, ``same_top``, ``same_runner_up`` and every evidence key and
 value in order.  ``records`` covers the `run_experiment` records of each seed
-under both weight policies (``--draws`` draws per member count 2, 3 and 4).
+under both weight policies, 100 draws per member count 2, 3 and 4.
 Run it in two checkouts and compare the lines.  Standard library and numpy
 only.
 """
@@ -27,7 +28,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT, os.path.join(ROOT, "tools")]
 
 from bench_pairs import parse_seeds  # noqa: E402
 from perfbench import workloads  # noqa: E402
-from scert import certificates, ensemble, geometry, simulate  # noqa: E402
+from scert import ensemble, simulate  # noqa: E402
 
 REGIMES_OPS = workloads.op_count(workloads.Regimes, 16)
 DRAWS = 100
@@ -47,28 +48,25 @@ def _encode(value) -> str:
     raise TypeError(f"no canonical text for {type(value).__name__}")
 
 
-def _regime_spec(op) -> ensemble.EnsembleSpec:
-    """The ensemble of one perfbench ``regimes`` op, built as the op runner builds it."""
-    _, (mode, members, weights) = op
-    clfs = []
-    for logits, grads in members:
-        if mode == "u":
-            smooth = certificates.Uniform(geometry.FinitePoints(grads))
-        elif mode == "cw":
-            smooth = certificates.ClassWise(tuple(
-                geometry.FinitePoints(grads[:, i, :]) for i in range(grads.shape[1])))
-        else:
-            smooth = certificates.ClassDiff(workloads._clouds_to_pairs(grads))
-        clfs.append(certificates.ClassifierAtPoint(logits, smooth))
-    return ensemble.EnsembleSpec(tuple(clfs), weights)
-
-
 def regimes_digest(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
     h = hashlib.sha256()
-    for seed in seeds:
-        for index, op in enumerate(workloads.Regimes().make_ops(seed, n_ops)):
-            report = ensemble.classify_regimes(_regime_spec(op))
-            h.update(f"{seed}:{index}:{_encode(dataclasses.asdict(report))}\n".encode())
+    runner, reports = workloads.Regimes(), []
+    classify = ensemble.classify_regimes
+
+    def capture(spec):
+        reports.append(classify(spec))
+        return reports[-1]
+
+    ensemble.classify_regimes = capture
+    try:
+        for seed in seeds:
+            for index, op in enumerate(runner.make_ops(seed, n_ops)):
+                runner.run_op(op)
+                (report,) = reports
+                reports.clear()
+                h.update(f"{seed}:{index}:{_encode(dataclasses.asdict(report))}\n".encode())
+    finally:
+        ensemble.classify_regimes = classify
     return h.hexdigest()
 
 
@@ -85,14 +83,10 @@ def records_digest(seeds: list[int], draws: int = DRAWS) -> str:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1-3", help="e.g. 1-3,7 (default 1-3)")
-    parser.add_argument("--ops", type=int, default=REGIMES_OPS,
-                        help=f"regimes ops per seed (default {REGIMES_OPS})")
-    parser.add_argument("--draws", type=int, default=DRAWS,
-                        help=f"draws per member count (default {DRAWS})")
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
-    print("regimes", regimes_digest(seeds, args.ops))
-    print("records", records_digest(seeds, args.draws))
+    print("regimes", regimes_digest(seeds))
+    print("records", records_digest(seeds))
 
 
 if __name__ == "__main__":
