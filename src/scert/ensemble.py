@@ -485,38 +485,44 @@ def optimize_weights(spec: EnsembleSpec) -> tuple[np.ndarray, float]:
     its value at the vertex w = e_i, and at most min_c max_i (L[i, a] -
     L[i, c]), since one fixed c bounds the inner minimum.  The best member's
     gap is the largest lower end, so a class whose upper end is below it
-    cannot win, and only the others are solved.  A solved program that is
-    not optimal or whose value is above its upper end, or an answer whose gap
-    is below the best member's, by more than `FEASIBILITY_TOL`, raises
-    :class:`WeightLPError`.
+    cannot win.  A class whose bracket is closed has a pure saddle point:
+    min and max only compare entries, so both ends are one entry, and its
+    value and weights are exact without an LP.  Only the other classes are
+    solved.  A solved program that is not optimal or whose value is above
+    its upper end, or an answer whose gap is below the best member's, by
+    more than `FEASIBILITY_TOL`, raises :class:`WeightLPError`.
 
     Returns the weights of the best program, clipped and renormalized onto
     the simplex, and the gap recomputed at them.  Ties go to the lowest
-    class, and within its program to the optimum Bland's rule reaches.
+    class; a saddle class goes to the first member attaining its value, and
+    any other class to the optimum Bland's rule reaches.
     """
     logits = np.stack([m.logits for m in spec.members])
     n, k = logits.shape
     # diffs[i, a, c] = L[i, a] - L[i, c]; c = a is left out of every bound
     diffs = logits[:, :, None] - logits[:, None, :]
     own = np.eye(k, dtype=bool)
-    lower = np.where(own, np.inf, diffs).min(axis=2).max(axis=0)
+    pure = np.where(own, np.inf, diffs).min(axis=2)  # pure[i, a]: the value at w = e_i
+    lower = pure.max(axis=0)
     upper = np.where(own, np.inf, diffs.max(axis=0)).min(axis=1)
     floor, tol = float(lower.max()), _simplex.FEASIBILITY_TOL  # the best member's gap
-    objective = np.zeros(n + 1)
-    objective[-1] = 1.0
-    # w >= 0 and sum(w) = 1 as three blocks of rows over x = (w, t)
-    on_simplex = np.zeros((n + 2, n + 1))
-    on_simplex[:n, :n] = -np.eye(n)
-    on_simplex[n, :n] = 1.0
-    on_simplex[n + 1, :n] = -1.0
-    offsets = np.concatenate([np.zeros(n), [1.0, -1.0], np.zeros(k - 1)])
     best = None
     for a in np.flatnonzero(upper >= floor - tol).tolist():
-        margins = logits[:, [a]] - np.delete(logits, a, axis=1)
-        rows = np.column_stack([-margins.T, np.ones(k - 1)])
-        res = _simplex.maximize(objective, np.vstack([on_simplex, rows]), offsets)
-        if res.status != _simplex.OPTIMAL or res.value > upper[a] + tol:
-            raise _weight_lp_error(a, res, lower[a], upper[a])
+        if upper[a] <= lower[a]:  # a pure saddle point: the optimum is x = (e_j, lower[a])
+            point = np.append(np.eye(n)[pure[:, a].argmax()], lower[a])
+            res = _simplex.SimplexResult(_simplex.OPTIMAL, float(lower[a]), point)
+        else:
+            # over x = (w, t): w >= 0, sum(w) = 1 as two rows, and t below each margin
+            rows = np.zeros((n + k + 1, n + 1))
+            rows[:n, :n] = -np.eye(n)
+            rows[n, :n], rows[n + 1, :n] = 1.0, -1.0
+            rows[n + 2:, :n] = -(logits[:, [a]] - np.delete(logits, a, axis=1)).T
+            rows[n + 2:, n] = 1.0
+            offsets = np.zeros(n + k + 1)
+            offsets[n], offsets[n + 1] = 1.0, -1.0
+            res = _simplex.maximize(np.eye(n + 1)[n], rows, offsets)
+            if res.status != _simplex.OPTIMAL or res.value > upper[a] + tol:
+                raise _weight_lp_error(a, res, lower[a], upper[a])
         if best is None or res.value > best.value:
             best, top = res, a
     weights = np.clip(best.point[:n], 0.0, None)

@@ -43,6 +43,7 @@ at two bodies.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,7 @@ SHAPE_TOL = 1e-12     # normalized ellipsoid matrices this close are one shape
 SYMMETRY_TOL = 1e-9   # largest asymmetry accepted in an ellipsoid matrix
 MAX_EXPANSION = 10_000   # largest pairwise sum formed; 2D sums merge edges instead
 OCTAGON_MIN_POINTS = 20  # 2D clouds larger than this meet the octagon filter before the chain
+UNIT_SPAN = 64  # 2D clouds beyond 2^+-UNIT_SPAN in size are chained scaled to unit size
 SUPPORT_BLOCK = 1 << 18  # largest (directions x points) block FinitePoints.support forms
 PRUNE_BLOCK = 1 << 15    # largest (points x tetrahedra) block the 3D prune forms
 
@@ -503,12 +505,19 @@ def _hull_2d(points: np.ndarray) -> np.ndarray:
 
 def _monotone_chain(pts: list) -> list:
     """The extreme points of [x, y] lists, counterclockwise from the
-    lexicographic minimum (Andrew's monotone chain)."""
+    lexicographic minimum (Andrew's monotone chain).  The turn tests multiply
+    up to four coordinate differences, which under- or overflow far from unit
+    size, so points beyond 2^+-UNIT_SPAN are chained scaled by a power of two
+    to unit size and scaled back, which keeps every bit while they stay normal."""
     pts = sorted(pts)
     pts = [p for p, prev in zip(pts, [None] + pts) if p != prev]
     if len(pts) <= 2:
         return pts
-    return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
+    shift = math.frexp(max(map(abs, itertools.chain.from_iterable(pts))))[1]
+    if abs(shift) <= UNIT_SPAN:
+        return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
+    unit = [[math.ldexp(x, -shift), math.ldexp(y, -shift)] for x, y in pts]
+    return [[math.ldexp(x, shift), math.ldexp(y, shift)] for x, y in _monotone_chain(unit)]
 
 
 def _edge_keys(hull: list) -> list:

@@ -119,9 +119,11 @@ def best_gap_by_vertices(logits) -> float:
 
 
 def reference_optimize_weights(logits) -> tuple[np.ndarray, float]:
-    """`optimize_weights` solving the LP of every class, in class order, and
-    keeping the first best by strict `>` (the reference that skipping the
-    classes that cannot win must match bit for bit)."""
+    """`optimize_weights` deciding every class, in class order, and keeping
+    the first best by strict `>` (the reference that skipping the classes
+    that cannot win must match bit for bit).  A class whose pure bracket is
+    closed, max_i min_c <= min_c max_i of L[i, a] - L[i, c], takes its lower
+    end at the first member attaining it; every other class solves its LP."""
     logits = np.asarray(logits, dtype=float)
     n, k = logits.shape
     objective = np.zeros(n + 1)
@@ -133,12 +135,21 @@ def reference_optimize_weights(logits) -> tuple[np.ndarray, float]:
     offsets = np.concatenate([np.zeros(n), [1.0, -1.0], np.zeros(k - 1)])
     best = None
     for a in range(k):
-        margins = logits[:, [a]] - np.delete(logits, a, axis=1)
-        rows = np.column_stack([-margins.T, np.ones(k - 1)])
-        res = _simplex.maximize(objective, np.vstack([on_simplex, rows]), offsets)
-        if best is None or res.value > best.value:
-            best = res
-    weights = np.clip(best.point[:n], 0.0, None)
+        others = [c for c in range(k) if c != a]
+        pure = [min(row[a] - row[c] for c in others) for row in logits]
+        lower = max(pure)
+        if min(max(row[a] - row[c] for row in logits) for c in others) <= lower:
+            weights = np.zeros(n)
+            weights[pure.index(lower)] = 1.0
+            value = lower
+        else:
+            margins = logits[:, [a]] - np.delete(logits, a, axis=1)
+            rows = np.column_stack([-margins.T, np.ones(k - 1)])
+            res = _simplex.maximize(objective, np.vstack([on_simplex, rows]), offsets)
+            weights, value = res.point[:n], res.value
+        if best is None or value > best[1]:
+            best = weights, value
+    weights = np.clip(best[0], 0.0, None)
     weights /= weights.sum()
     ordered = np.sort(weights @ logits)
     return weights, float(ordered[-1] - ordered[-2])

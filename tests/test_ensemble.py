@@ -995,6 +995,10 @@ class TestOptimizeWeights:
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(simplex_logits())
+    # the input on which solving every class died with TypeError
+    @example(np.array([[0.0, 1 / 3, 2 / 9, 4 / 9, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0],
+                       [1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 0.5],
+                       [0.0, 0.0, 0.0, 9.999999e-08, 0.9999999]]))
     def test_matches_the_vertex_oracle(self, logits):
         spec = EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits))
         weights, value = optimize_weights(spec)
@@ -1020,10 +1024,22 @@ class TestOptimizeWeights:
             logits[0, top] = logits[0, top].mean()
         return logits
 
+    @staticmethod
+    def _brackets(logits):
+        """Each class's pure bracket [max_i min_c, min_c max_i] of the
+        margins L[i, a] - L[i, c] over c != a, one class at a time."""
+        k = len(logits[0])
+        brackets = []
+        for a in range(k):
+            others = [c for c in range(k) if c != a]
+            brackets.append((max(min(row[a] - row[c] for c in others) for row in logits),
+                             min(max(row[a] - row[c] for row in logits) for c in others)))
+        return brackets
+
     def test_skipping_classes_changes_no_bit(self, monkeypatch):
         # only classes whose ceiling min_c max_i (L[i, a] - L[i, c]) reaches
-        # the best member's gap are solved, and the answer is the one solving
-        # every class gives
+        # the best member's gap and whose bracket is open are solved, and the
+        # answer is the one deciding every class gives
         rng = np.random.default_rng(16)
         cases = [(kind, n, k) for kind in ("dirichlet", "counts", "duplicated", "tied")
                  for n in range(2, 6) for k in range(2, 7)]
@@ -1042,50 +1058,120 @@ class TestOptimizeWeights:
             assert weights.tobytes() == expected_weights.tobytes()
             assert value == expected
             r_best = float(runner_up_gap(logits).max())
-            ceilings = [min(max(row[a] - row[c] for row in logits) for c in range(k) if c != a)
-                        for a in range(k)]
-            assert lp_count == sum(ceiling >= r_best - 1e-9 for ceiling in ceilings)
+            assert lp_count == sum(ceiling >= r_best - 1e-9 and ceiling > floor
+                                   for floor, ceiling in self._brackets(logits))
             total, lp_total = total + k, lp_total + lp_count
         assert lp_total < 0.5 * total
 
+    def test_a_saddle_game_makes_no_lp(self, monkeypatch):
+        # every class that can win has a closed bracket: the answer is the
+        # first member attaining the best such value, and its own gap exactly
+        monkeypatch.setattr(_simplex, "maximize", None)
+        rng = np.random.default_rng(25)
+        seen = 0
+        for kind, n, k in [(kind, n, k) for kind in ("dirichlet", "counts", "duplicated", "tied")
+                           for n in range(2, 6) for k in range(2, 7)] * 2:
+            logits = self._test_logits(rng, kind, n, k)
+            r_best = float(runner_up_gap(logits).max())
+            if any(ceiling > floor for floor, ceiling in self._brackets(logits)
+                   if ceiling >= r_best - 1e-9):
+                continue
+            weights, value = optimize_weights(
+                EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits)))
+            best = int(np.argmax(runner_up_gap(logits)))
+            assert weights.tobytes() == np.eye(n)[best].tobytes()
+            assert value == runner_up_gap(logits[best]) == r_best
+            seen += 1
+        assert seen > 100
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["dirichlet", "counts", "duplicated", "tied"]),
+           st.integers(2, 5), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_a_closed_bracket_is_the_game_value(self, kind, n, k, seed):
+        # a closed bracket's lower end is the class LP's optimum (scipy), and
+        # the answer is the best class optimum
+        from scipy.optimize import linprog
+
+        logits = self._test_logits(np.random.default_rng(seed), kind, n, k)
+        values = []
+        for a, (floor, ceiling) in enumerate(self._brackets(logits)):
+            margins = logits[:, [a]] - np.delete(logits, a, axis=1)
+            res = linprog(np.eye(n + 1)[n] * -1.0,
+                          A_ub=np.column_stack([-margins.T, np.ones(k - 1)]), b_ub=np.zeros(k - 1),
+                          A_eq=np.append(np.ones(n), 0.0)[None], b_eq=[1.0],
+                          bounds=[(0.0, None)] * n + [(None, None)], method="highs")
+            assert res.status == 0
+            values.append(-res.fun)
+            if ceiling <= floor:
+                assert abs(floor - values[-1]) <= 1e-12
+        _, value = optimize_weights(EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits)))
+        assert abs(value - max(values)) <= 1e-9
+
     @pytest.mark.parametrize("second", [
-        [0.5, 0.0, 0.5, 0.0, 0.0],  # the class-4 LP reports 1.4999999
-        [0.0, 0.0, 0.5, 0.0, 0.5],  # the class-4 LP reports unbounded
+        [0.5, 0.0, 0.5, 0.0, 0.0],  # the class-4 LP reported 1.4999999
+        [0.0, 0.0, 0.5, 0.0, 0.5],  # the class-4 LP reported unbounded
     ])
-    def test_a_wrong_class_lp_raises(self, second):
-        # the best member's gap is 0.99999960000008, the class-4 LP's optimum
-        # (scipy); solving every class returned a gap of 0.0 on the first
-        # input and died with TypeError on the second
+    def test_near_degenerate_saddles_make_no_lp(self, second, monkeypatch):
+        # the class-4 bracket is closed at the last member's gap
+        # 0.99999960000008, the class-4 LP's optimum (scipy) that the simplex
+        # misses (tests/test_simplex.py); every other class has a lower
+        # ceiling, so no LP runs and the answer is that member alone
+        monkeypatch.setattr(_simplex, "maximize", None)
         logits = [[0.0, 0.2678741658722593, 0.2440419447092469, 0.4880838894184938, 0.0],
                   second,
                   [0.5, 0.0, 0.0, 0.5, 0.0],
                   [0.0, 0.0, 0.0, 0.5, 0.5],
                   [0.0, 0.0, 0.0, 1.9999996000000803e-07, 0.9999998000000401]]
-        spec = EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits))
-        with pytest.raises(WeightLPError, match="class 4"):
-            optimize_weights(spec)
+        weights, value = optimize_weights(EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits)))
+        assert np.array_equal(weights, [0.0, 0.0, 0.0, 0.0, 1.0])
+        assert value == runner_up_gap(logits[4]) == 0.99999960000008
 
     def test_weights_renormalized_onto_the_optimum_are_kept(self):
-        # draw (4, 810) of criterion 6 (seed 7): the class-3 LP reports
+        # draw (4, 810) of criterion 6 (seed 7): its class-3 LP reported
         # 0.7365343 at weights summing to 0.99988, below the best member's gap
-        # 0.73657506; renormalized, those weights are the best member alone
+        # 0.73657506; its bracket is closed, so the answer is that member alone
         logits = np.array([
             [0.07315221465458084, 0.14171762371460034, 0.7235589147447342, 0.06157124688608458],
             [0.08616956819768419, 0.07270432958599563, 0.1309216184373643, 0.7102044837789558],
             [0.03686515283110442, 0.03215123338010883, 0.09720427624385862, 0.8337793375449281],
             [0.026152140236205285, 0.5173253782232933, 0.17193342910946496, 0.28458905243103655]])
+        assert self._brackets(logits)[3][1] <= self._brackets(logits)[3][0]
         weights, value = optimize_weights(EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits)))
         assert np.array_equal(weights, [0.0, 0.0, 1.0, 0.0])
         assert value == runner_up_gap(logits[2]) == best_gap_by_vertices(logits)
 
+    # the best member's gap is 0.25; every class's bracket is open (0.25 to
+    # 0.75 for class 0, 0 to 0.5 for classes 1 and 2), and the optimum is 0.5
+    # at the first two members' midpoint
+    OPEN = [[0.75, 0.5, 0.0], [0.75, 0.0, 0.5], [0.0, 0.5, 0.5]]
+
+    def _stubbed(self, monkeypatch, res):
+        assert all(floor < ceiling for floor, ceiling in self._brackets(self.OPEN))
+        monkeypatch.setattr(_simplex, "maximize", lambda *args: res)
+        return optimize_weights(EnsembleSpec(tuple(ClassifierAtPoint(row) for row in self.OPEN)))
+
+    def test_stubbed_weights_are_renormalized(self, monkeypatch):
+        # an "optimal" answer at weights summing to 0.99988 is put back onto
+        # the simplex, and the gap is recomputed there
+        weights, value = self._stubbed(monkeypatch, _simplex.SimplexResult(
+            _simplex.OPTIMAL, 0.49994, np.array([0.49994, 0.49994, 0.0, 0.49994])))
+        assert np.array_equal(weights, [0.5, 0.5, 0.0])
+        assert value == 0.5 == best_gap_by_vertices(self.OPEN)
+
+    @pytest.mark.parametrize("res", [
+        _simplex.SimplexResult(_simplex.UNBOUNDED),
+        _simplex.SimplexResult(_simplex.OPTIMAL, 0.76, np.array([0.5, 0.5, 0.0, 0.76])),
+    ], ids=["unbounded", "above_the_bracket"])
+    def test_a_wrong_class_lp_raises(self, monkeypatch, res):
+        with pytest.raises(WeightLPError, match=r"class 0 .* \[0.25, 0.75\]$"):
+            self._stubbed(monkeypatch, res)
+
     def test_an_answer_below_the_best_member_raises(self, monkeypatch):
-        # only class 0 can reach the best member's gap 0.6; an "optimal" LP
-        # answer at equal weights, whose gap is 0.1, must not reach the caller
-        monkeypatch.setattr(_simplex, "maximize", lambda *args: _simplex.SimplexResult(
-            _simplex.OPTIMAL, 0.5, np.array([0.5, 0.5, 0.5])))
-        spec = EnsembleSpec((ClassifierAtPoint([0.8, 0.2]), ClassifierAtPoint([0.3, 0.7])))
-        with pytest.raises(WeightLPError, match="class 0 .* below 0.6"):
-            optimize_weights(spec)
+        # an "optimal" answer at the third member, whose gap is 0, must not
+        # reach the caller
+        with pytest.raises(WeightLPError, match="class 0 .* below 0.25"):
+            self._stubbed(monkeypatch, _simplex.SimplexResult(
+                _simplex.OPTIMAL, 0.5, np.array([0.0, 0.0, 1.0, 0.5])))
 
 
 class TestRegimeCrossValidation:

@@ -107,11 +107,8 @@ class TestNegateScale:
         assert scaled.points.tobytes() == (alpha * hull_prune(body).points).tobytes()
         dirs = unit_directions(64, dim=dim)
         assert np.allclose(scaled.support(dirs), alpha * body.support(dirs), rtol=1e-14, atol=0.0)
-        if dim == 2:
-            # in _hull_2d order; the chain is read at unit size (an exact power
-            # of two away), as its turns underflow at 1e-300
-            unit = np.ldexp(scaled.points, -np.frexp(np.abs(scaled.points).max())[1])
-            assert geo._hull_2d(unit).tolist() == unit.tolist()
+        if dim == 2:  # in _hull_2d order
+            assert geo._hull_2d(scaled.points).tolist() == scaled.points.tolist()
 
     @pytest.mark.parametrize("dim, prunes", [(2, 0), (3, 1)])
     def test_a_weighted_sum_prunes_no_pruned_member_again(self, dim, prunes, monkeypatch):
@@ -358,6 +355,27 @@ class TestHull2D:
         cloud = [[1.0, 0.0], [1.0 + u, -3.0], [1.0 + u, -1.0], [2.0, 0.0]]
         assert hull_prune(FinitePoints(cloud)).points.tolist() == [
             [1.0, 0.0], [1.0 + u, -3.0], [2.0, 0.0]]
+
+    @pytest.mark.parametrize("n, seed", [(12, 4), (40, 0)])
+    def test_a_power_of_two_scales_the_hull_exactly(self, n, seed):
+        # the turn tests run at unit magnitude: squared turns underflowed at
+        # 1e-90 and 1e-100 and overflowed at 1e150, and these 7-vertex hulls
+        # kept 3 vertices there; for every 2^s that keeps the cloud normal,
+        # the hull and the merge of two hulls scale exactly
+        cloud = np.random.default_rng(seed).standard_normal((n, 2))
+        hull = geo._hull_2d(cloud)
+        assert len(hull) == 7
+        for alpha in (1e-90, 1e-100, 1e150):
+            assert len(geo._hull_2d(alpha * cloud)) == 7
+        half = geo._hull_2d(cloud[: n // 2])
+        merged = geo._merge_2d(hull, half).points
+        exponents = np.frexp(cloud)[1]
+        low, high = int(exponents.min()), int(exponents.max())
+        for s in range(-1021 - low, 1024 - high):  # |2^s x| in [2^-1022, 2^1024)
+            assert np.array_equal(geo._hull_2d(np.ldexp(cloud, s)), np.ldexp(hull, s))
+            if s + high < 1023:  # the merge's sums double the magnitude at most
+                assert np.array_equal(geo._merge_2d(np.ldexp(hull, s), np.ldexp(half, s)).points,
+                                      np.ldexp(merged, s))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(near_vertical_hulls(), st.one_of(near_vertical_hulls(), hulls_2d()))

@@ -329,8 +329,9 @@ def _weight_lp(margin_rows):
 ], ids=["too_high", "unbounded"])
 def test_near_degenerate_weight_lp(margin_rows):
     # the class-4 LPs of the two inputs that tests/test_ensemble.py pins in
-    # TestOptimizeWeights::test_a_wrong_class_lp_raises; scipy's optimum of
-    # both is 0.99999960000008, at w = e_5
+    # TestOptimizeWeights::test_near_degenerate_saddles_make_no_lp, where a
+    # pure saddle point spares them; scipy's optimum of both is
+    # 0.99999960000008, at w = e_5
     objective, A, b = _weight_lp(np.array(margin_rows))
     res = maximize(objective, A, b)
     assert res.status == OPTIMAL
