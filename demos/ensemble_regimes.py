@@ -53,7 +53,7 @@ print("\n== how much gap an ensemble can ever gain ==")
 for r_best in (0.0, 0.2, 0.5, 0.9):
     bound = gap_gain_bound(r_best, 4)
     witness = gap_bound_witness(r_best, 4)
-    _, achieved = optimize_weights(witness)
+    _, achieved = optimize_weights([m.logits for m in witness.members])
     print(f"best member gap {r_best:.1f}: bound {bound:.4f}, "
           f"witness ensemble reaches {achieved:.4f}")
 print("the stronger the members, the less ensembling can add.")

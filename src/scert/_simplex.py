@@ -180,15 +180,16 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
 
     When the rows span the plane, a nonempty region has a vertex and is the
     hull of its vertices plus the cone of its extreme rays.  Each vertex
-    ends the region's segment on one of the boundary lines, and each
-    extreme ray runs along one of them.
+    is where the boundary, run counterclockwise, leaves one of the boundary
+    lines, so it is listed once, and each extreme ray runs along one of them.
     """
     norms = np.hypot(A[:, 0], A[:, 1])
     zero = norms == 0.0
     if np.any(b[zero] < -VERTEX_TOL * np.maximum(1.0, np.abs(b[zero]))):
         return np.empty((0, 2)), np.empty((0, 2))
     A, b, norms = A[~zero], b[~zero], norms[~zero]
-    # boundary line i is x = p_i + t d_i with a unit direction d_i, and row j
+    # boundary line i is x = p_i + t d_i with d_i the unit row i turned
+    # counterclockwise, which runs the boundary counterclockwise, and row j
     # bounds t on it by slope[i, j] t <= room[i, j]; a row parallel to line i
     # up to rounding (row i itself included) bounds nothing, and the
     # feasibility test below still applies it
@@ -201,11 +202,9 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     room = b - p @ A.T
     with np.errstate(divide="ignore", invalid="ignore"):
         t = room / slope
-    t_hi = np.where(~parallel & (slope > 0.0), t, np.inf).min(axis=1)
-    t_lo = np.where(~parallel & (slope < 0.0), t, -np.inf).max(axis=1)
-    ends = np.concatenate([t_lo, t_hi])
-    finite = np.isfinite(ends)
-    points = np.concatenate([p, p])[finite] + ends[finite, None] * np.concatenate([d, d])[finite]
+    t_hi = np.where(~parallel & (slope > 0.0), t, np.inf).min(axis=1)  # where x leaves line i
+    finite = np.isfinite(t_hi)
+    points = p[finite] + t_hi[finite, None] * d[finite]
     scale = np.maximum(np.maximum(1.0, np.abs(b)),
                        np.hypot(points[:, 0], points[:, 1])[:, None] * norms)
     vertices = points[np.all(points @ A.T <= b + VERTEX_TOL * scale, axis=1)]

@@ -300,32 +300,24 @@ def _realize(mode: str, family: str, dim: int,
         return Certificate(mode, family, dim, tuple((g, float(r)) for g, r in constraints),
                            unbounded=True)
 
-    ball = None
-    region = None
+    ball = region = None
     if one_ball_shape([g for g, _ in active]):
         duals = [geometry.polar_dual_ball(g, r) for g, r in active]
         ball = min(duals, key=lambda dual: dual.shape_radius)
-    if ball is None:
-        try:
-            region = functools.reduce(HalfspaceRegion.intersect,
-                                      [geometry.polar_hrep(g, r) for g, r in active])
-        except ValueError:  # a generator that is not a finite point set
-            pass
-
-    governing = min(r for _, r in active)
-    trivial = False
-    if governing <= ZERO_GAP_TOL:
-        if ball is not None:
-            trivial = ball.radius <= geometry.TOL
-        elif region is not None:
-            trivial = geometry.region_is_origin_only(region)
-        else:
-            dirs = geometry.seeded_unit_directions(512, dim)
-            cert_probe = Certificate(mode, family, dim, tuple(active))
-            trivial = bool(np.all(cert_probe.ray_extent(dirs) <= geometry.TOL))
-
-    return Certificate(mode, family, dim, tuple(active), ball=ball, region=region,
-                       trivial=trivial)
+    elif all(isinstance(g, FinitePoints) for g, _ in active):
+        region = functools.reduce(HalfspaceRegion.intersect,
+                                  [geometry.polar_hrep(g, r) for g, r in active])
+    cert = Certificate(mode, family, dim, tuple(active), ball=ball, region=region)
+    if min(r for _, r in active) > ZERO_GAP_TOL:
+        return cert
+    if ball is not None:
+        trivial = ball.radius <= geometry.TOL
+    elif region is not None:
+        trivial = geometry.region_is_origin_only(region)
+    else:
+        dirs = geometry.seeded_unit_directions(512, dim)
+        trivial = bool(np.all(cert.ray_extent(dirs) <= geometry.TOL))
+    return replace(cert, trivial=trivial)
 
 
 def lipschitz_constant_from_gradients(points, q: float) -> float:

@@ -471,10 +471,11 @@ def _weight_lp_error(a: int, res, lower, upper, detail: str = "") -> WeightLPErr
                          f"its optimum lies in [{float(lower)!r}, {float(upper)!r}]{detail}")
 
 
-def optimize_weights(spec: EnsembleSpec) -> tuple[np.ndarray, float]:
+def optimize_weights(logits) -> tuple[np.ndarray, float]:
     """Weights maximizing the ensemble runner-up gap, exactly.
 
-    For weights w the gap of w @ L (L holds one member's logits per row) is
+    `logits` is the finite (n, k) matrix L of one member's logits per row, n
+    >= 1 and k >= 2, else ValueError.  For weights w the gap of w @ L is
     max_a min_{c != a} (L[:, a] - L[:, c]).w: the inner minimum is the gap
     when a is the top class and at most 0 otherwise.  So the best gap is the
     best of one linear program per class a:  maximize t  subject to
@@ -497,7 +498,9 @@ def optimize_weights(spec: EnsembleSpec) -> tuple[np.ndarray, float]:
     class; a saddle class goes to the first member attaining its value, and
     any other class to the optimum Bland's rule reaches.
     """
-    logits = np.stack([m.logits for m in spec.members])
+    logits = np.asarray(logits, dtype=float)
+    if logits.ndim != 2 or not logits.size or logits.shape[1] < 2 or not np.isfinite(logits).all():
+        raise ValueError("logits must be a finite (n, k) matrix with n >= 1 and k >= 2")
     n, k = logits.shape
     # diffs[i, a, c] = L[i, a] - L[i, c]; c = a is left out of every bound
     diffs = logits[:, :, None] - logits[:, None, :]

@@ -482,9 +482,12 @@ _OCTAGON = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1]
 def _octagon_filter(points: np.ndarray) -> np.ndarray:
     """The points less those surely inside the octagon of their argmaxes
     (Akl & Toussaint 1978): inside by the chain's own relative turn test
-    against every edge, so that a point the test is unsure of is kept."""
-    z = np.ascontiguousarray(points).view(complex)[:, 0]
-    top = (points @ _OCTAGON).argmax(axis=0)
+    against every edge, so that a point the test is unsure of is kept; run,
+    like the chain, at unit size on points beyond 2^+-UNIT_SPAN in size."""
+    shift = math.frexp(float(np.abs(points).max()))[1]
+    unit = points if abs(shift) <= UNIT_SPAN else np.ldexp(points, -shift)
+    z = np.ascontiguousarray(unit).view(complex)[:, 0]
+    top = (unit @ _OCTAGON).argmax(axis=0)
     corners = z[top]
     edges = corners[1:] - corners[:-1]
     solid = edges != 0  # a corner repeated has no edge

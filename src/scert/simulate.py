@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import ZERO_GAP_TOL, ClassifierAtPoint, runner_up_gap
-from .ensemble import GAP_TOL, EnsembleSpec, gap_gain_bound, gap_regime, optimize_weights
+from .certificates import ZERO_GAP_TOL, runner_up_gap
+from .ensemble import GAP_TOL, gap_gain_bound, gap_regime, optimize_weights
 
 
 @dataclass(frozen=True)
@@ -60,18 +60,17 @@ def draw_classifier(k: int, rng: np.random.Generator) -> np.ndarray:
     return e / e.sum()
 
 
-def evaluate_draw(member_logits: np.ndarray, n: int, index: int,
+def evaluate_draw(member_logits: np.ndarray, index: int,
                   weight_policy: str = "uniform") -> DrawRecord:
     """Build the record for one draw from its member logits (n, k)."""
     member_logits = np.asarray(member_logits, dtype=float)
-    k = member_logits.shape[1]
+    n, k = member_logits.shape
     member_gaps = runner_up_gap(member_logits)
     tops = member_logits.argmax(axis=1)
     gap_best = float(member_gaps.max())
     gap_worst = float(member_gaps.min())
     gap_uniform = runner_up_gap(member_logits.mean(axis=0))
-    spec = EnsembleSpec(tuple(ClassifierAtPoint(row) for row in member_logits))
-    _, gap_optimized = optimize_weights(spec)
+    _, gap_optimized = optimize_weights(member_logits)
     governing = gap_uniform if weight_policy == "uniform" else gap_optimized
     bound = gap_gain_bound(gap_best, k)
     slack = bound - max(gap_uniform, gap_optimized)
@@ -97,7 +96,7 @@ def run_experiment(config: ExperimentConfig) -> list[DrawRecord]:
         for index in range(config.draws):
             rng = np.random.default_rng((config.seed, n, index))
             members = np.stack([draw_classifier(config.k, rng) for _ in range(n)])
-            records.append(evaluate_draw(members, n, index, config.weight_policy))
+            records.append(evaluate_draw(members, index, config.weight_policy))
     return records
 
 

@@ -523,7 +523,7 @@ class TestGapRegimeBoundary:
     def test_every_caller_applies_the_rule(self, kind, step, expected):
         logits = _boundary_members(kind, step)
         report = classify_regimes(EnsembleSpec(tuple(ClassifierAtPoint(r) for r in logits)))
-        record = evaluate_draw(logits, 2, 0)
+        record = evaluate_draw(logits, 0)
         summary = summarize([record])
         assert gap_regime(report.gap_ensemble, report.gap_best, report.gap_worst) == expected
         assert report.gap_regime == record.gap_regime == expected
@@ -971,27 +971,40 @@ class TestRunnerUpGap:
 
 class TestOptimizeWeights:
     def test_identical_members_constant(self):
-        member = ClassifierAtPoint([0.7, 0.2, 0.1])
-        _, value = optimize_weights(EnsembleSpec((member, member)))
+        _, value = optimize_weights([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1]])
         assert abs(value - 0.5) < 1e-12
 
     def test_recovers_witness_value(self):
         spec = gap_bound_witness(0.2, 4)
-        _, value = optimize_weights(spec)
+        _, value = optimize_weights([m.logits for m in spec.members])
         assert abs(value - gap_gain_bound(0.2, 4)) <= 1e-12
 
     def test_opposed_tops_boundary_vertex(self):
-        spec = EnsembleSpec((ClassifierAtPoint([0.8, 0.2]), ClassifierAtPoint([0.3, 0.7])))
-        weights, value = optimize_weights(spec)
+        weights, value = optimize_weights([[0.8, 0.2], [0.3, 0.7]])
         assert np.allclose(weights, [1.0, 0.0])
         assert abs(value - 0.6) < 1e-12
 
     def test_three_members(self):
-        spec = EnsembleSpec((ClassifierAtPoint([0.5, 0.3, 0.2]),
-                             ClassifierAtPoint([0.5, 0.2, 0.3]),
-                             ClassifierAtPoint([0.4, 0.3, 0.3])))
-        weights, value = optimize_weights(spec)
+        weights, value = optimize_weights([[0.5, 0.3, 0.2], [0.5, 0.2, 0.3], [0.4, 0.3, 0.3]])
         assert value >= 0.25 - 1e-9  # at least the best pair mixture
+
+    @pytest.mark.parametrize("logits", [
+        [0.7, 0.2, 0.1],                 # one row, not a matrix
+        [[0.7, 0.2, 0.1], [0.5, 0.5]],   # ragged
+        [[0.7], [0.3]],                  # one class
+        np.zeros((0, 3)),                # no member
+        [[0.7, np.nan], [0.5, 0.5]],
+        [[0.7, np.inf], [0.5, 0.5]],
+    ])
+    def test_rejects_anything_but_a_finite_logit_matrix(self, logits):
+        with pytest.raises(ValueError):
+            optimize_weights(logits)
+
+    def test_one_member_keeps_its_own_gap(self, monkeypatch):
+        monkeypatch.setattr(_simplex, "maximize", None)
+        weights, value = optimize_weights([[0.2, 0.5, 0.3]])
+        assert weights.tolist() == [1.0]
+        assert value == runner_up_gap([0.2, 0.5, 0.3])
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(simplex_logits())
@@ -1000,8 +1013,7 @@ class TestOptimizeWeights:
                        [1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 0.5],
                        [0.0, 0.0, 0.0, 9.999999e-08, 0.9999999]]))
     def test_matches_the_vertex_oracle(self, logits):
-        spec = EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits))
-        weights, value = optimize_weights(spec)
+        weights, value = optimize_weights(logits)
         assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
         assert abs(value - runner_up_gap(weights @ logits)) <= 1e-12
         assert abs(value - best_gap_by_vertices(logits)) <= 1e-9
@@ -1050,9 +1062,8 @@ class TestOptimizeWeights:
         total = lp_total = 0
         for kind, n, k in cases * 4:
             logits = self._test_logits(rng, kind, n, k)
-            spec = EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits))
             solved.clear()
-            weights, value = optimize_weights(spec)
+            weights, value = optimize_weights(logits)
             lp_count = len(solved)
             expected_weights, expected = reference_optimize_weights(logits)
             assert weights.tobytes() == expected_weights.tobytes()
@@ -1076,8 +1087,7 @@ class TestOptimizeWeights:
             if any(ceiling > floor for floor, ceiling in self._brackets(logits)
                    if ceiling >= r_best - 1e-9):
                 continue
-            weights, value = optimize_weights(
-                EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits)))
+            weights, value = optimize_weights(logits)
             best = int(np.argmax(runner_up_gap(logits)))
             assert weights.tobytes() == np.eye(n)[best].tobytes()
             assert value == runner_up_gap(logits[best]) == r_best
@@ -1104,7 +1114,7 @@ class TestOptimizeWeights:
             values.append(-res.fun)
             if ceiling <= floor:
                 assert abs(floor - values[-1]) <= 1e-12
-        _, value = optimize_weights(EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits)))
+        _, value = optimize_weights(logits)
         assert abs(value - max(values)) <= 1e-9
 
     @pytest.mark.parametrize("second", [
@@ -1122,7 +1132,7 @@ class TestOptimizeWeights:
                   [0.5, 0.0, 0.0, 0.5, 0.0],
                   [0.0, 0.0, 0.0, 0.5, 0.5],
                   [0.0, 0.0, 0.0, 1.9999996000000803e-07, 0.9999998000000401]]
-        weights, value = optimize_weights(EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits)))
+        weights, value = optimize_weights(logits)
         assert np.array_equal(weights, [0.0, 0.0, 0.0, 0.0, 1.0])
         assert value == runner_up_gap(logits[4]) == 0.99999960000008
 
@@ -1136,7 +1146,7 @@ class TestOptimizeWeights:
             [0.03686515283110442, 0.03215123338010883, 0.09720427624385862, 0.8337793375449281],
             [0.026152140236205285, 0.5173253782232933, 0.17193342910946496, 0.28458905243103655]])
         assert self._brackets(logits)[3][1] <= self._brackets(logits)[3][0]
-        weights, value = optimize_weights(EnsembleSpec(tuple(ClassifierAtPoint(row) for row in logits)))
+        weights, value = optimize_weights(logits)
         assert np.array_equal(weights, [0.0, 0.0, 1.0, 0.0])
         assert value == runner_up_gap(logits[2]) == best_gap_by_vertices(logits)
 
@@ -1148,7 +1158,7 @@ class TestOptimizeWeights:
     def _stubbed(self, monkeypatch, res):
         assert all(floor < ceiling for floor, ceiling in self._brackets(self.OPEN))
         monkeypatch.setattr(_simplex, "maximize", lambda *args: res)
-        return optimize_weights(EnsembleSpec(tuple(ClassifierAtPoint(row) for row in self.OPEN)))
+        return optimize_weights(self.OPEN)
 
     def test_stubbed_weights_are_renormalized(self, monkeypatch):
         # an "optimal" answer at weights summing to 0.99988 is put back onto

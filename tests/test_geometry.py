@@ -408,6 +408,10 @@ class TestHull2D:
         inner = np.random.default_rng(3).uniform(-0.99, 0.99, size=(60, 2))
         kept = geo._octagon_filter(np.vstack([square, inner]))
         assert {tuple(p) for p in kept} == {tuple(p) for p in square}
+        # at 2^600 the turn products overflowed and no point was inside
+        for s in (600, -600):
+            far = geo._octagon_filter(np.ldexp(np.vstack([square, inner]), s))
+            assert np.array_equal(far, np.ldexp(kept, s))
         one_point = np.tile([[0.5, -2.0]], (30, 1))  # no edge at all
         assert np.array_equal(hull_prune(FinitePoints(one_point)).points, [[0.5, -2.0]])
 

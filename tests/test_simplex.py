@@ -200,6 +200,13 @@ class TestBatchedPlanarPath:
         results = maximize(A, A, b, limits)
         assert len(results) == 2 and results[-1].exceeds(0.5)
 
+    def test_each_vertex_is_listed_once(self):
+        # the unit square: four boundary lines, each left at one corner
+        A = np.vstack([np.eye(2), -np.eye(2)])
+        vertices, rays = _simplex._polygon(A, np.array([1.0, 1.0, 0.0, 0.0]))
+        assert sorted(vertices.tolist()) == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+        assert rays.shape == (0, 2)
+
     def test_empty_region_stops_at_once(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         b = np.array([-1.0, 0.0, 1.0])  # x <= -1 and x >= 0

@@ -80,7 +80,7 @@ class TestRunExperiment:
 class TestSummarize:
     def test_identical_members_all_inconclusive(self):
         logits = np.array([[0.6, 0.3, 0.1]] * 3)
-        records = [evaluate_draw(logits, 3, i) for i in range(5)]
+        records = [evaluate_draw(logits, i) for i in range(5)]
         summary = summarize(records)
         assert summary.fraction_inconclusive == 1.0
         assert summary.fraction_loss == 0.0 and summary.fraction_gain == 0.0
