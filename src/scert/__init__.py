@@ -60,7 +60,7 @@ from .simulate import (
     DrawRecord,
     ExperimentConfig,
     SimulationSummary,
-    draw_classifier,
+    draw_members,
     run_experiment,
     summarize,
 )

@@ -314,7 +314,8 @@ def cmd_render(args) -> int:
             parts = tuple(float(v) for v in args.window.split(","))
         except ValueError:
             parts = ()
-        if len(parts) != 4 or not (parts[0] < parts[1] and parts[2] < parts[3]):
+        if (len(parts) != 4 or not all(map(math.isfinite, parts))
+                or not (parts[0] < parts[1] and parts[2] < parts[3])):
             _fail(2, f"error: bad --window value: {args.window!r}")
         window = parts
     weights = _parse_weights(getattr(args, "weights", None))

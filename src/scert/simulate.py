@@ -1,11 +1,10 @@
 """Seeded Monte Carlo harness for random-simplex ensemble statistics.
 
-Each draw samples N member classifiers uniformly from the probability
-simplex, forms their uniform-weight and gap-optimal ensembles, and records
-the gap regime together with the closed-form gap bound.  Per-draw random
-streams are derived from (seed, N, draw index), so draws are
-order-independent and can be distributed across workers; merging records in
-draw-index order reproduces the serial run bit-exactly.
+Each draw samples N members uniformly from the probability simplex and
+records the gap regime of their uniform or gap-optimal ensemble beside the
+closed-form gap bound.  A draw's random stream comes from (seed, N, draw
+index) and its record not from the batch it is evaluated in, so draws are
+order-independent; one array pass evaluates each member count's draws.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ class ExperimentConfig:
             raise ValueError("at least two classes are required")
         if self.draws < 1:
             raise ValueError("at least one draw is required")
+        if self.seed < 0:
+            raise ValueError("the seed must be nonnegative")
         if self.weight_policy not in ("uniform", "optimized"):
             raise ValueError("weight policy must be 'uniform' or 'optimized'")
         object.__setattr__(self, "member_counts", tuple(self.member_counts))
@@ -53,51 +54,40 @@ class DrawRecord:
     slack: float
 
 
-def draw_classifier(k: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform draw from the probability simplex (normalized unit-rate
-    exponential variates)."""
-    e = rng.standard_exponential(k)
-    return e / e.sum()
+def draw_members(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform draws from the probability simplex, one per row (normalized
+    unit-rate exponential variates)."""
+    e = rng.standard_exponential((n, k))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def evaluate_draw(member_logits: np.ndarray, index: int,
-                  weight_policy: str = "uniform") -> DrawRecord:
-    """Build the record for one draw from its member logits (n, k)."""
-    member_logits = np.asarray(member_logits, dtype=float)
-    n, k = member_logits.shape
-    member_gaps = runner_up_gap(member_logits)
-    tops = member_logits.argmax(axis=1)
-    gap_best = float(member_gaps.max())
-    gap_worst = float(member_gaps.min())
-    gap_uniform = runner_up_gap(member_logits.mean(axis=0))
-    _, gap_optimized = optimize_weights(member_logits)
+def evaluate_draws(logits: np.ndarray, weight_policy: str = "uniform") -> list[DrawRecord]:
+    """The records of a stack of draws of member logits (draws, n, k), each
+    record's draw index its position in the stack."""
+    logits = np.asarray(logits, dtype=float)
+    _, n, k = logits.shape
+    member_gaps = runner_up_gap(logits)
+    gap_best, gap_worst = member_gaps.max(axis=1), member_gaps.min(axis=1)
+    gap_uniform = runner_up_gap(logits.mean(axis=1))
+    gap_optimized = np.array([optimize_weights(m)[1] for m in logits])
     governing = gap_uniform if weight_policy == "uniform" else gap_optimized
-    bound = gap_gain_bound(gap_best, k)
-    slack = bound - max(gap_uniform, gap_optimized)
-    return DrawRecord(
-        n_members=n,
-        draw_index=index,
-        member_logits=tuple(tuple(float(v) for v in row) for row in member_logits),
-        gap_best=gap_best,
-        gap_worst=gap_worst,
-        gap_uniform=float(gap_uniform),
-        gap_optimized=float(gap_optimized),
-        gap_regime=gap_regime(governing, gap_best, gap_worst),
-        same_top=bool(np.all(tops == tops[0])),
-        bound=float(bound),
-        slack=float(slack),
-    )
+    tops = logits.argmax(axis=2)
+    same_top = np.all(tops == tops[:, :1], axis=1)
+    bound = np.array([gap_gain_bound(b, k) for b in gap_best.tolist()])
+    slack = bound - np.maximum(gap_uniform, gap_optimized)
+    regimes = map(gap_regime, governing.tolist(), gap_best.tolist(), gap_worst.tolist())
+    fields = zip(gap_best.tolist(), gap_worst.tolist(), gap_uniform.tolist(),  # DrawRecord order
+                 gap_optimized.tolist(), regimes, same_top.tolist(), bound.tolist(),
+                 slack.tolist())
+    return [DrawRecord(n, index, tuple(map(tuple, rows)), *values)
+            for index, (rows, values) in enumerate(zip(logits.tolist(), fields))]
 
 
 def run_experiment(config: ExperimentConfig) -> list[DrawRecord]:
     """All draws for every member count, deterministic for a fixed seed."""
-    records = []
-    for n in config.member_counts:
-        for index in range(config.draws):
-            rng = np.random.default_rng((config.seed, n, index))
-            members = np.stack([draw_classifier(config.k, rng) for _ in range(n)])
-            records.append(evaluate_draw(members, index, config.weight_policy))
-    return records
+    return [record for n in config.member_counts for record in evaluate_draws(
+        np.stack([draw_members(n, config.k, np.random.default_rng((config.seed, n, index)))
+                  for index in range(config.draws)]), config.weight_policy)]
 
 
 @dataclass(frozen=True)

@@ -289,10 +289,23 @@ class TestSimulate:
 
     def test_one_member_ensemble_is_a_bad_argument(self, capsys, monkeypatch):
         # rejected before any draw is computed
-        monkeypatch.setattr("scert.simulate.evaluate_draw", None)
+        monkeypatch.setattr("scert.simulate.evaluate_draws", None)
         code, out, err = run_cli(capsys, "simulate", "--k", "3", "--n", "2,1", "--draws", "2")
         assert code == 2 and out == ""
         assert "error: ensembles need at least two members" in err
+
+    def test_negative_seed_flag_is_a_bad_argument(self, capsys, monkeypatch):
+        monkeypatch.delenv("SCERT_SEED", raising=False)
+        code, out, err = run_cli(capsys, "simulate", "--k", "3", "--n", "2", "--draws", "2",
+                                 "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: the seed must be nonnegative\n"
+
+    def test_negative_env_seed_is_a_bad_argument(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCERT_SEED", "-5")
+        code, out, err = run_cli(capsys, "simulate", "--k", "3", "--n", "2", "--draws", "2")
+        assert code == 2 and out == ""
+        assert err == "error: the seed must be nonnegative\n"
 
     def test_out_file(self, tmp_path, capsys):
         out_file = tmp_path / "sim.csv"
@@ -346,6 +359,16 @@ class TestRender:
                              "--out", str(out_file), "--window=-1,1,-1,1")
         assert code == 0
         assert 'viewBox="-1 -1 2 2"' in out_file.read_text()
+
+    @pytest.mark.parametrize("window", ["0,inf,0,1", "-inf,1,0,1", "0,1,0,inf",
+                                        "-inf,inf,-inf,inf"])
+    def test_non_finite_window_exit_2(self, window, tmp_path, capsys):
+        out_file = tmp_path / "never.svg"
+        code, out, err = run_cli(capsys, "render", str(fixture_path("fig6.json")),
+                                 "--out", str(out_file), f"--window={window}")
+        assert code == 2 and out == ""
+        assert err == f"error: bad --window value: {window!r}\n"
+        assert not out_file.exists()
 
     def test_one_dimensional_rejected(self, capsys):
         code, _, err = run_cli(capsys, "render", str(fixture_path("appendix-c2-u.json")),

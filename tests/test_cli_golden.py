@@ -7,8 +7,9 @@ raised, and the SHA-256 of every SVG it wrote.  The commands are every
 ``certify`` check of the bundled ``expected.json``, ``ensemble`` and
 ``regime`` on each ensemble fixture, ``bound radius-improvement`` where it
 applies, ``render`` on every two-dimensional fixture, ``scert examples``,
-and ``certify`` on two one-dimensional fixtures under every mode and norm
-(half of those exit 3).
+``certify`` on two one-dimensional fixtures under every mode and norm
+(half of those exit 3), and a small ``simulate`` run under each weight
+policy (its CSV bytes).
 
 A change that means to alter an output regenerates the snapshot with
 
@@ -57,6 +58,9 @@ def golden_commands() -> list[list[str]]:
         for mode in ("u", "cw", "cd", "lipschitz-u", "lipschitz-cw"):
             for norm in ([], ["--norm", "l1"], ["--norm", "linf"]):
                 commands.append(["certify", fixture, "--mode", mode, *norm])
+    for policy in ("uniform", "optimized"):
+        commands.append(["simulate", "--k", "3", "--n", "2,3", "--draws", "4", "--seed", "1",
+                         "--policy", policy])
     return commands
 
 

@@ -70,7 +70,7 @@ from scert.geometry import (
     support,
     weighted_sum,
 )
-from scert.simulate import evaluate_draw, summarize
+from scert.simulate import evaluate_draws, summarize
 
 L2 = LpBall(2, 1.0, [0.0, 0.0])
 
@@ -523,7 +523,7 @@ class TestGapRegimeBoundary:
     def test_every_caller_applies_the_rule(self, kind, step, expected):
         logits = _boundary_members(kind, step)
         report = classify_regimes(EnsembleSpec(tuple(ClassifierAtPoint(r) for r in logits)))
-        record = evaluate_draw(logits, 0)
+        (record,) = evaluate_draws(logits[None])
         summary = summarize([record])
         assert gap_regime(report.gap_ensemble, report.gap_best, report.gap_worst) == expected
         assert report.gap_regime == record.gap_regime == expected

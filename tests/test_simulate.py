@@ -1,12 +1,14 @@
 """Monte Carlo harness: sampler statistics, determinism, record invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from scert.simulate import (
     ExperimentConfig,
-    draw_classifier,
-    evaluate_draw,
+    draw_members,
+    evaluate_draws,
     run_experiment,
     summarize,
 )
@@ -14,20 +16,17 @@ from scert.simulate import (
 
 class TestDrawClassifier:
     def test_simplex_membership(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            f = draw_classifier(4, rng)
-            assert abs(f.sum() - 1.0) <= 1e-12
-            assert np.all(f >= 0)
+        draws = draw_members(200, 4, np.random.default_rng(0))
+        assert draws.shape == (200, 4)
+        assert np.all(np.abs(draws.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(draws >= 0)
 
     def test_coordinates_unbiased(self):
-        rng = np.random.default_rng(1)
-        draws = np.stack([draw_classifier(4, rng) for _ in range(100_000)])
+        draws = draw_members(100_000, 4, np.random.default_rng(1))
         assert np.max(np.abs(draws.mean(axis=0) - 0.25)) < 0.005
 
     def test_exchangeable(self):
-        rng = np.random.default_rng(2)
-        draws = np.stack([draw_classifier(4, rng) for _ in range(100_000)])
+        draws = draw_members(100_000, 4, np.random.default_rng(2))
         frac = np.mean(draws[:, 0] > draws[:, 1])
         assert abs(frac - 0.5) < 0.01
 
@@ -73,14 +72,29 @@ class TestRunExperiment:
             ExperimentConfig(draws=0)
         with pytest.raises(ValueError):
             ExperimentConfig(weight_policy="best")
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            ExperimentConfig(seed=-1)
         with pytest.raises(ValueError, match="at least two members"):
             ExperimentConfig(member_counts=(2, 1))
+
+
+class TestEvaluateDraws:
+    @pytest.mark.parametrize("policy", ["uniform", "optimized"])
+    def test_record_independent_of_batch_size(self, policy):
+        # a draw's record is the same, bit for bit, alone or inside a batch
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            logits = np.stack([draw_members(3, 4, rng) for _ in range(25)])
+            for index, record in enumerate(evaluate_draws(logits, policy)):
+                assert record.draw_index == index
+                (alone,) = evaluate_draws(logits[index:index + 1], policy)
+                assert repr(dataclasses.replace(record, draw_index=0)) == repr(alone)
 
 
 class TestSummarize:
     def test_identical_members_all_inconclusive(self):
         logits = np.array([[0.6, 0.3, 0.1]] * 3)
-        records = [evaluate_draw(logits, i) for i in range(5)]
+        records = evaluate_draws(np.stack([logits] * 5))
         summary = summarize(records)
         assert summary.fraction_inconclusive == 1.0
         assert summary.fraction_loss == 0.0 and summary.fraction_gain == 0.0
