@@ -123,38 +123,31 @@ def _parse_weights(text: str | None):
 def _certificate_from_problem(member: ClassifierAtPoint, mode: str,
                               norm: str | None) -> Certificate:
     """The certificate a mode names: an S-certificate for u/cw/cd, else a
-    Lipschitz certificate, deriving constants from gradient clouds when the
-    smoothness bodies are point sets."""
+    Lipschitz certificate in the --norm p norm (l2 by default), whose
+    gradient balls live in the dual norm q: a point cloud becomes the
+    l_q ball of its largest l_q norm."""
     if not mode.startswith("lipschitz-"):
         return s_certificate(member, mode)
     smoothness = member.smoothness
-    base_mode = mode.removeprefix("lipschitz-")
     if smoothness is None:
         raise SmoothnessMismatch("the member carries no smoothness data")
-
-    def ball_from(body, p: float):
-        q = geometry.dual_exponent(p)
-        constant = lipschitz_constant_from_gradients(body, q)
-        return LpBall(p, constant, np.zeros(body.dim))
-
+    q = geometry.dual_exponent(_NORMS[norm or "l2"])
     if smoothness.mode != "cd" and all(isinstance(b, FinitePoints) for b in smoothness.bodies):
-        balls = tuple(ball_from(b, _NORMS[norm or "l2"]) for b in smoothness.bodies)
+        balls = tuple(LpBall(q, lipschitz_constant_from_gradients(b, q), np.zeros(b.dim))
+                      for b in smoothness.bodies)
         member = ClassifierAtPoint(member.logits, Uniform(balls[0])
                                    if smoothness.mode == "u" else ClassWise(balls))
     elif norm is not None:
-        # ball smoothness already fixes the certificate norm: the gradient
-        # ball lives in the dual norm, so --norm p needs a dual(p) ball;
-        # class-difference bodies and bodies that are not origin-centered
-        # balls are left to lipschitz_certificate's errors
-        bodies = () if smoothness.mode == "cd" else smoothness.bodies
-        wanted = LpBall(geometry.dual_exponent(_NORMS[norm]), 1.0, np.zeros(member.dim))
-        for body in bodies:
-            if not body.centered_ball or body.same_shape(wanted):
-                continue
-            shape = (f"l{body.p:g} gradient ball (the gradient bound lives in the dual norm)"
-                     if isinstance(body, LpBall) else "ellipsoid smoothness")
-            raise SmoothnessMismatch(f"--norm {norm} contradicts the file's {shape}")
-    return lipschitz_certificate(member, base_mode)
+        # ball smoothness already fixes the certificate norm; class-difference
+        # bodies and bodies that are not origin-centered balls are left to
+        # lipschitz_certificate's errors
+        wanted = LpBall(q, 1.0, np.zeros(member.dim))
+        for body in () if smoothness.mode == "cd" else smoothness.bodies:
+            if body.centered_ball and not body.same_shape(wanted):
+                shape = (f"l{body.p:g} gradient ball (the gradient bound lives in the dual norm)"
+                         if isinstance(body, LpBall) else "ellipsoid smoothness")
+                raise SmoothnessMismatch(f"--norm {norm} contradicts the file's {shape}")
+    return lipschitz_certificate(member, mode.removeprefix("lipschitz-"))
 
 
 def cmd_certify(args) -> int:
@@ -273,7 +266,10 @@ def cmd_simulate(args) -> int:
                                   seed=seed, weight_policy=args.policy)
     except ValueError as exc:
         _fail(2, f"error: {exc}")
-    records = run_experiment(config)
+    try:
+        records = run_experiment(config)
+    except MemoryError:
+        _fail(2, "error: the experiment does not fit in memory")
     records.sort(key=lambda rec: (rec.n_members, rec.draw_index))
     lines = [CSV_HEADER] + [record_to_csv_row(rec) for rec in records]
     text = "\n".join(lines) + "\n"
@@ -409,7 +405,7 @@ def run_fixture_check(check: dict) -> tuple[bool, str]:
         lip = _certificate_from_problem(member, "lipschitz-u", check.get("norm"))
         s_cert = s_certificate(member, "u")
         ball = lip.ball
-        box = geometry.HalfspaceRegion(
+        box = geometry.HalfspaceRegion(  # `ball` itself under the check's linf norm
             np.vstack([np.eye(2), -np.eye(2)]), np.full(4, ball.radius), 2)
         contained = bool(np.all(
             ball.support(s_cert.region.normals) <= s_cert.region.offsets + FIXTURE_TOL))

@@ -37,6 +37,8 @@ class ExperimentConfig:
         object.__setattr__(self, "member_counts", tuple(self.member_counts))
         if any(n < 2 for n in self.member_counts):
             raise ValueError("ensembles need at least two members")
+        if len(set(self.member_counts)) != len(self.member_counts):
+            raise ValueError("member counts must be distinct")
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,21 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_clip
-from scert.certificates import Certificate, s_certificate
+from scert.certificates import (
+    Certificate,
+    ClassifierAtPoint,
+    ClassWise,
+    Uniform,
+    s_certificate,
+)
 from scert.cli import (
+    _NORMS,
     CSV_HEADER,
+    _certificate_from_problem,
     describe_certificate,
     fixture_path,
     load_expected,
@@ -19,7 +29,7 @@ from scert.cli import (
     run_fixture_check,
 )
 from scert.ensemble import ensemble_classifier
-from scert.geometry import HalfspaceRegion
+from scert.geometry import TOL, FinitePoints, HalfspaceRegion
 from scert.render import (
     ANGLE_SAMPLES,
     DEFAULT_WINDOW,
@@ -307,6 +317,22 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err == "error: the seed must be nonnegative\n"
 
+    def test_repeated_member_counts_are_a_bad_argument(self, capsys, monkeypatch):
+        monkeypatch.setattr("scert.simulate.evaluate_draws", None)
+        code, out, err = run_cli(capsys, "simulate", "--k", "3", "--n", "2,2", "--draws", "2",
+                                 "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "error: member counts must be distinct\n"
+
+    def test_memory_error_is_a_bad_argument(self, capsys, monkeypatch):
+        def run_experiment(_config):
+            raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+        monkeypatch.setattr("scert.cli.run_experiment", run_experiment)
+        code, out, err = run_cli(capsys, "simulate", "--k", "3", "--n", "2", "--draws", "1")
+        assert code == 2 and out == ""
+        assert err == "error: the experiment does not fit in memory\n"
+
     def test_out_file(self, tmp_path, capsys):
         out_file = tmp_path / "sim.csv"
         code, _, _ = run_cli(capsys, "simulate", "--k", "3", "--n", "2", "--draws", "2",
@@ -315,6 +341,44 @@ class TestSimulate:
         text = out_file.read_text()
         assert text.startswith(CSV_HEADER)
         assert "\r" not in text
+
+
+class TestLipschitzSoundness:
+    """`certify --mode lipschitz-*` prints a ball in the requested norm that
+    lies inside the S-certificate of the same gradient clouds: the clouds'
+    bound is taken in the dual norm, so the ball is never larger than the
+    true polar set."""
+
+    @staticmethod
+    def _assert_sound(member, mode, norm):
+        lip = _certificate_from_problem(member, f"lipschitz-{mode}", norm)
+        exact = s_certificate(member, mode)
+        if lip.unbounded:  # all gradients zero: no constraint either way
+            assert exact.unbounded
+            return
+        assert lip.ball.p == _NORMS[norm or "l2"]
+        if exact.unbounded:
+            return
+        assert np.all(lip.ball.support(exact.region.normals) <= exact.region.offsets + TOL)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]), k=st.integers(2, 4),
+           mode=st.sampled_from(["u", "cw"]), norm=st.sampled_from(["l1", "l2", "linf"]))
+    def test_random_clouds(self, data, dim, k, mode, norm):
+        coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+        cloud = st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=1, max_size=6)
+        logits = np.array(data.draw(st.lists(coords, min_size=k, max_size=k)))
+        clouds = [FinitePoints(np.array(data.draw(cloud)))
+                  for _ in range(1 if mode == "u" else k)]
+        smoothness = Uniform(clouds[0]) if mode == "u" else ClassWise(tuple(clouds))
+        self._assert_sound(ClassifierAtPoint(logits, smoothness), mode, norm)
+
+    @pytest.mark.parametrize("check", [c for c in load_expected() if c["kind"] == "certify"
+                                       and c["mode"].startswith("lipschitz-")],
+                             ids=lambda c: c["name"])
+    def test_fixture_checks(self, check):
+        member = load_fixture(check["fixture"]).classifier()
+        self._assert_sound(member, check["mode"].removeprefix("lipschitz-"), check.get("norm"))
 
 
 class TestRender:

@@ -15,7 +15,8 @@ A change that means to alter an output regenerates the snapshot with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and shows the difference in its review.
+which prints each command whose entry changed; the change shows that
+difference in its review.
 """
 
 from __future__ import annotations
@@ -110,6 +111,10 @@ def test_command_output_is_byte_identical(entry):
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
+    before = {tuple(e["command"]): e for e in _entries()}
     snapshot = {"commands": [run_command(c) for c in golden_commands()]}
+    for entry in snapshot["commands"]:
+        if before.get(tuple(entry["command"])) != entry:
+            print("changed:", " ".join(entry["command"]), file=sys.stderr)
     GOLDEN.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} ({len(snapshot['commands'])} commands)", file=sys.stderr)

@@ -79,6 +79,14 @@ class TestParsing:
         spec = problem.to_ensemble()
         assert np.allclose(spec.weights, [0.25, 0.75])
 
+    def test_accessors_check_the_member_count(self):
+        with pytest.raises(ValueError, match="single classifier"):
+            problemfile.from_dict(doc()).to_ensemble()
+        d = doc()
+        d["members"].append(dict(d["members"][0]))
+        with pytest.raises(ValueError, match="describes an ensemble"):
+            problemfile.from_dict(d).classifier()
+
 
 class TestValidationErrors:
     def test_unknown_top_level_key(self):
@@ -124,6 +132,98 @@ class TestValidationErrors:
             problemfile.from_dict(d)
 
 
+def edited(*keys, value):
+    """A mutation of `doc()` that sets the element at `keys` to `value`."""
+    def apply(d):
+        target = d
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return d
+    return apply
+
+
+SMOOTH = ("members", 0, "smoothness")
+BODY = (*SMOOTH, "body")
+POINTS = {"type": "points", "points": [[0.0, 1.0]]}
+
+
+def pairs(*entries):
+    return edited(*SMOOTH, value={"mode": "cd", "pairs": [
+        {"i": i, "j": j, "body": POINTS} for i, j in entries]})
+
+
+# one malformed document per rejection branch: (id, mutation, JSON path, message)
+MALFORMED = [
+    ("document-not-an-object", lambda d: [d], "$", "expected an object"),
+    ("missing-members", lambda d: {"dimension": 2, "classes": 2}, "$", "missing key 'members'"),
+    ("boolean-dimension", edited("dimension", value=True), "$.dimension", "integer >= 1"),
+    ("one-class", edited("classes", value=1), "$.classes", "integer >= 2"),
+    ("no-members", edited("members", value=[]), "$.members", "nonempty list"),
+    ("member-not-an-object", edited("members", 0, value=[1.0, 0.0]), "$.members[0]",
+     "expected an object"),
+    ("string-logit", edited("members", 0, "logits", value=[1.0, "x"]),
+     "$.members[0].logits[1]", "expected a number"),
+    ("infinite-logit", edited("members", 0, "logits", value=[1.0, math.inf]),
+     "$.members[0].logits[1]", "expected a finite number"),
+    ("smoothness-without-mode", edited(*SMOOTH, value={"body": POINTS}),
+     "$.members[0].smoothness", "missing key 'mode'"),
+    ("unknown-mode", edited(*SMOOTH, "mode", value="uniform"),
+     "$.members[0].smoothness.mode", "unknown smoothness mode"),
+    ("class-wise-body-count", edited(*SMOOTH, value={"mode": "cw", "bodies": [POINTS]}),
+     "$.members[0].smoothness.bodies", "one body per class"),
+    ("no-pairs", pairs(), "$.members[0].smoothness.pairs", "nonempty list"),
+    ("boolean-pair-index", pairs((True, 0)), "$.members[0].smoothness.pairs[0].i",
+     "class index"),
+    ("pair-index-out-of-range", pairs((0, 2)), "$.members[0].smoothness.pairs[0].j",
+     "class index"),
+    ("pair-of-one-class", pairs((1, 1)), "$.members[0].smoothness.pairs[0]", "must differ"),
+    ("duplicate-pair", pairs((1, 0), (1, 0)), "$.members[0].smoothness.pairs[1]",
+     "duplicate pair (1, 0)"),
+    ("unknown-body-type", edited(*BODY, "type", value="box"),
+     "$.members[0].smoothness.body.type", "unknown body type"),
+    ("no-points", edited(*BODY, value={"type": "points", "points": []}),
+     "$.members[0].smoothness.body.points", "nonempty list of points"),
+    ("point-of-wrong-dimension", edited(*BODY, value={"type": "points", "points": [[1.0]]}),
+     "$.members[0].smoothness.body.points[0]", "list of 2 numbers"),
+    ("exponent-below-one", edited(*BODY, "p", value=0.5),
+     "$.members[0].smoothness.body.p", "p must lie in [1, inf]"),
+    ("exponent-not-a-number", edited(*BODY, "p", value="two"),
+     "$.members[0].smoothness.body.p", "expected a number"),
+    ("negative-eps", edited(*BODY, "eps", value=-1.0),
+     "$.members[0].smoothness.body", "radius must be a finite nonnegative real"),
+    ("short-center", edited(*BODY, "center", value=[0.0]),
+     "$.members[0].smoothness.body.center", "list of 2 numbers"),
+    ("sigma-of-wrong-size", edited(*BODY, value={"type": "ellipsoid", "sigma": [[1.0, 0.0]],
+                                                 "eps": 1.0}),
+     "$.members[0].smoothness.body.sigma", "2x2 matrix"),
+    ("non-square-sigma", edited(*BODY, value={"type": "ellipsoid",
+                                              "sigma": [[1.0, 0.0], [0.0]], "eps": 1.0}),
+     "$.members[0].smoothness.body.sigma[1]", "list of 2 numbers"),
+    ("asymmetric-sigma", edited(*BODY, value={"type": "ellipsoid",
+                                              "sigma": [[1.0, 1.0], [0.0, 1.0]], "eps": 1.0}),
+     "$.members[0].smoothness.body", "sigma must be symmetric"),
+    ("ellipsoid-without-eps", edited(*BODY, value={"type": "ellipsoid",
+                                                   "sigma": [[1.0, 0.0], [0.0, 1.0]]}),
+     "$.members[0].smoothness.body", "missing key 'eps'"),
+    ("weight-count", edited("weights", value=[0.5, 0.5]), "$.weights", "one weight per member"),
+    ("string-weight", edited("weights", value=["1"]), "$.weights[0]", "expected a number"),
+    ("negative-weight", edited("weights", value=[-1.0]), "$.weights", "must be nonnegative"),
+    ("short-window", edited("window", value=[0.0, 1.0]), "$.window", "list of 4 numbers"),
+    ("window-out-of-order", edited("window", value=[1.0, -1.0, -1.0, 1.0]), "$.window",
+     "[xmin, xmax, ymin, ymax]"),
+]
+
+
+@pytest.mark.parametrize("mutate, path, message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_document_is_rejected_at_its_path(mutate, path, message):
+    with pytest.raises(ProblemFileError) as info:
+        problemfile.from_dict(mutate(doc()))
+    assert info.value.path == path
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("fixture", [
         "fig1.json", "example-3-11-cw.json", "example-3-11-cd.json",
@@ -140,3 +240,10 @@ class TestRoundTrip:
         for a, b in zip(problem.members, again.members):
             assert np.array_equal(a.logits, b.logits)
             assert type(a.smoothness) is type(b.smoothness)
+
+    def test_weights_and_window_round_trip(self):
+        d = doc(weights=[1.0], window=[-2.0, 2.0, -1.0, 0.5])
+        problem = problemfile.from_dict(d)
+        again = problemfile.loads(problemfile.dumps(problem))
+        assert problemfile.to_dict(again) == problemfile.to_dict(problem)
+        assert again.window == (-2.0, 2.0, -1.0, 0.5) and again.weights == (1.0,)

@@ -76,6 +76,8 @@ class TestRunExperiment:
             ExperimentConfig(seed=-1)
         with pytest.raises(ValueError, match="at least two members"):
             ExperimentConfig(member_counts=(2, 1))
+        with pytest.raises(ValueError, match="member counts must be distinct"):
+            ExperimentConfig(member_counts=(2, 3, 2))
 
 
 class TestEvaluateDraws:
