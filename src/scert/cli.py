@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: certify, ensemble, regime, bound, simulate, render, examples.
-Exit codes: 0 success, 2 problem-file parse error (with location), 3
-certification mode incompatible with the file's smoothness data, 1 fixture
-mismatch in `examples`.  The environment variable SCERT_SEED overrides the
---seed flag whenever both are given.
+Commands only raise; `main` prints one `error:` line and picks the exit
+code.  Exit codes: 0 success; 2 a bad argument, file or input (ValueError,
+OSError; a problem-file error carries its location); 3 a command or mode
+that does not apply to the file (SmoothnessMismatch, PreconditionError); 1
+a fixture mismatch in `examples`.  The environment variable SCERT_SEED
+overrides the --seed flag whenever both are given.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .certificates import (
 )
 from .ensemble import (
     EnsembleSpec,
+    PreconditionError,
     classify_regimes,
     common_shape_radii,
     ensemble_classifier,
@@ -51,14 +54,6 @@ FIXTURE_TOL = 1e-9  # fixture checks: largest difference from an expected value
 GRID_BOUNDARY = 1e-7  # grid points this close to the oracle boundary are not compared
 
 
-def _shape_name(body) -> str:
-    if isinstance(body, LpBall):
-        return f"l{body.p:g}"  # l1, l2, linf, l1.5, ...
-    if isinstance(body, Ellipsoid):
-        return "ellipsoid"
-    return type(body).__name__
-
-
 def format_interval(lo: float | None, hi: float | None) -> str:
     left = "(-inf" if lo is None else f"[{lo:.9g}"
     right = "inf)" if hi is None else f"{hi:.9g}]"
@@ -72,12 +67,13 @@ def describe_certificate(cert: Certificate) -> list[str]:
         return lines
     if cert.trivial:
         lines.append("  trivial: only the zero perturbation is certified")
-    if cert.ball is not None:
-        line = f"  {_shape_name(cert.ball)} ball, radius {cert.ball.radius:.9g}"
-        if isinstance(cert.ball, Ellipsoid):  # the radius is in units of this matrix
-            line += ", matrix [" + ", ".join(
-                "[" + ", ".join(f"{v:.9g}" for v in row) + "]" for row in cert.ball.sigma) + "]"
-        lines.append(line)
+    ball = cert.ball  # the polar of a centred LpBall or Ellipsoid
+    if isinstance(ball, Ellipsoid):  # the radius is in units of this matrix
+        matrix = ", ".join("[" + ", ".join(f"{v:.9g}" for v in row) + "]" for row in ball.sigma)
+        lines.append(f"  ellipsoid ball, radius {ball.radius:.9g}, matrix [{matrix}]")
+        return lines
+    if ball is not None:
+        lines.append(f"  l{ball.p:g} ball, radius {ball.radius:.9g}")  # l1, l2, linf, l1.5
         return lines
     if cert.region is not None:
         if cert.dim == 1:
@@ -98,17 +94,12 @@ def _load_problem(path: str) -> ProblemFile:
     try:
         return problemfile.load(path)
     except FileNotFoundError:
-        _fail(2, f"error: no such file: {path}")
+        raise ValueError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
-        _fail(2, f"error: {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                 f"{exc.msg}")
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                         f"{exc.msg}") from None
     except ProblemFileError as exc:
-        _fail(2, f"error: {path}: {exc}")
-
-
-def _fail(code: int, message: str):
-    print(message, file=sys.stderr)
-    raise SystemExit(code)
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_weights(text: str | None):
@@ -117,7 +108,7 @@ def _parse_weights(text: str | None):
     try:
         return [float(v) for v in text.split(",")]
     except ValueError:
-        _fail(2, f"error: bad --weights value: {text!r}")
+        raise ValueError(f"bad --weights value: {text!r}") from None
 
 
 def _certificate_from_problem(member: ClassifierAtPoint, mode: str,
@@ -153,7 +144,7 @@ def _certificate_from_problem(member: ClassifierAtPoint, mode: str,
 def cmd_certify(args) -> int:
     problem = _load_problem(args.file)
     if problem.is_ensemble:
-        _fail(3, "error: the file describes an ensemble; use `scert ensemble`")
+        raise PreconditionError("the file describes an ensemble; use `scert ensemble`")
     member = problem.classifier()
     c_a, c_b, r = gaps(member.logits)
     cert = _certificate_from_problem(member, args.mode, args.norm)
@@ -167,32 +158,25 @@ def cmd_certify(args) -> int:
 def _ensemble_from_args(args) -> EnsembleSpec:
     problem = _load_problem(args.file)
     if not problem.is_ensemble:
-        _fail(3, "error: the file describes a single classifier; use `scert certify`")
-    return _to_ensemble(problem, _parse_weights(getattr(args, "weights", None)))
-
-
-def _to_ensemble(problem: ProblemFile, weights) -> EnsembleSpec:
-    try:
-        return problem.to_ensemble(weights)
-    except ValueError as exc:
-        _fail(2, f"error: {exc}")
+        raise PreconditionError("the file describes a single classifier; use `scert certify`")
+    return problem.to_ensemble(_parse_weights(getattr(args, "weights", None)))
 
 
 def cmd_ensemble(args) -> int:
     spec = _ensemble_from_args(args)
     logits = ensemble_logits(spec)
     c_a, c_b, r = gaps(logits)
+    cert_lines = []  # composed before the first print, so a failure prints no report
+    if spec.members[0].smoothness is not None:
+        composed = ensemble_classifier(spec)
+        cert_lines = describe_certificate(s_certificate(composed, composed.smoothness.mode))
     print("weights:", " ".join(f"{w:.9g}" for w in spec.weights))
     print("ensemble logits:", " ".join(f"{v:.9g}" for v in logits))
     print(f"top class: {c_a} (runner-up: {c_b}), gap {float(r[c_b]):.9g}")
     for j, member in enumerate(spec.members):
         print(f"member {j}: top {member.top}, gap {member.gap:.9g}")
-    if spec.members[0].smoothness is not None:
-        composed = ensemble_classifier(spec)
-        mode = composed.smoothness.mode
-        cert = s_certificate(composed, mode)
-        for line in describe_certificate(cert):
-            print(line)
+    for line in cert_lines:
+        print(line)
     return 0
 
 
@@ -219,20 +203,13 @@ def cmd_regime(args) -> int:
 def cmd_bound(args) -> int:
     if args.kind == "gap-gain":
         if args.rbar is None or args.k is None:
-            _fail(2, "error: bound gap-gain needs --rbar and --k")
-        try:
-            value = gap_gain_bound(args.rbar, args.k)
-        except ValueError as exc:
-            _fail(2, f"error: {exc}")
+            raise ValueError("bound gap-gain needs --rbar and --k")
+        value = gap_gain_bound(args.rbar, args.k)
         print(f"gap-gain bound (best gap {args.rbar:g}, {args.k} classes): {value:.9g}")
         return 0
     if args.file is None:
-        _fail(2, "error: bound radius-improvement needs a problem file")
-    spec = _ensemble_from_args(args)
-    try:
-        statement, proof = radius_improvement_bound(spec)
-    except ValueError as exc:
-        _fail(3, f"error: {exc}")
+        raise ValueError("bound radius-improvement needs a problem file")
+    statement, proof = radius_improvement_bound(_ensemble_from_args(args))
     print(f"radius-improvement bound (statement variant): {statement.value:.9g}")
     print(f"radius-improvement bound (proof variant):     {proof.value:.9g}")
     for key, value in statement.inputs.items():
@@ -256,20 +233,17 @@ def cmd_simulate(args) -> int:
         try:
             seed = int(os.environ["SCERT_SEED"])
         except ValueError:
-            _fail(2, "error: SCERT_SEED must be an integer")
+            raise ValueError("SCERT_SEED must be an integer") from None
     try:
         counts = tuple(int(v) for v in args.n.split(","))
     except ValueError:
-        _fail(2, f"error: bad --n value: {args.n!r}")
-    try:
-        config = ExperimentConfig(k=args.k, member_counts=counts, draws=args.draws,
-                                  seed=seed, weight_policy=args.policy)
-    except ValueError as exc:
-        _fail(2, f"error: {exc}")
+        raise ValueError(f"bad --n value: {args.n!r}") from None
+    config = ExperimentConfig(k=args.k, member_counts=counts, draws=args.draws,
+                              seed=seed, weight_policy=args.policy)
     try:
         records = run_experiment(config)
     except MemoryError:
-        _fail(2, "error: the experiment does not fit in memory")
+        raise ValueError("the experiment does not fit in memory") from None
     records.sort(key=lambda rec: (rec.n_members, rec.draw_index))
     lines = [CSV_HEADER] + [record_to_csv_row(rec) for rec in records]
     text = "\n".join(lines) + "\n"
@@ -281,29 +255,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _render_layers(problem: ProblemFile, spec_weights) -> list[tuple[str, Certificate]]:
-    layers: list[tuple[str, Certificate]] = []
-    if problem.is_ensemble:
-        spec = _to_ensemble(problem, spec_weights)
-        mode = spec.members[0].smoothness.mode if spec.members[0].smoothness else None
-        if mode is None:
-            _fail(3, "error: rendering needs smoothness data")
-        for j, member in enumerate(spec.members):
-            layers.append((f"member-{j}-s-{mode}", s_certificate(member, mode)))
-        layers.append((f"ensemble-s-{mode}", s_certificate(ensemble_classifier(spec), mode)))
-        return layers
-    member = problem.classifier()
-    if member.smoothness is None:
-        _fail(3, "error: rendering needs smoothness data")
-    mode = member.smoothness.mode
-    layers.append((f"s-{mode}", s_certificate(member, mode)))
-    return layers
+def _render_layers(problem: ProblemFile, weights) -> list[tuple[str, Certificate]]:
+    spec = problem.to_ensemble(weights) if problem.is_ensemble else None
+    members = spec.members if spec else (problem.classifier(),)
+    if members[0].smoothness is None:  # members share one smoothness mode
+        raise PreconditionError("rendering needs smoothness data")
+    mode = members[0].smoothness.mode
+    if spec is None:
+        return [(f"s-{mode}", s_certificate(members[0], mode))]
+    return [*((f"member-{j}-s-{mode}", s_certificate(m, mode)) for j, m in enumerate(members)),
+            (f"ensemble-s-{mode}", s_certificate(ensemble_classifier(spec), mode))]
 
 
 def cmd_render(args) -> int:
     problem = _load_problem(args.file)
     if problem.dimension != 2:
-        _fail(3, "error: rendering supports two-dimensional problems only")
+        raise PreconditionError("rendering supports two-dimensional problems only")
     window = problem.window
     if args.window:
         try:
@@ -312,7 +279,7 @@ def cmd_render(args) -> int:
             parts = ()
         if (len(parts) != 4 or not all(map(math.isfinite, parts))
                 or not (parts[0] < parts[1] and parts[2] < parts[3])):
-            _fail(2, f"error: bad --window value: {args.window!r}")
+            raise ValueError(f"bad --window value: {args.window!r}")
         window = parts
     weights = _parse_weights(getattr(args, "weights", None))
     layers = _render_layers(problem, weights)
@@ -518,14 +485,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SmoothnessMismatch as exc:
+    except (SmoothnessMismatch, PreconditionError) as exc:  # first: both are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

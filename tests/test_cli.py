@@ -218,11 +218,9 @@ class TestExitThree:
         assert (code, out, err) == (3, "", "error: class-wise mode needs ClassWise smoothness\n")
 
     def test_ensemble_missing_a_class_difference_pair(self, tmp_path, capsys):
+        # the certificate is composed before the report, so none of it prints
         code, out, err = run_cli(capsys, "ensemble", self._cd_file_without_pair(tmp_path))
-        assert code == 3
-        assert out == ("weights: 0.5 0.5\nensemble logits: 0.7 0.3\n"
-                       "top class: 0 (runner-up: 1), gap 0.4\n"
-                       "member 0: top 0, gap 0.6\nmember 1: top 0, gap 0.2\n")
+        assert (code, out) == (3, "")
         assert err == "error: missing class-difference body for pair (1, 0)\n"
 
     def test_render_missing_a_class_difference_pair(self, tmp_path, capsys):
@@ -506,3 +504,84 @@ class TestExamples:
                     "appendix-c3-u.json", "appendix-c3-cw.json", "appendix-c4.json",
                     "fig5a.json", "fig5b.json", "fig5c.json", "fig6.json"}
         assert required <= names
+
+
+class TestErrorPolicy:
+    """Every failure of a command reaches `main`, which prints one `error:`
+    line and returns 2 for a bad argument, file or input and 3 for a command
+    that does not apply to the file.  An exception that escapes `main` (a
+    traceback at the `scert` entry point) fails these tests."""
+
+    @staticmethod
+    def _assert_one_error(result, code):
+        exit_code, out, err = result
+        assert exit_code == code and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
+    @staticmethod
+    def _cap_file(tmp_path, split):
+        # 120 points on the sphere are all extreme, so the certificate's
+        # difference body B - B would need 120 x 120 points, over the
+        # 10,000-point cap; split in halves, they are two members whose
+        # weighted sum is that same cloud
+        cloud = np.random.default_rng(0).standard_normal((120, 3))
+        cloud /= np.linalg.norm(cloud, axis=1, keepdims=True)
+        parts = ([[0.5, 0.3, 0.2], cloud[:60]], [[0.4, 0.35, 0.25], cloud[60:]]) if split \
+            else ([[0.6, 0.3, 0.1], cloud],)
+        members = [{"logits": logits, "smoothness": {
+            "mode": "u", "body": {"type": "points", "points": points.tolist()}}}
+            for logits, points in parts]
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps({"dimension": 3, "classes": 3, "members": members}))
+        return str(path)
+
+    def test_certify_past_the_expansion_cap(self, tmp_path, capsys):
+        result = run_cli(capsys, "certify", self._cap_file(tmp_path, False), "--mode", "u")
+        self._assert_one_error(result, 2)
+        assert "point expansion exceeds the 10000-point cap" in result[2]
+
+    def test_ensemble_past_the_expansion_cap(self, tmp_path, capsys):
+        result = run_cli(capsys, "ensemble", self._cap_file(tmp_path, True))
+        self._assert_one_error(result, 2)
+        assert "point expansion exceeds the 10000-point cap" in result[2]
+
+    def test_render_to_an_unwritable_out(self, tmp_path, capsys):
+        self._assert_one_error(run_cli(capsys, "render", str(fixture_path("fig1.json")),
+                                       "--out", str(tmp_path / "missing" / "x.svg")), 2)
+
+    def test_simulate_to_an_unwritable_out(self, tmp_path, capsys):
+        self._assert_one_error(run_cli(capsys, "simulate", "--k", "3", "--n", "2",
+                                       "--draws", "2", "--out",
+                                       str(tmp_path / "missing" / "x.csv")), 2)
+
+    def test_input_path_is_a_directory(self, tmp_path, capsys):
+        self._assert_one_error(run_cli(capsys, "certify", str(tmp_path), "--mode", "u"), 2)
+
+    def test_input_file_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"note": "café"}'.encode("latin-1"))
+        self._assert_one_error(run_cli(capsys, "certify", str(path), "--mode", "u"), 2)
+
+    def test_non_integer_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCERT_SEED", "x")
+        result = run_cli(capsys, "simulate", "--k", "3", "--n", "2", "--draws", "2")
+        self._assert_one_error(result, 2)
+        assert result[2] == "error: SCERT_SEED must be an integer\n"
+
+    @pytest.mark.parametrize("n_members", [1, 2])
+    def test_render_without_smoothness(self, n_members, tmp_path, capsys):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"dimension": 2, "classes": 2, "members": [
+            {"logits": [0.8, 0.2]}, {"logits": [0.6, 0.4]}][:n_members]}))
+        out_file = tmp_path / "never.svg"
+        result = run_cli(capsys, "render", str(path), "--out", str(out_file))
+        self._assert_one_error(result, 3)
+        assert result[2] == "error: rendering needs smoothness data\n"
+        assert not out_file.exists()
+
+    def test_examples_with_a_failing_check(self, capsys, monkeypatch):
+        monkeypatch.setattr("scert.cli.load_expected", lambda: [
+            {"name": "broken", "kind": "nonsense", "fixture": "fig1.json"}])
+        assert run_cli(capsys, "examples") == (
+            1, "broken  FAIL  unknown check kind 'nonsense'\n0/1 fixture checks passed\n", "")

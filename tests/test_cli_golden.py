@@ -8,8 +8,12 @@ raised, and the SHA-256 of every SVG it wrote.  The commands are every
 ``regime`` on each ensemble fixture, ``bound radius-improvement`` where it
 applies, ``render`` on every two-dimensional fixture, ``scert examples``,
 ``certify`` on two one-dimensional fixtures under every mode and norm
-(half of those exit 3), and a small ``simulate`` run under each weight
-policy (its CSV bytes).
+(half of those exit 3), a small ``simulate`` run under each weight
+policy (its CSV bytes), and 15 commands that fail with an ``error:`` line:
+a file of the wrong kind or dimension, a missing file, a bad ``--weights``,
+``--n`` or ``--window``, a bound whose preconditions do not hold or whose
+arguments are missing or out of range, and ``simulate`` arguments that
+``ExperimentConfig`` rejects.
 
 A change that means to alter an output regenerates the snapshot with
 
@@ -40,6 +44,25 @@ _ENSEMBLE_FIXTURES = ("appendix-c4.json", "fig5a.json", "fig5b.json", "fig5c.jso
                       "fig6.json")
 _RENDER_FIXTURES = ("appendix-c3-cw.json", "appendix-c3-u.json", "fig1.json",
                     *_ENSEMBLE_FIXTURES)
+# failing commands: exit 2 for a bad argument, file or input, exit 3 for a
+# command or mode that does not apply to the file
+_ERROR_COMMANDS = (
+    "certify fig6.json --mode u",
+    "certify no-such-file.json --mode u",
+    "regime fig1.json",
+    "ensemble appendix-c4.json --weights 1,x",
+    "ensemble appendix-c4.json --weights 1,2,3",
+    "bound radius-improvement fig5a.json",
+    "bound radius-improvement",
+    "bound gap-gain --rbar 0.5",
+    "bound gap-gain --rbar 2 --k 3",
+    "simulate --n 2,x",
+    "simulate --n 1 --draws 2",
+    "simulate --k 1 --draws 2",
+    "render fig5a.json --out render.svg --weights 1",
+    "render appendix-c2-u.json --out render.svg",
+    "render fig1.json --out render.svg --window 0,1,x",
+)
 
 
 def golden_commands() -> list[list[str]]:
@@ -62,6 +85,7 @@ def golden_commands() -> list[list[str]]:
     for policy in ("uniform", "optimized"):
         commands.append(["simulate", "--k", "3", "--n", "2,3", "--draws", "4", "--seed", "1",
                          "--policy", policy])
+    commands += [command.split() for command in _ERROR_COMMANDS]
     return commands
 
 

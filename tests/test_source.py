@@ -90,3 +90,50 @@ def test_the_solver_rule_sees_attributes_imports_and_module_level_calls():
                      "def k():\n    return other.maximize(1)\n"
                      "X = _simplex.maximize(0)\n")
     assert _solver_callers(tree, "mod") == {"mod.g", "mod.h", "mod"}
+
+
+def _breaks_exit_policy(node: ast.AST) -> bool:
+    """Whether the node names `sys.stderr` or `sys.exit`, or raises `SystemExit`."""
+    if isinstance(node, ast.Attribute):
+        return (isinstance(node.value, ast.Name) and node.value.id == "sys"
+                and node.attr in ("stderr", "exit"))
+    if isinstance(node, ast.Raise):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "SystemExit"
+    return False
+
+
+def _exit_policy_functions(tree: ast.Module) -> set[str]:
+    """Each function that prints to stderr or exits by itself; code outside
+    any function is not counted."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if scope is not None and _breaks_exit_policy(node):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_cli_main_prints_errors_and_picks_exit_codes():
+    path = os.path.join(os.path.dirname(scert.__file__), "cli.py")
+    with open(path, encoding="utf-8") as handle:
+        stray = _exit_policy_functions(ast.parse(handle.read(), filename="cli.py")) - {"main"}
+    assert not stray, f"cli functions besides main that print errors or exit: {sorted(stray)}"
+
+
+def test_the_exit_policy_rule_sees_stderr_exit_and_system_exit():
+    tree = ast.parse("import sys\n"
+                     "def a():\n    print('x', file=sys.stderr)\n"
+                     "def b():\n    raise SystemExit(2)\n"
+                     "def c():\n    def d():\n        raise SystemExit\n    return d\n"
+                     "def e():\n    sys.exit(1)\n"
+                     "def f():\n    raise ValueError('x')\n"
+                     "def g():\n    sys.stdout.write('x')\n"
+                     "if __name__ == '__main__':\n    sys.exit(a())\n")
+    assert _exit_policy_functions(tree) == {"a", "b", "d", "e"}
