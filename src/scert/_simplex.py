@@ -4,16 +4,21 @@ Solves   max  c.x   subject to   A x <= b,   x free (unrestricted sign),
 for one objective or for a stack of objectives over the same region; one
 objective is a stack of one, so the method depends on the region alone.
 
-A region of the plane whose nonzero rows span it is answered from its
-vertices and extreme rays, computed once.  Any other region goes to the
-simplex: free variables are split as x = u - v with u, v >= 0 and slack
-variables turn the inequalities into equalities.  Rows with negative
-right-hand side receive an artificial variable, and a phase-1 feasibility
-problem is solved once per region; each objective then runs phase 2 from a
-copy of that tableau and basis.  Pivoting uses Bland's rule (lowest eligible
-index enters, lowest basis index leaves on ratio ties), which precludes
-cycling.  The problems handled here are tiny (a handful of variables, tens
-of rows), so a dense tableau is the right tool.
+A region of the plane is answered from its vertices and extreme rays,
+computed once.  Where every offset is positive the region holds 0 inside and
+is the polar set of the hull of {a_k / b_k} and 0, so its vertices and rays
+come from consecutive points of that one ordered hull (Preparata & Muller
+1979; de Berg et al., Computational Geometry, 8.2 and 11.4).  Where an
+offset is not positive (a carved piece) or that hull is ill-conditioned,
+each pair of boundary lines is met instead, if the nonzero rows span the
+plane.  Any other region goes to the simplex: free variables are split as
+x = u - v with u, v >= 0 and slack variables turn the inequalities into
+equalities.  Rows with negative right-hand side receive an artificial
+variable, and a phase-1 feasibility problem is solved once per region; each
+objective then runs phase 2 from a copy of that tableau and basis.  Pivoting
+uses Bland's rule (lowest eligible index enters, lowest basis index leaves
+on ratio ties), which precludes cycling.  The problems handled here are tiny
+(a handful of variables, tens of rows), so a dense tableau is the right tool.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ VERTEX_TOL = 1e-12
 # region whose rows are all parallel goes to the simplex.  It is below
 # VERTEX_TOL, so the direction along such a pair still counts as a ray.
 PARALLEL_TOL = 1e-13
+# An edge of the polar hull between nonzero points p and q whose line passes
+# this close to 0, p x q <= STAR_TOL |p| |q|, has its vertex of the region out
+# near 1 / (p x q), or none; such a region meets its lines pairwise instead.
+STAR_TOL = 1e-9
 RATIO_TIE_TOL = 1e-12  # ratios this close to the least tie; Bland's rule breaks the tie
 MAX_ITERATIONS = 10_000
 
@@ -174,6 +183,50 @@ def _solve_stack(objectives: np.ndarray, A: np.ndarray, b: np.ndarray):
         yield _phase2(c, tableau.copy(), basis.copy(), allowed)
 
 
+def _star_polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vertices and unit extreme rays of {x : A x <= b} in the plane when
+    every offset is positive, from the counterclockwise hull of the points
+    a_k / b_k and 0, taken at unit size; None when an offset is not
+    positive, a point is not finite, the hull has fewer than three points,
+    an edge between nonzero points passes within STAR_TOL of 0 or a vertex
+    is out of the float range.
+
+    The region is the polar set of that hull: consecutive nonzero hull
+    points p, q give the vertex (q_y - p_y, p_x - q_x) / (p x q), the edge's
+    outward normal over p x q, and an edge with 0 as an end gives a ray
+    along its outward normal.  At most two edges end at 0, so three hull
+    points give a vertex.  The hull has a handful of points, so its edges
+    are walked in Python; the scaling by a power of two keeps every bit
+    while the points stay normal."""
+    if not (b > 0.0).all():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = A / b[:, None]
+        if not np.isfinite(points).all():
+            return None
+        from .geometry import _monotone_chain  # geometry imports this module
+        shift = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
+        hull = _monotone_chain(np.ldexp(points, -shift).tolist() + [[0.0, 0.0]])
+        if len(hull) < 3:
+            return None
+        unit = float(np.ldexp(1.0, -shift))  # inf when the points are all subnormal
+        vertices, rays = [], []
+        for (px, py), (qx, qy) in zip(hull, hull[1:] + hull[:1]):
+            nx, ny = qy - py, px - qx  # the outward normal of the edge p -> q
+            if not (px or py) or not (qx or qy):
+                norm = math.hypot(nx, ny)
+                rays.append([nx / norm, ny / norm])
+                continue
+            cross = px * qy - py * qx
+            if not cross > STAR_TOL * math.hypot(px, py) * math.hypot(qx, qy):
+                return None
+            vertices.append([nx / cross * unit, ny / cross * unit])
+    vertices = np.array(vertices)
+    if not np.isfinite(vertices).all():
+        return None
+    return vertices, np.array(rays).reshape(-1, 2)
+
+
 def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Vertices and unit extreme rays of {x : A x <= b} in the plane, or None
     when the nonzero rows do not span it.  An empty region has no vertices.
@@ -213,21 +266,28 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     return vertices, rays
 
 
-def _polygon_results(objectives: np.ndarray, vertices: np.ndarray, rays: np.ndarray):
-    """Results of every objective over a 2D region with the given vertices
-    and rays, from their products term by term: unlike a matrix product,
-    these round an objective alike in a stack of any size."""
+def _polygon_results(objectives: np.ndarray, vertices: np.ndarray, rays: np.ndarray,
+                     limits) -> list[SimplexResult]:
+    """Results of the objectives over a 2D region with the given vertices
+    and rays, up to the first that exceeds its entry of `limits` (all of
+    them without limits), from their products term by term: unlike a matrix
+    product, these round an objective alike in a stack of any size."""
     if vertices.shape[0] == 0:
-        return [SimplexResult(INFEASIBLE)]
+        return [SimplexResult(INFEASIBLE)][:len(objectives)]
     values = objectives[:, :1] * vertices[:, 0] + objectives[:, 1:] * vertices[:, 1]
     top = values.argmax(axis=1)
-    best = values[np.arange(len(top)), top].tolist()
+    best = values[np.arange(len(top)), top]
     scale = VERTEX_TOL * np.hypot(objectives[:, 0], objectives[:, 1])
     along = objectives[:, :1] * rays[:, 0] + objectives[:, 1:] * rays[:, 1]
-    unbounded = np.any(along > scale[:, None], axis=1).tolist()
-    return (SimplexResult(UNBOUNDED) if unbounded[i]
-            else SimplexResult(OPTIMAL, best[i], vertices[top[i]])
-            for i in range(len(top)))
+    unbounded = np.any(along > scale[:, None], axis=1)
+    count = len(top)
+    if limits is not None:
+        limits = np.asarray(limits, dtype=float)
+        over = np.where(unbounded, limits < math.inf, best > limits)
+        count = int(over.argmax()) + 1 if over.any() else count
+    points = list(vertices)
+    return [SimplexResult(UNBOUNDED) if ray else SimplexResult(OPTIMAL, value, points[i])
+            for ray, value, i in zip(unbounded[:count].tolist(), best.tolist(), top.tolist())]
 
 
 def maximize(objectives, A, b, limits=None):
@@ -238,25 +298,24 @@ def maximize(objectives, A, b, limits=None):
     gives a list of results in order.  The list stops after the first
     result that is infeasible or exceeds its entry of `limits` (see
     :meth:`SimplexResult.exceeds`); without limits it stops only on an
-    infeasible region.  In the plane, when the nonzero rows span it, the
-    stack is answered from the region's vertices and extreme rays; otherwise
-    the simplex solves one objective at a time after one phase 1.
+    infeasible region.  In the plane, when every offset is positive or the
+    nonzero rows span it, the stack is answered from the region's vertices
+    and extreme rays; otherwise the simplex solves one objective at a time
+    after one phase 1.
     """
     objectives = np.asarray(objectives, dtype=float)
     single = objectives.ndim == 1
     stack = objectives.reshape(-1, objectives.shape[-1])
     A = np.asarray(A, dtype=float).reshape(-1, stack.shape[1])
     b = np.asarray(b, dtype=float).reshape(-1)
-    polygon = _polygon(A, b) if A.shape[1] == 2 else None
+    polygon = (_star_polygon(A, b) or _polygon(A, b)) if A.shape[1] == 2 else None
     if polygon is not None:
-        candidates = _polygon_results(stack, *polygon)
+        results = _polygon_results(stack, *polygon, limits)
     else:
-        candidates = _solve_stack(stack, A, b)
-    if limits is None:
-        limits = [math.inf] * len(stack)
-    results = []
-    for res, limit in zip(candidates, limits):
-        results.append(res)
-        if res.status == INFEASIBLE or res.exceeds(limit):
-            break
+        results = []
+        for res, limit in zip(_solve_stack(stack, A, b),
+                              [math.inf] * len(stack) if limits is None else limits):
+            results.append(res)
+            if res.status == INFEASIBLE or res.exceeds(limit):
+                break
     return results[0] if single else results

@@ -98,8 +98,21 @@ def _load_problem(path: str) -> ProblemFile:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+                         f"at offset {exc.start})") from None
     except ProblemFileError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing `path` would, before any work is done;
+    the file is neither truncated nor left behind."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _parse_weights(text: str | None):
@@ -240,6 +253,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"bad --n value: {args.n!r}") from None
     config = ExperimentConfig(k=args.k, member_counts=counts, draws=args.draws,
                               seed=seed, weight_policy=args.policy)
+    if args.out:
+        _check_writable(args.out)
     try:
         records = run_experiment(config)
     except MemoryError:
@@ -282,6 +297,7 @@ def cmd_render(args) -> int:
             raise ValueError(f"bad --window value: {args.window!r}")
         window = parts
     weights = _parse_weights(getattr(args, "weights", None))
+    _check_writable(args.out)
     layers = _render_layers(problem, weights)
     svg = render.render_svg(layers, window)
     with open(args.out, "w", encoding="utf-8") as handle:

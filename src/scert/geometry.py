@@ -733,12 +733,13 @@ def region_subset(a: HalfspaceRegion, b: HalfspaceRegion, slack: float = TOL) ->
 
 def region_exceeds(a: HalfspaceRegion, b: HalfspaceRegion,
                    margin: float = STRICT_MARGIN) -> bool:
-    """True iff some point of a violates a halfspace of b by more than margin."""
+    """True iff some point of a violates a halfspace of b by more than margin:
+    the results stop at the first over its limit, so only the last can be."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch in containment test")
     limits = b.offsets + margin
-    return any(res.exceeds(limit)
-               for res, limit in zip(lp_maximize(b.normals, a, limits), limits))
+    results = lp_maximize(b.normals, a, limits)
+    return bool(results) and results[-1].exceeds(limits[len(results) - 1])
 
 
 def region_minus_subset(a: HalfspaceRegion, carves, b: HalfspaceRegion,

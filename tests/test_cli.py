@@ -555,13 +555,43 @@ class TestErrorPolicy:
                                        "--draws", "2", "--out",
                                        str(tmp_path / "missing" / "x.csv")), 2)
 
+    def test_an_unwritable_out_stops_simulate_before_the_experiment(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        def run_experiment(_config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr("scert.cli.run_experiment", run_experiment)
+        out_file = tmp_path / "missing" / "x.csv"
+        result = run_cli(capsys, "simulate", "--draws", "20000", "--out", str(out_file))
+        self._assert_one_error(result, 2)
+        assert str(out_file) in result[2]
+
+    def test_an_unwritable_out_stops_render_before_the_certificates(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        def s_certificate(*_args):
+            raise AssertionError("a certificate was computed")
+
+        monkeypatch.setattr("scert.cli.s_certificate", s_certificate)
+        self._assert_one_error(run_cli(capsys, "render", str(fixture_path("fig1.json")),
+                                       "--out", str(tmp_path)), 2)
+
+    def test_a_failed_render_leaves_an_existing_out_as_it_was(self, tmp_path, capsys):
+        out_file = tmp_path / "kept.svg"
+        out_file.write_text("before")
+        result = run_cli(capsys, "render", str(fixture_path("fig5a.json")),
+                         "--out", str(out_file), "--weights", "1")
+        self._assert_one_error(result, 2)
+        assert out_file.read_text() == "before"
+
     def test_input_path_is_a_directory(self, tmp_path, capsys):
         self._assert_one_error(run_cli(capsys, "certify", str(tmp_path), "--mode", "u"), 2)
 
     def test_input_file_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"note": "café"}'.encode("latin-1"))
-        self._assert_one_error(run_cli(capsys, "certify", str(path), "--mode", "u"), 2)
+        result = run_cli(capsys, "certify", str(path), "--mode", "u")
+        self._assert_one_error(result, 2)
+        assert result[2] == f"error: {path}: not UTF-8 text (byte 0xe9 at offset 13)\n"
 
     def test_non_integer_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("SCERT_SEED", "x")

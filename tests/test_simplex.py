@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import vertex_enum_max
 from scert import _simplex
 from scert._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _solve_stack, maximize
-from scert.geometry import HalfspaceRegion, lp_maximize
+from scert.geometry import HalfspaceRegion, lp_maximize, region_minus_subset
 
 
 def simplex_alone(objective, A, b):
@@ -211,6 +211,141 @@ class TestBatchedPlanarPath:
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         b = np.array([-1.0, 0.0, 1.0])  # x <= -1 and x >= 0
         assert [r.status for r in maximize(np.eye(2), A, b)] == [INFEASIBLE]
+
+
+def pairwise(objectives, A, b):
+    """The results of the 2D path that meets every pair of boundary lines;
+    none when the rows do not span the plane."""
+    polygon = _simplex._polygon(A, b)
+    return [] if polygon is None else _simplex._polygon_results(objectives, *polygon, None)
+
+
+def _assert_agree(objectives, A, b):
+    """maximize agrees with the simplex and with the pairwise path, in status
+    and in value; a value is c.x, so it is compared in the units of |c| |x|,
+    which a far vertex makes large."""
+    results = maximize(objectives, A, b)
+    for objective, res, line in zip(objectives, results, pairwise(objectives, A, b)):
+        assert res.status == line.status
+        if res.status == OPTIMAL:
+            scale = max(1.0, np.linalg.norm(objective) * np.linalg.norm(line.point))
+            assert abs(res.value - line.value) <= 1e-9 * scale
+    for objective, res in zip(objectives, results):
+        ref = simplex_alone(objective, A, b)
+        assert res.status == ref.status
+        if ref.status == OPTIMAL:
+            scale = max(1.0, np.linalg.norm(objective) * np.linalg.norm(ref.point))
+            assert abs(res.value - ref.value) <= 1e-7 * scale
+
+
+@st.composite
+def star_regions(draw):
+    """A 2D region whose offsets are all positive, with its rows scaled so
+    that 0 lies on, just inside or just outside the edge of the hull of the
+    points a_k / b_k between p and q; the other points lie on the inner side
+    of that edge, and zero and repeated rows ride along.  The objectives
+    include the edge's outward normal, its direction and the rows."""
+    p = np.array([draw(_EIGHTHS), draw(_EIGHTHS)])
+    if not p.any():
+        p = np.array([1.0, 0.0])
+    normal = np.array([p[1], -p[0]])  # right of the line from p through 0
+    tilt = draw(st.sampled_from([0.0, 1e-6, -1e-6, 1e-3, -1e-3, 0.1]))
+    q = -draw(st.sampled_from([0.25, 1.0, 3.0])) * p - tilt * normal
+    points = [p, q]
+    for _ in range(draw(st.integers(0, 6))):
+        point = np.array([draw(_EIGHTHS), draw(_EIGHTHS)])
+        kind = draw(st.sampled_from(["free", "zero", "repeat"]))
+        if kind == "zero":
+            point = np.zeros(2)
+        elif kind == "repeat":
+            point = points[draw(st.integers(0, len(points) - 1))]
+        elif point @ normal > 0.0:
+            point = -point  # onto the inner side of the edge
+        points.append(point)
+    b = np.array([draw(st.integers(1, 16)) / 8.0 for _ in points])
+    A = np.array(points) * b[:, None]
+    free = [np.array([draw(_EIGHTHS), draw(_EIGHTHS)]) for _ in range(draw(st.integers(0, 3)))]
+    objectives = np.array(free + [normal, p, -p, A[-1], np.array([1.0, 0.0])])
+    return A, b, objectives
+
+
+class TestStarShapedRegions:
+    """A region whose offsets are all positive is answered from the ordered
+    hull of its points a_k / b_k and 0; the simplex and the path that meets
+    every pair of boundary lines are the references."""
+
+    def test_origin_on_a_hull_edge(self):
+        # the hull edge from (-1, 0) to (1, 0) passes through 0, so the
+        # pairwise path answers
+        A, b = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.ones(3)
+        assert _simplex._star_polygon(A, b) is None
+        results = maximize(np.array([[0.0, -1.0], [0.0, 1.0], [1.0, 1.0]]), A, b)
+        assert [r.status for r in results] == [UNBOUNDED, OPTIMAL, OPTIMAL]
+        assert [r.value for r in results[1:]] == [1.0, 2.0]
+        _assert_agree(np.array([[0.0, -1.0], [1.0, 0.0], [1.0, -1e-3]]), A, b)
+
+    def test_origin_a_hull_vertex(self):
+        A, b = np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([1.0, 2.0])
+        vertices, rays = _simplex._star_polygon(A, b)
+        assert vertices.tolist() == [[1.0, 1.0]]
+        assert sorted(rays.tolist()) == [[-1.0, -0.0], [0.0, -1.0]]
+        objectives = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, -1e-3]])
+        assert [r.status for r in maximize(objectives, A, b)] == [OPTIMAL] + [UNBOUNDED] * 3
+        _assert_agree(objectives, A, b)
+
+    def test_far_vertex_of_a_thin_sliver(self):
+        # 0 lies 1e-6 inside the hull edge from (1e-6, -1) to (0, 1): the
+        # region runs out to the vertex (2e6, 1)
+        A, b = np.array([[0.0, 1.0], [1e-6, -1.0], [-1.0, 0.0]]), np.ones(3)
+        vertices, _ = _simplex._star_polygon(A, b)
+        assert np.abs(vertices - [2e6, 1.0]).max(axis=1).min() <= 1e-9
+        res = maximize(np.array([1.0, 0.0]), A, b)
+        assert res.status == OPTIMAL and res.value == pytest.approx(2e6, rel=1e-12)
+        _assert_agree(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, -1.0]]), A, b)
+
+    def test_repeated_and_zero_rows(self):
+        A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 1.0],
+                      [-1.0, -1.0], [0.0, 0.0]])
+        b = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 3.0])
+        assert _simplex._star_polygon(A, b)[0].shape == (3, 2)
+        _assert_agree(np.vstack([A, [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]]), A, b)
+
+    @pytest.mark.parametrize("row", [[1e9, 0.0], [0.0, -1e12]])
+    def test_a_point_beyond_the_float_range_meets_the_lines_pairwise(self, row):
+        # a / b overflows, so the pairwise path answers; the box around it
+        # keeps the region bounded
+        A = np.vstack([[row], np.eye(2), -np.eye(2)])
+        b = np.array([1e-300, 1.0, 1.0, 1.0, 1.0])
+        assert _simplex._star_polygon(A, b) is None
+        _assert_agree(np.vstack([np.eye(2), -np.eye(2)]), A, b)
+
+    def test_points_far_from_unit_size(self):
+        # every a / b is finite, and its hull is walked at unit size
+        A = np.vstack([np.eye(2), -np.eye(2)])
+        for offset in (1e-300, 1e300):
+            vertices, rays = _simplex._star_polygon(A, np.full(4, offset))
+            corners = [[s * offset, t * offset] for s in (-1, 1) for t in (-1, 1)]
+            assert np.array(sorted(vertices.tolist())) == pytest.approx(np.array(corners),
+                                                                        rel=1e-15)
+            assert rays.shape == (0, 2)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(star_regions())
+    def test_agrees_with_the_simplex_and_the_pairwise_path(self, region):
+        A, b, objectives = region
+        _assert_agree(objectives, A, b)
+
+    def test_only_a_carve_piece_meets_its_lines_pairwise(self, monkeypatch):
+        offsets, pairwise_path = [], _simplex._polygon
+        monkeypatch.setattr(_simplex, "_polygon",
+                            lambda A, b: offsets.append(b) or pairwise_path(A, b))
+        box = np.vstack([np.eye(2), -np.eye(2)])
+        a, b = HalfspaceRegion(box, np.ones(4), 2), HalfspaceRegion(box, np.full(4, 2.0), 2)
+        maximize(box, box, np.ones(4))
+        assert offsets == []
+        # each piece of a less the carve has one flipped row, with a negative offset
+        assert region_minus_subset(a, [HalfspaceRegion(box, np.full(4, 0.5), 2)], b)
+        assert len(offsets) == 4 and all((o <= 0.0).any() for o in offsets)
 
 
 def _random_3d_regions(seed: int, count: int):
