@@ -1,8 +1,9 @@
 """Small linear programs: a dense two-phase simplex and an exact 2D path.
 
 Solves   max  c.x   subject to   A x <= b,   x free (unrestricted sign),
-for one objective or for a stack of objectives over the same region; one
-objective is a stack of one, so the method depends on the region alone.
+for a stack of objectives over the same region, so the method depends on the
+region alone.  The answers are arrays: one maximum per objective, +inf where
+it is unbounded and -inf on an empty region, and a point attaining each.
 
 A region of the plane is answered from its vertices and extreme rays,
 computed once.  Where every offset is positive the region holds 0 inside and
@@ -24,7 +25,6 @@ on ratio ties), which precludes cycling.  The problems handled here are tiny
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,21 +48,6 @@ MAX_ITERATIONS = 10_000
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class SimplexResult:
-    status: str
-    value: float | None = None
-    point: np.ndarray | None = None
-
-    def exceeds(self, limit: float) -> bool:
-        """True iff the maximum is above `limit`.  An unbounded maximum is
-        above every finite limit; an infeasible problem has no maximum."""
-        if self.status == UNBOUNDED:
-            return limit < math.inf
-        return self.status == OPTIMAL and self.value > limit
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -149,38 +134,43 @@ def _phase1(A: np.ndarray, b: np.ndarray):
 
 
 def _phase2(objective: np.ndarray, tableau: np.ndarray, basis: np.ndarray,
-            allowed: np.ndarray) -> SimplexResult:
-    """Maximize objective.x from a tableau that `_phase1` returned; pivots
-    the tableau and basis in place."""
+            allowed: np.ndarray) -> tuple[float, np.ndarray]:
+    """The maximum of objective.x and a point attaining it, or +inf and a
+    NaN point when it is unbounded, from a tableau that `_phase1` returned;
+    pivots the tableau and basis in place."""
     m, n = basis.size, objective.size
     if m == 0:
         if np.all(np.abs(objective) <= PIVOT_TOL):
-            return SimplexResult(OPTIMAL, 0.0, np.zeros(n))
-        return SimplexResult(UNBOUNDED)
+            return 0.0, np.zeros(n)
+        return math.inf, np.full(n, math.nan)
     cost = np.zeros(allowed.size)
     cost[:n] = objective
     cost[n:2 * n] = -objective
-    status = _run(tableau, basis, cost, allowed)
-    if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED)
-
+    if _run(tableau, basis, cost, allowed) == UNBOUNDED:
+        return math.inf, np.full(n, math.nan)
     solution = np.zeros(allowed.size)
     solution[basis] = tableau[:m, -1]
     x = solution[:n] - solution[n:2 * n]
-    return SimplexResult(OPTIMAL, float(objective @ x), x)
+    return float(objective @ x), x
 
 
-def _solve_stack(objectives: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """Results of each objective by the simplex, lazily.  Phase 1 runs once;
-    each objective starts from a copy of its tableau and basis, so its
-    pivots do not depend on the other objectives."""
+def _solve_stack(objectives: np.ndarray, A: np.ndarray, b: np.ndarray,
+                 limits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maxima and points of the objectives by the simplex, up to the first
+    maximum above its limit.  Phase 1 runs once; each objective starts from a
+    copy of its tableau and basis, so its pivots do not depend on the other
+    objectives.  An empty region gives -inf for every objective."""
+    values = np.full(len(objectives), -math.inf)
+    points = np.full(objectives.shape, math.nan)
     start = _phase1(A, b)
     if start is None:
-        yield SimplexResult(INFEASIBLE)
-        return
+        return values, points
     tableau, basis, allowed = start
-    for c in objectives:
-        yield _phase2(c, tableau.copy(), basis.copy(), allowed)
+    for k, c in enumerate(objectives):
+        values[k], points[k] = _phase2(c, tableau.copy(), basis.copy(), allowed)
+        if values[k] > limits[k]:
+            return values[:k + 1], points[:k + 1]
+    return values, points
 
 
 def _star_polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -266,56 +256,42 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     return vertices, rays
 
 
-def _polygon_results(objectives: np.ndarray, vertices: np.ndarray, rays: np.ndarray,
-                     limits) -> list[SimplexResult]:
-    """Results of the objectives over a 2D region with the given vertices
-    and rays, up to the first that exceeds its entry of `limits` (all of
-    them without limits), from their products term by term: unlike a matrix
-    product, these round an objective alike in a stack of any size."""
+def _polygon_results(objectives: np.ndarray, vertices: np.ndarray,
+                     rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maxima and points of the objectives over a 2D region with the
+    given vertices and rays, from their products term by term: unlike a
+    matrix product, these round an objective alike in a stack of any size."""
     if vertices.shape[0] == 0:
-        return [SimplexResult(INFEASIBLE)][:len(objectives)]
+        return np.full(len(objectives), -math.inf), np.full(objectives.shape, math.nan)
     values = objectives[:, :1] * vertices[:, 0] + objectives[:, 1:] * vertices[:, 1]
     top = values.argmax(axis=1)
-    best = values[np.arange(len(top)), top]
+    best, points = values[np.arange(len(top)), top], vertices[top]
     scale = VERTEX_TOL * np.hypot(objectives[:, 0], objectives[:, 1])
     along = objectives[:, :1] * rays[:, 0] + objectives[:, 1:] * rays[:, 1]
     unbounded = np.any(along > scale[:, None], axis=1)
-    count = len(top)
-    if limits is not None:
-        limits = np.asarray(limits, dtype=float)
-        over = np.where(unbounded, limits < math.inf, best > limits)
-        count = int(over.argmax()) + 1 if over.any() else count
-    points = list(vertices)
-    return [SimplexResult(UNBOUNDED) if ray else SimplexResult(OPTIMAL, value, points[i])
-            for ray, value, i in zip(unbounded[:count].tolist(), best.tolist(), top.tolist())]
+    best[unbounded], points[unbounded] = math.inf, math.nan
+    return best, points
 
 
-def maximize(objectives, A, b, limits=None):
-    """Maximize objective.x over {x : A x <= b} with x free.
+def maximize(objectives, A, b, limits=None) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize each objective.x of a stack (k, n) over {x : A x <= b}, x free.
 
-    A single objective (shape (n,)) gives one :class:`SimplexResult`, the
-    result of it as a stack of one.  A stack of objectives (shape (k, n))
-    gives a list of results in order.  The list stops after the first
-    result that is infeasible or exceeds its entry of `limits` (see
-    :meth:`SimplexResult.exceeds`); without limits it stops only on an
-    infeasible region.  In the plane, when every offset is positive or the
-    nonzero rows span it, the stack is answered from the region's vertices
-    and extreme rays; otherwise the simplex solves one objective at a time
-    after one phase 1.
+    Returns the maxima as an array and a point attaining each as the rows of
+    another, up to the first maximum above its entry of `limits` (all of them
+    without limits).  A maximum is +inf where the objective is unbounded,
+    with a NaN point, and -inf on an empty region, which no limit is below.
+    In the plane, when every offset is positive or the nonzero rows span it,
+    the stack is answered from the region's vertices and extreme rays;
+    otherwise the simplex solves one objective at a time after one phase 1.
     """
     objectives = np.asarray(objectives, dtype=float)
-    single = objectives.ndim == 1
-    stack = objectives.reshape(-1, objectives.shape[-1])
-    A = np.asarray(A, dtype=float).reshape(-1, stack.shape[1])
+    A = np.asarray(A, dtype=float).reshape(-1, objectives.shape[1])
     b = np.asarray(b, dtype=float).reshape(-1)
+    limits = np.full(len(objectives), math.inf) if limits is None else np.asarray(limits, float)
     polygon = (_star_polygon(A, b) or _polygon(A, b)) if A.shape[1] == 2 else None
-    if polygon is not None:
-        results = _polygon_results(stack, *polygon, limits)
-    else:
-        results = []
-        for res, limit in zip(_solve_stack(stack, A, b),
-                              [math.inf] * len(stack) if limits is None else limits):
-            results.append(res)
-            if res.status == INFEASIBLE or res.exceeds(limit):
-                break
-    return results[0] if single else results
+    if polygon is None:
+        return _solve_stack(objectives, A, b, limits)
+    values, points = _polygon_results(objectives, *polygon)
+    over = values > limits
+    count = int(over.argmax()) + 1 if over.any() else len(values)
+    return values[:count], points[:count]

@@ -292,8 +292,7 @@ def cmd_render(args) -> int:
             parts = tuple(float(v) for v in args.window.split(","))
         except ValueError:
             parts = ()
-        if (len(parts) != 4 or not all(map(math.isfinite, parts))
-                or not (parts[0] < parts[1] and parts[2] < parts[3])):
+        if not problemfile.valid_window(parts):
             raise ValueError(f"bad --window value: {args.window!r}")
         window = parts
     weights = _parse_weights(getattr(args, "weights", None))

@@ -190,8 +190,8 @@ def _cert_regime_regions(q_g: Certificate, member_certs: list[Certificate]) -> t
     carves, last = regions[:-1], regions[-1]
     # the queries run in this order: g's maxima over inter in one batch (it stops
     # only past offset + STRICT_MARGIN > TOL), g in each r, the carve, each r in g
-    tops = lp_maximize(g.normals, inter, g.offsets + STRICT_MARGIN)
-    contains_intersection = not any(r.exceeds(t) for r, t in zip(tops, g.offsets + TOL))
+    tops, _ = lp_maximize(g.normals, inter, g.offsets + STRICT_MARGIN)
+    contains_intersection = not (tops > g.offsets[:len(tops)] + TOL).any()
     inside = [region_subset(g, r) for r in regions]
     held = any(inside)
     evidence = {
@@ -203,7 +203,7 @@ def _cert_regime_regions(q_g: Certificate, member_certs: list[Certificate]) -> t
     }
     regime = _verdict(evidence, evidence["contains_union"] and not held and not
                       region_minus_subset(g, carves, last, STRICT_MARGIN),
-                      any(r.exceeds(t) for r, t in zip(tops, g.offsets + STRICT_MARGIN)))
+                      bool((tops > g.offsets[:len(tops)] + STRICT_MARGIN).any()))
     strict = {"improvement": "strict_excess", "reduction": "strict_deficit"}.get(regime)
     if strict:
         evidence[strict] = True
@@ -466,8 +466,9 @@ class WeightLPError(RuntimeError):
     its optimum can be, or weights whose gap is below the best member's."""
 
 
-def _weight_lp_error(a: int, res, lower, upper, detail: str = "") -> WeightLPError:
-    return WeightLPError(f"the LP of class {a} returned {res.status} with value {res.value}; "
+def _weight_lp_error(a: int, value: float, lower, upper, detail: str = "") -> WeightLPError:
+    answer = {math.inf: "unbounded", -math.inf: "infeasible"}.get(value, f"the value {value}")
+    return WeightLPError(f"the LP of class {a} returned {answer}; "
                          f"its optimum lies in [{float(lower)!r}, {float(upper)!r}]{detail}")
 
 
@@ -509,11 +510,10 @@ def optimize_weights(logits) -> tuple[np.ndarray, float]:
     lower = pure.max(axis=0)
     upper = np.where(own, np.inf, diffs.max(axis=0)).min(axis=1)
     floor, tol = float(lower.max()), _simplex.FEASIBILITY_TOL  # the best member's gap
-    best = None
+    best = -math.inf
     for a in np.flatnonzero(upper >= floor - tol).tolist():
         if upper[a] <= lower[a]:  # a pure saddle point: the optimum is x = (e_j, lower[a])
-            point = np.append(np.eye(n)[pure[:, a].argmax()], lower[a])
-            res = _simplex.SimplexResult(_simplex.OPTIMAL, float(lower[a]), point)
+            value, point = float(lower[a]), np.append(np.eye(n)[pure[:, a].argmax()], lower[a])
         else:
             # over x = (w, t): w >= 0, sum(w) = 1 as two rows, and t below each margin
             rows = np.zeros((n + k + 1, n + 1))
@@ -523,12 +523,12 @@ def optimize_weights(logits) -> tuple[np.ndarray, float]:
             rows[n + 2:, n] = 1.0
             offsets = np.zeros(n + k + 1)
             offsets[n], offsets[n + 1] = 1.0, -1.0
-            res = _simplex.maximize(np.eye(n + 1)[n], rows, offsets)
-            if res.status != _simplex.OPTIMAL or res.value > upper[a] + tol:
-                raise _weight_lp_error(a, res, lower[a], upper[a])
-        if best is None or res.value > best.value:
-            best, top = res, a
-    weights = np.clip(best.point[:n], 0.0, None)
+            (value,), (point,) = _simplex.maximize(np.eye(n + 1)[n:], rows, offsets)
+            if not -math.inf < value <= upper[a] + tol:
+                raise _weight_lp_error(a, value, lower[a], upper[a])
+        if value > best:
+            best, best_point, top = value, point, a
+    weights = np.clip(best_point[:n], 0.0, None)
     weights /= weights.sum()
     gap = float(runner_up_gap(weights @ logits))
     if gap < floor - tol:

@@ -2,10 +2,11 @@
 
 Bodies are represented canonically through their support function
 ``rho(S, u) = sup_{c in S} c.u``; explicit halfspace representations are
-derived only for finite point sets, and every LP over such a region, one
-objective or a stack, is one call of :func:`lp_maximize`.  All values are
-immutable after construction and every operation is a pure function, so
-bodies and regions can be shared freely across workers.
+derived only for finite point sets (and, as derived from checked data, not
+checked again), and every LP over such a region is one :func:`lp_maximize`
+call, whose answers are arrays, so a region query is one comparison.  All
+values are immutable after construction and every operation is a pure
+function, so bodies and regions can be shared freely across workers.
 
 Supported body variants:
 
@@ -25,7 +26,8 @@ Only :func:`minkowski_sum` of two point sets in d >= 3 can reach the cap (a 1D
 hull has two points), and its error reaches the caller.
 :func:`hull_prune` memoises on the body, every prune, 2D merge or scale
 by alpha > 0 (alpha times the prune) is its own prune, and a body keeps its
-negation, so no prune result is pruned again and each 2D cloud is hulled once.
+negation, whose prune in 1D and 2D is the negated prune, so no prune result
+is pruned again and each 2D point set is hulled once, its negation included.
 
 Each variant dispatches on itself: it implements ``support(u)`` (a float
 for one direction (d,), an (m,) array for a stack (m, d)),
@@ -180,8 +182,12 @@ class FinitePoints(ConvexBody):
 
     @functools.cached_property
     def _negated(self) -> "FinitePoints":
-        """-S, one body per S, so that its hull is computed once."""
-        return FinitePoints._checked(-self.points)
+        """-S, one body per S.  In 1D and 2D, where the hull is exact, its
+        hull is the negated hull of S, so that S and -S are hulled once."""
+        body = FinitePoints._checked(-self.points)
+        if self.dim <= 2:
+            body.__dict__["_negation_of"] = self
+        return body
 
     def scale(self, alpha: float) -> "FinitePoints":
         if alpha == 0.0:
@@ -190,8 +196,16 @@ class FinitePoints(ConvexBody):
 
     @functools.cached_property
     def _hull(self) -> "FinitePoints":
-        """The memo of :func:`hull_prune`."""
-        return _prune(self)
+        """The memo of :func:`hull_prune`.  A negation that keeps its source
+        takes the source's hull negated, from the negation of its
+        lexicographic maximum: bit for bit its own 1D or 2D hull, as sorting
+        and the chain's turn tests are symmetric under negation."""
+        source = self.__dict__.get("_negation_of")
+        if source is None:
+            return _prune(self)
+        hull = source._hull.points
+        start = int(np.lexsort(hull.T[::-1])[-1])
+        return _own_hull(FinitePoints._checked(-np.concatenate((hull[start:], hull[:start]))))
 
     @property
     def degenerate(self) -> bool:
@@ -666,6 +680,16 @@ class HalfspaceRegion:
         object.__setattr__(self, "normals", freeze(normals))
         object.__setattr__(self, "offsets", freeze(offsets))
 
+    @classmethod
+    def _checked(cls, normals: np.ndarray, offsets: np.ndarray, dim: int) -> "HalfspaceRegion":
+        """A region of fresh (m, dim) normals and (m,) float offsets already
+        known to be finite (derived from checked data): made read-only in
+        place, with no check and no copy."""
+        normals.flags.writeable = offsets.flags.writeable = False
+        region = object.__new__(cls)
+        region.__dict__.update(normals=normals, offsets=offsets, dim=dim)
+        return region
+
     @property
     def n_halfspaces(self) -> int:
         return self.normals.shape[0]
@@ -677,11 +701,9 @@ class HalfspaceRegion:
     def intersect(self, other: "HalfspaceRegion") -> "HalfspaceRegion":
         if other.dim != self.dim:
             raise ValueError("dimension mismatch in region intersection")
-        return HalfspaceRegion(
-            np.vstack([self.normals, other.normals]),
-            np.concatenate([self.offsets, other.offsets]),
-            self.dim,
-        )
+        return HalfspaceRegion._checked(np.vstack([self.normals, other.normals]),
+                                        np.concatenate([self.offsets, other.offsets]),
+                                        self.dim)
 
 
 def polar_hrep(body: ConvexBody, r: float) -> HalfspaceRegion:
@@ -695,9 +717,8 @@ def polar_hrep(body: ConvexBody, r: float) -> HalfspaceRegion:
     if not isinstance(body, FinitePoints):
         raise ValueError(f"{type(body).__name__} does not reduce to a finite point set")
     pts = hull_prune(body).points
-    keep = np.linalg.norm(pts, axis=1) > NEGLIGIBLE
-    pts = pts[keep] if keep.any() else pts[:0]
-    return HalfspaceRegion(pts, np.full(pts.shape[0], float(r)), body.dim)
+    pts = pts[np.linalg.norm(pts, axis=1) > NEGLIGIBLE]
+    return HalfspaceRegion._checked(pts, np.full(pts.shape[0], float(r)), body.dim)
 
 
 def polar_dual_ball(body: ConvexBody, r: float) -> ConvexBody | WholeSpace:
@@ -710,14 +731,14 @@ def polar_dual_ball(body: ConvexBody, r: float) -> ConvexBody | WholeSpace:
 def lp_maximize(objectives, region: HalfspaceRegion, limits=None):
     """Maximum of each objective over the region, from one LP call.
 
-    One objective (d,) gives one result; a stack (m, d) gives a list in its
-    order, which stops after the first result that is infeasible or exceeds
-    its entry of `limits`.  A 2D region whose rows span the plane is answered
-    from its vertices and rays, any other by the simplex.  An infeasible
-    region is reported distinctly (it cannot arise from polar constructions).
+    Takes a stack (m, d) of objectives, one objective (d,) being a stack of
+    one, and returns :func:`_simplex.maximize`'s arrays: the maxima (+inf
+    unbounded, -inf on an empty region) and a point attaining each, up to the
+    first maximum above its entry of `limits`.  So a query past some limits
+    is one comparison, ``values > limits[:len(values)]``.
     """
-    dirs, single = as_directions(objectives, region.dim)
-    return _simplex.maximize(dirs[0] if single else dirs, region.normals, region.offsets, limits)
+    dirs, _ = as_directions(objectives, region.dim)
+    return _simplex.maximize(dirs, region.normals, region.offsets, limits)
 
 
 def region_subset(a: HalfspaceRegion, b: HalfspaceRegion, slack: float = TOL) -> bool:
@@ -733,13 +754,12 @@ def region_subset(a: HalfspaceRegion, b: HalfspaceRegion, slack: float = TOL) ->
 
 def region_exceeds(a: HalfspaceRegion, b: HalfspaceRegion,
                    margin: float = STRICT_MARGIN) -> bool:
-    """True iff some point of a violates a halfspace of b by more than margin:
-    the results stop at the first over its limit, so only the last can be."""
+    """True iff some point of a violates a halfspace of b by more than margin."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch in containment test")
     limits = b.offsets + margin
-    results = lp_maximize(b.normals, a, limits)
-    return bool(results) and results[-1].exceeds(limits[len(results) - 1])
+    values, _ = lp_maximize(b.normals, a, limits)
+    return bool((values > limits[:len(values)]).any())
 
 
 def region_minus_subset(a: HalfspaceRegion, carves, b: HalfspaceRegion,
@@ -763,13 +783,14 @@ def region_minus_subset(a: HalfspaceRegion, carves, b: HalfspaceRegion,
     carve, rest = carves[0], carves[1:]
     if not (a.dim == carve.dim == b.dim):
         raise ValueError("dimension mismatch in containment test")
-    for normal, offset, top in zip(carve.normals, carve.offsets,
-                                   lp_maximize(carve.normals, a)):
-        if top.exceeds(limit := float(offset) + slack):
-            piece = a.intersect(HalfspaceRegion(-normal, [-limit], a.dim))
-            if not region_subset(piece, b, slack) and (
-                    not rest or not region_minus_subset(piece, rest, b, slack)):
-                return False
+    limits = carve.offsets + slack
+    tops, _ = lp_maximize(carve.normals, a)
+    over = tops > limits
+    for normal, limit in zip(carve.normals[over], limits[over]):
+        piece = a.intersect(HalfspaceRegion(-normal, [-limit], a.dim))
+        if not region_subset(piece, b, slack) and (
+                not rest or not region_minus_subset(piece, rest, b, slack)):
+            return False
     return True
 
 
@@ -780,27 +801,23 @@ def _axis_directions(dim: int) -> np.ndarray:
 
 def region_is_origin_only(region: HalfspaceRegion) -> bool:
     """True iff the region is pinched to the single point {0} (up to TOL)."""
-    results = lp_maximize(_axis_directions(region.dim), region,
-                          np.full(2 * region.dim, TOL))
-    return results[0].status != _simplex.INFEASIBLE and not any(
-        res.exceeds(TOL) for res in results)
+    values, _ = lp_maximize(_axis_directions(region.dim), region, np.full(2 * region.dim, TOL))
+    return bool(values[0] > -math.inf and (values <= TOL).all())
 
 
 def region_is_unbounded(region: HalfspaceRegion) -> bool:
     """True iff the region is unbounded along some coordinate axis, i.e.
     unbounded at all (an empty region is bounded)."""
-    return any(res.status == _simplex.UNBOUNDED
-               for res in lp_maximize(_axis_directions(region.dim), region))
+    values, _ = lp_maximize(_axis_directions(region.dim), region)
+    return bool((values == math.inf).any())
 
 
 def region_to_interval(region: HalfspaceRegion) -> tuple[float | None, float | None]:
     """Endpoints of a one-dimensional region; None marks an unbounded side."""
     if region.dim != 1:
         raise ValueError("interval form is defined for one-dimensional regions")
-    results = lp_maximize(_axis_directions(1), region)
-    if results[0].status == _simplex.INFEASIBLE:
+    (hi, minus_lo), _ = lp_maximize(_axis_directions(1), region)
+    if hi == -math.inf:
         raise ValueError("region is empty")
-    hi_res, lo_res = results
-    hi = None if hi_res.status == _simplex.UNBOUNDED else float(hi_res.value)
-    lo = None if lo_res.status == _simplex.UNBOUNDED else float(-lo_res.value)
-    return lo, hi
+    return (None if minus_lo == math.inf else float(-minus_lo),
+            None if hi == math.inf else float(hi))

@@ -72,6 +72,13 @@ def _vector(value, path: str, dim: int) -> list[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def valid_window(win) -> bool:
+    """Whether `win` is a render window [xmin, xmax, ymin, ymax]: four finite
+    numbers with xmin < xmax and ymin < ymax, and a finite width and height."""
+    return (len(win) == 4 and all(map(math.isfinite, win))
+            and 0.0 < win[1] - win[0] < math.inf and 0.0 < win[3] - win[2] < math.inf)
+
+
 def _parse_body(obj, path: str, dim: int) -> ConvexBody:
     _require_keys(obj, path, {"type"}, {"points", "p", "eps", "center", "sigma"})
     kind = obj["type"]
@@ -204,7 +211,7 @@ def from_dict(data: dict) -> ProblemFile:
     window = None
     if "window" in data:
         win = _vector(data["window"], "$.window", 4)
-        if not (win[0] < win[1] and win[2] < win[3]):
+        if not valid_window(win):
             raise ProblemFileError("$.window", "expected [xmin, xmax, ymin, ymax]")
         window = tuple(win)
     return ProblemFile(dim, classes, tuple(members), weights, window)

@@ -85,7 +85,7 @@ def _fmt(value: float) -> str:
 def _polygon_element(poly: np.ndarray, color: str, dashed: bool) -> str:
     if poly.shape[0] == 0:
         return "<!-- empty region -->"
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in poly)
+    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in poly.tolist())
     dash = ' stroke-dasharray="0.12,0.08"' if dashed else ""
     return (f'<polygon points="{pts}" fill="{color}" fill-opacity="0.15" '
             f'stroke="{color}" stroke-width="0.03"{dash} />')

@@ -145,8 +145,9 @@ def reference_optimize_weights(logits) -> tuple[np.ndarray, float]:
         else:
             margins = logits[:, [a]] - np.delete(logits, a, axis=1)
             rows = np.column_stack([-margins.T, np.ones(k - 1)])
-            res = _simplex.maximize(objective, np.vstack([on_simplex, rows]), offsets)
-            weights, value = res.point[:n], res.value
+            (value,), (point,) = _simplex.maximize(objective[None, :],
+                                                   np.vstack([on_simplex, rows]), offsets)
+            weights, value = point[:n], float(value)
         if best is None or value > best[1]:
             best = weights, value
     weights = np.clip(best[0], 0.0, None)

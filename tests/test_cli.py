@@ -423,13 +423,26 @@ class TestRender:
         assert 'viewBox="-1 -1 2 2"' in out_file.read_text()
 
     @pytest.mark.parametrize("window", ["0,inf,0,1", "-inf,1,0,1", "0,1,0,inf",
-                                        "-inf,inf,-inf,inf"])
+                                        "-inf,inf,-inf,inf",
+                                        # finite ends, but the width or height overflows
+                                        "-1e308,1e308,-1e308,1e308", "-1e308,1e308,0,1",
+                                        "0,1,-1e308,1e308"])
     def test_non_finite_window_exit_2(self, window, tmp_path, capsys):
         out_file = tmp_path / "never.svg"
         code, out, err = run_cli(capsys, "render", str(fixture_path("fig6.json")),
                                  "--out", str(out_file), f"--window={window}")
         assert code == 2 and out == ""
         assert err == f"error: bad --window value: {window!r}\n"
+        assert not out_file.exists()
+
+    def test_a_document_window_of_infinite_width_exit_2(self, tmp_path, capsys):
+        data = json.loads(fixture_path("fig6.json").read_text(encoding="utf-8"))
+        data["window"] = [-1e308, 1e308, -1.0, 1.0]
+        path, out_file = tmp_path / "wide.json", tmp_path / "never.svg"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "render", str(path), "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: $.window: expected [xmin, xmax, ymin, ymax]\n"
         assert not out_file.exists()
 
     def test_one_dimensional_rejected(self, capsys):

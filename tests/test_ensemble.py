@@ -1155,33 +1155,34 @@ class TestOptimizeWeights:
     # at the first two members' midpoint
     OPEN = [[0.75, 0.5, 0.0], [0.75, 0.0, 0.5], [0.0, 0.5, 0.5]]
 
-    def _stubbed(self, monkeypatch, res):
+    def _stubbed(self, monkeypatch, value, point):
+        """optimize_weights(OPEN) with every class LP answering `value` at `point`."""
         assert all(floor < ceiling for floor, ceiling in self._brackets(self.OPEN))
-        monkeypatch.setattr(_simplex, "maximize", lambda *args: res)
+        answer = np.array([value]), np.array([point], dtype=float)
+        monkeypatch.setattr(_simplex, "maximize", lambda *args: answer)
         return optimize_weights(self.OPEN)
 
     def test_stubbed_weights_are_renormalized(self, monkeypatch):
-        # an "optimal" answer at weights summing to 0.99988 is put back onto
-        # the simplex, and the gap is recomputed there
-        weights, value = self._stubbed(monkeypatch, _simplex.SimplexResult(
-            _simplex.OPTIMAL, 0.49994, np.array([0.49994, 0.49994, 0.0, 0.49994])))
+        # an optimum at weights summing to 0.99988 is put back onto the
+        # simplex, and the gap is recomputed there
+        weights, value = self._stubbed(monkeypatch, 0.49994, [0.49994, 0.49994, 0.0, 0.49994])
         assert np.array_equal(weights, [0.5, 0.5, 0.0])
         assert value == 0.5 == best_gap_by_vertices(self.OPEN)
 
-    @pytest.mark.parametrize("res", [
-        _simplex.SimplexResult(_simplex.UNBOUNDED),
-        _simplex.SimplexResult(_simplex.OPTIMAL, 0.76, np.array([0.5, 0.5, 0.0, 0.76])),
-    ], ids=["unbounded", "above_the_bracket"])
-    def test_a_wrong_class_lp_raises(self, monkeypatch, res):
-        with pytest.raises(WeightLPError, match=r"class 0 .* \[0.25, 0.75\]$"):
-            self._stubbed(monkeypatch, res)
+    @pytest.mark.parametrize("value, point, answer", [
+        (math.inf, [math.nan] * 4, "unbounded"),
+        (-math.inf, [math.nan] * 4, "infeasible"),
+        (0.76, [0.5, 0.5, 0.0, 0.76], "the value 0.76"),
+    ], ids=["unbounded", "infeasible", "above_the_bracket"])
+    def test_a_wrong_class_lp_raises(self, monkeypatch, value, point, answer):
+        with pytest.raises(WeightLPError, match=rf"class 0 returned {answer}; .* \[0.25, 0.75\]$"):
+            self._stubbed(monkeypatch, value, point)
 
     def test_an_answer_below_the_best_member_raises(self, monkeypatch):
-        # an "optimal" answer at the third member, whose gap is 0, must not
-        # reach the caller
+        # an optimum at the third member, whose gap is 0, must not reach the
+        # caller
         with pytest.raises(WeightLPError, match="class 0 .* below 0.25"):
-            self._stubbed(monkeypatch, _simplex.SimplexResult(
-                _simplex.OPTIMAL, 0.5, np.array([0.0, 0.0, 1.0, 0.5])))
+            self._stubbed(monkeypatch, 0.5, [0.0, 0.0, 1.0, 0.5])
 
 
 class TestRegimeCrossValidation:

@@ -212,6 +212,8 @@ MALFORMED = [
     ("short-window", edited("window", value=[0.0, 1.0]), "$.window", "list of 4 numbers"),
     ("window-out-of-order", edited("window", value=[1.0, -1.0, -1.0, 1.0]), "$.window",
      "[xmin, xmax, ymin, ymax]"),
+    ("window-height-overflows", edited("window", value=[-1.0, 1.0, -1e308, 1e308]), "$.window",
+     "[xmin, xmax, ymin, ymax]"),
 ]
 
 

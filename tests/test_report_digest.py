@@ -3,7 +3,7 @@
 import importlib.util
 import pathlib
 
-from scert import ensemble
+from scert import ensemble, geometry
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
 _SPEC = importlib.util.spec_from_file_location("report_digest", _PATH)
@@ -32,6 +32,22 @@ def test_the_records_digest_is_repeatable_and_sees_a_changed_gap(monkeypatch):
     gap = ensemble.runner_up_gap
     monkeypatch.setattr("scert.simulate.runner_up_gap", lambda logits: gap(logits) + 2.0 ** -40)
     assert report_digest.records_digest([1], 2) != first
+
+
+def test_the_lattice_digest_is_repeatable_and_sees_a_row_and_a_containment(monkeypatch):
+    check = report_digest.workloads._check
+    first = report_digest.lattice_digest([1], 2)
+    assert first == report_digest.lattice_digest([1], 2)
+    assert first != report_digest.lattice_digest([2], 2)
+    assert report_digest.workloads._check is check  # the op runner's own check is back
+    polar = geometry.polar_hrep
+    monkeypatch.setattr(geometry, "polar_hrep", lambda body, r: polar(body, r + 2.0 ** -40))
+    assert report_digest.lattice_digest([1], 2) != first
+    monkeypatch.undo()
+    # a containment that fails is recorded, not raised
+    subset = geometry.region_subset
+    monkeypatch.setattr(geometry, "region_subset", lambda a, b: not subset(a, b))
+    assert report_digest.lattice_digest([1], 2) != first
 
 
 def test_a_float_is_read_to_its_last_bit():

@@ -4,13 +4,17 @@ Usage, from anywhere:
 
     python3 tools/report_digest.py --seeds 1-3
 
-prints two lines, each a label and a digest.  ``regimes`` covers the
+prints three lines, each a label and a digest.  ``regimes`` covers the
 `classify_regimes` reports of the perfbench ``regimes`` ops of each seed,
 880 of them (those of one 16 s run), each run by the workload's own op runner,
 which also checks the report against its evidence: both verdicts, the gaps
 as ``float.hex``, ``same_top``, ``same_runner_up`` and every evidence key and
 value in order.  ``records`` covers the `run_experiment` records of each seed
 under both weight policies, 100 draws per member count 2, 3 and 4.
+``lattice`` covers the perfbench ``lattice`` ops of each seed, 1,120 of them
+(those of one 16 s run), each run by the workload's own op runner: the rows
+of its q_u, q_cw and q_cd regions as ``float.hex`` and its five containment
+results, in order.
 Run it in two checkouts and compare the lines.  Standard library and numpy
 only.
 """
@@ -28,9 +32,10 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT, os.path.join(ROOT, "tools")]
 
 from bench_pairs import parse_seeds  # noqa: E402
 from perfbench import workloads  # noqa: E402
-from scert import ensemble, simulate  # noqa: E402
+from scert import certificates, ensemble, simulate  # noqa: E402
 
 REGIMES_OPS = workloads.op_count(workloads.Regimes, 16)
+LATTICE_OPS = workloads.op_count(workloads.Lattice, 16)
 DRAWS = 100
 
 
@@ -80,6 +85,30 @@ def records_digest(seeds: list[int], draws: int = DRAWS) -> str:
     return h.hexdigest()
 
 
+def lattice_digest(seeds: list[int], n_ops: int = LATTICE_OPS) -> str:
+    h = hashlib.sha256()
+    runner, rows, results = workloads.Lattice(), [], []
+    s_certificate, check = certificates.s_certificate, workloads._check
+
+    def capture(*args):
+        cert = s_certificate(*args)
+        rows.append((cert.region.normals.tolist(), cert.region.offsets.tolist()))
+        return cert
+
+    certificates.s_certificate = capture
+    workloads._check = lambda condition, message: results.append(bool(condition))
+    try:
+        for seed in seeds:
+            for index, op in enumerate(runner.make_ops(seed, n_ops)):
+                runner.run_op(op)
+                h.update(f"{seed}:{index}:{_encode(rows)}:{_encode(results)}\n".encode())
+                rows.clear()
+                results.clear()
+    finally:
+        certificates.s_certificate, workloads._check = s_certificate, check
+    return h.hexdigest()
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1-3", help="e.g. 1-3,7 (default 1-3)")
@@ -87,6 +116,7 @@ def main(argv=None) -> None:
     seeds = parse_seeds(args.seeds)
     print("regimes", regimes_digest(seeds))
     print("records", records_digest(seeds))
+    print("lattice", lattice_digest(seeds))
 
 
 if __name__ == "__main__":
