@@ -2,11 +2,11 @@
 
 Bodies are represented canonically through their support function
 ``rho(S, u) = sup_{c in S} c.u``; explicit halfspace representations are
-derived only for finite point sets (and, as derived from checked data, not
-checked again), and every LP over such a region is one :func:`lp_maximize`
-call, whose answers are arrays, so a region query is one comparison.  All
-values are immutable after construction and every operation is a pure
-function, so bodies and regions can be shared freely across workers.
+derived only for finite point sets, from checked data that is not checked
+again, and every LP over such a region is one :func:`lp_maximize` call,
+whose answers are arrays, so a region query is one comparison.  All values
+are immutable after construction and every operation is a pure function, so
+bodies and regions can be shared freely across workers.
 
 Supported body variants:
 
