@@ -15,11 +15,13 @@ each pair of boundary lines is met instead, if the nonzero rows span the
 plane.  Any other region goes to the simplex: free variables are split as
 x = u - v with u, v >= 0 and slack variables turn the inequalities into
 equalities.  Rows with negative right-hand side receive an artificial
-variable, and a phase-1 feasibility problem is solved once per region; each
-objective then runs phase 2 from a copy of that tableau and basis.  Pivoting
-uses Bland's rule (lowest eligible index enters, lowest basis index leaves
-on ratio ties), which precludes cycling.  The problems handled here are tiny
-(a handful of variables, tens of rows), so a dense tableau is the right tool.
+variable, and a phase-1 feasibility problem is solved once per region.  An
+objective runs phase 2 from a copy of that tableau and basis, unless the
+optimal basis of an earlier objective passes the stopping rule for it too;
+then it takes that basis's point.  Pivoting uses Bland's rule (lowest
+eligible index enters, lowest basis index leaves on ratio ties), which
+precludes cycling.  The problems handled here are tiny (a handful of
+variables, tens of rows), so a dense tableau is the right tool.
 """
 
 from __future__ import annotations
@@ -157,17 +159,32 @@ def _phase2(objective: np.ndarray, tableau: np.ndarray, basis: np.ndarray,
 def _solve_stack(objectives: np.ndarray, A: np.ndarray, b: np.ndarray,
                  limits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The maxima and points of the objectives by the simplex, up to the first
-    maximum above its limit.  Phase 1 runs once; each objective starts from a
-    copy of its tableau and basis, so its pivots do not depend on the other
-    objectives.  An empty region gives -inf for every objective."""
+    maximum above its limit.  Phase 1 runs once, and each objective not yet
+    answered runs phase 2 from a copy of its tableau and basis.  A basis that
+    ends optimal is optimal for every objective in the cone of its tight
+    normals (Bertsimas & Tsitsiklis 1997, 5.1): each later objective that it
+    passes by the stopping rule of `_run` takes its point, at that
+    objective's own value.  An empty region gives -inf for every objective."""
     values = np.full(len(objectives), -math.inf)
     points = np.full(objectives.shape, math.nan)
     start = _phase1(A, b)
     if start is None:
         return values, points
     tableau, basis, allowed = start
+    m, n = basis.size, objectives.shape[1]
+    costs = np.zeros((len(objectives), allowed.size))
+    costs[:, :n], costs[:, n:2 * n] = objectives, -objectives
+    answered = np.zeros(len(objectives), dtype=bool)
     for k, c in enumerate(objectives):
-        values[k], points[k] = _phase2(c, tableau.copy(), basis.copy(), allowed)
+        if not answered[k]:
+            final_tableau, final_basis = tableau.copy(), basis.copy()
+            values[k], points[k] = _phase2(c, final_tableau, final_basis, allowed)
+            later = k + 1 + np.flatnonzero(~answered[k + 1:])
+            if m and later.size and values[k] < math.inf:
+                reduced = costs[later] - costs[later][:, final_basis] @ final_tableau[:m, :-1]
+                for j in later[~np.any(allowed & (reduced > FEASIBILITY_TOL), axis=1)]:
+                    values[j], points[j] = float(objectives[j] @ points[k]), points[k]
+                    answered[j] = True
         if values[k] > limits[k]:
             return values[:k + 1], points[:k + 1]
     return values, points
@@ -282,7 +299,9 @@ def maximize(objectives, A, b, limits=None) -> tuple[np.ndarray, np.ndarray]:
     with a NaN point, and -inf on an empty region, which no limit is below.
     In the plane, when every offset is positive or the nonzero rows span it,
     the stack is answered from the region's vertices and extreme rays;
-    otherwise the simplex solves one objective at a time after one phase 1.
+    otherwise the simplex runs one phase 1 and solves the objectives in
+    order, and each optimal basis also answers the later objectives it is
+    optimal for, at a point that may differ by rounding from their own.
     """
     objectives = np.asarray(objectives, dtype=float)
     A = np.asarray(A, dtype=float).reshape(-1, objectives.shape[1])

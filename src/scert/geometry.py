@@ -594,8 +594,16 @@ def _sphere_mesh() -> tuple[np.ndarray, np.ndarray]:
 _SPHERE, _SPHERE_TRIANGLES = _sphere_mesh()
 
 
+def _distinct_rows(pts: np.ndarray) -> np.ndarray:
+    """The distinct rows of `pts` in lexicographic order, as np.unique(pts,
+    axis=0) gives them; of rows that differ only by the sign of a zero, one
+    is kept."""
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])]
+
+
 def _prune_3d(pts: np.ndarray) -> np.ndarray:
-    """Distinct 3D points (np.unique order) less some inside their hull: the
+    """Distinct 3D points (lexicographic order) less some inside their hull: the
     argmax of every sphere-mesh direction is kept, and a point is dropped only
     when its barycentric coordinates are all >= PRUNE_MARGIN in a tetrahedron
     of the kept points' centroid and a mesh triangle mapped to its corners'
@@ -652,7 +660,7 @@ def _prune(body: FinitePoints) -> FinitePoints:
     elif body.dim == 2:
         pts = _hull_2d(pts)
     else:
-        pts = np.unique(pts, axis=0)
+        pts = _distinct_rows(pts)
         if body.dim == 3:
             pts = _prune_3d(pts)
     return _own_hull(FinitePoints._checked(pts))

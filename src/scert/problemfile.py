@@ -37,6 +37,7 @@ import numpy as np
 from .certificates import ClassDiff, ClassifierAtPoint, ClassWise, Smoothness, Uniform
 from .ensemble import EnsembleSpec
 from .geometry import ConvexBody, Ellipsoid, FinitePoints, LpBall
+from .render import SVG_WIDTH
 
 
 class ProblemFileError(ValueError):
@@ -74,9 +75,10 @@ def _vector(value, path: str, dim: int) -> list[float]:
 
 def valid_window(win) -> bool:
     """Whether `win` is a render window [xmin, xmax, ymin, ymax]: four finite
-    numbers with xmin < xmax and ymin < ymax, and a finite width and height."""
-    return (len(win) == 4 and all(map(math.isfinite, win))
-            and 0.0 < win[1] - win[0] < math.inf and 0.0 < win[3] - win[2] < math.inf)
+    numbers with xmin < xmax whose SVG, drawn SVG_WIDTH wide, has a finite,
+    nonzero height (so ymin < ymax, and the width and height are finite)."""
+    return (len(win) == 4 and all(map(math.isfinite, win)) and win[1] - win[0] > 0.0
+            and 0.0 < SVG_WIDTH * (win[3] - win[2]) / (win[1] - win[0]) < math.inf)
 
 
 def _parse_body(obj, path: str, dim: int) -> ConvexBody:

@@ -18,6 +18,7 @@ from .geometry import HalfspaceRegion
 
 ANGLE_SAMPLES = 256
 DEFAULT_WINDOW = (-3.0, 3.0, -3.0, 3.0)
+SVG_WIDTH = 480  # pixels; the height keeps the window's aspect ratio
 CLIP_SLACK = 1e-12  # a vertex this far past a clipping line still counts as inside
 
 _PALETTE = ["#1b6ca8", "#c2571a", "#2a9d4e", "#8a4fae", "#b02e3a", "#6b6461"]
@@ -25,15 +26,21 @@ _PALETTE = ["#1b6ca8", "#c2571a", "#2a9d4e", "#8a4fae", "#b02e3a", "#6b6461"]
 
 def clip_polygon(polygon: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
     """Sutherland-Hodgman clip of a convex polygon by {x : normal.x <= offset}:
-    each vertex inside, then the crossing point of its edge if the edge crosses."""
+    each vertex inside, then the crossing point of its edge if the edge crosses.
+    It computes in coordinates scaled by a power of two to the size of the
+    polygon and the offset, which is exact and keeps the products finite in
+    a window near the float range."""
     if polygon.shape[0] == 0:
         return polygon
-    values = polygon @ normal
-    inside = values <= offset + CLIP_SLACK
-    following = np.roll(polygon, -1, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # edges that do not cross
+    shift = math.frexp(max(float(np.abs(polygon).max()), abs(offset)))[1]
+    scaled = np.ldexp(polygon, -shift)
+    offset = math.ldexp(offset, -shift)
+    values = scaled @ normal
+    inside = values <= offset + math.ldexp(CLIP_SLACK, -shift)
+    following = np.roll(scaled, -1, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # edges that do not cross
         t = (offset - values) / (np.roll(values, -1) - values)
-        crossings = polygon + t[:, None] * (following - polygon)
+        crossings = np.ldexp(scaled + t[:, None] * (following - scaled), shift)
     keep = np.column_stack([inside, inside != np.roll(inside, -1)])
     return np.stack([polygon, crossings], axis=1)[keep]
 
@@ -101,7 +108,7 @@ def render_svg(layers: list[tuple[str, Certificate]],
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{_fmt(xmin)} {_fmt(-ymax)} {_fmt(width)} {_fmt(height)}" '
-        f'width="480" height="{_fmt(480 * height / width)}">',
+        f'width="{SVG_WIDTH}" height="{_fmt(SVG_WIDTH * height / width)}">',
         '<g transform="scale(1,-1)">',
         f'<g id="axes" stroke="#999" stroke-width="0.015">'
         f'<line x1="{_fmt(xmin)}" y1="0" x2="{_fmt(xmax)}" y2="0" />'

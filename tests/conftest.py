@@ -96,6 +96,27 @@ def vertex_enum_max(objective, normals, offsets, tol=1e-9):
     return best
 
 
+def assert_stack_matches_solves(objectives, values, points, solves, exact: bool = False):
+    """A stack's LP answers against each objective's own solve, a (value,
+    point) pair per answered objective.  Every answer has its solve's status
+    (+inf, -inf or finite).  The first answer, and every one when `exact`,
+    carries its solve's bits.  Any other either carries them or reuses an
+    earlier optimal basis: the bits of an earlier point of the stack, with
+    the value float(c @ point), within 1e-12 relative of the solve's value."""
+    assert len(values) == len(points) == len(solves)
+    for i, (c, value, point, (ref, ref_point)) in enumerate(
+            zip(objectives, values, points, solves)):
+        assert (value == math.inf) == (ref == math.inf)
+        assert (value == -math.inf) == (ref == -math.inf)
+        if np.float64(value).tobytes() == np.float64(ref).tobytes() \
+                and point.tobytes() == ref_point.tobytes():
+            continue
+        assert i > 0 and not exact, f"answer {i} is not its own solve's"
+        assert any(point.tobytes() == earlier.tobytes() for earlier in points[:i])
+        assert value == float(c @ point)
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
 def best_gap_by_vertices(logits) -> float:
     """Largest runner-up gap of w @ logits over the weight simplex, by
     enumerating the vertices of the arrangement of the class-pair

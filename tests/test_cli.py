@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -426,7 +427,10 @@ class TestRender:
                                         "-inf,inf,-inf,inf",
                                         # finite ends, but the width or height overflows
                                         "-1e308,1e308,-1e308,1e308", "-1e308,1e308,0,1",
-                                        "0,1,-1e308,1e308"])
+                                        "0,1,-1e308,1e308",
+                                        # finite width and height, but the SVG height
+                                        # (480 * height / width) overflows
+                                        "0,1e308,0,1e308", "0,1e-300,0,1e300"])
     def test_non_finite_window_exit_2(self, window, tmp_path, capsys):
         out_file = tmp_path / "never.svg"
         code, out, err = run_cli(capsys, "render", str(fixture_path("fig6.json")),
@@ -434,6 +438,16 @@ class TestRender:
         assert code == 2 and out == ""
         assert err == f"error: bad --window value: {window!r}\n"
         assert not out_file.exists()
+
+    def test_a_window_near_the_float_range_renders_without_warnings(self, tmp_path, capsys):
+        out_file = tmp_path / "far.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run_cli(capsys, "render", str(fixture_path("fig6.json")),
+                                 "--out", str(out_file), "--window=0,1e308,0,1e305")
+        assert code == 0
+        text = out_file.read_text()
+        assert 'height="0.48"' in text and "inf" not in text and "nan" not in text
 
     def test_a_document_window_of_infinite_width_exit_2(self, tmp_path, capsys):
         data = json.loads(fixture_path("fig6.json").read_text(encoding="utf-8"))

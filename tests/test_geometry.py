@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_stack_matches_solves,
     brute_pairwise_differences,
     brute_support,
     reference_extent,
@@ -578,6 +579,28 @@ class TestHullPrune3D:
         assert kept.shape[0] < 100
 
 
+class TestDistinctRows:
+    """The prune's deduplication in three or more dimensions gives the rows
+    of np.unique(pts, axis=0) in its order, bit for bit; where rows differ
+    only by the sign of a zero, it keeps one row of that group."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([3, 4]), st.integers(1, 40),
+           st.sampled_from([[-1.5, -1.0, 0.0, 0.5, 2.0], [-1.0, -0.0, 0.0, 1.0]]), st.data())
+    def test_matches_np_unique(self, dim, n, values, data):
+        # rows drawn from a small pool repeat; the second pool mixes 0.0 and -0.0
+        coords = st.one_of(st.sampled_from(values), st.floats(-4.0, 4.0))
+        pool = np.array(data.draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                                           min_size=1, max_size=6)))
+        pts = pool[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+        distinct, expected = geo._distinct_rows(pts), np.unique(pts, axis=0)
+        assert distinct.shape == expected.shape and np.array_equal(distinct, expected)
+        if not np.any(np.signbit(pts) & (pts == 0.0)):
+            assert distinct.tobytes() == expected.tobytes()
+        rows = {row.tobytes() for row in pts}
+        assert all(row.tobytes() in rows for row in distinct)
+
+
 class TestPolarHrep:
     def test_single_generator(self):
         region = polar_hrep(FinitePoints([[2.0, 0.0]]), 1.0)
@@ -673,6 +696,11 @@ class TestLpMaximize:
         a maximum is infinite)."""
         return a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
+    @staticmethod
+    def _unwrap(singles) -> list:
+        """The (value, point) of each answer to a stack of one."""
+        return [(value, point) for (value,), (point,) in singles]
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
            st.sampled_from(["bounded", "empty", "unbounded", "slab"]), st.integers(1, 6))
@@ -683,7 +711,7 @@ class TestLpMaximize:
         singles = [lp_maximize(c, region) for c in stack]
         values, points = lp_maximize(stack, region)
         assert values.shape == (m,) and points.shape == (m, dim)
-        assert all(self._same((values[i:i + 1], points[i:i + 1]), s) for i, s in enumerate(singles))
+        assert_stack_matches_solves(stack, values, points, self._unwrap(singles), exact=dim == 2)
         # an empty region answers -inf for every objective, and only it does
         assert (kind == "empty") == bool((values == -math.inf).all()) == bool(
             (values == -math.inf).any())
@@ -702,8 +730,8 @@ class TestLpMaximize:
         assert self._same((values, points),
                           _simplex.maximize(stack, region.normals, region.offsets, limits))
         assert len(values) == stop
-        assert all(self._same((values[i:i + 1], points[i:i + 1]), s)
-                   for i, s in enumerate(singles[:stop]))
+        assert_stack_matches_solves(stack, values, points, self._unwrap(singles[:stop]),
+                                    exact=dim == 2)
 
     @pytest.mark.parametrize("objectives, match", [
         (np.ones(3), "dimension mismatch"),

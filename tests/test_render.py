@@ -1,8 +1,10 @@
 """Polygon clipping: the array form against the per-edge Sutherland-Hodgman loop."""
 
+import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,3 +64,19 @@ def test_all_inside_all_outside_and_empty():
     empty = np.zeros((0, 2))
     assert clip_polygon(empty, normal, 0.0).shape == (0, 2)
     assert_same_clip(empty, normal, 0.0)
+
+
+@pytest.mark.parametrize("k", [0, 60, 600, 1020])
+def test_a_polygon_near_the_float_range_clips_as_at_unit_size(k):
+    # the clip scales by a power of two, so scaling the input scales the
+    # output exactly, with no overflow, up to 2^1020 times a unit polygon
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        polygon = convex_polygon(rng, int(rng.integers(3, 12)))
+        normal = rng.standard_normal(2)
+        values = polygon @ normal
+        offset = float(rng.uniform(values.min() - 0.5, values.max() + 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            actual = clip_polygon(np.ldexp(polygon, k), normal, math.ldexp(offset, k))
+        assert np.array_equal(actual, np.ldexp(reference_clip(polygon, normal, offset), k))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import vertex_enum_max
+from conftest import assert_stack_matches_solves, vertex_enum_max
 from scert import _simplex
 from scert._simplex import OPTIMAL, UNBOUNDED, _solve_stack, maximize
 from scert.geometry import HalfspaceRegion, lp_maximize, region_minus_subset
@@ -419,18 +419,19 @@ def _random_3d_regions(seed: int, count: int):
 
 
 class TestStackedSimplex:
-    """A stack of objectives in d != 2 runs phase 1 once and starts every
-    objective from its tableau; each answer must be the simplex's for that
-    objective alone, bit for bit."""
+    """A stack of objectives in d != 2 runs phase 1 once and starts each
+    objective it has not answered from its tableau; an optimal basis also
+    answers every later objective it passes.  Each answer must match the
+    simplex's for that objective alone (`assert_stack_matches_solves`)."""
 
     def test_stack_equals_one_solve_per_objective(self):
         statuses = {OPTIMAL: 0, UNBOUNDED: 0, INFEASIBLE: 0}
         for objectives, A, b in _random_3d_regions(16, 300):
             values, points = maximize(objectives, A, b)
             assert len(values) == len(points) == len(objectives)
-            for c, value, point in zip(objectives, values, points):
-                ref, ref_point = simplex_alone(c, A, b)
-                assert value == ref and point.tobytes() == ref_point.tobytes()
+            solves = [simplex_alone(c, A, b) for c in objectives]
+            assert_stack_matches_solves(objectives, values, points, solves)
+            for value in values:
                 statuses[status(value)] += 1
         assert min(statuses.values()) > 0
 
@@ -445,6 +446,57 @@ class TestStackedSimplex:
             runs.clear()
             maximize(objectives[:1], A, b)
             assert len(runs) == 1
+
+    @staticmethod
+    def _counted(monkeypatch, name: str) -> list:
+        """Calls of `_simplex.<name>` from now on, one entry each."""
+        calls, function = [], getattr(_simplex, name)
+        monkeypatch.setattr(_simplex, name, lambda *args: calls.append(1) or function(*args))
+        return calls
+
+    def test_one_vertex_answers_every_objective_in_its_normal_cone(self, monkeypatch):
+        # the vertex (1, 1, 1) of the box is tight on the rows e_1, e_2 and e_3,
+        # so its basis is optimal for every positive mix of the three
+        A, b = np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)
+        objectives = np.random.default_rng(22).uniform(0.1, 2.0, size=(8, 3))
+        runs = self._counted(monkeypatch, "_run")
+        values, points = maximize(objectives, A, b)
+        assert len(runs) == 1
+        assert points.tolist() == [[1.0, 1.0, 1.0]] * 8
+        assert values.tolist() == [float(c @ np.ones(3)) for c in objectives]
+
+    def test_stacks_agree_with_scipy(self, monkeypatch):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        solves = self._counted(monkeypatch, "_phase2")
+        rng = np.random.default_rng(23)
+        statuses = {OPTIMAL: 0, UNBOUNDED: 0, INFEASIBLE: 0}
+        feasible_answers = 0
+        for _, A, b in _random_3d_regions(23, 150):
+            objectives = rng.standard_normal((int(rng.integers(2, 9)), 3))
+            values, _ = maximize(objectives, A, b)
+            for c, value in zip(objectives, values):
+                # HiGHS's presolve calls some of these unbounded problems infeasible
+                ref = linprog(-c, A_ub=A, b_ub=b, bounds=[(None, None)] * 3, method="highs",
+                              options={"presolve": False})
+                if ref.status == 2:
+                    assert value == -math.inf
+                elif ref.status == 3:
+                    assert value == math.inf
+                else:
+                    assert abs(value - (-ref.fun)) <= 1e-7
+                statuses[status(value)] += 1
+            feasible_answers += int(values[0] > -math.inf) * len(values)
+        assert min(statuses.values()) > 0
+        assert len(solves) < feasible_answers  # some answers reused a basis
+
+    def test_cost_ledger(self, monkeypatch):
+        # the simplex runs (phase 1 and phase 2) and pivots of a fixed sample;
+        # a change that moves them changes what every 3D query costs
+        runs = self._counted(monkeypatch, "_run")
+        pivots = self._counted(monkeypatch, "_pivot")
+        for objectives, A, b in _random_3d_regions(16, 300):
+            maximize(objectives, A, b)
+        assert (len(runs), len(pivots)) == (835, 2022)
 
 
 def _bland_run(tableau, basis, cost, allowed):
@@ -565,10 +617,9 @@ class TestOnePath:
     def _assert_one_path(objectives, A, b):
         values, points = maximize(objectives, A, b)
         region = HalfspaceRegion(A, b, A.shape[1])
-        for i, objective in enumerate(objectives):
-            alone, point = lp_maximize(objective, region)
-            assert alone.tobytes() == values[i:i + 1].tobytes()
-            assert point.tobytes() == points[i:i + 1].tobytes()
+        solves = [(value, point) for (value,), (point,) in
+                  (lp_maximize(objective, region) for objective in objectives)]
+        assert_stack_matches_solves(objectives, values, points, solves, exact=A.shape[1] == 2)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(planar_regions())
