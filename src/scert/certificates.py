@@ -46,9 +46,12 @@ class SmoothnessMismatch(ValueError):
 
 # Each smoothness variant dispatches on itself.  `constraints(top, r)` lists
 # its certificate's support constraints from the top class and the gap vector
-# r; `pair_terms(top, k)` maps each class i other than the top to the bodies
-# whose difference bounds the gradient of f_i - f_top: (S, S), (G_i, G_top) or
-# (G_(i,top),); `compose(members, weights)` is the weighted ensemble's smoothness.
+# r, each on the difference body that bounds the gradient of f_i - f_top:
+# S (+) -S, G_i (+) -G_top or G_(i,top); `pair_terms(top, k)` maps each class
+# i other than the top to the bodies of that difference: (S, S), (G_i, G_top)
+# or (G_(i,top),).  Support functions add under Minkowski sums, so a weighted
+# ensemble's difference bodies are the weighted sums of its members' in every
+# mode: `Composed` is that one rule.
 
 @dataclass(frozen=True)
 class Uniform:
@@ -63,17 +66,17 @@ class Uniform:
     def dim(self) -> int:
         return self.body.dim
 
+    @functools.cached_property
+    def difference(self) -> ConvexBody:
+        """S (+) -S, formed once: a member's certificate and its ensemble's share it."""
+        return geometry.minkowski_sum(self.body, geometry.negate(self.body))
+
     def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
         """support(S (+) -S, delta) <= the runner-up gap."""
-        gen = geometry.minkowski_sum(self.body, geometry.negate(self.body))
-        return [(gen, float(np.delete(r, top).min()))]
+        return [(self.difference, float(np.delete(r, top).min()))]
 
     def pair_terms(self, top: int, k: int) -> dict[int, tuple[ConvexBody, ...]]:
         return {i: (self.body, self.body) for i in range(k) if i != top}
-
-    @classmethod
-    def compose(cls, members: list["Uniform"], weights) -> "Uniform":
-        return cls(geometry.weighted_sum([m.body for m in members], weights))
 
 
 @dataclass(frozen=True)
@@ -97,28 +100,18 @@ class ClassWise:
     def pair_terms(self, top: int, k: int) -> dict[int, tuple[ConvexBody, ...]]:
         return {i: (self.bodies[i], self.bodies[top]) for i in range(k) if i != top}
 
-    @classmethod
-    def compose(cls, members: list["ClassWise"], weights) -> "ClassWise":
-        return cls(tuple(geometry.weighted_sum(bodies, weights)
-                         for bodies in zip(*(m.bodies for m in members))))
-
 
 @dataclass(frozen=True)
 class ClassDiff:
-    """Bodies for the gradient sets of f_i - f_j, keyed by the ordered pair (i, j).
-    A composed ensemble's pair is summed when first read: `dim` sums none, and
-    `bodies`, `pairs.values()`, `pairs.items()` and ``==`` sum them all."""
+    """Bodies for the gradient sets of f_i - f_j, keyed by the ordered pair (i, j)."""
 
     pairs: Mapping[tuple[int, int], ConvexBody]
     dim: int = field(init=False, repr=False, compare=False)
     mode = "cd"
 
     def __post_init__(self):
-        if isinstance(self.pairs, _SumOnRead):  # a composed ensemble's pairs stay unsummed
-            dims = self.pairs.dims
-        else:
-            object.__setattr__(self, "pairs", dict(self.pairs))
-            dims = {b.dim for b in self.pairs.values()}
+        object.__setattr__(self, "pairs", dict(self.pairs))
+        dims = {b.dim for b in self.pairs.values()}
         if len(dims) != 1:
             raise ValueError("class-difference bodies must share one dimension")
         object.__setattr__(self, "dim", dims.pop())
@@ -140,37 +133,35 @@ class ClassDiff:
             raise SmoothnessMismatch(f"missing class-difference body for pair {missing[0]}")
         return {i: (self.pairs[(i, top)],) for i in range(k) if i != top}
 
-    @classmethod
-    def compose(cls, members: list["ClassDiff"], weights) -> "ClassDiff":
-        """Composes the pairs every member has; SmoothnessMismatch when there
-        are none.  A pair's weighted sum is formed when the pair is first
-        read, so a certificate pays only for its pairs (i, top)."""
-        keys = set.intersection(*(set(m.pairs) for m in members))
-        if not keys:
-            raise SmoothnessMismatch("members share no class-difference pairs")
-        return cls(_SumOnRead({key: [m.pairs[key] for m in members] for key in keys}, weights))
+
+@dataclass(frozen=True, eq=False)
+class Composed:
+    """The smoothness of a weighted ensemble whose members share one mode.
+    Its constraints are the members' constraints for the ensemble's top class
+    and gap vector, zipped: each gap is the ensemble's, and each body the
+    weighted sum of the members' bodies, formed per certificate."""
+
+    members: tuple[Smoothness, ...]
+    weights: np.ndarray
+
+    @property
+    def mode(self) -> str:
+        return self.members[0].mode
+
+    @property
+    def bodies(self) -> tuple[ConvexBody, ...]:
+        return tuple(b for m in self.members for b in m.bodies)
+
+    @property
+    def dim(self) -> int:
+        return self.members[0].dim
+
+    def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
+        return [(geometry.weighted_sum([g for g, _ in column], self.weights), column[0][1])
+                for column in zip(*(m.constraints(top, r) for m in self.members))]
 
 
-class _SumOnRead(Mapping):
-    """Keys to weighted sums of bodies, each formed on its key's first read."""
-
-    def __init__(self, terms: dict, weights):
-        self._terms, self._weights, self._sums = terms, weights, {}
-        self.dims = {b.dim for bodies in terms.values() for b in bodies}
-
-    def __getitem__(self, key):
-        if key not in self._sums:
-            self._sums[key] = geometry.weighted_sum(self._terms[key], self._weights)
-        return self._sums[key]
-
-    def __iter__(self):
-        return iter(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-
-Smoothness = Uniform | ClassWise | ClassDiff
+Smoothness = Uniform | ClassWise | ClassDiff | Composed
 
 
 def gaps(logits) -> tuple[int, int, np.ndarray]:

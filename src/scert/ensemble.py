@@ -1,9 +1,10 @@
 """Weighted ensembles: composition, regime classification, closed-form bounds.
 
 An ensemble is a convex combination of member classifiers evaluated at one
-input.  Its logits are the weighted logits; its smoothness composes as the
-weighted Minkowski combination of the member gradient sets (per class in
-class-wise mode, per ordered pair in class-difference mode).
+input.  Its logits are the weighted logits.  Its smoothness composes by one
+rule in every mode: each body its certificate constrains is the weighted
+Minkowski sum of the members' bodies for the same class, the difference
+bodies S (+) -S, G_i (+) -G_top or G_(i,top) (:class:`Composed`).
 
 Two regime taxonomies are computed:
 
@@ -28,6 +29,7 @@ from .certificates import (
     ZERO_GAP_TOL,
     Certificate,
     ClassifierAtPoint,
+    Composed,
     runner_up_gap,
     s_certificate,
 )
@@ -73,7 +75,7 @@ class EnsembleSpec:
         k = members[0].n_classes
         if any(m.n_classes != k for m in members):
             raise ValueError("all members must have the same class count")
-        modes = {type(m.smoothness) for m in members}
+        modes = {getattr(m.smoothness, "mode", None) for m in members}
         if len(modes) != 1:
             raise ValueError("all members must share one smoothness mode")
         dims = {m.dim for m in members}
@@ -121,13 +123,13 @@ def ensemble_logits(spec: EnsembleSpec) -> np.ndarray:
 
 
 def ensemble_classifier(spec: EnsembleSpec) -> ClassifierAtPoint:
-    """The ensemble as a classifier: weighted logits, weighted Minkowski smoothness."""
+    """The ensemble as a classifier: weighted logits, and certificate bodies
+    that are the weighted sums of the members' difference bodies."""
     logits = ensemble_logits(spec)
-    first = spec.members[0].smoothness
-    if first is None:
+    if spec.members[0].smoothness is None:
         return ClassifierAtPoint(logits, None)
-    smoothness = first.compose([m.smoothness for m in spec.members], spec.weights)
-    return ClassifierAtPoint(logits, smoothness)
+    return ClassifierAtPoint(logits, Composed(tuple(m.smoothness for m in spec.members),
+                                              spec.weights))
 
 
 @dataclass(frozen=True)
@@ -366,6 +368,8 @@ def _shared_ball_radii(spec: EnsembleSpec,
     # members share one smoothness mode: if the first has none, none has
     if spec.members[0].smoothness is None:
         raise PreconditionError("members carry no smoothness data")
+    if any(isinstance(m.smoothness, Composed) for m in spec.members):
+        raise PreconditionError("members must carry their own smoothness, not an ensemble's")
     bodies = [b for m in spec.members for b in m.smoothness.bodies]
     if not all(b.centered_ball for b in bodies):
         raise PreconditionError("smoothness bodies must be origin-centered balls")

@@ -28,6 +28,7 @@ from scert.certificates import (
     ClassDiff,
     ClassifierAtPoint,
     ClassWise,
+    Composed,
     SmoothnessMismatch,
     Uniform,
     gaps,
@@ -113,7 +114,9 @@ class TestEnsembleSpec:
          "one input dimension"),
         ((ClassifierAtPoint([1.0, 0.0]), ClassifierAtPoint([0.0, 1.0])), np.zeros(2),
          "must not all be zero"),
-    ], ids=["one member", "class counts", "input dimensions", "zero weights"])
+        ((ball_member([1.0, 0.0]), ClassifierAtPoint([0.0, 1.0], ClassWise((L2, L2)))), None,
+         "one smoothness mode"),
+    ], ids=["one member", "class counts", "input dimensions", "zero weights", "modes"])
     def test_malformed_ensembles_rejected(self, members, weights, message):
         with pytest.raises(ValueError, match=message):
             EnsembleSpec(members, weights)
@@ -167,20 +170,31 @@ class TestEnsembleClassifier:
         assert composed.smoothness is None
         assert np.allclose(composed.logits, [0.4, 0.6])
 
+    @staticmethod
+    def _bodies(composed: ClassifierAtPoint, top: int) -> list:
+        r = np.zeros(composed.n_classes)
+        return [g for g, _ in composed.smoothness.constraints(top, r)]
+
     def test_identical_uniform_bodies_fixed_point(self):
+        # the ensemble's difference body is each member's S (+) -S
         body = FinitePoints([[0.4, 0.1], [-0.2, 0.5], [0.1, -0.3]])
         members = (ClassifierAtPoint([0.8, 0.2], Uniform(body)),
                    ClassifierAtPoint([0.6, 0.4], Uniform(body)))
         composed = ensemble_classifier(EnsembleSpec(members, np.array([0.5, 0.5])))
+        (diff,) = self._bodies(composed, composed.top)
         for d in unit_directions(32, seed=4):
-            assert abs(support(composed.smoothness.body, d) - support(body, d)) <= 1e-9
+            assert abs(support(diff, d) - support(body, d) - support(body, -d)) <= 1e-9
 
     def test_singleton_average(self):
-        members = (ClassifierAtPoint([1.0, 0.0], Uniform(FinitePoints([[2.0, 0.0]]))),
-                   ClassifierAtPoint([0.5, 0.0], Uniform(FinitePoints([[0.0, 4.0]]))))
+        # single-point class-wise bodies: each difference body is the weighted
+        # average of the members' differences g_1 - g_top, one point
+        members = (ClassifierAtPoint([1.0, 0.0], ClassWise((FinitePoints([[2.0, 0.0]]),
+                                                            FinitePoints([[0.0, 1.0]])))),
+                   ClassifierAtPoint([0.5, 0.0], ClassWise((FinitePoints([[0.0, 4.0]]),
+                                                            FinitePoints([[1.0, 0.0]])))))
         composed = ensemble_classifier(EnsembleSpec(members, np.array([0.5, 0.5])))
-        pts = composed.smoothness.body.points
-        assert np.allclose(pts, [[1.0, 2.0]])
+        (diff,) = self._bodies(composed, 0)
+        assert np.allclose(diff.points, [[-0.5, -1.5]])
 
     def test_class_wise_composition(self):
         members = (
@@ -190,8 +204,9 @@ class TestEnsembleClassifier:
                                                      FinitePoints([[5.0]])))),
         )
         composed = ensemble_classifier(EnsembleSpec(members, np.array([0.5, 0.5])))
-        assert np.allclose(composed.smoothness.bodies[0].points, [[1.5]])
-        assert np.allclose(composed.smoothness.bodies[1].points, [[4.0]])
+        # G_1 (+) -G_0 is 2 and 3, G_0 (+) -G_1 is -2 and -3
+        assert np.allclose(self._bodies(composed, 0)[0].points, [[2.5]])
+        assert np.allclose(self._bodies(composed, 1)[0].points, [[-2.5]])
 
 
 class TestClassifyRegimes:
@@ -540,7 +555,7 @@ class TestGapRegimeBoundary:
 
 
 class TestSmoothnessDispatch:
-    """pair_terms and compose for each smoothness variant."""
+    """pair_terms for each smoothness variant, and the one composition rule."""
 
     A = FinitePoints([[0.4, 0.1], [-0.2, 0.5]])
     B = FinitePoints([[0.1, -0.3], [0.3, 0.3], [-0.1, 0.0]])
@@ -562,25 +577,46 @@ class TestSmoothnessDispatch:
             assert support(composed, u) == pytest.approx(expected, abs=1e-12)
 
     def test_compose_is_the_weighted_minkowski_sum(self):
-        w = np.array([0.25, 0.75])
-        self._assert_same_support(Uniform.compose([Uniform(self.A), Uniform(self.B)], w).body,
-                                  (self.A, self.B), w)
-        composed = ClassWise.compose([ClassWise((self.A, self.C)), ClassWise((self.B, self.A))], w)
-        self._assert_same_support(composed.bodies[0], (self.A, self.B), w)
-        self._assert_same_support(composed.bodies[1], (self.C, self.A), w)
+        # every mode: the ensemble's difference body is the weighted sum of
+        # the members' difference bodies, with the gaps the ensemble's own
+        w, r = np.array([0.25, 0.75]), np.array([0.0, 0.3])
+        u = Composed((Uniform(self.A), Uniform(self.B)), w).constraints(0, r)
+        assert [gap for _, gap in u] == [0.3]
+        self._assert_same_support(u[0][0], (minkowski_sum(self.A, self.A.negate()),
+                                            minkowski_sum(self.B, self.B.negate())), w)
+        cw = Composed((ClassWise((self.A, self.C)), ClassWise((self.B, self.A))), w)
+        ((body, gap),) = cw.constraints(0, r)
+        assert gap == 0.3
+        self._assert_same_support(body, (minkowski_sum(self.C, self.A.negate()),
+                                         minkowski_sum(self.A, self.B.negate())), w)
+        ((body, gap),) = cw.constraints(1, r[::-1])
+        assert gap == 0.3
+        self._assert_same_support(body, (minkowski_sum(self.A, self.C.negate()),
+                                         minkowski_sum(self.B, self.A.negate())), w)
 
     def test_class_diff_composes_the_shared_pairs(self):
         w = np.array([0.5, 0.5])
-        composed = ClassDiff.compose([ClassDiff({(0, 1): self.A, (1, 0): self.B}),
-                                      ClassDiff({(0, 1): self.B})], w)
-        assert set(composed.pairs) == {(0, 1)}
-        self._assert_same_support(composed.pairs[(0, 1)], (self.A, self.B), w)
+        composed = Composed((ClassDiff({(0, 1): self.A, (1, 0): self.B}),
+                             ClassDiff({(0, 1): self.B})), w)
+        ((body, gap),) = composed.constraints(1, np.array([0.2, 0.0]))
+        assert gap == 0.2
+        self._assert_same_support(body, (self.A, self.B), w)
+        with pytest.raises(SmoothnessMismatch, match=r"pair \(1, 0\)"):
+            composed.constraints(0, np.array([0.0, 0.2]))
 
     def test_class_diff_members_sharing_no_pair(self):
+        # the ensemble's top is 1, so it needs the pair (0, 1), which the
+        # second member lacks: composing succeeds, certifying does not
         members = (ClassifierAtPoint([0.6, 0.4], ClassDiff({(0, 1): self.A})),
                    ClassifierAtPoint([0.3, 0.7], ClassDiff({(1, 0): self.B})))
-        with pytest.raises(SmoothnessMismatch, match="members share no class-difference pairs"):
-            ensemble_classifier(EnsembleSpec(members))
+        spec = EnsembleSpec(members)
+        composed = ensemble_classifier(spec)
+        with pytest.raises(SmoothnessMismatch,
+                           match=r"missing class-difference body for pair \(0, 1\)"):
+            s_certificate(composed, "cd")
+        # the regimes certify the members first, and member 0 lacks its own (1, 0)
+        assert classify_regimes(spec).evidence == {
+            "error": "missing class-difference body for pair (1, 0)"}
 
     SIGMA = np.array([[2.0, 0.3], [0.3, 1.0]])
 
@@ -629,15 +665,15 @@ def _cloud_pairs(dim: int) -> EnsembleSpec:
 
 
 class TestClassDiffComposition:
-    """The ensemble forms a class-difference pair's weighted sum when the pair
-    is first read, once, and exactly as `weighted_sum` forms it."""
+    """A certificate of the ensemble sums only the class-difference pairs
+    (i, top) it reads, exactly as `weighted_sum` forms them."""
 
     @pytest.mark.parametrize("dim, prunes", [(2, 4), (3, 6)])
     def test_only_the_read_pairs_are_summed(self, dim, prunes, monkeypatch):
         # the certificate reads the pairs (1, 0) and (2, 0).  Each of their sums
         # prunes its two scaled member bodies, and in 3D their pairwise sum as
-        # well; the 4 unread pairs are never hulled or pruned, reading the
-        # dimension sums nothing, and nothing is pruned again on re-certifying
+        # well; the 4 unread pairs are never hulled or pruned, and composing
+        # or reading the dimension sums nothing
         spec = _cloud_pairs(dim)
         runs = []
         prune = geo._prune
@@ -645,25 +681,26 @@ class TestClassDiffComposition:
         composed = ensemble_classifier(spec)
         assert composed.dim == composed.smoothness.dim == dim
         assert runs == []
-        for _ in range(2):
-            assert s_certificate(composed, "cd").region is not None
-            assert len(runs) == prunes
+        assert s_certificate(composed, "cd").region is not None
+        assert len(runs) == prunes
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_a_read_pair_is_the_weighted_sum(self, dim):
         spec = _cloud_pairs(dim)
-        pairs = ensemble_classifier(spec).smoothness.pairs
-        for key in ((1, 0), (2, 0)):
+        composed = ensemble_classifier(spec)
+        constraints = composed.smoothness.constraints(0, composed.gap_vector)
+        for key, (body, gap) in zip(((1, 0), (2, 0)), constraints):
             eager = weighted_sum([m.smoothness.pairs[key] for m in spec.members], spec.weights)
-            lazy = pairs[key]
-            assert type(lazy) is type(eager) and pairs[key] is lazy
-            got, want = polar_hrep(lazy, 0.3), polar_hrep(eager, 0.3)
+            assert type(body) is type(eager) and gap == composed.gap_vector[key[0]]
+            got, want = polar_hrep(body, 0.3), polar_hrep(eager, 0.3)
             assert got.normals.tobytes() == want.normals.tobytes()
             assert got.offsets.tobytes() == want.offsets.tobytes()
 
     def test_same_shape_ball_pairs_stay_on_the_radii_path(self):
         spec = _cd_ensemble(lambda m, i, j: LpBall(2, (0.4 + 0.3 * m) * (1 + i + j), [0.0, 0.0]))
-        assert isinstance(ensemble_classifier(spec).smoothness.pairs[(1, 0)], LpBall)
+        composed = ensemble_classifier(spec)
+        body, _ = composed.smoothness.constraints(0, composed.gap_vector)[0]
+        assert isinstance(body, LpBall)
         assert classify_regimes(spec).evidence["method"] == "radii"
 
     def test_a_nested_ensemble_reads_pairs_of_another_top(self):
@@ -1611,3 +1648,85 @@ class TestRegimeQueries:
         # only g against each member region: no member region against g
         assert len(queries) == 2
         assert all(a.normals.tobytes() == g.normals.tobytes() for a, _ in queries)
+
+
+@st.composite
+def raw_cloud_ensembles(draw):
+    """2 to 4 point-cloud members in d = 1 to 3, in mode u, cw or cd, with the
+    raw gradient arrays they were built from; a 3D member holds 3-point clouds."""
+    dim, mode = draw(st.integers(1, 3)), draw(st.sampled_from(["u", "cw", "cd"]))
+    n = draw(st.integers(2, 4))
+    points = draw(st.integers(2, 5)) if dim < 3 else 3
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (points, dim) if mode == "u" else (points, 3, dim)
+    grads = [rng.standard_normal(shape) for _ in range(n)]
+    members = tuple(_point_cloud_member(rng.dirichlet(np.ones(3)), g, mode) for g in grads)
+    return mode, grads, EnsembleSpec(members, rng.dirichlet(np.ones(n)))
+
+
+class TestOneCompositionRule:
+    """An ensemble's certificate bodies are the weighted sums of its members'
+    difference bodies in every mode, each with the ensemble's own gap."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(raw_cloud_ensembles())
+    def test_supports_are_the_raw_weighted_sums(self, case):
+        # each constraint's support is sum_m w_m (max_p p.u + max_q -q.u) over
+        # the raw member points, with (P, Q) = (S, S), (G_i, G_top), or
+        # (G_i - G_top, {0}) in cd, where the difference is the pair's own body
+        mode, grads, spec = case
+        composed = ensemble_classifier(spec)
+        top, r = composed.top, composed.gap_vector
+        others = [i for i in range(spec.n_classes) if i != top]
+        if mode == "u":
+            terms, gaps_wanted = [[(g, g) for g in grads]], [composed.gap]
+        else:
+            origin = np.zeros((1, composed.dim))
+            terms = [[(g[:, i], g[:, top]) if mode == "cw" else (g[:, i] - g[:, top], origin)
+                      for g in grads] for i in others]
+            gaps_wanted = [float(r[i]) for i in others]
+        constraints = composed.smoothness.constraints(top, r)
+        assert [gap for _, gap in constraints] == gaps_wanted
+        for (body, _), column in zip(constraints, terms, strict=True):
+            for u in unit_directions(16, composed.dim, seed=33):
+                parts = [w * np.array([np.max(p @ u), np.max(-q @ u)])
+                         for w, (p, q) in zip(spec.weights, column)]
+                want, scale = float(np.sum(parts)), float(np.sum(np.abs(parts)))
+                assert abs(body.support(u) - want) <= 1e-12 * scale
+
+    def test_four_3d_members_of_eight_points_decide(self):
+        # the composed S of these members has 101 points, so S (+) -S would
+        # pass the 10,000-point cap; the pruned sums of the members' own
+        # S_m (+) -S_m stay under it
+        rng = np.random.default_rng([2, 3, 4])
+        members = []
+        for _ in range(4):
+            cloud = FinitePoints(rng.standard_normal((8, 3)))
+            members.append(ClassifierAtPoint(rng.dirichlet(np.ones(3)), Uniform(cloud)))
+        report = classify_regimes(EnsembleSpec(tuple(members), rng.dirichlet(np.ones(4))))
+        assert "error" not in report.evidence
+        assert report.evidence["method"] == "lp"
+        assert report.cert_regime == "inconclusive"
+
+    def test_a_member_and_its_ensemble_share_one_difference_body(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        members = tuple(ClassifierAtPoint(rng.dirichlet(np.ones(3)), Uniform(FinitePoints(
+            rng.standard_normal((5, 2))))) for _ in range(3))
+        for m in members:
+            ((body, _),) = s_certificate(m, "u").constraints
+            assert body is m.smoothness.difference
+        sums = []
+        plus = geo.minkowski_sum
+        monkeypatch.setattr(geo, "minkowski_sum", lambda a, b: sums.append((a, b)) or plus(a, b))
+        assert s_certificate(ensemble_classifier(EnsembleSpec(members)), "u").region is not None
+        assert len(sums) == 2  # the weighted sum's two steps: no S (+) -S is formed again
+
+    def test_an_ensemble_member_composes_but_has_no_radius_bound(self):
+        inner = ensemble_classifier(EnsembleSpec((ball_member([0.7, 0.3]),
+                                                  ball_member([0.6, 0.4], 2.0))))
+        # gap 0.3 over the difference ball of radius 0.5 * 2 + 0.5 * 4 = 3
+        assert lipschitz_certificate(inner, "u").radius == pytest.approx(0.1, rel=1e-12)
+        spec = EnsembleSpec((inner, ball_member([0.8, 0.2])))
+        assert classify_regimes(spec).evidence["method"] == "radii"
+        with pytest.raises(PreconditionError, match="not an ensemble's"):
+            radius_improvement_bound(spec)

@@ -50,6 +50,27 @@ def test_the_lattice_digest_is_repeatable_and_sees_a_row_and_a_containment(monke
     assert report_digest.lattice_digest([1], 2) != first
 
 
+def test_the_nmember_digest_is_repeatable_and_reads_flags_not_floats(monkeypatch):
+    first = report_digest.nmember_digest([1])
+    assert first == report_digest.nmember_digest([1])
+    assert first != report_digest.nmember_digest([2])
+    # a gap moved by rounding is not read
+    gap = ensemble.runner_up_gap
+    monkeypatch.setattr(ensemble, "runner_up_gap", lambda logits: gap(logits) + 2.0 ** -40)
+    assert report_digest.nmember_digest([1]) == first
+    monkeypatch.undo()
+    # a flipped flag is, past the op runner's consistency check
+    regions = ensemble._cert_regime_regions
+
+    def flipped(q_g, member_certs):
+        regime, evidence = regions(q_g, member_certs)
+        return regime, {**evidence, "within_union": not evidence["within_union"]}
+
+    monkeypatch.setattr(ensemble, "_cert_regime_regions", flipped)
+    monkeypatch.setattr(report_digest.workloads, "regime_consistent", lambda report: None)
+    assert report_digest.nmember_digest([1]) != first
+
+
 def test_a_float_is_read_to_its_last_bit():
     assert report_digest._encode(0.1) != report_digest._encode(0.1 + 2.0 ** -56)
     assert report_digest._encode({"a": (1, True, "x")}) == "{'a':(1,True,'x')}"

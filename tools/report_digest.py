@@ -4,7 +4,7 @@ Usage, from anywhere:
 
     python3 tools/report_digest.py --seeds 1-3
 
-prints three lines, each a label and a digest.  ``regimes`` covers the
+prints four lines, each a label and a digest.  ``regimes`` covers the
 `classify_regimes` reports of the perfbench ``regimes`` ops of each seed,
 880 of them (those of one 16 s run), each run by the workload's own op runner,
 which also checks the report against its evidence: both verdicts, the gaps
@@ -14,7 +14,11 @@ under both weight policies, 100 draws per member count 2, 3 and 4.
 ``lattice`` covers the perfbench ``lattice`` ops of each seed, 1,120 of them
 (those of one 16 s run), each run by the workload's own op runner: the rows
 of its q_u, q_cw and q_cd regions as ``float.hex`` and its five containment
-results, in order.
+results, in order.  ``nmember`` covers `classify_regimes` on seeded 3- and
+4-member point-cloud ensembles of each seed, 2D and 3D in modes u, cw and cd,
+12 of them, each run by the regimes op runner: the verdict, the method, the
+four containment flags and any error, but no float, so that a change that
+moves only rounding keeps it.
 Run it in two checkouts and compare the lines.  Standard library and numpy
 only.
 """
@@ -27,6 +31,8 @@ import hashlib
 import os
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT, os.path.join(ROOT, "tools")]
 
@@ -37,6 +43,9 @@ from scert import certificates, ensemble, simulate  # noqa: E402
 REGIMES_OPS = workloads.op_count(workloads.Regimes, 16)
 LATTICE_OPS = workloads.op_count(workloads.Lattice, 16)
 DRAWS = 100
+NMEMBER_KINDS = tuple((n, dim, mode, 5 if dim == 2 else 3) for n in (3, 4)
+                      for dim in (2, 3) for mode in ("u", "cw", "cd"))
+FLAGS = ("contains_intersection", "within_union", "contains_union", "within_intersection")
 
 
 def _encode(value) -> str:
@@ -53,8 +62,9 @@ def _encode(value) -> str:
     raise TypeError(f"no canonical text for {type(value).__name__}")
 
 
-def regimes_digest(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
-    h = hashlib.sha256()
+def _reports(ops):
+    """Each op, run by the regimes op runner, with the `classify_regimes`
+    report it made."""
     runner, reports = workloads.Regimes(), []
     classify = ensemble.classify_regimes
 
@@ -64,14 +74,46 @@ def regimes_digest(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
 
     ensemble.classify_regimes = capture
     try:
-        for seed in seeds:
-            for index, op in enumerate(runner.make_ops(seed, n_ops)):
-                runner.run_op(op)
-                (report,) = reports
-                reports.clear()
-                h.update(f"{seed}:{index}:{_encode(dataclasses.asdict(report))}\n".encode())
+        for op in ops:
+            runner.run_op(op)
+            (report,) = reports
+            reports.clear()
+            yield op, report
     finally:
         ensemble.classify_regimes = classify
+
+
+def regimes_digest(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
+    h = hashlib.sha256()
+    for seed in seeds:
+        ops = workloads.Regimes().make_ops(seed, n_ops)
+        for index, (_, report) in enumerate(_reports(ops)):
+            h.update(f"{seed}:{index}:{_encode(dataclasses.asdict(report))}\n".encode())
+    return h.hexdigest()
+
+
+def nmember_ops(seed: int) -> list:
+    """Regimes ops of 3 and 4 members, one per kind of `NMEMBER_KINDS`: 5-point
+    clouds in 2D and 3-point clouds in 3D, which keep every composed body
+    under the 3D point cap."""
+    rng = np.random.default_rng([seed, 33])
+    ops = []
+    for n, dim, mode, points in NMEMBER_KINDS:
+        shape = (points, dim) if mode == "u" else (points, 3, dim)
+        members = tuple((rng.dirichlet(np.ones(3)), rng.standard_normal(shape))
+                        for _ in range(n))
+        ops.append((f"{n}-{dim}d-{mode}", (mode, members, rng.dirichlet(np.ones(n)))))
+    return ops
+
+
+def nmember_digest(seeds: list[int]) -> str:
+    h = hashlib.sha256()
+    for seed in seeds:
+        for (name, _), report in _reports(nmember_ops(seed)):
+            evidence = report.evidence
+            fields = (report.cert_regime, evidence.get("method"),
+                      *(evidence.get(flag) for flag in FLAGS), evidence.get("error"))
+            h.update(f"{seed}:{name}:{_encode(fields)}\n".encode())
     return h.hexdigest()
 
 
@@ -117,6 +159,7 @@ def main(argv=None) -> None:
     print("regimes", regimes_digest(seeds))
     print("records", records_digest(seeds))
     print("lattice", lattice_digest(seeds))
+    print("nmember", nmember_digest(seeds))
 
 
 if __name__ == "__main__":
