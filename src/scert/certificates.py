@@ -44,14 +44,14 @@ class SmoothnessMismatch(ValueError):
     """Certification mode incompatible with the available smoothness data."""
 
 
-# Each smoothness variant dispatches on itself.  `constraints(top, r)` lists
-# its certificate's support constraints from the top class and the gap vector
-# r, each on the difference body that bounds the gradient of f_i - f_top:
-# S (+) -S, G_i (+) -G_top or G_(i,top); `pair_terms(top, k)` maps each class
-# i other than the top to the bodies of that difference: (S, S), (G_i, G_top)
-# or (G_(i,top),).  Support functions add under Minkowski sums, so a weighted
-# ensemble's difference bodies are the weighted sums of its members' in every
-# mode: `Composed` is that one rule.
+# Each smoothness variant dispatches on itself, through `mode`, `dim`,
+# `bodies` and `constraints(top, r)`.  The last lists its certificate's support
+# constraints from the top class and the gap vector r, each on the difference
+# body that bounds the gradient of f_i - f_top: S (+) -S (one constraint for
+# every class), G_i (+) -G_top or G_(i,top) (one per class i other than the
+# top, in class order).  Support functions add under Minkowski sums, so a
+# weighted ensemble's difference bodies are the weighted sums of its members'
+# in every mode: `Composed` is that one rule.
 
 @dataclass(frozen=True)
 class Uniform:
@@ -75,9 +75,6 @@ class Uniform:
         """support(S (+) -S, delta) <= the runner-up gap."""
         return [(self.difference, float(np.delete(r, top).min()))]
 
-    def pair_terms(self, top: int, k: int) -> dict[int, tuple[ConvexBody, ...]]:
-        return {i: (self.body, self.body) for i in range(k) if i != top}
-
 
 @dataclass(frozen=True)
 class ClassWise:
@@ -94,11 +91,8 @@ class ClassWise:
 
     def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
         """support(G_i (+) -G_top, delta) <= r_i for every class i other than the top."""
-        return [(geometry.minkowski_sum(g_i, geometry.negate(g_top)), float(r[i]))
-                for i, (g_i, g_top) in self.pair_terms(top, len(r)).items()]
-
-    def pair_terms(self, top: int, k: int) -> dict[int, tuple[ConvexBody, ...]]:
-        return {i: (self.bodies[i], self.bodies[top]) for i in range(k) if i != top}
+        return [(geometry.minkowski_sum(self.bodies[i], geometry.negate(self.bodies[top])),
+                 float(r[i])) for i in range(len(r)) if i != top]
 
 
 @dataclass(frozen=True)
@@ -125,13 +119,11 @@ class ClassDiff:
 
     def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
         """support(G_(i,top), delta) <= r_i for every class i other than the top."""
-        return [(g, float(r[i])) for i, (g,) in self.pair_terms(top, len(r)).items()]
-
-    def pair_terms(self, top: int, k: int) -> dict[int, tuple[ConvexBody, ...]]:
-        missing = [(i, top) for i in range(k) if i != top and (i, top) not in self.pairs]
-        if missing:
-            raise SmoothnessMismatch(f"missing class-difference body for pair {missing[0]}")
-        return {i: (self.pairs[(i, top)],) for i in range(k) if i != top}
+        try:
+            return [(self.pairs[(i, top)], float(r[i])) for i in range(len(r)) if i != top]
+        except KeyError as missing:
+            raise SmoothnessMismatch(
+                f"missing class-difference body for pair {missing.args[0]}") from None
 
 
 @dataclass(frozen=True, eq=False)

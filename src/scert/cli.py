@@ -51,7 +51,6 @@ from .simulate import DrawRecord, ExperimentConfig, run_experiment
 _NORMS = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
 CSV_HEADER = "n,draw,r_bar,r_under,rg_uniform,rg_opt,gap_regime,same_ca,bound,slack"
 FIXTURE_TOL = 1e-9  # fixture checks: largest difference from an expected value
-GRID_BOUNDARY = 1e-7  # grid points this close to the oracle boundary are not compared
 
 
 def format_interval(lo: float | None, hi: float | None) -> str:
@@ -342,20 +341,17 @@ def _match_halfplanes(actual: list[list[float]], expected: list[list[float]],
 
 def _grid_membership_consistent(problem: ProblemFile) -> bool:
     """Independent support-arithmetic oracle for a two-member uniform-mode
-    ellipsoid ensemble, evaluated on a sampled grid."""
+    ellipsoid ensemble: along 1,024 seeded unit directions u, the ensemble
+    certificate's ray extent is r_g / sum_i 2 w_i eps_i sqrt(u' Sigma_i u),
+    within FIXTURE_TOL relative."""
     spec = problem.to_ensemble()
     cert = s_certificate(ensemble_classifier(spec), "u")
-    sigmas = [m.smoothness.body.sigma for m in spec.members]
-    radii = [m.smoothness.body.radius for m in spec.members]
-    weights = spec.weights
-    r_g = float(runner_up_gap(ensemble_logits(spec)))
-    axis = np.linspace(-2.5, 2.5, 41)
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    rho = sum(2.0 * w * eps * np.sqrt(np.einsum("ij,jk,ik->i", grid, sig, grid))
-              for w, eps, sig in zip(weights, radii, sigmas))
-    oracle = rho <= r_g + FIXTURE_TOL
-    mismatch = (cert.contains(grid, FIXTURE_TOL) != oracle) & (np.abs(rho - r_g) > GRID_BOUNDARY)
-    return not mismatch.any()
+    dirs = geometry.seeded_unit_directions(1024, 2)
+    rho = sum(2.0 * w * m.smoothness.body.radius
+              * np.sqrt(np.einsum("ij,jk,ik->i", dirs, m.smoothness.body.sigma, dirs))
+              for w, m in zip(spec.weights, spec.members))
+    oracle = float(runner_up_gap(ensemble_logits(spec))) / rho
+    return bool(np.all(np.abs(cert.ray_extent(dirs) - oracle) <= FIXTURE_TOL * oracle))
 
 
 def run_fixture_check(check: dict) -> tuple[bool, str]:
@@ -422,7 +418,7 @@ def run_fixture_check(check: dict) -> tuple[bool, str]:
         return ok, f"radii {radii} sweep in ({sweep.min()}, {sweep.max()})"
     if kind == "ensemble_grid":
         ok = _grid_membership_consistent(problem)
-        return ok, "grid membership vs support oracle"
+        return ok, "ray extents on 1024 directions vs closed form"
     return False, f"unknown check kind {kind!r}"
 
 

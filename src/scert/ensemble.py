@@ -163,14 +163,15 @@ def _verdict(flags: dict, strict_excess: bool, strict_deficit: bool) -> str:
 
 def _extent_regime(e_g, hi, lo) -> tuple[str, dict]:
     """The regime and containment flags of the ensemble extent e_g against the
-    largest (hi) and smallest (lo) member extents: radii, or arrays of ray extents."""
-    with np.errstate(invalid="ignore"):
-        flags = {"within_union": bool(np.all(e_g <= hi + GAP_TOL)),
-                 "contains_union": bool(np.all(e_g >= hi - GAP_TOL)),
-                 "contains_intersection": bool(np.all(e_g >= lo - GAP_TOL)),
-                 "within_intersection": bool(np.all(e_g <= lo + GAP_TOL))}
-        regime = _verdict(flags, bool(np.any(e_g > hi + STRICT_MARGIN)),
-                          bool(np.any(e_g < lo - STRICT_MARGIN)))
+    largest (hi) and smallest (lo) member extents: radii, or arrays of ray
+    extents.  They are compared relative to their size, so that no verdict
+    moves when every gradient set is scaled."""
+    flags = {"within_union": bool(np.all(e_g <= hi * (1 + GAP_TOL))),
+             "contains_union": bool(np.all(e_g >= hi * (1 - GAP_TOL))),
+             "contains_intersection": bool(np.all(e_g >= lo * (1 - GAP_TOL))),
+             "within_intersection": bool(np.all(e_g <= lo * (1 + GAP_TOL)))}
+    regime = _verdict(flags, bool(np.any(e_g > hi * (1 + STRICT_MARGIN))),
+                      bool(np.any(e_g < lo * (1 - STRICT_MARGIN))))
     return regime, flags
 
 
@@ -351,11 +352,14 @@ class BoundReport:
 
 def _shared_ball_radii(spec: EnsembleSpec,
                        two_members: str) -> tuple[int, list[dict[int, float]]]:
-    """The top class and each member's ball radii of the difference-smoothness
-    bodies for the pairs (i, top), after checking the shared-ball
-    preconditions: two members (else PreconditionError(two_members)) with one
-    top class whose smoothness bodies are origin-centered balls of one shape,
-    and every per-pair radius positive.
+    """The top class and each member's radii of the difference balls its
+    ``constraints`` list for the pairs (i, top), one ball for every pair when
+    it lists one (uniform mode, or two classes).  The shared-ball
+    preconditions are checked first, on the members' bodies, so no sum is
+    formed unless they hold: two members (else PreconditionError(two_members))
+    with one top class whose bodies are origin-centered balls of one shape.
+    A member may be an ensemble, as weighted sums of such balls are such
+    balls.  Every per-pair radius must be positive.
 
     An ellipsoid (Sigma, eps) is the same set as (c Sigma, eps / sqrt(c)), so
     every radius is expressed on the first body's matrix norm as
@@ -368,17 +372,16 @@ def _shared_ball_radii(spec: EnsembleSpec,
     # members share one smoothness mode: if the first has none, none has
     if spec.members[0].smoothness is None:
         raise PreconditionError("members carry no smoothness data")
-    if any(isinstance(m.smoothness, Composed) for m in spec.members):
-        raise PreconditionError("members must carry their own smoothness, not an ensemble's")
     bodies = [b for m in spec.members for b in m.smoothness.bodies]
     if not all(b.centered_ball for b in bodies):
         raise PreconditionError("smoothness bodies must be origin-centered balls")
     if not one_ball_shape(bodies):
         raise PreconditionError("smoothness bodies must share one ball shape")
     top, ref_norm = spec.members[0].top, bodies[0].shape_norm
-    eps = [{i: sum(float(b.radius) * math.sqrt(b.shape_norm / ref_norm) for b in pair)
-            for i, pair in m.smoothness.pair_terms(top, m.n_classes).items()}
-           for m in spec.members]
+    others = [i for i in range(spec.n_classes) if i != top]
+    radii = [[float(g.radius) * math.sqrt(g.shape_norm / ref_norm)
+              for g, _ in m.smoothness.constraints(top, m.gap_vector)] for m in spec.members]
+    eps = [dict(zip(others, r * len(others) if len(r) == 1 else r)) for r in radii]
     if any(v <= 0.0 for table in eps for v in table.values()):
         raise PreconditionError("per-pair smoothness radii must be positive")
     return top, eps

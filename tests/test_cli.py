@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_clip
+from scert import cli, geometry
 from scert.certificates import (
     Certificate,
     ClassifierAtPoint,
@@ -523,6 +524,25 @@ class TestExamples:
         for check in load_expected():
             ok, detail = run_fixture_check(check)
             assert ok, f"{check['name']}: {detail}"
+
+    def _ray_extent_check(self):
+        (check,) = [c for c in load_expected() if c["kind"] == "ensemble_grid"]
+        assert check["fixture"] == "fig6.json"
+        return check
+
+    def test_the_ray_extent_check_passes_on_fig6(self):
+        assert run_fixture_check(self._ray_extent_check()) == (
+            True, "ray extents on 1024 directions vs closed form")
+
+    def test_the_ray_extent_check_fails_on_a_wrong_ensemble_body(self, monkeypatch):
+        check = self._ray_extent_check()
+        monkeypatch.setattr(cli, "ensemble_classifier", lambda spec: spec.members[0])
+        assert not run_fixture_check(check)[0]
+        monkeypatch.undo()
+        weighted_sum = geometry.weighted_sum
+        monkeypatch.setattr(geometry, "weighted_sum", lambda bodies, weights: geometry.scale(
+            1.0 + 1e-6, weighted_sum(bodies, weights)))
+        assert not run_fixture_check(check)[0]
 
     def test_fixture_coverage(self):
         names = {check["fixture"] for check in load_expected()}

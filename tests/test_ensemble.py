@@ -303,18 +303,19 @@ _UP, _DOWN = np.inf, -np.inf
 
 class TestRadiiVerdictBoundaries:
     """The radii path's verdict on either side of each of its four edges,
-    for members of radius 1 and 2, and with unbounded certificates."""
+    which are relative to the member radii (1 and 2 here), and with
+    unbounded certificates."""
 
     @pytest.mark.parametrize("r_g, expected", [
-        (np.nextafter(_HI + STRICT_MARGIN, _UP), "improvement"),
-        (_HI + STRICT_MARGIN, "indeterminate"),
-        (np.nextafter(_HI + GAP_TOL, _UP), "indeterminate"),
-        (_HI + GAP_TOL, "inconclusive"),
+        (np.nextafter(_HI * (1 + STRICT_MARGIN), _UP), "improvement"),
+        (_HI * (1 + STRICT_MARGIN), "indeterminate"),
+        (np.nextafter(_HI * (1 + GAP_TOL), _UP), "indeterminate"),
+        (_HI * (1 + GAP_TOL), "inconclusive"),
         (1.5, "inconclusive"),
-        (_LO - GAP_TOL, "inconclusive"),
-        (np.nextafter(_LO - GAP_TOL, _DOWN), "indeterminate"),
-        (_LO - STRICT_MARGIN, "indeterminate"),
-        (np.nextafter(_LO - STRICT_MARGIN, _DOWN), "reduction"),
+        (_LO * (1 - GAP_TOL), "inconclusive"),
+        (np.nextafter(_LO * (1 - GAP_TOL), _DOWN), "indeterminate"),
+        (_LO * (1 - STRICT_MARGIN), "indeterminate"),
+        (np.nextafter(_LO * (1 - STRICT_MARGIN), _DOWN), "reduction"),
         (np.inf, "improvement"),
     ])
     def test_two_finite_members(self, r_g, expected):
@@ -326,9 +327,9 @@ class TestRadiiVerdictBoundaries:
     @pytest.mark.parametrize("r_g, expected", [
         (np.inf, "inconclusive"),
         (5.0, "inconclusive"),
-        (_LO - GAP_TOL, "inconclusive"),
-        (np.nextafter(_LO - GAP_TOL, _DOWN), "indeterminate"),
-        (np.nextafter(_LO - STRICT_MARGIN, _DOWN), "reduction"),
+        (_LO * (1 - GAP_TOL), "inconclusive"),
+        (np.nextafter(_LO * (1 - GAP_TOL), _DOWN), "indeterminate"),
+        (np.nextafter(_LO * (1 - STRICT_MARGIN), _DOWN), "reduction"),
     ])
     def test_one_unbounded_member(self, r_g, expected):
         regime, _ = _cert_regime_balls(_l2_cert(r_g), [_l2_cert(_LO), _l2_cert(np.inf)])
@@ -338,6 +339,44 @@ class TestRadiiVerdictBoundaries:
     def test_unbounded_members(self, r_g, expected):
         regime, _ = _cert_regime_balls(_l2_cert(r_g), [_l2_cert(np.inf), _l2_cert(np.inf)])
         assert regime == expected
+
+
+_OCTAGON = np.column_stack([np.cos(np.pi * np.arange(8) / 4), np.sin(np.pi * np.arange(8) / 4)])
+
+
+class TestExtentsScale:
+    """Scaling every gradient set by s scales every extent by 1 / s, so no
+    verdict moves: the radii and the sampled paths compare extents relative
+    to their size, and the LP path, on octagons in place of the l2 balls, is
+    the control."""
+
+    CASES = {  # (member, class) -> body of size s, and the verdict and path at every s
+        "radii": (lambda s, m, i: LpBall(2, s, [0.0, 0.0]), "improvement"),
+        "sampled": (lambda s, m, i: Ellipsoid(np.diag([1.0, 4.0][::1 - 2 * m]), s),
+                    "indeterminate"),
+        "lp": (lambda s, m, i: FinitePoints(s * _OCTAGON), "improvement"),
+    }
+
+    @staticmethod
+    def _report(make_body, s):
+        members = tuple(ClassifierAtPoint(logits, ClassWise(tuple(
+            make_body(s, m, i) for i in range(3))))
+            for m, logits in enumerate(([0.6, 0.3, 0.1], [0.6, 0.1, 0.3])))
+        return classify_regimes(EnsembleSpec(members))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(CASES)), st.floats(-8.0, 8.0))
+    @example("radii", 6.0)
+    @example("radii", 8.0)
+    @example("sampled", 8.0)
+    @example("lp", -8.0)
+    @example("lp", 8.0)
+    def test_one_verdict_for_every_scale(self, path, exponent):
+        make_body, verdict = self.CASES[path]
+        report = self._report(make_body, 10.0 ** exponent)
+        assert (report.cert_regime, report.evidence["method"]) == (verdict, path)
+        if path != "radii":  # the flags too; the radii evidence holds the scaled radii
+            assert report.evidence == self._report(make_body, 1.0).evidence
 
 
 class TestGapGainBound:
@@ -554,22 +593,86 @@ class TestGapRegimeBoundary:
             assert gap_regime(np.nextafter(r - GAP_TOL, -1.0), r, r) == "loss"
 
 
+@st.composite
+def shared_ball_pairs(draw):
+    """Two members with top class 0 in one mode whose bodies are balls of one
+    shape: l1, l2 or l_inf balls, or ellipsoids (c Sigma, eps / sqrt(c)) of
+    one Sigma, each the same set as (Sigma, eps)."""
+    mode = draw(st.sampled_from(["u", "cw", "cd"]))
+    shape = draw(st.sampled_from(["l1", "l2", "linf", "ellipsoid"]))
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    root = rng.standard_normal((2, 2))
+    sigma = root @ root.T + 0.1 * np.eye(2)
+
+    def ball():
+        eps = float(rng.uniform(0.05, 5.0))
+        if shape == "ellipsoid":
+            c = float(rng.choice([1.0, 4.0, rng.uniform(0.01, 100.0)]))
+            return Ellipsoid(c * sigma, eps / math.sqrt(c))
+        return LpBall({"l1": 1.0, "l2": 2.0, "linf": math.inf}[shape], eps, [0.0, 0.0])
+
+    def smoothness():
+        if mode == "u":
+            return Uniform(ball())
+        if mode == "cw":
+            return ClassWise(tuple(ball() for _ in range(k)))
+        return ClassDiff({(i, j): ball() for i in range(k) for j in range(k) if i != j})
+
+    members = []
+    for _ in range(2):
+        logits = rng.uniform(0.0, 1.0, k)
+        logits[0] = logits.max() + rng.uniform(0.01, 1.0)
+        members.append(ClassifierAtPoint(logits, smoothness()))
+    return mode, shape, EnsembleSpec(tuple(members))
+
+
+def _summed_pair_radii(spec: EnsembleSpec) -> list[dict[int, float]]:
+    """Each member's radius for the pair (i, top) as the sum over the pair's
+    gradient bodies, (S, S), (G_i, G_top) or (G_(i,top),), of
+    eps_b sqrt(|Sigma_b| / |Sigma_ref|), the first body the reference."""
+    top = spec.members[0].top
+    ref = spec.members[0].smoothness.bodies[0]
+
+    def rad(body):
+        if isinstance(body, Ellipsoid):
+            return float(body.radius) * math.sqrt(
+                float(np.linalg.norm(body.sigma)) / float(np.linalg.norm(ref.sigma)))
+        return float(body.radius)
+
+    def pair(s, i):
+        if s.mode == "u":
+            return (s.body, s.body)
+        if s.mode == "cw":
+            return (s.bodies[i], s.bodies[top])
+        return (s.pairs[(i, top)],)
+
+    return [{i: sum(rad(b) for b in pair(m.smoothness, i))
+             for i in range(spec.n_classes) if i != top} for m in spec.members]
+
+
 class TestSmoothnessDispatch:
-    """pair_terms for each smoothness variant, and the one composition rule."""
+    """The constraints of each smoothness variant, and the one composition rule."""
 
     A = FinitePoints([[0.4, 0.1], [-0.2, 0.5]])
     B = FinitePoints([[0.1, -0.3], [0.3, 0.3], [-0.1, 0.0]])
     C = LpBall(2, 0.5, [0.0, 0.0])
 
-    def test_pair_terms(self):
-        assert Uniform(self.A).pair_terms(1, 3) == {0: (self.A, self.A), 2: (self.A, self.A)}
-        assert ClassWise((self.A, self.B, self.C)).pair_terms(0, 3) == {
-            1: (self.B, self.A), 2: (self.C, self.A)}
+    def test_constraints(self):
+        r = np.array([0.0, 0.3, 0.5])
+        uniform = Uniform(self.A)
+        assert uniform.constraints(2, r[::-1]) == [(uniform.difference, 0.3)]
+        cw = ClassWise((self.A, self.B, self.C)).constraints(0, r)
+        assert [gap for _, gap in cw] == [0.3, 0.5]
+        dirs = unit_directions(24, seed=8)
+        for (body, _), g_i in zip(cw, (self.B, self.C), strict=True):
+            expected = minkowski_sum(g_i, self.A.negate())
+            assert np.array_equal(body.support(dirs), expected.support(dirs))
         pairs = ClassDiff({(0, 2): self.A, (1, 2): self.B, (2, 0): self.C})
-        assert pairs.pair_terms(2, 3) == {0: (self.A,), 1: (self.B,)}
+        assert pairs.constraints(2, np.array([0.2, 0.1, 0.0])) == [(self.A, 0.2), (self.B, 0.1)]
         with pytest.raises(SmoothnessMismatch, match=r"missing class-difference body "
                                                       r"for pair \(1, 0\)"):
-            pairs.pair_terms(0, 3)
+            pairs.constraints(0, r)
 
     def _assert_same_support(self, composed, parts, weights):
         for u in unit_directions(24, seed=8):
@@ -647,6 +750,23 @@ class TestSmoothnessDispatch:
             top, radii = _shared_ball_radii(EnsembleSpec((member, member)), "")
             assert top == 0
             assert radii[0] == radii[1] == expected(rad)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(shared_ball_pairs())
+    def test_pair_radii_are_the_summed_body_radii(self, case):
+        # the radii read off the difference balls equal the sums over the
+        # pairs' bodies, bit for bit but where a class-wise ellipsoid pair adds
+        # eps_top on eps_i's matrix before the normalisation
+        mode, shape, spec = case
+        top, radii = _shared_ball_radii(spec, "")
+        expected = _summed_pair_radii(spec)
+        assert top == 0
+        if mode == "cw" and shape == "ellipsoid":
+            for got, want in zip(radii, expected, strict=True):
+                assert got.keys() == want.keys()
+                assert all(abs(got[i] - want[i]) <= 1e-15 * want[i] for i in want)
+        else:
+            assert radii == expected
 
 
 
@@ -1721,12 +1841,18 @@ class TestOneCompositionRule:
         assert s_certificate(ensemble_classifier(EnsembleSpec(members)), "u").region is not None
         assert len(sums) == 2  # the weighted sum's two steps: no S (+) -S is formed again
 
-    def test_an_ensemble_member_composes_but_has_no_radius_bound(self):
-        inner = ensemble_classifier(EnsembleSpec((ball_member([0.7, 0.3]),
-                                                  ball_member([0.6, 0.4], 2.0))))
-        # gap 0.3 over the difference ball of radius 0.5 * 2 + 0.5 * 4 = 3
+    def test_an_ensemble_member_has_the_bounds_of_its_flat_ball(self):
+        # the inner ensemble's difference ball has radius 0.5 * 2 + 0.5 * 4 = 3,
+        # the difference ball of a flat member with gradient ball radius 1.5
+        inner = ensemble_classifier(EnsembleSpec((ball_member([0.6, 0.3, 0.1]),
+                                                  ball_member([0.5, 0.1, 0.4], 2.0))))
         assert lipschitz_certificate(inner, "u").radius == pytest.approx(0.1, rel=1e-12)
-        spec = EnsembleSpec((inner, ball_member([0.8, 0.2])))
-        assert classify_regimes(spec).evidence["method"] == "radii"
-        with pytest.raises(PreconditionError, match="not an ensemble's"):
-            radius_improvement_bound(spec)
+        flat = ball_member(inner.logits, 1.5)
+        other = ball_member([0.7, 0.25, 0.05], 3.0)
+        nested, plain = EnsembleSpec((inner, other)), EnsembleSpec((flat, other))
+        assert classify_regimes(nested).evidence["method"] == "radii"
+        assert radius_improvement_bound(nested) == radius_improvement_bound(plain)
+        alphas = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(common_shape_radii(nested, alphas),
+                              common_shape_radii(plain, alphas))
+        assert improvement_conditions(nested) is improvement_conditions(plain) is True

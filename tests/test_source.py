@@ -8,6 +8,17 @@ import scert
 SMALL = 1e-3  # a float literal below this in size is a tolerance
 
 
+def _parse_package() -> dict[str, ast.Module]:
+    """The syntax tree of each module of the package, by module name."""
+    package = os.path.dirname(scert.__file__)
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                trees[name[:-3]] = ast.parse(handle.read(), filename=name)
+    return trees
+
+
 def _small_literals_in_bodies(tree: ast.Module) -> list[tuple[int, float]]:
     """(line, value) of each float literal with 0 < |value| < SMALL inside a
     function or class, default arguments included."""
@@ -23,14 +34,8 @@ def _small_literals_in_bodies(tree: ast.Module) -> list[tuple[int, float]]:
 
 
 def test_every_tolerance_has_a_named_module_constant():
-    package = os.path.dirname(scert.__file__)
-    offenders = []
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as handle:
-                tree = ast.parse(handle.read(), filename=name)
-            offenders += [f"{name}:{line}: {value!r}"
-                          for line, value in _small_literals_in_bodies(tree)]
+    offenders = [f"{module}.py:{line}: {value!r}" for module, tree in _parse_package().items()
+                 for line, value in _small_literals_in_bodies(tree)]
     assert not offenders, "tolerance literals outside a module constant:\n" + "\n".join(offenders)
 
 
@@ -72,12 +77,9 @@ def _solver_callers(tree: ast.Module, module: str) -> set[str]:
 
 
 def test_only_lp_maximize_and_the_weight_lp_call_the_solver():
-    package = os.path.dirname(scert.__file__)
     callers = set()
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as handle:
-                callers |= _solver_callers(ast.parse(handle.read(), filename=name), name[:-3])
+    for module, tree in _parse_package().items():
+        callers |= _solver_callers(tree, module)
     stray = sorted(callers - LP_CALLERS)
     assert not stray, f"the LP solver is called outside {sorted(LP_CALLERS)}: {stray}"
 
@@ -137,3 +139,80 @@ def test_the_exit_policy_rule_sees_stderr_exit_and_system_exit():
                      "def g():\n    sys.stdout.write('x')\n"
                      "if __name__ == '__main__':\n    sys.exit(a())\n")
     assert _exit_policy_functions(tree) == {"a", "b", "d", "e"}
+
+
+# every smoothness type answers through one protocol, so no caller needs to
+# know which type it holds
+SMOOTHNESS_PROTOCOL = {"mode", "dim", "bodies", "constraints"}
+SMOOTHNESS_TYPES = ("Uniform", "ClassWise", "ClassDiff", "Composed")
+
+
+def _class_names(tree: ast.Module) -> dict[str, set[str]]:
+    """Each class's names defined in its own body: methods, properties,
+    class attributes and dataclass fields."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            names = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    names.add(item.target.id)
+                elif isinstance(item, ast.Assign):
+                    names |= {t.id for t in item.targets if isinstance(t, ast.Name)}
+            found[node.name] = names
+    return found
+
+
+def test_every_smoothness_type_defines_the_one_protocol():
+    names = _class_names(_parse_package()["certificates"])
+    missing = {cls: sorted(SMOOTHNESS_PROTOCOL - names[cls]) for cls in SMOOTHNESS_TYPES}
+    assert not any(missing.values()), f"smoothness types missing a protocol name: {missing}"
+
+
+def test_the_protocol_rule_sees_methods_properties_attributes_and_fields():
+    tree = ast.parse("class A:\n    body: int\n    mode = 'u'\n"
+                     "    @property\n    def dim(self):\n        return 1\n"
+                     "    def constraints(self, top, r):\n        return []\n"
+                     "    def helper(self):\n        x = 1\n")
+    assert _class_names(tree) == {"A": {"body", "mode", "dim", "constraints", "helper"}}
+
+
+def _isinstance_callers(tree: ast.Module, module: str, cls: str) -> set[str]:
+    """module.function of each function calling `isinstance` with `cls` among
+    its classes, by name or module attribute; a call outside any function
+    counts for the module."""
+    found = set()
+
+    def names_cls(node):
+        return any(isinstance(n, ast.Name) and n.id == cls
+                   or isinstance(n, ast.Attribute) and n.attr == cls for n in ast.walk(node))
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{module}.{node.name}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and names_cls(node.args[1])):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_no_function_asks_whether_a_smoothness_is_composed():
+    callers = set()
+    for module, tree in _parse_package().items():
+        callers |= _isinstance_callers(tree, module, "Composed")
+    assert not callers, f"isinstance(..., Composed) in {sorted(callers)}"
+
+
+def test_the_isinstance_rule_sees_names_attributes_tuples_and_module_level_calls():
+    tree = ast.parse("def f(s):\n    return isinstance(s, Composed)\n"
+                     "def g(s):\n    return isinstance(s, (Uniform, certificates.Composed))\n"
+                     "def h(s):\n    return isinstance(s, Uniform) or s is Composed\n"
+                     "X = isinstance(1, Composed)\n")
+    assert _isinstance_callers(tree, "mod", "Composed") == {"mod.f", "mod.g", "mod"}
