@@ -50,7 +50,7 @@ from .simulate import DrawRecord, ExperimentConfig, run_experiment
 
 _NORMS = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
 CSV_HEADER = "n,draw,r_bar,r_under,rg_uniform,rg_opt,gap_regime,same_ca,bound,slack"
-FIXTURE_TOL = 1e-9  # fixture checks: largest difference from an expected value
+FIXTURE_TOL = 1e-9  # fixture checks: absolute difference; relative for ray extents
 
 
 def format_interval(lo: float | None, hi: float | None) -> str:
@@ -339,7 +339,7 @@ def _match_halfplanes(actual: list[list[float]], expected: list[list[float]],
     return True
 
 
-def _grid_membership_consistent(problem: ProblemFile) -> bool:
+def _ray_extents_consistent(problem: ProblemFile) -> bool:
     """Independent support-arithmetic oracle for a two-member uniform-mode
     ellipsoid ensemble: along 1,024 seeded unit directions u, the ensemble
     certificate's ray extent is r_g / sum_i 2 w_i eps_i sqrt(u' Sigma_i u),
@@ -417,7 +417,7 @@ def run_fixture_check(check: dict) -> tuple[bool, str]:
                          and np.all(sweep < hi - STRICT_MARGIN))
         return ok, f"radii {radii} sweep in ({sweep.min()}, {sweep.max()})"
     if kind == "ensemble_grid":
-        ok = _grid_membership_consistent(problem)
+        ok = _ray_extents_consistent(problem)
         return ok, "ray extents on 1024 directions vs closed form"
     return False, f"unknown check kind {kind!r}"
 

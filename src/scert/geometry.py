@@ -54,7 +54,7 @@ import numpy as np
 from . import _simplex
 
 TOL = 1e-9            # exact-geometry comparisons
-STRICT_MARGIN = 1e-6  # strictness margins for proper-inclusion tests
+STRICT_MARGIN = 1e-6  # strict inclusion: absolute LP slack; relative factor on extents
 NEGLIGIBLE = 1e-15    # lengths, radii and support values treated as zero
 PRUNE_MARGIN = 1e-6   # 3D prune: least barycentric depth, least |det| / extent^3
 FLAT_SINE = 1e-12     # 2D turns with |sin| at most this are collinear
