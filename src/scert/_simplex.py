@@ -30,8 +30,8 @@ import math
 
 import numpy as np
 
-FEASIBILITY_TOL = 1e-9
-PIVOT_TOL = 1e-11
+FEASIBILITY_TOL = 1e-9  # absolute: least entering reduced cost (objective units), phase-1 residual
+PIVOT_TOL = 1e-11  # absolute, in row units: least pivot entry; objective entries this small are 0
 # Relative tolerance of the 2D path.  It must stay strictly below the 1e-9
 # slack that carves regions apart, or carved-off empty pieces survive; and it
 # scales with |a_i|.|v| as well as |b_i|, or the far vertex of a thin sliver
@@ -243,6 +243,8 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     is where the boundary, run counterclockwise, leaves one of the boundary
     lines, so it is listed once, and each extreme ray runs along one of them.
     """
+    shift = np.frexp(np.abs(A).max(axis=1))[1]  # each row and offset by a power of two to
+    A, b = np.ldexp(A, -shift[:, None]), np.ldexp(b, -shift)  # unit size: the same halfspace
     norms = np.hypot(A[:, 0], A[:, 1])
     zero = norms == 0.0
     if np.any(b[zero] < -VERTEX_TOL * np.maximum(1.0, np.abs(b[zero]))):

@@ -37,7 +37,7 @@ from .geometry import (
     one_or_many,
 )
 
-ZERO_GAP_TOL = 1e-12
+ZERO_GAP_TOL = 1e-12  # absolute, logit units: gaps, spreads over a gap and slacks this small are 0
 
 
 class SmoothnessMismatch(ValueError):
@@ -294,7 +294,7 @@ def _realize(mode: str, family: str, dim: int,
     if min(r for _, r in active) > ZERO_GAP_TOL:
         return cert
     if ball is not None:
-        trivial = ball.radius <= geometry.TOL
+        trivial = ball.shape_radius <= geometry.TOL
     elif region is not None:
         trivial = geometry.region_is_origin_only(region)
     else:
@@ -325,7 +325,8 @@ def lipschitz_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
     min over non-top classes of gap_i / (L_i + L_top).  Both are the
     :func:`s_certificate` of the gradient balls: for an origin-centered
     ball B, B (+) -B is the ball 2B, and G_i (+) -G_top has radius
-    L_i + L_top.
+    L_i + L_top.  Off-center balls (constant |c| + eps) are refused, and so
+    are balls of two shapes, whose certificate is not a ball.
     """
     if mode not in _LIPSCHITZ_NEEDS:
         raise SmoothnessMismatch("lipschitz certificates exist in modes 'u' and 'cw'")
@@ -334,9 +335,10 @@ def lipschitz_certificate(clf: ClassifierAtPoint, mode: str) -> Certificate:
         raise SmoothnessMismatch(_LIPSCHITZ_NEEDS[mode])
     if not all(b.centered_ball for b in s.bodies):
         raise SmoothnessMismatch("lipschitz certificates need origin-centered balls")
-    if not one_ball_shape(s.bodies):
+    cert = s_certificate(clf, mode)
+    if cert.ball is None and not cert.unbounded:
         raise SmoothnessMismatch("class-wise lipschitz balls must share one shape")
-    return replace(s_certificate(clf, mode), family="lipschitz")
+    return replace(cert, family="lipschitz")
 
 
 _S_NEEDS = {"u": "uniform mode needs Uniform smoothness",

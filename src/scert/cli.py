@@ -127,30 +127,24 @@ def _certificate_from_problem(member: ClassifierAtPoint, mode: str,
                               norm: str | None) -> Certificate:
     """The certificate a mode names: an S-certificate for u/cw/cd, else a
     Lipschitz certificate in the --norm p norm (l2 by default), whose
-    gradient balls live in the dual norm q: a point cloud becomes the
-    l_q ball of its largest l_q norm."""
+    gradient balls live in the dual norm q: each point cloud becomes the l_q
+    ball of its largest l_q norm, a ball stays as it is, and --norm must name
+    the norm of the certificate's ball."""
     if not mode.startswith("lipschitz-"):
         return s_certificate(member, mode)
-    smoothness = member.smoothness
-    if smoothness is None:
-        raise SmoothnessMismatch("the member carries no smoothness data")
-    q = geometry.dual_exponent(_NORMS[norm or "l2"])
-    if smoothness.mode != "cd" and all(isinstance(b, FinitePoints) for b in smoothness.bodies):
+    p, smoothness = _NORMS[norm or "l2"], member.smoothness
+    q = geometry.dual_exponent(p)
+    if smoothness is not None and smoothness.mode != "cd":
         balls = tuple(LpBall(q, lipschitz_constant_from_gradients(b, q), np.zeros(b.dim))
-                      for b in smoothness.bodies)
+                      if isinstance(b, FinitePoints) else b for b in smoothness.bodies)
         member = ClassifierAtPoint(member.logits, Uniform(balls[0])
                                    if smoothness.mode == "u" else ClassWise(balls))
-    elif norm is not None:
-        # ball smoothness already fixes the certificate norm; class-difference
-        # bodies and bodies that are not origin-centered balls are left to
-        # lipschitz_certificate's errors
-        wanted = LpBall(q, 1.0, np.zeros(member.dim))
-        for body in () if smoothness.mode == "cd" else smoothness.bodies:
-            if body.centered_ball and not body.same_shape(wanted):
-                shape = (f"l{body.p:g} gradient ball (the gradient bound lives in the dual norm)"
-                         if isinstance(body, LpBall) else "ellipsoid smoothness")
-                raise SmoothnessMismatch(f"--norm {norm} contradicts the file's {shape}")
-    return lipschitz_certificate(member, mode.removeprefix("lipschitz-"))
+    cert = lipschitz_certificate(member, mode.removeprefix("lipschitz-"))
+    if norm is not None and cert.ball is not None and not cert.ball.same_shape(
+            LpBall(p, 1.0, np.zeros(cert.dim))):
+        raise SmoothnessMismatch(f"--norm {norm} contradicts the file's gradient balls: "
+                                 f"their certificate is not an {norm} ball")
+    return cert
 
 
 def cmd_certify(args) -> int:

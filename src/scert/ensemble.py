@@ -363,8 +363,8 @@ def _shared_ball_radii(spec: EnsembleSpec,
     balls.  Every per-pair radius must be positive.
 
     An ellipsoid (Sigma, eps) is the same set as (c Sigma, eps / sqrt(c)), so
-    every radius is expressed on the first body's matrix norm as
-    eps * sqrt(|Sigma| / |Sigma_ref|); for l_p balls (norm 1) that is eps.
+    every radius is put on the smallest matrix norm among the bodies (which
+    no member order moves) as eps sqrt(|Sigma| / |Sigma_ref|): eps for l_p.
     """
     if spec.n_members != 2:
         raise PreconditionError(two_members)
@@ -378,7 +378,7 @@ def _shared_ball_radii(spec: EnsembleSpec,
         raise PreconditionError("smoothness bodies must be origin-centered balls")
     if not one_ball_shape(bodies):
         raise PreconditionError("smoothness bodies must share one ball shape")
-    top, ref_norm = spec.members[0].top, bodies[0].shape_norm
+    top, ref_norm = spec.members[0].top, min(b.shape_norm for b in bodies)
     others = [i for i in range(spec.n_classes) if i != top]
     radii = [[float(g.radius) * math.sqrt(g.shape_norm / ref_norm)
               for g, _ in m.smoothness.constraints(top, m.gap_vector)] for m in spec.members]

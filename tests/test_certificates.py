@@ -21,6 +21,8 @@ from scert.certificates import (
     s_certificate,
     smoothing_sigma_to_lipschitz,
 )
+from scert.cli import load_fixture
+from scert.ensemble import ensemble_classifier
 from scert.geometry import (
     Ellipsoid,
     FinitePoints,
@@ -154,6 +156,28 @@ class TestLipschitzIsTheBallSCertificate:
     def test_smoothness_mismatch(self, smoothness, mode, message):
         with pytest.raises(SmoothnessMismatch, match=message):
             lipschitz_certificate(ClassifierAtPoint([1.0, 0.0], smoothness), mode)
+
+
+class TestTrivialIsReadOnTheShape:
+    """A ball certificate with a zero gap is trivial when its radius on the
+    normalized shape is 0, so one set gets one verdict whatever its matrix."""
+
+    @pytest.mark.parametrize("sigma, eps", [(1e-20, 1.0), (1.0, 1e-10)], ids=["tiny", "unit"])
+    def test_one_ellipsoid_set_two_matrices(self, sigma, eps):
+        clf = ClassifierAtPoint([0.5, 0.5 - 1e-13], Uniform(Ellipsoid(sigma * np.eye(2), eps)))
+        cert = s_certificate(clf, "u")
+        assert not cert.trivial
+        # the polar is (I / sigma, gap / (2 eps)), and |I / sigma| = sqrt(2) / sigma
+        assert cert.ball.shape_radius == pytest.approx(5.0e-4 * 2.0 ** 0.25, rel=1e-3)
+        assert cert.ray_extent([1.0, 0.0]) == pytest.approx(5.0e-4, rel=1e-3)
+
+    def test_a_zero_gap_ellipsoid_is_trivial(self):
+        clf = ClassifierAtPoint([0.5, 0.5], Uniform(Ellipsoid(1e-20 * np.eye(2), 1.0)))
+        assert s_certificate(clf, "u").trivial
+
+    def test_fig5c_stays_trivial(self):
+        cert = s_certificate(ensemble_classifier(load_fixture("fig5c.json").to_ensemble()), "u")
+        assert cert.trivial and cert.radius == 0.0
 
 
 class TestSCertificate:
@@ -328,3 +352,41 @@ class TestAdversarialWitness:
             assert any(np.allclose(witness.grad_runner, p) for p in pts)
             flipped = witness.logits_at(delta)
             assert flipped[1] > flipped[0]
+
+
+_BALL2, _BALL3 = LpBall(2, 1.0, [0.0, 0.0]), LpBall(2, 1.0, [0.0, 0.0, 0.0])
+
+
+class TestMalformedInputRaises:
+    """Every check on malformed input reaches the caller with its message."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: ClassWise((_BALL2, _BALL3)), ValueError,
+         "class-wise bodies must share one dimension"),
+        (lambda: ClassDiff({(0, 1): _BALL2, (1, 0): _BALL3}), ValueError,
+         "class-difference bodies must share one dimension"),
+        (lambda: ClassDiff({(1, 1): _BALL2}), ValueError,
+         "class-difference pairs must have distinct indices"),
+        (lambda: gaps([0.5]), ValueError, "at least two classes are required"),
+        (lambda: ClassifierAtPoint([0.5]), ValueError, "a classifier needs at least two classes"),
+        (lambda: ClassifierAtPoint([0.5, 0.3, 0.2], ClassWise((_BALL2, _BALL2))), ValueError,
+         "class-wise smoothness needs one body per class"),
+        (lambda: lipschitz_constant_from_gradients(np.empty((0, 2)), 2), ValueError,
+         "the gradient set must be nonempty"),
+        (lambda: lipschitz_certificate(
+            ClassifierAtPoint([1.0, 0.0], ClassDiff({(1, 0): _BALL2})), "cd"),
+         SmoothnessMismatch, "lipschitz certificates exist in modes 'u' and 'cw'"),
+        (lambda: s_certificate(ClassifierAtPoint([1.0, 0.0], Uniform(_BALL2)), "x"),
+         SmoothnessMismatch, "unknown certification mode: 'x'"),
+        (lambda: adversarial_witness(_BALL2, 0.0, [0.0, 0.0], [1.0, 0.0]), ValueError,
+         "the prediction gap r must be positive"),
+    ])
+    def test_the_message(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
+    def test_degenerate_balls_of_two_shapes_certify_the_whole_space(self):
+        # every difference body is {0}, so no shape is left to disagree
+        balls = (LpBall(1, 0.0, [0.0, 0.0]), LpBall(2, 0.0, [0.0, 0.0]))
+        clf = ClassifierAtPoint([1.0, 0.0], ClassWise(balls))
+        assert lipschitz_certificate(clf, "cw").unbounded

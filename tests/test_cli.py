@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_clip
+from conftest import reference_clip, unit_directions
 from scert import cli, geometry
 from scert.certificates import (
     Certificate,
@@ -31,7 +31,7 @@ from scert.cli import (
     run_fixture_check,
 )
 from scert.ensemble import ensemble_classifier
-from scert.geometry import TOL, FinitePoints, HalfspaceRegion
+from scert.geometry import TOL, FinitePoints, HalfspaceRegion, LpBall
 from scert.render import (
     ANGLE_SAMPLES,
     DEFAULT_WINDOW,
@@ -117,9 +117,57 @@ class TestCertify:
         code, _, err = run_cli(capsys, "certify", str(problem),
                                "--mode", "lipschitz-u", "--norm", "l1")
         assert code == 3
+        assert err == ("error: --norm l1 contradicts the file's gradient balls: "
+                       "their certificate is not an l1 ball\n")
         code, out, _ = run_cli(capsys, "certify", str(problem),
                                "--mode", "lipschitz-u", "--norm", "l2")
         assert code == 0 and "radius 0.5" in out
+
+    @staticmethod
+    def _write(tmp_path, logits, smoothness=None):
+        member = {"logits": logits}
+        if smoothness is not None:
+            member["smoothness"] = smoothness
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"dimension": 2, "classes": len(logits),
+                                       "members": [member]}))
+        return str(problem)
+
+    def test_clouds_and_balls_mix_class_wise(self, tmp_path, capsys):
+        # the cloud becomes the l2 ball of radius 1 beside the l2 ball of 0.5,
+        # so the certificate is the l2 ball of radius 0.5 / (1 + 0.5)
+        problem = self._write(tmp_path, [0.7, 0.2], {"mode": "cw", "bodies": [
+            {"type": "points", "points": [[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]},
+            {"type": "lp_ball", "p": 2, "eps": 0.5}]})
+        code, out, _ = run_cli(capsys, "certify", problem, "--mode", "lipschitz-cw")
+        assert code == 0 and out.endswith("  l2 ball, radius 0.333333333\n")
+        # under --norm l1 the cloud becomes an l_inf ball, of another shape
+        code, _, err = run_cli(capsys, "certify", problem, "--mode", "lipschitz-cw",
+                               "--norm", "l1")
+        assert code == 3 and err == "error: class-wise lipschitz balls must share one shape\n"
+
+    def test_norm_is_checked_on_an_ellipsoid_certificate(self, tmp_path, capsys):
+        problem = self._write(tmp_path, [1.0, 0.0], {"mode": "u", "body": {
+            "type": "ellipsoid", "sigma": [[1.0, 0.0], [0.0, 2.0]], "eps": 0.5}})
+        code, out, _ = run_cli(capsys, "certify", problem, "--mode", "lipschitz-u")
+        assert code == 0 and "ellipsoid ball, radius 1" in out
+        code, _, err = run_cli(capsys, "certify", problem, "--mode", "lipschitz-u",
+                               "--norm", "l2")
+        assert code == 3 and "their certificate is not an l2 ball" in err
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+    def test_degenerate_balls_certify_the_whole_space_under_any_norm(self, tmp_path,
+                                                                   capsys, norm):
+        problem = self._write(tmp_path, [1.0, 0.0], {"mode": "cw", "bodies": [
+            {"type": "lp_ball", "p": 1, "eps": 0.0}, {"type": "lp_ball", "p": 2, "eps": 0.0}]})
+        code, out, _ = run_cli(capsys, "certify", problem, "--mode", "lipschitz-cw",
+                               "--norm", norm)
+        assert code == 0 and "entire space (no constraint)" in out
+
+    def test_a_file_without_smoothness_has_no_lipschitz_certificate(self, tmp_path, capsys):
+        problem = self._write(tmp_path, [1.0, 0.0])
+        code, _, err = run_cli(capsys, "certify", problem, "--mode", "lipschitz-u")
+        assert code == 3 and err == "error: uniform mode needs a single shared gradient ball\n"
 
 
 class TestEnsembleAndRegime:
@@ -345,9 +393,9 @@ class TestSimulate:
 
 class TestLipschitzSoundness:
     """`certify --mode lipschitz-*` prints a ball in the requested norm that
-    lies inside the S-certificate of the same gradient clouds: the clouds'
-    bound is taken in the dual norm, so the ball is never larger than the
-    true polar set."""
+    lies inside the S-certificate of the same gradient sets: a cloud's bound
+    is taken in the dual norm, and a dual-norm ball stays as it is, so the
+    ball is never larger than the true polar set."""
 
     @staticmethod
     def _assert_sound(member, mode, norm):
@@ -357,9 +405,11 @@ class TestLipschitzSoundness:
             assert exact.unbounded
             return
         assert lip.ball.p == _NORMS[norm or "l2"]
-        if exact.unbounded:
-            return
-        assert np.all(lip.ball.support(exact.region.normals) <= exact.region.offsets + TOL)
+        if exact.region is not None:
+            assert np.all(lip.ball.support(exact.region.normals) <= exact.region.offsets + TOL)
+        else:  # a ball among the bodies, or the whole space
+            dirs = unit_directions(64, member.dim)
+            assert np.all(lip.ray_extent(dirs) <= exact.ray_extent(dirs) * (1.0 + TOL) + TOL)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), dim=st.sampled_from([2, 3]), k=st.integers(2, 4),
@@ -367,10 +417,13 @@ class TestLipschitzSoundness:
     def test_random_clouds(self, data, dim, k, mode, norm):
         coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
         cloud = st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=1, max_size=6)
+        q = geometry.dual_exponent(_NORMS[norm])
+        body = st.one_of(  # a class's gradients: a cloud, or an l_q ball of radius 0 to 2
+            cloud.map(lambda pts: FinitePoints(np.array(pts))),
+            st.floats(0.0, 2.0).map(lambda eps: LpBall(q, eps, np.zeros(dim))))
         logits = np.array(data.draw(st.lists(coords, min_size=k, max_size=k)))
-        clouds = [FinitePoints(np.array(data.draw(cloud)))
-                  for _ in range(1 if mode == "u" else k)]
-        smoothness = Uniform(clouds[0]) if mode == "u" else ClassWise(tuple(clouds))
+        bodies = [data.draw(body) for _ in range(1 if mode == "u" else k)]
+        smoothness = Uniform(bodies[0]) if mode == "u" else ClassWise(tuple(bodies))
         self._assert_sound(ClassifierAtPoint(logits, smoothness), mode, norm)
 
     @pytest.mark.parametrize("check", [c for c in load_expected() if c["kind"] == "certify"
@@ -543,6 +596,20 @@ class TestExamples:
         monkeypatch.setattr(geometry, "weighted_sum", lambda bodies, weights: geometry.scale(
             1.0 + 1e-6, weighted_sum(bodies, weights)))
         assert not run_fixture_check(check)[0]
+
+    def test_a_certify_check_without_an_expectation_fails(self):
+        check = {"name": "bare", "kind": "certify", "fixture": "fig1.json", "mode": "u"}
+        assert run_fixture_check(check) == (False, "check carries no expectation")
+
+    def test_halfplanes_through_the_origin_keep_their_offset(self):
+        region = HalfspaceRegion([[2.0, 0.0], [0.0, 4.0]], [0.0, 2.0], 2)
+        assert cli._normalized_halfplanes(region) == [[2.0, 0.0, 0.0], [0.0, 2.0, 1.0]]
+
+    def test_halfplane_matching_needs_one_match_per_row(self):
+        rows = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+        assert cli._match_halfplanes(rows, rows[::-1], 1e-9)
+        assert not cli._match_halfplanes(rows, rows[:1], 1e-9)  # a count mismatch
+        assert not cli._match_halfplanes(rows, [rows[0], [0.0, 1.0, 2.0]], 1e-9)  # no match
 
     def test_fixture_coverage(self):
         names = {check["fixture"] for check in load_expected()}

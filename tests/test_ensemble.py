@@ -630,14 +630,15 @@ def shared_ball_pairs(draw):
 def _summed_pair_radii(spec: EnsembleSpec) -> list[dict[int, float]]:
     """Each member's radius for the pair (i, top) as the sum over the pair's
     gradient bodies, (S, S), (G_i, G_top) or (G_(i,top),), of
-    eps_b sqrt(|Sigma_b| / |Sigma_ref|), the first body the reference."""
+    eps_b sqrt(|Sigma_b| / |Sigma_ref|), the smallest matrix norm among the
+    members' bodies the reference."""
     top = spec.members[0].top
-    ref = spec.members[0].smoothness.bodies[0]
+    ref_norm = min(float(np.linalg.norm(b.sigma)) if isinstance(b, Ellipsoid) else 1.0
+                   for m in spec.members for b in m.smoothness.bodies)
 
     def rad(body):
         if isinstance(body, Ellipsoid):
-            return float(body.radius) * math.sqrt(
-                float(np.linalg.norm(body.sigma)) / float(np.linalg.norm(ref.sigma)))
+            return float(body.radius) * math.sqrt(float(np.linalg.norm(body.sigma)) / ref_norm)
         return float(body.radius)
 
     def pair(s, i):
@@ -738,8 +739,8 @@ class TestSmoothnessDispatch:
         ]
         for smoothness, expected in cases:
             member = ClassifierAtPoint(logits, smoothness)
-            ref = member.smoothness.bodies[0]
-            ref_norm = float(np.linalg.norm(ref.sigma)) if isinstance(ref, Ellipsoid) else 1.0
+            ref_norm = min(float(np.linalg.norm(b.sigma)) if isinstance(b, Ellipsoid) else 1.0
+                           for b in member.smoothness.bodies)
 
             def rad(body):
                 if isinstance(body, Ellipsoid):
@@ -1856,3 +1857,43 @@ class TestOneCompositionRule:
         assert np.array_equal(common_shape_radii(nested, alphas),
                               common_shape_radii(plain, alphas))
         assert improvement_conditions(nested) is improvement_conditions(plain) is True
+
+
+class TestMemberOrder:
+    """The shared-ball radii are on the smallest matrix norm among the
+    bodies, so the bounds do not depend on which member comes first."""
+
+    SIGMA = np.array([[2.0, 0.3], [0.3, 1.0]])
+    ALPHAS = np.arange(65) / 64.0  # dyadic, so 1 - alpha is exact
+
+    def _members(self):
+        return (ClassifierAtPoint([0.6, 0.3, 0.1], Uniform(Ellipsoid(self.SIGMA, 0.5))),
+                ClassifierAtPoint([0.6, 0.1, 0.3], Uniform(Ellipsoid(4.0 * self.SIGMA, 0.3))))
+
+    def test_two_ellipsoids_of_one_shape(self):
+        # (4 Sigma, 0.3) is (Sigma, 0.6): the pair radii are 1.0 and 1.2 on Sigma
+        a, b = self._members()
+        for spec in (EnsembleSpec((a, b)), EnsembleSpec((b, a))):
+            statement, proof = radius_improvement_bound(spec)
+            assert statement.value == pytest.approx(0.7, rel=1e-12)
+            assert proof.value == pytest.approx(7.0 / 12.0, rel=1e-12)
+            assert common_shape_radii(spec, np.array([0.5]))[0] == pytest.approx(4.0 / 11.0,
+                                                                                   rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(shared_ball_pairs())
+    def test_swapping_the_members(self, case):
+        _, _, spec = case
+        swapped = EnsembleSpec(spec.members[::-1])
+        bounds = zip(radius_improvement_bound(spec), radius_improvement_bound(swapped))
+        assert all(report.value == other.value for report, other in bounds)
+        assert np.array_equal(common_shape_radii(spec, self.ALPHAS),
+                              common_shape_radii(swapped, 1.0 - self.ALPHAS))
+
+
+@pytest.mark.parametrize("bound", [radius_improvement_bound, improvement_conditions,
+                                   lambda spec: common_shape_radii(spec, np.array([0.5]))])
+def test_the_shared_ball_bounds_need_smoothness(bound):
+    spec = EnsembleSpec((ClassifierAtPoint([0.6, 0.4]), ClassifierAtPoint([0.7, 0.3])))
+    with pytest.raises(PreconditionError, match="members carry no smoothness data"):
+        bound(spec)

@@ -1223,3 +1223,46 @@ class TestCombinationHoldsABall:
         with pytest.raises(ValueError, match="does not reduce to a finite point set"):
             polar_hrep(body, 1.0)
         assert runs == []
+
+
+_SQUARE = HalfspaceRegion(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4), 2)
+_SEGMENT = HalfspaceRegion([[1.0], [-1.0]], [1.0, 1.0], 1)
+
+
+class TestMalformedInputRaises:
+    """Every check on malformed input reaches the caller with its message."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LpBall(0.5, 1.0, [0.0, 0.0]), r"p must lie in \[1, inf\]"),
+        (lambda: geo.dual_exponent(0.5), r"p must lie in \[1, inf\]"),
+        (lambda: Ellipsoid(np.ones((2, 3)), 1.0), "sigma must be square"),
+        (lambda: Ellipsoid(np.diag([1.0, -1.0]), 1.0), "sigma must be positive definite"),
+        (lambda: Ellipsoid(np.eye(2), -1.0), "radius must be a finite nonnegative real"),
+        (lambda: Ellipsoid(np.eye(2), math.inf), "radius must be a finite nonnegative real"),
+        (lambda: polar_dual_ball(FinitePoints([[1.0, 0.0]]), 1.0),
+         "polar_dual_ball applies to ball variants only"),
+        (lambda: polar_dual_ball(LpBall(2, 1.0, [0.0, 0.0]), -1.0),
+         "polar radius must be a nonnegative real"),
+        (lambda: polar_hrep(FinitePoints([[1.0, 0.0]]), -1.0),
+         "polar radius must be a nonnegative real"),
+        (lambda: Combination(()), "a combination needs at least one term"),
+        (lambda: Combination(((-1.0, LpBall(2, 1.0, [0.0, 0.0])),)),
+         "combination coefficients must be nonnegative reals"),
+        (lambda: Combination(((1.0, LpBall(2, 1.0, [0.0, 0.0])),
+                              (1.0, LpBall(2, 1.0, [0.0, 0.0, 0.0])))),
+         "all combination terms must share one dimension"),
+        (lambda: HalfspaceRegion(np.eye(2), [1.0], 2),
+         "each halfspace needs one normal and one offset"),
+        (lambda: HalfspaceRegion(np.eye(2), [1.0, math.nan], 2), "halfspace data must be finite"),
+        (lambda: HalfspaceRegion([[math.inf, 0.0]], [1.0], 2), "halfspace data must be finite"),
+        (lambda: _SQUARE.intersect(_SEGMENT), "dimension mismatch in region intersection"),
+        (lambda: region_subset(_SQUARE, _SEGMENT), "dimension mismatch in containment test"),
+        (lambda: region_minus_subset(_SQUARE, [_SQUARE], _SEGMENT),
+         "dimension mismatch in containment test"),
+    ])
+    def test_the_message(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_the_polar_of_a_zero_ellipsoid_is_the_whole_space(self):
+        assert polar_dual_ball(Ellipsoid(np.eye(2), 0.0), 1.0) == WholeSpace(2)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from scert import problemfile
-from scert.certificates import ClassDiff, ClassWise, Uniform
-from scert.geometry import Ellipsoid, FinitePoints, LpBall
+from scert.certificates import ClassDiff, ClassifierAtPoint, ClassWise, Uniform
+from scert.geometry import Combination, Ellipsoid, FinitePoints, LpBall
 from scert.problemfile import ProblemFileError
 
 
@@ -242,6 +242,12 @@ class TestRoundTrip:
         for a, b in zip(problem.members, again.members):
             assert np.array_equal(a.logits, b.logits)
             assert type(a.smoothness) is type(b.smoothness)
+
+    def test_a_combination_body_has_no_file_form(self):
+        body = Combination(((1.0, LpBall(2, 1.0, [0.0, 0.0])), (1.0, LpBall(1, 1.0, [0.0, 0.0]))))
+        problem = problemfile.ProblemFile(2, 2, (ClassifierAtPoint([1.0, 0.0], Uniform(body)),))
+        with pytest.raises(ValueError, match="Combination has no file representation"):
+            problemfile.dumps(problem)
 
     def test_weights_and_window_round_trip(self):
         d = doc(weights=[1.0], window=[-2.0, 2.0, -1.0, 0.5])

@@ -1,4 +1,5 @@
-"""Polygon clipping: the array form against the per-edge Sutherland-Hodgman loop."""
+"""Polygon clipping (the array form against the per-edge Sutherland-Hodgman
+loop) and certificate outlines."""
 
 import math
 import warnings
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_clip
-from scert.render import clip_polygon
+from scert.certificates import Certificate, ClassifierAtPoint, Uniform, s_certificate
+from scert.geometry import HalfspaceRegion, LpBall
+from scert.render import (
+    certificate_outline,
+    clip_polygon,
+    region_window_polygon,
+    render_svg,
+    window_polygon,
+)
 
 
 def convex_polygon(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -80,3 +89,30 @@ def test_a_polygon_near_the_float_range_clips_as_at_unit_size(k):
             warnings.simplefilter("error")
             actual = clip_polygon(np.ldexp(polygon, k), normal, math.ldexp(offset, k))
         assert np.array_equal(actual, np.ldexp(reference_clip(polygon, normal, offset), k))
+
+
+class TestCertificateOutline:
+    """The outline of each certificate kind, and the checks on its input."""
+
+    WINDOW = (-1.0, 1.0, -2.0, 2.0)
+
+    def test_the_whole_space_is_the_dashed_window(self):
+        cert = s_certificate(ClassifierAtPoint([1.0, 0.0], Uniform(LpBall(2, 0.0, [0.0, 0.0]))),
+                             "u")
+        poly, unbounded = certificate_outline(cert, self.WINDOW)
+        assert cert.unbounded and unbounded
+        assert np.array_equal(poly, window_polygon(self.WINDOW))
+        assert "stroke-dasharray" in render_svg([("all", cert)], self.WINDOW)
+
+    def test_a_window_that_misses_the_region_draws_nothing(self):
+        # the region is x >= 5 (and y <= 1, y >= -1), right of the window
+        region = HalfspaceRegion([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-5.0, 1.0, 1.0], 2)
+        assert region_window_polygon(region, self.WINDOW).shape == (0, 2)
+        cert = Certificate("u", "s", 2, (), region=region)
+        assert "<!-- empty region -->" in render_svg([("far", cert)], self.WINDOW)
+
+    def test_a_3d_certificate_is_refused(self):
+        cert = s_certificate(
+            ClassifierAtPoint([1.0, 0.0], Uniform(LpBall(2, 1.0, [0.0, 0.0, 0.0]))), "u")
+        with pytest.raises(ValueError, match="supports two-dimensional certificates only"):
+            certificate_outline(cert, self.WINDOW)

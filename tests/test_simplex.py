@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_stack_matches_solves, vertex_enum_max
@@ -631,3 +631,37 @@ class TestOnePath:
     def test_3d_regions(self):
         for objectives, A, b in _random_3d_regions(18, 100):
             self._assert_one_path(objectives, A, b)
+
+
+class TestPairwiseScale:
+    """The pairwise 2D path scales each row and its offset to unit size by a
+    power of two first, so a halfspace has one answer at every scale."""
+
+    BOX = (np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+           np.array([2.0, 2.0, -1.0, -1.0]))  # [1, 2]^2, declined by the star path
+    OBJECTIVES = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+
+    @pytest.mark.parametrize("rows, offsets", [(2.0 ** 600, 1.0), (2.0 ** -600, 1.0),
+                                               (1e155, 1e155), (1e-165, 1e-165),
+                                               (1e-160, 1e-160)])
+    def test_the_box_is_not_empty_at_extreme_scales(self, rows, offsets):
+        A, b = self.BOX
+        values, _ = maximize(self.OBJECTIVES, rows * A, offsets * b)
+        # scaling the rows alone by s scales the region by 1 / s
+        assert np.allclose(values * rows / offsets, [2.0, 2.0, -1.0], rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(planar_regions(), st.integers(-1000, 1000))
+    def test_a_power_of_two_keeps_every_bit(self, region, e):
+        A, b, objectives = region
+        rows = np.any(A != 0.0, axis=1)  # a zero row has no unit size
+        A, b = A[rows], b[rows]
+        # the pairwise path answers: an offset is not positive, the rows span the plane
+        assume(not (b > 0.0).all() and _simplex._polygon(A, b) is not None)
+        entries = np.concatenate([A.ravel(), b])
+        exponents = np.frexp(entries[entries != 0.0])[1]
+        assume(exponents.min() + e >= -1021 and exponents.max() + e <= 1024)  # stays normal
+        values, points = maximize(objectives, A, b)
+        scaled_values, scaled_points = maximize(objectives, np.ldexp(A, e), np.ldexp(b, e))
+        assert scaled_values.tobytes() == values.tobytes()
+        assert scaled_points.tobytes() == points.tobytes()

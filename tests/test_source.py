@@ -1,22 +1,30 @@
 """Rules on the source of the package itself."""
 
 import ast
+import io
 import os
+import tokenize
 
 import scert
 
 SMALL = 1e-3  # a float literal below this in size is a tolerance
 
 
-def _parse_package() -> dict[str, ast.Module]:
-    """The syntax tree of each module of the package, by module name."""
+def _package_sources() -> dict[str, str]:
+    """The source text of each module of the package, by module name."""
     package = os.path.dirname(scert.__file__)
-    trees = {}
+    sources = {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as handle:
-                trees[name[:-3]] = ast.parse(handle.read(), filename=name)
-    return trees
+                sources[name[:-3]] = handle.read()
+    return sources
+
+
+def _parse_package() -> dict[str, ast.Module]:
+    """The syntax tree of each module of the package, by module name."""
+    return {module: ast.parse(text, filename=f"{module}.py")
+            for module, text in _package_sources().items()}
 
 
 def _small_literals_in_bodies(tree: ast.Module) -> list[tuple[int, float]]:
@@ -44,6 +52,49 @@ def test_the_rule_sees_bodies_and_defaults_but_not_module_constants():
                      "def f(x, tol=1e-7):\n    return x < 2e-12 and x > -5e-4\n"
                      "class C:\n    EPS = 1e-6\n    BIG = 0.5\n")
     assert _small_literals_in_bodies(tree) == [(2, 1e-07), (3, 2e-12), (3, 0.0005), (5, 1e-06)]
+
+
+def _uncommented_tolerances(source: str) -> list[str]:
+    """The name of each module-level float constant with 0 < |value| < SMALL
+    that has no comment on its own line or on a comment line directly above."""
+    comments = {token.start[0] for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                if token.type == tokenize.COMMENT}
+    lines = source.splitlines()
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        try:
+            value = ast.literal_eval(node.value)
+        except ValueError:
+            continue
+        if type(value) is not float or not 0.0 < abs(value) < SMALL:
+            continue
+        above = lines[node.lineno - 2].lstrip() if node.lineno > 1 else ""
+        if node.lineno not in comments and not above.startswith("#"):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def test_every_tolerance_constant_states_its_use():
+    offenders = [f"{module}.{name}" for module, text in _package_sources().items()
+                 for name in _uncommented_tolerances(text)]
+    assert not offenders, f"tolerance constants with no comment: {offenders}"
+
+
+def test_the_comment_rule_sees_trailing_and_preceding_comments_only():
+    source = ("A = 1e-9  # trailing\n"
+              "# above\nB = 1e-6\n"
+              "C = 2e-12\n"
+              "D = 0.5\n"
+              "E = -1e-7\n"
+              "F: float = 3e-4\n"
+              "G = 1e-5  # trailing\nH = 1e-5\n"
+              "I = 1e-8; s = '# a string'\n"
+              "def f():\n    J = 1e-9\n    return J\n"
+              "K = 1_000\nL = f(1e-9)\n")
+    assert _uncommented_tolerances(source) == ["C", "E", "F", "H", "I"]
 
 
 # the only functions that may call the LP solver: every LP over a halfspace
