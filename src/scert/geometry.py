@@ -19,11 +19,12 @@ Supported body variants:
   is never expanded: :func:`minkowski_sum` sums point sets at once, so every
   combination holds a term that is not a point set.
 
-Finite point sets are summed through their hulls.  In 2D a step merges the
-edge sequences of the two hulls by angle, forming no pairwise sum; in other
-dimensions it prunes the pairwise sum, capped at :data:`MAX_EXPANSION` points.
-Only :func:`minkowski_sum` of two point sets in d >= 3 can reach the cap (a 1D
-hull has two points), and its error reaches the caller.
+Finite point sets are summed through their hulls.  A 2D hull is exact: each
+turn of its chain takes the float sign where that clears Shewchuk's error
+bound, else the sign in integers.  In 2D a step merges the edge sequences of
+the two hulls by angle, forming no pairwise sum; in other dimensions it prunes
+the pairwise sum, capped at :data:`MAX_EXPANSION` points, which only d >= 3
+can reach (a 1D hull has two points); its error reaches the caller.
 :func:`hull_prune` memoises on the body, every prune, 2D merge or scale
 by alpha > 0 (alpha times the prune) is its own prune, and a body keeps its
 negation, whose prune in 1D and 2D is the negated prune, so no prune result
@@ -45,8 +46,8 @@ at two bodies.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +58,12 @@ TOL = 1e-9            # exact-geometry comparisons
 STRICT_MARGIN = 1e-6  # strict inclusion: absolute LP slack; relative factor on extents
 NEGLIGIBLE = 1e-15    # lengths, radii and support values treated as zero
 PRUNE_MARGIN = 1e-6   # 3D prune: least barycentric depth, least |det| / extent^3
-FLAT_SINE = 1e-12     # 2D turns with |sin| at most this are collinear
 SHAPE_TOL = 1e-12     # normalized ellipsoid matrices this close are one shape
 SYMMETRY_TOL = 1e-9   # largest asymmetry accepted in an ellipsoid matrix
 MAX_EXPANSION = 10_000   # largest pairwise sum formed; 2D sums merge edges instead
 OCTAGON_MIN_POINTS = 20  # 2D clouds larger than this meet the octagon filter before the chain
-UNIT_SPAN = 64  # 2D clouds beyond 2^+-UNIT_SPAN in size are chained scaled to unit size
+# Shewchuk's ccwerrboundA (eps 2^-53): a float turn l - r beyond this (|l| + |r|) has the true sign
+ORIENT_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 SUPPORT_BLOCK = 1 << 18  # largest (directions x points) block FinitePoints.support forms
 PRUNE_BLOCK = 1 << 15    # largest (points x tetrahedra) block the 3D prune forms
 
@@ -466,25 +467,32 @@ def one_ball_shape(bodies) -> bool:
 
 
 def _chain(seq) -> list:
-    """One monotone chain over a sequence of [x, y] lists: the middle point of
-    a triple (o, a, p) is popped unless the triple turns counterclockwise, by
-    |sin| > FLAT_SINE where p lies past a along o -> a.  The test is relative
-    to the triple itself, so that it holds exactly under scaling by a power of
-    two and under negation.  A turn back towards o is never flat: where x
-    ties up to rounding the sort can put p after a on a near-vertical line
-    yet short of it, and popping a would lose an extreme point."""
-    chain, flat = [], FLAT_SINE ** 2
+    """One monotone chain over [x, y] lists: the middle point of a triple
+    (o, a, p) is popped unless (a - o) x (p - o) = l - r is positive, exactly.
+    The float sign decides where |l - r| > ORIENT_ERR (|l| + |r|) and that bound
+    is normal (an overflow fails the test); other turns are taken in integers."""
+    chain, err, floor = [], ORIENT_ERR, sys.float_info.min
     for p in seq:
+        px, py = p
         while len(chain) >= 2:
             (ox, oy), (ax, ay) = chain[-2], chain[-1]
-            ux, uy, vx, vy = ax - ox, ay - oy, p[0] - ox, p[1] - oy
-            turn, uu = ux * vy - uy * vx, ux * ux + uy * uy
-            if turn > 0.0 and (ux * vx + uy * vy < uu
-                               or turn * turn > flat * uu * (vx * vx + vy * vy)):
+            left, right = (ax - ox) * (py - oy), (ay - oy) * (px - ox)
+            det, bound = left - right, err * (abs(left) + abs(right))
+            if not abs(det) > bound >= floor:
+                det = _exact_turn(ox, oy, ax, ay, px, py)
+            if det > 0:
                 break
             chain.pop()
         chain.append(p)
     return chain
+
+
+def _exact_turn(*coords: float) -> int:
+    """(a - o) x (p - o) of ox, oy, ax, ay, px, py as integers over one power of two."""
+    ratios = [v.as_integer_ratio() for v in coords]
+    den = max(d for _, d in ratios)
+    ox, oy, ax, ay, px, py = (n * (den // d) for n, d in ratios)
+    return (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
 
 
 # directions whose argmax points are the corners of the Akl-Toussaint octagon,
@@ -494,20 +502,19 @@ _OCTAGON = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1]
 
 
 def _octagon_filter(points: np.ndarray) -> np.ndarray:
-    """The points less those surely inside the octagon of their argmaxes
-    (Akl & Toussaint 1978): inside by the chain's own relative turn test
-    against every edge, so that a point the test is unsure of is kept; run,
-    like the chain, at unit size on points beyond 2^+-UNIT_SPAN in size."""
-    shift = math.frexp(float(np.abs(points).max()))[1]
-    unit = points if abs(shift) <= UNIT_SPAN else np.ldexp(points, -shift)
-    z = np.ascontiguousarray(unit).view(complex)[:, 0]
-    top = (unit @ _OCTAGON).argmax(axis=0)
-    corners = z[top]
-    edges = corners[1:] - corners[:-1]
-    solid = edges != 0  # a corner repeated has no edge
-    # turn = Im(w) and |edge| |point - corner| = |w|
-    w = (z[:, None] - corners[:-1][solid]) * edges[solid].conj()
-    inside = (w.imag > FLAT_SINE * np.abs(w)).all(axis=1)
+    """The points less those surely inside the octagon of their argmaxes (Akl &
+    Toussaint 1978): left of every edge, Im(w) > 2 ORIENT_ERR |w| >= the least
+    normal for w = (point - corner) conj(edge), as |l| + |r| <= |w| (the 2 covers
+    the rounding of |w|); a point the test cannot decide is kept."""
+    z = np.ascontiguousarray(points).view(complex)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = (points @ _OCTAGON).argmax(axis=0)
+        corners = z[top]
+        edges = corners[1:] - corners[:-1]
+        solid = edges != 0  # a corner repeated has no edge
+        w = (z[:, None] - corners[:-1][solid]) * edges[solid].conj()
+        bound = 2.0 * ORIENT_ERR * np.abs(w)
+        inside = ((w.imag > bound) & (bound >= sys.float_info.min)).all(axis=1)
     inside[top] = False
     return points[~inside]
 
@@ -521,20 +528,14 @@ def _hull_2d(points: np.ndarray) -> np.ndarray:
 
 
 def _monotone_chain(pts: list) -> list:
-    """The extreme points of [x, y] lists, counterclockwise from the
-    lexicographic minimum (Andrew's monotone chain).  The turn tests multiply
-    up to four coordinate differences, which under- or overflow far from unit
-    size, so points beyond 2^+-UNIT_SPAN are chained scaled by a power of two
-    to unit size and scaled back, which keeps every bit while they stay normal."""
+    """The extreme points of [x, y] lists of finite floats, counterclockwise
+    from the lexicographic minimum (Andrew's monotone chain), each turn
+    decided exactly by :func:`_chain`, at any scale."""
     pts = sorted(pts)
     pts = [p for p, prev in zip(pts, [None] + pts) if p != prev]
     if len(pts) <= 2:
         return pts
-    shift = math.frexp(max(map(abs, itertools.chain.from_iterable(pts))))[1]
-    if abs(shift) <= UNIT_SPAN:
-        return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
-    unit = [[math.ldexp(x, -shift), math.ldexp(y, -shift)] for x, y in pts]
-    return [[math.ldexp(x, shift), math.ldexp(y, shift)] for x, y in _monotone_chain(unit)]
+    return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
 
 
 def _edge_keys(hull: list) -> list:
@@ -565,8 +566,8 @@ def _merge_2d(p: np.ndarray, q: np.ndarray) -> FinitePoints:
         i, j = (i, j + 1) if from_q else (i + 1, j)
         a, b = p[i % len(p)], q[j % len(q)]
         vertices.append([a[0] + b[0], a[1] + b[1]])  # the last is the first again
-    # a sum of finite points can overflow, so this body is checked
-    return _own_hull(FinitePoints(_monotone_chain(vertices)))
+    vertices = FinitePoints(vertices).points.tolist()  # checked: a sum can overflow
+    return _own_hull(FinitePoints._checked(np.array(_monotone_chain(vertices))))
 
 
 def _own_hull(body: FinitePoints) -> FinitePoints:
@@ -717,15 +718,16 @@ class HalfspaceRegion:
 def polar_hrep(body: ConvexBody, r: float) -> HalfspaceRegion:
     """Halfspace representation of {delta : support(S, delta) <= r}.
 
-    One halfspace per pruned generator point; the body must be a finite
-    point set (a ball's polar is :func:`polar_dual_ball`).
+    One halfspace per pruned generator point other than 0, whose row would
+    read 0 <= r; the body must be a finite point set (a ball's polar is
+    :func:`polar_dual_ball`).
     """
     if r < 0.0 or not np.isfinite(r):
         raise ValueError("polar radius must be a nonnegative real")
     if not isinstance(body, FinitePoints):
         raise ValueError(f"{type(body).__name__} does not reduce to a finite point set")
     pts = hull_prune(body).points
-    pts = pts[np.linalg.norm(pts, axis=1) > NEGLIGIBLE]
+    pts = pts[pts.any(axis=1)]
     return HalfspaceRegion._checked(pts, np.full(pts.shape[0], float(r)), body.dim)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] =
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFileError(path, "expected a number")
-    if not math.isfinite(value):
+    # an integer beyond the float range is not finite either (float() would raise)
+    if isinstance(value, int) and abs(value) > sys.float_info.max or not math.isfinite(value):
         raise ProblemFileError(path, "expected a finite number")
     return float(value)
 
@@ -93,15 +95,11 @@ def _parse_body(obj, path: str, dim: int) -> ConvexBody:
         return FinitePoints(np.array(rows))
     if kind == "lp_ball":
         _require_keys(obj, path, {"type", "p", "eps"}, {"center"})
-        p_raw = obj["p"]
-        if p_raw == "inf":
-            p = math.inf
-        else:
-            p = _number(p_raw, f"{path}.p")
+        p = math.inf if obj["p"] == "inf" else _number(obj["p"], f"{path}.p")
         if p < 1.0:
             raise ProblemFileError(f"{path}.p", "p must lie in [1, inf]")
         eps = _number(obj["eps"], f"{path}.eps")
-        center = _vector(obj.get("center", [0.0] * dim), f"{path}.center", dim)
+        center = _vector(obj["center"], f"{path}.center", dim) if "center" in obj else np.zeros(dim)
         try:
             return LpBall(p, eps, np.array(center))
         except ValueError as exc:
@@ -184,8 +182,7 @@ class ProblemFile:
 
 def from_dict(data: dict) -> ProblemFile:
     _require_keys(data, "$", {"dimension", "classes", "members"}, {"weights", "window"})
-    dim = data["dimension"]
-    classes = data["classes"]
+    dim, classes = data["dimension"], data["classes"]
     for name, value, floor in (("dimension", dim, 1), ("classes", classes, 2)):
         if isinstance(value, bool) or not isinstance(value, int) or value < floor:
             raise ProblemFileError(f"$.{name}", f"expected an integer >= {floor}")

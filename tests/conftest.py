@@ -225,6 +225,32 @@ def first_switch_alpha(a, b) -> Fraction:
     raise AssertionError("the top class never changes")
 
 
+def exact_turn_sign(o, a, p) -> int:
+    """The sign of (a - o) x (p - o) for 2D float points, in Fraction."""
+    (ox, oy), (ax, ay), (px, py) = ([Fraction(float(v)) for v in q] for q in (o, a, p))
+    det = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+    return (det > 0) - (det < 0)
+
+
+def exact_extreme_points(points) -> set[tuple[float, float]]:
+    """The vertices of the convex hull of 2D float points, decided in
+    Fraction: p is one exactly when the nonzero vectors q - p lie in an open
+    half-plane, that is, when one of them, v, has every other strictly to its
+    left or along it (Fraction cross and dot products)."""
+    pts = {(float(x), float(y)) for x, y in points}
+    exact = {q: (Fraction(q[0]), Fraction(q[1])) for q in pts}
+    extreme = set()
+    for p in pts:
+        (px, py) = exact[p]
+        vectors = [(qx - px, qy - py) for q, (qx, qy) in exact.items() if q != p]
+        if not vectors or any(
+                all(vx * wy - vy * wx > 0 or (vx * wy == vy * wx and vx * wx + vy * wy > 0)
+                    for wx, wy in vectors)
+                for vx, vy in vectors):
+            extreme.add(p)
+    return extreme
+
+
 def unit_directions(n: int, dim: int = 2, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n, dim))

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, CSV and SVG contracts."""
 
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -168,6 +170,21 @@ class TestCertify:
         problem = self._write(tmp_path, [1.0, 0.0])
         code, _, err = run_cli(capsys, "certify", problem, "--mode", "lipschitz-u")
         assert code == 3 and err == "error: uniform mode needs a single shared gradient ball\n"
+
+
+    def test_a_cloud_at_1e200_certifies_and_regimes_without_warning(self, tmp_path, capsys):
+        # polar_hrep dropped zero rows by their norm, whose squares overflowed
+        cloud = [[1e200, 0.0], [0.0, 1e200], [-1e200, -5e199], [3e199, 2e199]]
+        member = {"logits": [0.6, 0.4],
+                  "smoothness": {"mode": "u", "body": {"type": "points", "points": cloud}}}
+        one, two = tmp_path / "one.json", tmp_path / "two.json"
+        one.write_text(json.dumps({"dimension": 2, "classes": 2, "members": [member]}))
+        two.write_text(json.dumps({"dimension": 2, "classes": 2, "members": [member, member]}))
+        code, out, err = run_cli(capsys, "certify", str(one), "--mode", "u")
+        assert code == 0 and err == ""
+        assert "[2e+200, 5e+199] . delta <= 0.2" in out and out.count(". delta <= 0.2") == 6
+        code, out, err = run_cli(capsys, "regime", str(two))
+        assert code == 0 and err == "" and "certificate regime: inconclusive" in out
 
 
 class TestEnsembleAndRegime:
@@ -620,6 +637,33 @@ class TestExamples:
         assert required <= names
 
 
+# values that no field of a problem file takes, or not in every place: integers
+# beyond the float range, each other JSON type, and lists of the wrong shape
+MALFORMED = [10**400, -10**400, "x", True, None, [], {}, [[0.5]], [0.5] * 5]
+FILE_COMMANDS = ([["certify", "FILE", "--mode", mode]
+                  for mode in ("u", "cw", "cd", "lipschitz-u", "lipschitz-cw")]
+                 + [["regime", "FILE"], ["ensemble", "FILE"],
+                    ["bound", "radius-improvement", "FILE"], ["render", "FILE", "--out", "OUT"]])
+
+
+def _json_paths(value, path=()):
+    """The path of every element of a JSON value, the root's () first."""
+    yield path
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _substituted(value, path, new):
+    """A copy of the JSON value with its element at `path` replaced by `new`."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _substituted(value[path[0]], path[1:], new)
+    return copy
+
+
 class TestErrorPolicy:
     """Every failure of a command reaches `main`, which prints one `error:`
     line and returns 2 for a bad argument, file or input and 3 for a command
@@ -729,3 +773,66 @@ class TestErrorPolicy:
             {"name": "broken", "kind": "nonsense", "fixture": "fig1.json"}])
         assert run_cli(capsys, "examples") == (
             1, "broken  FAIL  unknown check kind 'nonsense'\n0/1 fixture checks passed\n", "")
+
+    @staticmethod
+    def _problem_file(tmp_path, path, value, members=2):
+        # a point-cloud member and an l2-ball member, with weights
+        data = {"dimension": 2, "classes": 2, "weights": [0.5, 0.5][:members], "members": [
+            {"logits": [0.6, 0.4], "smoothness": {"mode": "u", "body": {
+                "type": "points", "points": [[1.0, 0.0], [0.0, 1.0]]}}},
+            {"logits": [0.3, 0.7], "smoothness": {"mode": "u", "body": {
+                "type": "lp_ball", "p": 2, "eps": 0.5, "center": [0.0, 0.0]}}}][-members:]}
+        file = tmp_path / "problem.json"
+        file.write_text(json.dumps(_substituted(data, path, value)))
+        return str(file)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("path, located", [
+        (("members", 0, "logits", 1), "$.members[0].logits[1]"),
+        (("members", 0, "smoothness", "body", "points", 1, 0),
+         "$.members[0].smoothness.body.points[1][0]"),
+        (("members", 1, "smoothness", "body", "p"), "$.members[1].smoothness.body.p"),
+        (("members", 1, "smoothness", "body", "eps"), "$.members[1].smoothness.body.eps"),
+        (("weights", 1), "$.weights[1]"),
+    ], ids=["logit", "point", "p", "eps", "weight"])
+    def test_an_integer_beyond_the_float_range(self, tmp_path, capsys, sign, path, located):
+        file = self._problem_file(tmp_path, path, sign * 10**400)
+        result = run_cli(capsys, "regime", file)
+        self._assert_one_error(result, 2)
+        assert result[2] == f"error: {file}: {located}: expected a finite number\n"
+
+    def test_a_dimension_beyond_the_index_range_beside_a_center(self, tmp_path, capsys):
+        # the default center, [0.0] * dimension, was built even beside a center
+        file = self._problem_file(tmp_path, ("dimension",), 10**300, members=1)
+        result = run_cli(capsys, "certify", file, "--mode", "u")
+        self._assert_one_error(result, 2)
+        assert result[2].startswith(
+            f"error: {file}: $.members[0].smoothness.body.center: expected a list of 1000")
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("malformed")
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_malformed_fixtures_exit_with_one_error(self, scratch, data):
+        # a value no field takes in that place, at any path of a bundled
+        # fixture, under every command that reads a file
+        name = data.draw(st.sampled_from(sorted({c["fixture"] for c in load_expected()})))
+        original = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+        path = data.draw(st.sampled_from(list(_json_paths(original))))
+        value = data.draw(st.sampled_from(MALFORMED))
+        file = scratch / "problem.json"
+        file.write_text(json.dumps(_substituted(original, path, value)))
+        argv = [str(file) if arg == "FILE" else str(scratch / "out.svg") if arg == "OUT" else arg
+                for arg in data.draw(st.sampled_from(FILE_COMMANDS))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code:
+            assert out.getvalue() == "" and err.getvalue().startswith("error:")
+            assert len(err.getvalue().splitlines()) == 1
+        else:
+            assert err.getvalue() == ""
+

@@ -14,6 +14,8 @@ from conftest import (
     assert_stack_matches_solves,
     brute_pairwise_differences,
     brute_support,
+    exact_extreme_points,
+    exact_turn_sign,
     reference_extent,
     reference_minus_subset,
     reference_support,
@@ -305,6 +307,14 @@ def near_vertical_hulls(draw):
     return hull_prune(FinitePoints(cloud.astype(float))).points
 
 
+def _support_deficit(merged: np.ndarray, pairwise: np.ndarray) -> float:
+    """How far the support of `merged` falls below that of `pairwise` at
+    most, over 256 angles and the four axis directions."""
+    angles = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    dirs = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), np.eye(2), -np.eye(2)])
+    return float(((pairwise @ dirs.T).max(axis=0) - (merged @ dirs.T).max(axis=0)).max())
+
+
 class TestHull2D:
     """The 2D hull, the edge merge and the negated hull against their oracles
     (scipy is the oracle, for tests only)."""
@@ -320,8 +330,16 @@ class TestHull2D:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(hulls_2d(), hulls_2d())
     def test_merge_equals_the_hull_of_the_pairwise_sum(self, a, b):
+        # integer sums are exact, so the merge is the hull of the pairwise
+        # sum bit for bit; otherwise a rounded pairwise sum can be extreme
+        # only by rounding (a = 10 b keeps parallel edges apart as floats),
+        # and the merge, which never forms it, keeps the support
         pairwise = (a[:, None, :] + b[None, :, :]).reshape(-1, 2)
-        assert np.array_equal(geo._merge_2d(a, b).points, geo._hull_2d(pairwise))
+        merged = geo._merge_2d(a, b).points
+        if np.all(a == np.round(a)) and np.all(b == np.round(b)):
+            assert np.array_equal(merged, geo._hull_2d(pairwise))
+        assert {tuple(p) for p in merged} <= {tuple(p) for p in pairwise}
+        assert _support_deficit(merged, pairwise) <= 4e-16 * np.abs(pairwise).max()
 
     @pytest.mark.parametrize("a, b", [
         ([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]),  # one line: two points
@@ -381,18 +399,13 @@ class TestHull2D:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(near_vertical_hulls(), st.one_of(near_vertical_hulls(), hulls_2d()))
     def test_merge_of_near_vertical_hulls_keeps_the_support(self, a, b):
-        # where edges differ by rounding, which of two points within the
-        # flat tolerance stays can differ from the hull of the pairwise sum;
-        # every output point is a pairwise sum and no support falls by more
-        # than FLAT_SINE times the extent (plus rounding of the coordinates)
+        # where edges differ by rounding, the merge can differ from the hull
+        # of the pairwise sum; every output point is a pairwise sum and no
+        # support falls by more than the rounding of the coordinates
         pairwise = (a[:, None, :] + b[None, :, :]).reshape(-1, 2)
         merged = geo._merge_2d(a, b).points
         assert {tuple(p) for p in merged} <= {tuple(p) for p in pairwise}
-        angles = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-        dirs = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), np.eye(2), -np.eye(2)])
-        slack = geo.FLAT_SINE * np.ptp(pairwise, axis=0).max() + 1e-15 * np.abs(pairwise).max()
-        deficit = (pairwise @ dirs.T).max(axis=0) - (merged @ dirs.T).max(axis=0)
-        assert deficit.max() <= slack
+        assert _support_deficit(merged, pairwise) <= 1e-15 * np.abs(pairwise).max()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(clouds_2d(), st.sampled_from([1, 2]))
@@ -409,10 +422,12 @@ class TestHull2D:
         inner = np.random.default_rng(3).uniform(-0.99, 0.99, size=(60, 2))
         kept = geo._octagon_filter(np.vstack([square, inner]))
         assert {tuple(p) for p in kept} == {tuple(p) for p in square}
-        # at 2^600 the turn products overflowed and no point was inside
+        # at 2^+-600 the turn products over- or underflow and the filter
+        # keeps every point; the chain alone then gives the scaled hull
+        hull = geo._hull_2d(np.vstack([square, inner]))
         for s in (600, -600):
-            far = geo._octagon_filter(np.ldexp(np.vstack([square, inner]), s))
-            assert np.array_equal(far, np.ldexp(kept, s))
+            assert np.array_equal(geo._hull_2d(np.ldexp(np.vstack([square, inner]), s)),
+                                  np.ldexp(hull, s))
         one_point = np.tile([[0.5, -2.0]], (30, 1))  # no edge at all
         assert np.array_equal(hull_prune(FinitePoints(one_point)).points, [[0.5, -2.0]])
 
@@ -445,6 +460,107 @@ class TestHull2D:
             FinitePoints(np.zeros((0, 2)))
 
 
+@st.composite
+def near_flat_clouds(draw):
+    """Dyadic 2D clouds on a line or lifted off it by m 2^-k, scaled by 2^e.
+    Along an axis the lift goes down to 2^-1000; along a slanted line it
+    stays within the 53-bit mantissa (k <= 46), so every point is exact
+    before the scaling, which may round it to a subnormal or to zero.  The
+    third kind is o + t d rounded, as near a line as floats get."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([3, 4, 5, 8, 13, 24, 30]))
+    t = rng.integers(-8, 9, n)
+    kind = draw(st.sampled_from(["axis", "slanted", "rounded"]))
+    if kind == "axis":
+        cloud = np.column_stack([t, np.ldexp(rng.integers(-1, 2, n), -draw(st.integers(0, 1000)))])
+        cloud = cloud[:, ::-1] if draw(st.booleans()) else cloud
+    elif kind == "rounded":
+        o, d = rng.standard_normal((2, 2))
+        cloud = o + rng.uniform(-3.0, 3.0, (n, 1)) * d
+    else:
+        direction = draw(st.sampled_from([(1, 1), (1, -2), (3, 1), (-4, 3), (2, 4)]))
+        lift = np.ldexp(rng.integers(-1, 2, (n, 2)), -draw(st.integers(0, 46)))
+        cloud = t[:, None] * np.array(direction) + lift
+    return np.ldexp(cloud, draw(st.one_of(st.just(0), st.integers(-60, 60),
+                                          st.integers(-1100, 1016))))
+
+
+@st.composite
+def turn_triples(draw):
+    """Three 2D float points: any finite floats, or o, a and p = o + t (a - o)
+    rounded and moved by a few ulps, where the float products round and
+    nearly cancel, scaled by 2^e from the subnormals to differences that
+    overflow."""
+    if draw(st.booleans()):
+        coords = st.floats(allow_nan=False, allow_infinity=False)
+        return [[draw(coords), draw(coords)] for _ in range(3)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    o, a = rng.standard_normal((2, 2))
+    p = o + rng.uniform(-3.0, 3.0) * (a - o)
+    for _ in range(draw(st.integers(0, 3))):
+        p = np.nextafter(p, rng.choice([-np.inf, np.inf], 2))
+    e = draw(st.one_of(st.integers(-60, 60), st.integers(-1100, 1021)))
+    return np.ldexp(np.array([o, a, p]), e).tolist()
+
+
+class TestExactTurns:
+    """Every turn of the 2D chain is decided by its exact sign, so the hull
+    keeps exactly the extreme points at any height and scale (the Fraction
+    references in conftest are the oracle)."""
+
+    @pytest.mark.parametrize("h", [1e-12, 1e-13])
+    def test_a_near_flat_extreme_point_bounds_the_certificate(self, h):
+        # turns with |sin| <= 1e-12 were once flat: (1, h) was dropped, the
+        # certificate was unbounded along (0, 1), and a linear classifier
+        # with gradients (0, 0) and (1, h), both in S, flipped inside it
+        body = FinitePoints([[0.0, 0.0], [1.0, h], [2.0, 0.0]])
+        assert [1.0, h] in hull_prune(body).points.tolist()
+        cert = s_certificate(ClassifierAtPoint([0.6, 0.4], Uniform(body)), "u")
+        extent = cert.ray_extent(np.array([0.0, 1.0]))
+        assert math.isfinite(extent)
+
+        def gap(t):  # class 0 minus class 1 at delta = (0, t)
+            return 0.6 - (0.4 + h * t)
+
+        assert gap(0.999 * extent) > 0.0 > gap(1.001 * extent)
+
+    @pytest.mark.parametrize("cloud", [
+        [[0.0, 0.0], [2.0**100, 0.0], [2.0**99, 2.0**-1000]],
+        [[0.0, 0.0], [2.0**60, 0.0], [2.0**59, 2.0**-1000]],
+    ])
+    def test_a_lift_far_below_the_extent_is_kept(self, cloud):
+        assert hull_prune(FinitePoints(cloud)).points.tolist() == cloud
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(near_flat_clouds())
+    def test_keeps_exactly_the_extreme_points(self, cloud):
+        kept = [tuple(p) for p in hull_prune(FinitePoints(cloud)).points]
+        assert len(kept) == len(set(kept)) and set(kept) == exact_extreme_points(cloud)
+
+    @staticmethod
+    def _chain_sign(o, a, p) -> int:
+        # the chain keeps a triple whole exactly when it turns left
+        return (1 if len(geo._chain([o, a, p])) == 3
+                else -1 if len(geo._chain([o, p, a])) == 3 else 0)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(turn_triples())
+    def test_the_chain_turns_by_the_exact_sign(self, triple):
+        assert self._chain_sign(*triple) == exact_turn_sign(*triple)
+
+    @pytest.mark.parametrize("triple", [
+        [[-4.982189287369181e-151, 0.0], [-4.972318861514342e-166, 4.462486826668942e-173],
+         [0.0, 4.4624868266689466e-173]],
+        [[-4.720551404531077e-151, 0.0], [-1.7433319090974337e-166, 5.756448387615406e-173],
+         [0.0, 5.7564483876154085e-173]],
+    ])
+    def test_products_rounded_to_subnormals_are_decided_in_integers(self, triple):
+        # both products round to a few multiples of 2^-1074 on either side
+        # of a midpoint, so their float difference has the wrong sign while
+        # the error bound underflows to 0
+        assert self._chain_sign(*triple) == exact_turn_sign(*triple)
+
+
 class TestNegatedHull:
     """In 1D and 2D a body's negation takes the negated hull as its prune;
     it must be the prune of the negated points, bit for bit."""
@@ -452,7 +568,7 @@ class TestNegatedHull:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([1, 2]), st.sampled_from([1, 2, 3, 4, 8, 21, 40]),
            st.sampled_from(["grid", "free"]),
-           st.sampled_from([0, -30, 40, geo.UNIT_SPAN + 1, -geo.UNIT_SPAN - 1, 600, -600]),
+           st.sampled_from([0, -30, 40, 65, -65, 600, -600]),
            st.data())
     def test_is_the_prune_of_the_negated_points(self, dim, n, kind, shift, data):
         # a small integer grid holds repeated and collinear points; the free
