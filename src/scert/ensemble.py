@@ -37,6 +37,7 @@ from .geometry import (
     STRICT_MARGIN,
     TOL,
     HalfspaceRegion,
+    _unproven,
     lp_maximize,
     one_ball_shape,
     region_minus_subset,
@@ -192,10 +193,14 @@ def _cert_regime_regions(q_g: Certificate, member_certs: list[Certificate]) -> t
     regions = [q.region for q in member_certs]
     inter = functools.reduce(HalfspaceRegion.intersect, regions)
     carves, last = regions[:-1], regions[-1]
-    # the queries run in this order: g's maxima over inter in one batch (it stops
-    # only past offset + STRICT_MARGIN > TOL), g in each r, the carve, each r in g
-    tops, _ = lp_maximize(g.normals, inter, g.offsets + STRICT_MARGIN)
-    contains_intersection = not (tops > g.offsets[:len(tops)] + TOL).any()
+    # the queries run in this order: g's maxima over inter in one batch (less
+    # the rows the polar screen proves within offset + TOL, the stricter read;
+    # it stops only past offset + STRICT_MARGIN > TOL), g in each r, the carve,
+    # each r in g
+    rows = _unproven(g.normals, inter, g.offsets + TOL)
+    normals, offsets = g.normals[rows], g.offsets[rows]
+    tops = lp_maximize(normals, inter, offsets + STRICT_MARGIN)[0] if len(normals) else np.empty(0)
+    contains_intersection = not (tops > offsets[:len(tops)] + TOL).any()
     inside = [region_subset(g, r) for r in regions]
     held = any(inside)
     evidence = {
@@ -207,7 +212,7 @@ def _cert_regime_regions(q_g: Certificate, member_certs: list[Certificate]) -> t
     }
     regime = _verdict(evidence, evidence["contains_union"] and not held and not
                       region_minus_subset(g, carves, last, STRICT_MARGIN),
-                      bool((tops > g.offsets[:len(tops)] + STRICT_MARGIN).any()))
+                      bool((tops > offsets[:len(tops)] + STRICT_MARGIN).any()))
     strict = {"improvement": "strict_excess", "reduction": "strict_deficit"}.get(regime)
     if strict:
         evidence[strict] = True

@@ -41,6 +41,13 @@ radius on the normalized shape) and ``polar(r)``.  The free functions below
 delegate to these, and :func:`weighted_sum` folds them into a weighted
 combination; only :func:`minkowski_sum` dispatches on variants, as it looks
 at two bodies.
+
+A 3D region whose offsets are all positive is the polar set of K, the hull
+of {a_k / b_k} and 0, so max c.x <= L > 0 over it when c / L lies in K.  The
+region keeps, built once, the tetrahedra of 0 and the sphere-mesh triangles
+that the 3D prune also uses, mapped to those points; the region queries
+leave out of their LPs every objective that lies deep inside one of them
+(:func:`_unproven`), and send every other objective to the LP as before.
 """
 
 from __future__ import annotations
@@ -57,7 +64,9 @@ from . import _simplex
 TOL = 1e-9            # exact-geometry comparisons
 STRICT_MARGIN = 1e-6  # strict inclusion: absolute LP slack; relative factor on extents
 NEGLIGIBLE = 1e-15    # lengths, radii and support values treated as zero
-PRUNE_MARGIN = 1e-6   # 3D prune: least barycentric depth, least |det| / extent^3
+# 3D prune and polar screen: least barycentric weight of each of a tetrahedron's
+# three points, least weight of its apex, least |det| / extent^3
+PRUNE_MARGIN = 1e-6
 SHAPE_TOL = 1e-12     # normalized ellipsoid matrices this close are one shape
 SYMMETRY_TOL = 1e-9   # largest asymmetry accepted in an ellipsoid matrix
 MAX_EXPANSION = 10_000   # largest pairwise sum formed; 2D sums merge edges instead
@@ -325,7 +334,10 @@ class Ellipsoid(ConvexBody):
 
     @functools.cached_property
     def shape_norm(self) -> float:
-        return float(np.linalg.norm(self.sigma))
+        """The Frobenius norm of sigma, taken at unit size by a power of two,
+        so that its squares cannot overflow."""
+        shift = math.frexp(float(np.abs(self.sigma).max()))[1]
+        return math.ldexp(float(np.linalg.norm(np.ldexp(self.sigma, -shift))), shift)
 
     def same_shape(self, other: ConvexBody) -> bool:
         """The matrices agree within SHAPE_TOL once normalized, so that
@@ -603,39 +615,64 @@ def _distinct_rows(pts: np.ndarray) -> np.ndarray:
     return pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])]
 
 
-def _prune_3d(pts: np.ndarray) -> np.ndarray:
-    """Distinct 3D points (lexicographic order) less some inside their hull: the
-    argmax of every sphere-mesh direction is kept, and a point is dropped only
-    when its barycentric coordinates are all >= PRUNE_MARGIN in a tetrahedron
-    of the kept points' centroid and a mesh triangle mapped to its corners'
-    argmax points, so every extreme point is kept."""
+def _mesh_argmax(pts: np.ndarray) -> np.ndarray:
+    """The index of the argmax point of each sphere-mesh direction."""
     block = max(1, SUPPORT_BLOCK // pts.shape[0])
-    top = np.concatenate([np.argmax(_SPHERE[start:start + block] @ pts.T, axis=1)
-                          for start in range(0, len(_SPHERE), block)])
-    keep = np.zeros(pts.shape[0], dtype=bool)
-    keep[top] = True
-    kept = pts[keep]
-    centre = kept.mean(axis=0)
-    tri = (np.cumsum(keep) - 1)[top][_SPHERE_TRIANGLES]  # corners as rows of kept
+    return np.concatenate([np.argmax(_SPHERE[start:start + block] @ pts.T, axis=1)
+                           for start in range(0, len(_SPHERE), block)])
+
+
+def _mesh_tetrahedra(pts: np.ndarray, top: np.ndarray,
+                     apex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tetrahedra (apex, p_i, p_j, p_l) over the distinct mesh triangles
+    mapped to their corners' argmax points `top`, the solid ones only (|det|
+    above PRUNE_MARGIN extent^3, the extent the largest |coordinate| of pts -
+    apex): the (3, 3t) normals and (t,) determinants of their barycentric
+    coordinates, which :func:`_in_tetrahedra` reads."""
+    tri = top[_SPHERE_TRIANGLES]
     lo, hi = tri.min(axis=0), tri.max(axis=0)
     mid = tri.sum(axis=0) - lo - hi
-    m, distinct = kept.shape[0], (lo < mid) & (mid < hi)
+    m, distinct = pts.shape[0], (lo < mid) & (mid < hi)
     _, first = np.unique(((lo * m + mid) * m + hi)[distinct], return_index=True)
-    a, b, c = (kept[corner[distinct][first]] - centre for corner in (lo, mid, hi))
+    a, b, c = (pts[corner[distinct][first]] - apex for corner in (lo, mid, hi))
     u, v = np.stack([b, c, a]), np.stack([c, a, b])  # (3, t, 3): normals u x v
     normals = u[..., [1, 2, 0]] * v[..., [2, 0, 1]] - u[..., [2, 0, 1]] * v[..., [1, 2, 0]]
     det = np.sum(a * normals[0], axis=1)
-    extent = float(np.abs(pts - centre).max())
+    extent = float(np.abs(pts - apex).max())
     solid = np.abs(det) > PRUNE_MARGIN * extent * extent * extent
-    normals, det = normals[:, solid].reshape(-1, 3).T, det[solid]
-    rest = np.flatnonzero(~keep)
+    return normals[:, solid].reshape(-1, 3).T, det[solid]
+
+
+def _in_tetrahedra(points: np.ndarray, apex, normals: np.ndarray,
+                   det: np.ndarray) -> np.ndarray:
+    """Whether each point has barycentric coordinates all >= PRUNE_MARGIN,
+    summing to at most 1 - PRUNE_MARGIN, in one of the tetrahedra of
+    :func:`_mesh_tetrahedra`: the weights of its three points, the apex taking
+    the rest."""
+    inside = np.zeros(points.shape[0], dtype=bool)
     block = max(1, PRUNE_BLOCK // max(1, det.size))
-    for start in range(0, rest.size, block):
-        part = rest[start:start + block]
-        bary = ((pts[part] - centre) @ normals).reshape(part.size, 3, -1) / det
-        inside = ((bary[:, 0] >= PRUNE_MARGIN) & (bary[:, 1] >= PRUNE_MARGIN)
-                  & (bary[:, 2] >= PRUNE_MARGIN) & (bary.sum(axis=1) <= 1.0 - PRUNE_MARGIN))
-        keep[part] = ~np.any(inside, axis=1)
+    for start in range(0, points.shape[0], block):
+        part = points[start:start + block]
+        bary = ((part - apex) @ normals).reshape(part.shape[0], 3, -1) / det
+        inside[start:start + block] = np.any(
+            (bary[:, 0] >= PRUNE_MARGIN) & (bary[:, 1] >= PRUNE_MARGIN)
+            & (bary[:, 2] >= PRUNE_MARGIN) & (bary.sum(axis=1) <= 1.0 - PRUNE_MARGIN), axis=1)
+    return inside
+
+
+def _prune_3d(pts: np.ndarray) -> np.ndarray:
+    """Distinct 3D points (lexicographic order) less some inside their hull: the
+    argmax of every sphere-mesh direction is kept, and a point is dropped only
+    when it lies inside a tetrahedron of the kept points' centroid and a mesh
+    triangle (:func:`_in_tetrahedra`), so every extreme point is kept."""
+    top = _mesh_argmax(pts)
+    keep = np.zeros(pts.shape[0], dtype=bool)
+    keep[top] = True
+    if keep.all():
+        return pts
+    centre = pts[keep].mean(axis=0)
+    rest = np.flatnonzero(~keep)
+    keep[rest] = ~_in_tetrahedra(pts[rest], centre, *_mesh_tetrahedra(pts, top, centre))
     return pts[keep]
 
 
@@ -707,6 +744,23 @@ class HalfspaceRegion:
         x = as_vector(point, self.dim)
         return bool(np.all(self.normals @ x <= self.offsets + tol))
 
+    @functools.cached_property
+    def _polar_tetrahedra(self):
+        """The tetrahedra of :func:`_unproven`, or None where it proves nothing:
+        for a 3D region whose offsets are all positive and whose points q_k =
+        a_k / b_k are all finite, 2^s with every |q| < 2^s and the mesh
+        tetrahedra (0, q_i, q_j, q_l) / 2^s of the points q / 2^s."""
+        if self.dim != 3 or not (self.offsets > 0.0).all():
+            return None
+        with np.errstate(over="ignore"):
+            q = self.normals / self.offsets[:, None]
+        if q.shape[0] < 3 or not np.isfinite(q).all():
+            return None
+        shift = math.frexp(float(np.abs(q).max()))[1]
+        q = np.ldexp(q, -shift)
+        normals, det = _mesh_tetrahedra(q, _mesh_argmax(q), np.zeros(3))
+        return (shift, normals, det) if det.size else None
+
     def intersect(self, other: "HalfspaceRegion") -> "HalfspaceRegion":
         if other.dim != self.dim:
             raise ValueError("dimension mismatch in region intersection")
@@ -751,6 +805,44 @@ def lp_maximize(objectives, region: HalfspaceRegion, limits=None):
     return _simplex.maximize(dirs, region.normals, region.offsets, limits)
 
 
+def _unproven(objectives: np.ndarray, region: HalfspaceRegion, limits: np.ndarray):
+    """The rows of the objectives that the polar screen leaves to the LP: a
+    boolean mask, or every row (a slice) for a region it does not apply to.
+    An objective c with a limit L > 0 is proven when c / L lies in one of the
+    region's tetrahedra (0, q_i, q_j, q_l) by the margins of
+    :func:`_in_tetrahedra`: c = L sum y_k q_k with y >= 0 and sum y <= 1 then
+    gives c.x <= L wherever every q_k.x <= 1 (LP duality).  Every step is
+    scale-free, as the points are taken at unit size by a power of two."""
+    tetrahedra = region._polar_tetrahedra
+    if tetrahedra is None:
+        return slice(None)
+    shift, normals, det = tetrahedra
+    positive = limits > 0.0
+    rows = np.ones(len(objectives), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
+        points = np.ldexp(objectives[positive] / limits[positive, None], -shift)
+        rows[positive] = ~_in_tetrahedra(points, 0.0, normals, det)
+    return rows
+
+
+def _exceeds(normals: np.ndarray, limits: np.ndarray, region: HalfspaceRegion) -> bool:
+    """True iff the maximum of some row of normals over the region is above its
+    limit, from one LP call, or none for no rows."""
+    if not len(normals):
+        return False
+    values, _ = lp_maximize(normals, region, limits)
+    return bool((values > limits[:len(values)]).any())
+
+
+def _open_rows(b: HalfspaceRegion, region: HalfspaceRegion,
+               margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of b and their offsets + margin, less those whose maximum over
+    the region the polar screen proves within that limit."""
+    limits = b.offsets + margin
+    rows = _unproven(b.normals, region, limits)
+    return b.normals[rows], limits[rows]
+
+
 def region_subset(a: HalfspaceRegion, b: HalfspaceRegion, slack: float = TOL) -> bool:
     """True iff a is contained in b, decided exactly by maximizing every
     normal of b over a.
@@ -764,12 +856,14 @@ def region_subset(a: HalfspaceRegion, b: HalfspaceRegion, slack: float = TOL) ->
 
 def region_exceeds(a: HalfspaceRegion, b: HalfspaceRegion,
                    margin: float = STRICT_MARGIN) -> bool:
-    """True iff some point of a violates a halfspace of b by more than margin."""
+    """True iff some point of a violates a halfspace of b by more than margin.
+
+    The rows of b whose maxima over a the polar screen of :func:`_unproven`
+    proves within their offset + margin reach no LP.
+    """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch in containment test")
-    limits = b.offsets + margin
-    values, _ = lp_maximize(b.normals, a, limits)
-    return bool((values > limits[:len(values)]).any())
+    return _exceeds(*_open_rows(b, a, margin), a)
 
 
 def region_minus_subset(a: HalfspaceRegion, carves, b: HalfspaceRegion,
@@ -787,19 +881,29 @@ def region_minus_subset(a: HalfspaceRegion, carves, b: HalfspaceRegion,
     b; a piece inside b needs no further carving, and any other piece fails
     at the last carve or is carved by the next one.  The slack keeps the
     closed pieces off each carve's own boundary, so a \\ a comes out empty.
+    Every piece lies in a, so a row of b or of a carve whose maximum over a
+    the polar screen of :func:`_unproven` proves within its offset + slack
+    is dropped once, before any LP.
     """
     if not carves:
         return region_subset(a, b, slack)
-    carve, rest = carves[0], carves[1:]
-    if not (a.dim == carve.dim == b.dim):
+    if any(region.dim != a.dim for region in (*carves, b)):
         raise ValueError("dimension mismatch in containment test")
-    limits = carve.offsets + slack
-    tops, _ = lp_maximize(carve.normals, a)
-    over = tops > limits
-    for normal, limit in zip(carve.normals[over], limits[over]):
+    return _minus_subset(a, _open_rows(b, a, slack),
+                         *(_open_rows(carve, a, slack) for carve in carves))
+
+
+def _minus_subset(a: HalfspaceRegion, b_rows, *cuts) -> bool:
+    """:func:`region_minus_subset` of a, with the open rows and limits of b
+    (`b_rows`) and of each carve (`cuts`)."""
+    (normals, limits), rest = cuts[0], cuts[1:]
+    if len(normals):
+        tops, _ = lp_maximize(normals, a)
+        over = tops > limits
+        normals, limits = normals[over], limits[over]
+    for normal, limit in zip(normals, limits):
         piece = a.intersect(HalfspaceRegion(-normal, [-limit], a.dim))
-        if not region_subset(piece, b, slack) and (
-                not rest or not region_minus_subset(piece, rest, b, slack)):
+        if _exceeds(*b_rows, piece) and (not rest or not _minus_subset(piece, b_rows, *rest)):
             return False
     return True
 

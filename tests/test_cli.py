@@ -186,6 +186,17 @@ class TestCertify:
         code, out, err = run_cli(capsys, "regime", str(two))
         assert code == 0 and err == "" and "certificate regime: inconclusive" in out
 
+    @pytest.mark.parametrize("members", [(0,), (1,), (0, 1)])
+    def test_an_ellipsoid_at_1e200_regimes_without_warning(self, members, tmp_path, capsys):
+        # the Frobenius norm of sigma squared its entries, which overflowed
+        problem = json.loads(fixture_path("appendix-c4.json").read_text())
+        for index in members:
+            problem["members"][index]["smoothness"]["body"]["sigma"][0][0] = 1e200
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(problem))
+        code, out, err = run_cli(capsys, "regime", str(path))
+        assert code == 0 and err == "" and "certificate regime: inconclusive" in out
+
 
 class TestEnsembleAndRegime:
     def test_ensemble_report(self, capsys):

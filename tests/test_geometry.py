@@ -4,6 +4,7 @@ import importlib.util
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,15 @@ class TestSupport:
         body = Ellipsoid(sigma, 2.0)
         d = np.array([0.3, -0.7])
         assert abs(body.support(d) - 2.0 * math.sqrt(d @ sigma @ d)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_shape_norm_is_the_frobenius_norm_at_any_scale(self, seed):
+        # bit-equal to np.linalg.norm where its squares stay in range, and
+        # scaled exactly where they overflow
+        root = np.random.default_rng(seed).standard_normal((3, 3))
+        sigma = root @ root.T + np.eye(3)
+        assert Ellipsoid(sigma, 1.0).shape_norm == np.linalg.norm(sigma)
+        assert Ellipsoid(2.0 ** 660 * sigma, 1.0).shape_norm == 2.0 ** 660 * np.linalg.norm(sigma)
 
 
 class TestNegateScale:
@@ -1065,6 +1075,162 @@ class TestCarveScreen:
         nudged = HalfspaceRegion(np.eye(dim)[:1], [0.5 - 1e-3], dim)
         assert not region_minus_subset(a, [nudged], misses_the_face, slack)
         assert not reference_minus_subset(a, [nudged], misses_the_face, slack)
+
+
+def _proven(objectives, region, limits) -> np.ndarray:
+    """Which maxima of the objectives over the region the polar screen proves
+    within their limits."""
+    proven = np.ones(len(objectives), dtype=bool)
+    proven[geo._unproven(np.asarray(objectives, dtype=float), region,
+                         np.asarray(limits, dtype=float))] = False
+    return proven
+
+
+def _screened_region(rng, kind: str) -> HalfspaceRegion:
+    """A 3D region with positive offsets: the polar set of a cloud, of two
+    clouds (their intersection), or of a cloud in x_0 > 0, which holds the
+    ray along -e_0."""
+    def cloud():
+        return rng.standard_normal((int(rng.integers(4, 10)), 3))
+
+    if kind == "intersection":
+        return polar_hrep(FinitePoints(cloud()), 1.0).intersect(
+            polar_hrep(FinitePoints(cloud()), rng.uniform(0.5, 2.0)))
+    pts = cloud()
+    if kind == "unbounded":
+        pts[:, 0] = np.abs(pts[:, 0]) + 0.1
+    return polar_hrep(FinitePoints(pts), rng.uniform(0.5, 2.0))
+
+
+def _certificate_regions_3d(seed: int, count: int) -> list[HalfspaceRegion]:
+    """Certificate regions of seeded 3D classifiers (k = 3) with 4-point
+    clouds, in the modes u, cw and cd in turn."""
+    rng = np.random.default_rng(seed)
+    regions = []
+    for index in range(count):
+        mode = ("u", "cw", "cd")[index % 3]
+        grads = rng.standard_normal((4, 3, 3))
+        smoothness = {
+            "u": lambda: Uniform(FinitePoints(grads[:, 0])),
+            "cw": lambda: ClassWise(tuple(FinitePoints(grads[:, i]) for i in range(3))),
+            "cd": lambda: ClassDiff({(i, j): FinitePoints(grads[:, i] - grads[:, j])
+                                     for i in range(3) for j in range(3) if i != j}),
+        }[mode]()
+        clf = ClassifierAtPoint(rng.dirichlet(np.ones(3)), smoothness)
+        regions.append(s_certificate(clf, mode).region)
+    return regions
+
+
+class TestPolarScreen:
+    """A 3D region with every offset positive is the polar set of K =
+    conv({a_k / b_k} u {0}); an objective c with limit L > 0 is proven when
+    c / L lies deep in a mesh tetrahedron of K, and then max c.x <= L over the
+    region (scipy is the oracle)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["polar", "intersection", "unbounded"]))
+    def test_every_proven_maximum_is_within_its_limit(self, seed, kind):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(seed)
+        region = _screened_region(rng, kind)
+        q = region.normals / region.offsets[:, None]
+        weights = rng.dirichlet(np.ones(len(q)), size=12) * rng.uniform(0.2, 1.2, (12, 1))
+        limits = np.concatenate([rng.uniform(0.5, 2.0, 12), rng.uniform(0.1, 3.0, 6),
+                                 region.offsets + TOL])
+        objectives = np.vstack([weights @ q, rng.standard_normal((6, 3)), region.normals])
+        objectives[:12] *= limits[:12, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proven = _proven(objectives, region, limits)
+        for c, limit in zip(objectives[proven], limits[proven]):
+            ref = linprog(-c, A_ub=region.normals, b_ub=region.offsets,
+                          bounds=[(None, None)] * 3, method="highs")
+            assert ref.status == 0 and -ref.fun <= limit
+        # the same region, objectives and limits up to powers of two: each row
+        # and its offset by 2^e, x by 2^-s, each objective by 2^u and its
+        # limit by 2^(u - s)
+        e, u = rng.integers(-40, 41, len(q)), rng.integers(-40, 41, len(objectives))
+        s = int(rng.integers(-40, 41))
+        scaled = HalfspaceRegion(np.ldexp(region.normals, (e + s)[:, None]),
+                                 np.ldexp(region.offsets, e), 3)
+        assert np.array_equal(
+            _proven(np.ldexp(objectives, u[:, None]), scaled, np.ldexp(limits, u - s)), proven)
+
+    def test_the_unit_cube_proves_the_inside_of_its_octahedron(self):
+        # the cube |x|_inf <= 1 is the polar set of the octahedron |c|_1 <= 1,
+        # and the maximum of c over it is |c|_1
+        cube = _box(3)
+        objectives = np.array([[0.3, 0.3, 0.3], [0.5, -0.2, 0.1], [-0.1, 0.2, -0.6],
+                               [0.4, 0.4, 0.4], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        assert _proven(objectives, cube, np.ones(6)).tolist() == [True] * 3 + [False] * 3
+        assert _proven(objectives, cube, np.full(6, 1.25)).tolist() == [True] * 4 + [False] * 2
+
+    def test_proves_nothing_it_does_not_apply_to(self):
+        rng = np.random.default_rng(36)
+        inside = 0.1 * rng.standard_normal((8, 3))  # |c|_1 < 1 for each
+        inside /= np.maximum(1.0, 2.0 * np.abs(inside).sum(axis=1, keepdims=True))
+        cube, ones = _box(3), np.ones(8)
+        assert _proven(inside, cube, ones).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a 2D region, an offset of 0 or below
+            assert not _proven(inside[:, :2], _box(2), ones).any()
+            for offset in (0.0, -1.0):
+                shifted = HalfspaceRegion(cube.normals, np.append(cube.offsets[:-1], offset), 3)
+                assert not _proven(inside, shifted, ones).any()
+            # a limit of 0 or below: max 0.x = 0 > -1
+            for limit in (0.0, -1.0):
+                assert not _proven(np.vstack([inside, np.zeros(3)]), cube,
+                                   np.full(9, limit)).any()
+            # a / b beyond the float range, c / L beyond it
+            assert not _proven(inside, HalfspaceRegion(cube.normals * 1e10,
+                                                       np.full(6, 1e-300), 3), ones).any()
+            assert not _proven(inside * 1e300, cube, np.full(8, 1e-300)).any()
+
+    def test_queries_answer_as_without_it(self, monkeypatch):
+        regions = _certificate_regions_3d(37, 9)
+        triples = list(zip(regions, regions[1:] + regions[:1], regions[2:] + regions[:2]))
+
+        def answers():
+            return ([region_subset(a, b) for a in regions for b in regions],
+                    [region_minus_subset(a, [b], c, slack) for a, b, c in triples
+                     for slack in (TOL, STRICT_MARGIN)])
+
+        screened = answers()
+        monkeypatch.setattr(geo, "_unproven", lambda objectives, region, limits: slice(None))
+        assert answers() == screened
+        assert 0 < sum(screened[0]) < len(screened[0])
+        assert 0 < sum(screened[1]) < len(screened[1])
+
+    def test_cost_ledger(self, monkeypatch):
+        # the simplex runs and pivots, and the proven objectives, of the
+        # containments of a fixed sample of certificate regions; without the
+        # screen they were 412 runs and 1,794 pivots
+        regions = _certificate_regions_3d(38, 12)
+        counted = dict.fromkeys(("_run", "_pivot", "proven"), 0)
+
+        def counting(name, function):
+            def wrapper(*args):
+                counted[name] += 1
+                return function(*args)
+            return wrapper
+
+        for name in ("_run", "_pivot"):
+            monkeypatch.setattr(_simplex, name, counting(name, getattr(_simplex, name)))
+        unproven = geo._unproven
+
+        def count_proven(objectives, region, limits):
+            rows = unproven(objectives, region, limits)
+            counted["proven"] += len(objectives) - len(objectives[rows])
+            return rows
+
+        monkeypatch.setattr(geo, "_unproven", count_proven)
+        for a in regions:
+            for b in regions:
+                region_subset(a, b)
+        for a, b, c in zip(regions, regions[1:], regions[2:]):
+            region_minus_subset(a, [b], c)
+        assert counted == {"_run": 292, "_pivot": 1218, "proven": 470}
 
 
 class TestOriginOnly:

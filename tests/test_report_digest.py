@@ -3,7 +3,7 @@
 import importlib.util
 import pathlib
 
-from scert import ensemble, geometry
+from scert import _simplex, ensemble, geometry
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
 _SPEC = importlib.util.spec_from_file_location("report_digest", _PATH)
@@ -69,6 +69,27 @@ def test_the_nmember_digest_is_repeatable_and_reads_flags_not_floats(monkeypatch
     monkeypatch.setattr(ensemble, "_cert_regime_regions", flipped)
     monkeypatch.setattr(report_digest.workloads, "regime_consistent", lambda report: None)
     assert report_digest.nmember_digest([1]) != first
+
+
+def test_the_work_line_is_repeatable_and_sees_an_added_pivot(monkeypatch):
+    first = report_digest.work_counts([1], 8)
+    assert first == report_digest.work_counts([1], 8)
+    assert _simplex._pivot.__name__ == "_pivot"  # the tool's wrappers are gone
+    lp, phase2, pivots = (int(field.split("=")[1]) for field in first.split())
+    assert 0 < lp and 0 < phase2 < pivots
+    phase1 = _simplex._phase1
+
+    def one_more_pivot(A, b):
+        # a pivot on the copy of a basic column, which changes nothing
+        start = phase1(A, b)
+        if start is not None and start[1].size:
+            tableau, basis, _ = start
+            _simplex._pivot(tableau.copy(), basis.copy(), 0, basis[0])
+        return start
+
+    monkeypatch.setattr(_simplex, "_phase1", one_more_pivot)
+    more = report_digest.work_counts([1], 8)
+    assert more.split()[:2] == first.split()[:2] and more != first
 
 
 def test_a_float_is_read_to_its_last_bit():

@@ -4,7 +4,8 @@ Usage, from anywhere:
 
     python3 tools/report_digest.py --seeds 1-3
 
-prints four lines, each a label and a digest.  ``regimes`` covers the
+prints four lines, each a label and a digest, and a fifth, ``work``, with
+counts.  ``regimes`` covers the
 `classify_regimes` reports of the perfbench ``regimes`` ops of each seed,
 880 of them (those of one 16 s run), each run by the workload's own op runner,
 which also checks the report against its evidence: both verdicts, the gaps
@@ -18,7 +19,10 @@ results, in order.  ``nmember`` covers `classify_regimes` on seeded 3- and
 4-member point-cloud ensembles of each seed, 2D and 3D in modes u, cw and cd,
 12 of them, each run by the regimes op runner: the verdict, the method, the
 four containment flags and any error, but no float, so that a change that
-moves only rounding keeps it.
+moves only rounding keeps it.  ``work`` counts what the regimes ops of the
+seeds cost the LP solver: its calls (``_simplex.maximize``), its phase-2 runs
+(``_simplex._phase2``) and its pivots (``_simplex._pivot``), so that a change
+that saves LP work shows it, and one that should not move it shows none.
 Run it in two checkouts and compare the lines.  Standard library and numpy
 only.
 """
@@ -38,7 +42,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT, os.path.join(ROOT, "tools")]
 
 from bench_pairs import parse_seeds  # noqa: E402
 from perfbench import workloads  # noqa: E402
-from scert import certificates, ensemble, simulate  # noqa: E402
+from scert import _simplex, certificates, ensemble, simulate  # noqa: E402
 
 REGIMES_OPS = workloads.op_count(workloads.Regimes, 16)
 LATTICE_OPS = workloads.op_count(workloads.Lattice, 16)
@@ -151,6 +155,34 @@ def lattice_digest(seeds: list[int], n_ops: int = LATTICE_OPS) -> str:
     return h.hexdigest()
 
 
+WORK = (("lp", "maximize"), ("phase2", "_phase2"), ("pivots", "_pivot"))
+
+
+def work_counts(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
+    """The LP calls, phase-2 runs and pivots of the regimes ops of the seeds,
+    counted by wrapping each `_simplex` function for the run."""
+    counts = {name: 0 for name, _ in WORK}
+    originals = {function: getattr(_simplex, function) for _, function in WORK}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name, function in WORK:
+        setattr(_simplex, function, counted(name, originals[function]))
+    try:
+        runner = workloads.Regimes()
+        for seed in seeds:
+            for op in runner.make_ops(seed, n_ops):
+                runner.run_op(op)
+    finally:
+        for function, original in originals.items():
+            setattr(_simplex, function, original)
+    return " ".join(f"{name}={count}" for name, count in counts.items())
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1-3", help="e.g. 1-3,7 (default 1-3)")
@@ -160,6 +192,7 @@ def main(argv=None) -> None:
     print("records", records_digest(seeds))
     print("lattice", lattice_digest(seeds))
     print("nmember", nmember_digest(seeds))
+    print("work", work_counts(seeds))
 
 
 if __name__ == "__main__":
