@@ -89,10 +89,17 @@ class ClassWise:
             raise ValueError("class-wise bodies must share one dimension")
         object.__setattr__(self, "dim", dims.pop())
 
+    def difference(self, i: int, top: int) -> ConvexBody:
+        """G_i (+) -G_top, formed once per pair: a member's certificate and its
+        ensemble's share it."""
+        sums = self.__dict__.setdefault("_differences", {})
+        if (i, top) not in sums:
+            sums[i, top] = geometry.minkowski_sum(self.bodies[i], geometry.negate(self.bodies[top]))
+        return sums[i, top]
+
     def constraints(self, top: int, r: np.ndarray) -> list[tuple[ConvexBody, float]]:
         """support(G_i (+) -G_top, delta) <= r_i for every class i other than the top."""
-        return [(geometry.minkowski_sum(self.bodies[i], geometry.negate(self.bodies[top])),
-                 float(r[i])) for i in range(len(r)) if i != top]
+        return [(self.difference(i, top), float(r[i])) for i in range(len(r)) if i != top]
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,12 @@ from .geometry import (
     STRICT_MARGIN,
     TOL,
     HalfspaceRegion,
-    _unproven,
-    lp_maximize,
     one_ball_shape,
+    region_maxima,
     region_minus_subset,
     region_subset,
     seeded_unit_directions,
+    union_witness,
 )
 
 GAP_TOL = 1e-9  # absolute margin on gaps (logit units); relative factor on extents
@@ -187,32 +187,35 @@ def _cert_regime_balls(q_g: Certificate, member_certs: list[Certificate]) -> tup
 def _cert_regime_regions(q_g: Certificate, member_certs: list[Certificate]) -> tuple[str, dict]:
     """The regime from the LP containment flags, none queried that another
     decides at the same slack: g inside a member region is within the union
-    and nowhere strictly past it, so the carve runs only when none holds g,
-    and g contains the union only if it contains the intersection."""
+    and nowhere strictly past it, so the carve runs only when none holds g
+    and no union witness settles it, and g contains the union only if it
+    contains the intersection."""
     g = q_g.region
     regions = [q.region for q in member_certs]
     inter = functools.reduce(HalfspaceRegion.intersect, regions)
     carves, last = regions[:-1], regions[-1]
-    # the queries run in this order: g's maxima over inter in one batch (less
-    # the rows the polar screen proves within offset + TOL, the stricter read;
-    # it stops only past offset + STRICT_MARGIN > TOL), g in each r, the carve,
-    # each r in g
-    rows = _unproven(g.normals, inter, g.offsets + TOL)
-    normals, offsets = g.normals[rows], g.offsets[rows]
-    tops = lp_maximize(normals, inter, offsets + STRICT_MARGIN)[0] if len(normals) else np.empty(0)
-    contains_intersection = not (tops > offsets[:len(tops)] + TOL).any()
+    # the queries run in this order: g's maxima over inter in one batch (a
+    # boundary point past offset + STRICT_MARGIN settles both reads, and the
+    # polar screen proves rows within offset + TOL, the stricter read), g in
+    # each r, the union witness and then the carve at each slack it does not
+    # settle, each r in g
+    tops = region_maxima(g.normals, inter, g.offsets + TOL, g.offsets + STRICT_MARGIN)
+    contains_intersection = not (tops > g.offsets + TOL).any()
+    deficit = bool((tops > g.offsets + STRICT_MARGIN).any())
     inside = [region_subset(g, r) for r in regions]
     held = any(inside)
+    witness = None if held else union_witness(g, regions)
+    depth = -math.inf if witness is None else witness[1]
     evidence = {
         "method": "lp",
         "contains_intersection": contains_intersection,
-        "within_union": held or region_minus_subset(g, carves, last),
+        "within_union": held or (depth <= TOL and region_minus_subset(g, carves, last)),
         "contains_union": contains_intersection and all(region_subset(r, g) for r in regions),
         "within_intersection": all(inside),
     }
-    regime = _verdict(evidence, evidence["contains_union"] and not held and not
-                      region_minus_subset(g, carves, last, STRICT_MARGIN),
-                      bool((tops > offsets[:len(tops)] + STRICT_MARGIN).any()))
+    regime = _verdict(evidence, evidence["contains_union"] and not held and (
+        depth > STRICT_MARGIN or not region_minus_subset(g, carves, last, STRICT_MARGIN)),
+        deficit)
     strict = {"improvement": "strict_excess", "reduction": "strict_deficit"}.get(regime)
     if strict:
         evidence[strict] = True

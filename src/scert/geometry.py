@@ -42,12 +42,17 @@ delegate to these, and :func:`weighted_sum` folds them into a weighted
 combination; only :func:`minkowski_sum` dispatches on variants, as it looks
 at two bodies.
 
-A 3D region whose offsets are all positive is the polar set of K, the hull
-of {a_k / b_k} and 0, so max c.x <= L > 0 over it when c / L lies in K.  The
-region keeps, built once, the tetrahedra of 0 and the sphere-mesh triangles
-that the 3D prune also uses, mapped to those points; the region queries
-leave out of their LPs every objective that lies deep inside one of them
-(:func:`_unproven`), and send every other objective to the LP as before.
+A region whose offsets are all positive (a star region) is the polar set of
+K, the hull of {a_k / b_k} and 0, and its boundary point along u is u / h(u),
+h the support of K (:func:`_boundary`, at unit size by powers of two).
+Where the simplex answers (d != 2), the region queries settle two kinds of
+objective before any LP, in the one order of :func:`region_maxima`: one
+whose boundary point along itself is past its limit is refuted
+(:func:`_refuted`), and in 3D one that lies deep inside a tetrahedron of 0
+and a sphere-mesh triangle of K, built once per region from the mesh the 3D
+prune also uses, is proven within it (:func:`_unproven`).  Every other
+objective goes to the LP.  :func:`union_witness` takes the same boundary
+points in every dimension, as points of a region outside a union.
 """
 
 from __future__ import annotations
@@ -745,19 +750,33 @@ class HalfspaceRegion:
         return bool(np.all(self.normals @ x <= self.offsets + tol))
 
     @functools.cached_property
+    def _polar_points(self):
+        """2^s and the points q_k / 2^s, q_k = a_k / b_k, whose hull with 0 is
+        K, the set this region is the polar of, or None unless every offset is
+        positive: 1/2 <= max |q / 2^s| < 1.  Each q_k is formed at unit size by
+        powers of two, so that no a_k / b_k leaves the float range; a row far
+        below the largest may still underflow here, which moves each support
+        of K by less than 2^-1074 at that size."""
+        if not (self.offsets > 0.0).all():
+            return None
+        _, row_exp = np.frexp(np.abs(self.normals).max(axis=1, initial=0.0))
+        unit, offset_exp = np.frexp(self.offsets)
+        exps = row_exp - offset_exp
+        top = int(exps.max(initial=0))
+        q = np.ldexp(np.ldexp(self.normals, -row_exp[:, None]) / unit[:, None],
+                     (exps - top)[:, None])
+        shift = math.frexp(float(np.abs(q).max(initial=0.0)))[1]
+        return top + shift, np.ldexp(q, -shift)
+
+    @functools.cached_property
     def _polar_tetrahedra(self):
         """The tetrahedra of :func:`_unproven`, or None where it proves nothing:
-        for a 3D region whose offsets are all positive and whose points q_k =
-        a_k / b_k are all finite, 2^s with every |q| < 2^s and the mesh
-        tetrahedra (0, q_i, q_j, q_l) / 2^s of the points q / 2^s."""
-        if self.dim != 3 or not (self.offsets > 0.0).all():
+        for a 3D region with polar points q / 2^s, 2^s and the mesh tetrahedra
+        (0, q_i, q_j, q_l) / 2^s of those points."""
+        points = None if self.dim != 3 else self._polar_points
+        if points is None or points[1].shape[0] < 3:
             return None
-        with np.errstate(over="ignore"):
-            q = self.normals / self.offsets[:, None]
-        if q.shape[0] < 3 or not np.isfinite(q).all():
-            return None
-        shift = math.frexp(float(np.abs(q).max()))[1]
-        q = np.ldexp(q, -shift)
+        shift, q = points
         normals, det = _mesh_tetrahedra(q, _mesh_argmax(q), np.zeros(3))
         return (shift, normals, det) if det.size else None
 
@@ -825,13 +844,73 @@ def _unproven(objectives: np.ndarray, region: HalfspaceRegion, limits: np.ndarra
     return rows
 
 
+def _boundary(region: HalfspaceRegion, directions: np.ndarray):
+    """The boundary points of a star region (every offset positive) along the
+    directions u, at unit size, or None for another region.  With 2^s and the
+    points q / 2^s of its polar set, each u = v 2^e with 1/2 <= max |v| < 1
+    and h = max(0, max_k v.q_k / 2^s): returns v, e and h.  The support of K
+    is h(u) = h 2^(e + s), and the boundary point along u is u / h(u) = (v /
+    h) 2^-s = t(u) u, with t(u) the least b_k / (a_k.u) over the rows with
+    a_k.u > 0; it lies in the region by construction, and h = 0 where no row
+    qualifies, as the region is unbounded along u.  h reads NaN where it is
+    subnormal, as those bits were lost: then it may be any number near 0, so
+    it settles nothing, while h = 0 leaves a true support below 2^-1070."""
+    points = region._polar_points
+    if points is None:
+        return None
+    shift, q = points
+    _, exps = np.frexp(np.abs(directions).max(axis=1, initial=0.0))
+    units = np.ldexp(directions, -exps[:, None])
+    h = np.max(units @ q.T, axis=1, initial=0.0)
+    h[(h > 0.0) & (h < np.finfo(float).tiny)] = np.nan
+    return units, exps, h
+
+
+def _refuted(objectives: np.ndarray, region: HalfspaceRegion, limits: np.ndarray) -> np.ndarray:
+    """Which objectives the region's boundary points refute: c = v 2^e with a
+    limit L whose boundary point along c, x = c / h(c), has c.x > L, which
+    reads v.v > L 2^(s - e) h at the unit size of :func:`_boundary` (an
+    unbounded c != 0 has h = 0).  Every term is at unit size, so scaling c,
+    L or the rows by powers of two moves no answer, and an h that lost its
+    bits refutes nothing.  x lies in the region, so the maximum of c is above
+    L there with no LP.  Only for a star region the simplex answers (d != 2;
+    a 2D region takes one polygon pass), and never a zero objective."""
+    boundary = None if region.dim == 2 else _boundary(region, objectives)
+    if boundary is None:
+        return np.zeros(len(objectives), dtype=bool)
+    units, exps, h = boundary
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.ldexp(limits, region._polar_points[0] - exps)
+        return np.einsum("ij,ij->i", units, units) > scaled * h
+
+
+def region_maxima(objectives: np.ndarray, region: HalfspaceRegion, limits: np.ndarray,
+                  stops: np.ndarray | None = None) -> np.ndarray:
+    """The maxima of the objectives over the region, as far as reading them
+    against `limits` needs, settled in one order.  A row that a boundary point
+    of the region refutes past its limit (:func:`_refuted`) reads +inf; then
+    a row that the polar screen proves within its limit (:func:`_unproven`)
+    reads -inf, and one LP call answers the others.  With `stops`, a query
+    past them: a row refuted past its stop ends the query, the LP stops at
+    the first maximum above its stop, and the rows this leaves unanswered
+    read -inf, while the screen still proves rows within their limits."""
+    stop = stops is not None
+    refuted = _refuted(objectives, region, stops if stop else limits)
+    values = np.where(refuted, math.inf, -math.inf)
+    if stop and refuted.any():
+        return values
+    rows = np.flatnonzero(~refuted)
+    rows = rows[_unproven(objectives[rows], region, limits[rows])]
+    if len(rows):
+        tops, _ = lp_maximize(objectives[rows], region, stops[rows] if stop else None)
+        values[rows[:len(tops)]] = tops
+    return values
+
+
 def _exceeds(normals: np.ndarray, limits: np.ndarray, region: HalfspaceRegion) -> bool:
     """True iff the maximum of some row of normals over the region is above its
-    limit, from one LP call, or none for no rows."""
-    if not len(normals):
-        return False
-    values, _ = lp_maximize(normals, region, limits)
-    return bool((values > limits[:len(values)]).any())
+    limit, from :func:`region_maxima`."""
+    return bool((region_maxima(normals, region, limits, limits) > limits).any())
 
 
 def _open_rows(b: HalfspaceRegion, region: HalfspaceRegion,
@@ -841,6 +920,31 @@ def _open_rows(b: HalfspaceRegion, region: HalfspaceRegion,
     limits = b.offsets + margin
     rows = _unproven(b.normals, region, limits)
     return b.normals[rows], limits[rows]
+
+
+def union_witness(a: HalfspaceRegion, regions: list[HalfspaceRegion]):
+    """A point of a and its depth outside the regions, the least over the
+    regions of its largest row violation: of a's boundary points along the
+    rows of the regions (:func:`_boundary`), the finite one of greatest
+    depth, or None where a is not a star region or none is finite.  A
+    violation past the float range counts as none.  A point deeper than a
+    slack lies in a piece of every carve and past a row of the last region
+    there, so :func:`region_minus_subset` of a at that slack is False."""
+    directions = np.vstack([r.normals for r in regions])
+    boundary = _boundary(a, directions)
+    if boundary is None:
+        return None
+    units, _, h = boundary
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        points = np.ldexp(units / h[:, None], -a._polar_points[0])
+        points = points[np.isfinite(points).all(axis=1)]
+        if not len(points):
+            return None
+        excess = [points @ r.normals.T - r.offsets for r in regions]
+    depth = np.min([np.max(np.where(np.isfinite(e), e, -math.inf), axis=1, initial=-math.inf)
+                    for e in excess], axis=0)
+    best = int(np.argmax(depth))
+    return points[best], float(depth[best])
 
 
 def region_subset(a: HalfspaceRegion, b: HalfspaceRegion, slack: float = TOL) -> bool:
@@ -858,12 +962,14 @@ def region_exceeds(a: HalfspaceRegion, b: HalfspaceRegion,
                    margin: float = STRICT_MARGIN) -> bool:
     """True iff some point of a violates a halfspace of b by more than margin.
 
-    The rows of b whose maxima over a the polar screen of :func:`_unproven`
-    proves within their offset + margin reach no LP.
+    The maxima of b's rows over a come from :func:`region_maxima` against
+    each offset + margin: a boundary point of a past one settles the query
+    with no LP, and the rows the polar screen proves within theirs reach no
+    LP.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch in containment test")
-    return _exceeds(*_open_rows(b, a, margin), a)
+    return _exceeds(b.normals, b.offsets + margin, a)
 
 
 def region_minus_subset(a: HalfspaceRegion, carves, b: HalfspaceRegion,
@@ -881,26 +987,29 @@ def region_minus_subset(a: HalfspaceRegion, carves, b: HalfspaceRegion,
     b; a piece inside b needs no further carving, and any other piece fails
     at the last carve or is carved by the next one.  The slack keeps the
     closed pieces off each carve's own boundary, so a \\ a comes out empty.
-    Every piece lies in a, so a row of b or of a carve whose maximum over a
-    the polar screen of :func:`_unproven` proves within its offset + slack
-    is dropped once, before any LP.
+    The first carve's batch is :func:`region_maxima` over a: a row that a
+    boundary point of a refutes builds its piece with no LP, and one whose
+    maximum the polar screen proves within its offset + slack builds none.
+    Every piece lies in a, so a row of b or of a later carve that the screen
+    proves within its offset + slack over a is dropped once, before any LP.
     """
     if not carves:
         return region_subset(a, b, slack)
     if any(region.dim != a.dim for region in (*carves, b)):
         raise ValueError("dimension mismatch in containment test")
-    return _minus_subset(a, _open_rows(b, a, slack),
-                         *(_open_rows(carve, a, slack) for carve in carves))
+    first, *rest = carves
+    return _minus_subset(a, _open_rows(b, a, slack), (first.normals, first.offsets + slack),
+                         *(_open_rows(carve, a, slack) for carve in rest))
 
 
 def _minus_subset(a: HalfspaceRegion, b_rows, *cuts) -> bool:
     """:func:`region_minus_subset` of a, with the open rows and limits of b
-    (`b_rows`) and of each carve (`cuts`)."""
+    (`b_rows`) and of each carve (`cuts`): the first carve's rows whose
+    maxima over a (:func:`region_maxima`) are above their limits build the
+    pieces."""
     (normals, limits), rest = cuts[0], cuts[1:]
-    if len(normals):
-        tops, _ = lp_maximize(normals, a)
-        over = tops > limits
-        normals, limits = normals[over], limits[over]
+    over = region_maxima(normals, a, limits) > limits
+    normals, limits = normals[over], limits[over]
     for normal, limit in zip(normals, limits):
         piece = a.intersect(HalfspaceRegion(-normal, [-limit], a.dim))
         if _exceeds(*b_rows, piece) and (not rest or not _minus_subset(piece, b_rows, *rest)):

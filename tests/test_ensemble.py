@@ -7,6 +7,7 @@ import pathlib
 import re
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,6 +59,7 @@ from scert.ensemble import (
 )
 from scert.geometry import (
     STRICT_MARGIN,
+    TOL,
     Combination,
     Ellipsoid,
     FinitePoints,
@@ -69,6 +71,7 @@ from scert.geometry import (
     region_minus_subset,
     region_subset,
     support,
+    union_witness,
     weighted_sum,
 )
 from scert.simulate import evaluate_draws, summarize
@@ -1771,6 +1774,59 @@ class TestRegimeQueries:
         assert all(a.normals.tobytes() == g.normals.tobytes() for a, _ in queries)
 
 
+class TestBoundaryRefutations:
+    """Boundary points of star regions refute containments before any LP: the
+    regime and its evidence are those of the queries with no refutation, and a
+    union witness lies in g and outside every member region by its depth."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(point_cloud_ensembles())
+    def test_verdict_and_evidence_as_with_no_boundary_points(self, spec):
+        report = classify_regimes(spec)
+
+        def none_refuted(objectives, region, limits):
+            return np.zeros(len(objectives), dtype=bool)
+
+        with (mock.patch.object(geo, "_refuted", none_refuted),
+              mock.patch("scert.ensemble.union_witness", lambda g, regions: None)):
+            plain = classify_regimes(spec)
+        assert (report.cert_regime, report.evidence) == (plain.cert_regime, plain.evidence)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(point_cloud_ensembles())
+    def test_a_union_witness_lies_in_g_and_outside_every_member(self, spec):
+        mode = spec.members[0].smoothness.mode
+        g = s_certificate(ensemble_classifier(spec), mode).region
+        regions = [s_certificate(m, mode).region for m in spec.members]
+        witness = union_witness(g, regions)
+        if witness is None:
+            return
+        x, depth = witness
+        assert g.contains(x)
+        assert depth == pytest.approx(
+            min(float((r.normals @ x - r.offsets).max()) for r in regions), rel=1e-12, abs=1e-15)
+        for slack in (TOL, STRICT_MARGIN):
+            if depth > slack:
+                assert all((r.normals @ x > r.offsets + slack).any() for r in regions)
+                assert not region_minus_subset(g, regions[:-1], regions[-1], slack)
+
+    def test_a_witness_settles_within_union_with_no_carve(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        members = tuple(ClassifierAtPoint(rng.dirichlet(np.ones(3)), Uniform(FinitePoints(
+            rng.standard_normal((4, 3))))) for _ in range(2))
+        spec = EnsembleSpec(members, rng.dirichlet(np.ones(2)))
+        carves = []
+        monkeypatch.setattr("scert.ensemble.region_minus_subset",
+                            lambda *args: carves.append(args) or region_minus_subset(*args))
+        report = classify_regimes(spec)
+        assert carves == []
+        assert report.cert_regime == "indeterminate" and not report.evidence["within_union"]
+        # with no witness the carve runs, once, and finds the same
+        monkeypatch.setattr("scert.ensemble.union_witness", lambda g, regions: None)
+        assert classify_regimes(spec) == report
+        assert len(carves) == 1
+
+
 @st.composite
 def raw_cloud_ensembles(draw):
     """2 to 4 point-cloud members in d = 1 to 3, in mode u, cw or cd, with the
@@ -1841,6 +1897,21 @@ class TestOneCompositionRule:
         monkeypatch.setattr(geo, "minkowski_sum", lambda a, b: sums.append((a, b)) or plus(a, b))
         assert s_certificate(ensemble_classifier(EnsembleSpec(members)), "u").region is not None
         assert len(sums) == 2  # the weighted sum's two steps: no S (+) -S is formed again
+
+    def test_class_wise_members_and_their_ensemble_share_each_difference_body(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        members = tuple(ClassifierAtPoint(logits, ClassWise(tuple(
+            FinitePoints(rng.standard_normal((5, 2))) for _ in range(3))))
+            for logits in ([0.6, 0.3, 0.1], [0.5, 0.2, 0.3], [0.7, 0.1, 0.2]))
+        for m in members:
+            bodies = [body for body, _ in s_certificate(m, "cw").constraints]
+            assert all(body is m.smoothness.difference(i, 0) for body, i in zip(bodies, (1, 2)))
+        sums = []
+        plus = geo.minkowski_sum
+        monkeypatch.setattr(geo, "minkowski_sum", lambda a, b: sums.append((a, b)) or plus(a, b))
+        ensemble = ensemble_classifier(EnsembleSpec(members))
+        assert ensemble.top == 0 and s_certificate(ensemble, "cw").region is not None
+        assert len(sums) == 4  # two steps for each of the two weighted sums, no G_i (+) -G_0 again
 
     def test_an_ensemble_member_has_the_bounds_of_its_flat_ball(self):
         # the inner ensemble's difference ball has radius 0.5 * 2 + 0.5 * 4 = 3,

@@ -40,12 +40,14 @@ from scert.geometry import (
     negate,
     polar_dual_ball,
     polar_hrep,
+    region_exceeds,
     region_is_origin_only,
     region_minus_subset,
     region_subset,
     region_to_interval,
     scale,
     support,
+    union_witness,
     weighted_sum,
 )
 
@@ -1203,11 +1205,12 @@ class TestPolarScreen:
         assert 0 < sum(screened[1]) < len(screened[1])
 
     def test_cost_ledger(self, monkeypatch):
-        # the simplex runs and pivots, and the proven objectives, of the
-        # containments of a fixed sample of certificate regions; without the
-        # screen they were 412 runs and 1,794 pivots
+        # the simplex runs and pivots, and the proven and refuted objectives,
+        # of the containments of a fixed sample of certificate regions; with
+        # neither screen they were 412 runs and 1,794 pivots, with the polar
+        # screen alone 292 runs, 1,218 pivots and 470 proven objectives
         regions = _certificate_regions_3d(38, 12)
-        counted = dict.fromkeys(("_run", "_pivot", "proven"), 0)
+        counted = dict.fromkeys(("_run", "_pivot", "proven", "refuted"), 0)
 
         def counting(name, function):
             def wrapper(*args):
@@ -1225,12 +1228,141 @@ class TestPolarScreen:
             return rows
 
         monkeypatch.setattr(geo, "_unproven", count_proven)
+        refuted = geo._refuted
+
+        def count_refuted(objectives, region, limits):
+            rows = refuted(objectives, region, limits)
+            counted["refuted"] += int(rows.sum())
+            return rows
+
+        monkeypatch.setattr(geo, "_refuted", count_refuted)
         for a in regions:
             for b in regions:
                 region_subset(a, b)
         for a, b, c in zip(regions, regions[1:], regions[2:]):
             region_minus_subset(a, [b], c)
-        assert counted == {"_run": 292, "_pivot": 1218, "proven": 470}
+        assert counted == {"_run": 149, "_pivot": 547, "proven": 256, "refuted": 1185}
+
+
+def _refuted(objectives, region, limits) -> np.ndarray:
+    """Which maxima of the objectives over the region the boundary points
+    refute, raising any warning as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return geo._refuted(np.asarray(objectives, dtype=float), region,
+                            np.asarray(limits, dtype=float))
+
+
+class TestBoundaryRefutation:
+    """A star region's boundary point along u, u / h(u) with h the support of
+    K, lies in it; an objective whose boundary point is past its limit is
+    refuted, and then its maximum over the region is above that limit (scipy
+    is the oracle)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["polar", "intersection", "unbounded"]))
+    def test_every_refuted_maximum_is_above_its_limit(self, seed, kind):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(seed)
+        region = _screened_region(rng, kind)
+        objectives = np.vstack([rng.standard_normal((12, 3)), region.normals])
+        maxima = []
+        for c in objectives:
+            # no presolve: HiGHS's presolve reports some unbounded LPs as infeasible
+            ref = linprog(-c, A_ub=region.normals, b_ub=region.offsets,
+                          bounds=[(None, None)] * 3, method="highs", options={"presolve": False})
+            assert ref.status in (0, 3)
+            maxima.append(math.inf if ref.status == 3 else -ref.fun)
+        maxima = np.array(maxima)
+        # limits around each maximum, and the offsets + TOL of the region's own rows
+        finite = np.where(np.isfinite(maxima), maxima, rng.uniform(0.5, 5.0, len(maxima)))
+        limits = np.concatenate([np.abs(finite[:12]) * rng.uniform(0.5, 1.5, 12),
+                                 region.offsets + TOL])
+        refuted = _refuted(objectives, region, limits)
+        assert (maxima[refuted] > limits[refuted]).all()
+        # each boundary point along a refuted objective lies in the region
+        units, _, h = geo._boundary(region, objectives[refuted])
+        for v, h_v in zip(units, h):
+            if h_v > 0.0:
+                assert region.contains(np.ldexp(v / h_v, -region._polar_points[0]))
+        # the same refutations up to powers of two: each row and its offset by
+        # 2^e, x by 2^-s, each objective by 2^u and its limit by 2^(u - s)
+        e, u = rng.integers(-40, 41, region.n_halfspaces), rng.integers(-40, 41, len(objectives))
+        s = int(rng.integers(-40, 41))
+        scaled = HalfspaceRegion(np.ldexp(region.normals, (e + s)[:, None]),
+                                 np.ldexp(region.offsets, e), 3)
+        assert np.array_equal(
+            _refuted(np.ldexp(objectives, u[:, None]), scaled, np.ldexp(limits, u - s)), refuted)
+
+    def test_the_unit_cube_refutes_by_its_boundary_points(self):
+        # on the cube |x|_inf <= 1, h(c) = |c|_inf, and the boundary point
+        # along c has c.x = |c|_2^2 / |c|_inf; the maximum of c is |c|_1
+        cube = _box(3)
+        objectives = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.5, 0.0], [0.5, 0.5, 0.0]])
+        limits = np.array([0.99, 2.9, 1.4, 1.1])
+        assert _refuted(objectives, cube, limits).tolist() == [True, True, False, False]
+        # the maxima 1.5 > 1.4 and 1.0 < 1.1: the third is above its limit
+        # but its boundary point does not show it, and the LP answers it
+        assert region_exceeds(cube, HalfspaceRegion(objectives[2:3], [1.4 - TOL], 3), TOL)
+
+    def test_a_direction_the_region_is_unbounded_along_is_refuted(self):
+        # x_0 <= 1 alone: h(u) = 0 along (0, 1, 0), whose maximum is +inf above
+        # any limit (c.c = 1 > L h(c) = 0 however large L is)
+        half = HalfspaceRegion([[1.0, 0.0, 0.0]], [1.0], 3)
+        assert _refuted([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], half,
+                        [1e300, 1.5, 1.5]).tolist() == [True, False, True]
+
+    def test_refutes_nothing_it_does_not_apply_to(self):
+        far = np.array([[5.0, 0.0, 0.0], [0.0, -7.0, 3.0], [2.0, 2.0, 2.0]])
+        cube, ones = _box(3), np.ones(3)
+        assert _refuted(far, cube, ones).all()
+        # a 2D region: one polygon pass answers it
+        assert not _refuted(far[:, :2], _box(2), ones).any()
+        # an offset of 0 or below
+        for offset in (0.0, -1.0):
+            shifted = HalfspaceRegion(cube.normals, np.append(cube.offsets[:-1], offset), 3)
+            assert not _refuted(far, shifted, ones).any()
+        # a zero objective, whatever its limit
+        assert not _refuted(np.zeros((3, 3)), cube, [1.0, -1.0, 1e300]).any()
+        # a / b = 1e310 beyond the float range: the polar points are formed at
+        # unit size, and the cube |x|_inf <= 1e-310 refutes only limits below
+        # its maxima, 1e-310 |c|_1
+        tiny = HalfspaceRegion(cube.normals * 1e10, np.full(6, 1e-300), 3)
+        assert not _refuted(far, tiny, ones).any()
+        assert _refuted(far, tiny, np.full(3, 1e-312)).all()
+        # q = +-1e-300 at offsets 1e300: c.q_k = 1e-400 underflows at raw
+        # scale, but not at unit size; the maximum of (1e-100, 0, 0) is 1e200
+        big, c = HalfspaceRegion(cube.normals, np.full(6, 1e300), 3), [[1e-100, 0.0, 0.0]]
+        assert not _refuted(c, big, [1e250]).any() and _refuted(c, big, [1e199]).all()
+        assert region_subset(big, HalfspaceRegion(c, [1e250], 3))
+        assert not region_subset(big, HalfspaceRegion(c, [1e199], 3))
+        # a row far below the largest, q = (0, +-1e-320, 0): h along e_1 is
+        # subnormal at unit size, bits lost, so it refutes nothing (the
+        # maximum of (0, 1e-100, 0) is 1e220, below 1e221)
+        far_row = HalfspaceRegion(cube.normals * [1.0, 1e-20, 1.0],
+                                  [1.0, 1e300, 1.0, 1.0, 1e300, 1.0], 3)
+        assert not _refuted([[0.0, 1e-100, 0.0]], far_row, [1e221]).any()
+        # c.c or L h(c) beyond the float range: no warning, and only
+        # maxima above their limits refuted (the maximum over the cube is |c|_1)
+        for scale, limit in ((1e300, 1e-300), (1e-300, 1e300), (1e200, 1e250), (1e-200, 1e-250)):
+            refuted = _refuted(far * scale, cube, np.full(3, limit))
+            assert (np.abs(far * scale).sum(axis=1)[refuted] > limit).all()
+
+    def test_a_witness_is_as_deep_at_any_scale(self):
+        # the cube |x|_inf <= 1e300 and a member row 1.5e-23 x_0 <= b: g's
+        # boundary point along it is (1e300, 0, 0), whose support 1.5e-323
+        # would be subnormal at raw scale and put the point past g, 1.35% out
+        g = HalfspaceRegion(_box(3).normals, np.full(6, 1e300), 3)
+        for reach, depth in ((1.005e300, -1.5e-23 * 0.005e300), (0.5e300, 1.5e-23 * 0.5e300)):
+            b = HalfspaceRegion([[1.5e-23, 0.0, 0.0]], [1.5e-23 * reach], 3)
+            x, found = union_witness(g, [b, b])
+            assert (g.normals @ x <= g.offsets * (1.0 + 1e-12)).all()
+            assert found == pytest.approx(depth, rel=1e-9)
+
+    def test_a_limit_at_or_below_zero_is_refuted_by_every_boundary_point(self):
+        # the boundary point along c != 0 has c.x = c.c / h(c) > 0
+        objectives = np.array([[5.0, 0.0, 0.0], [0.0, -7.0, 3.0], [1e-100, 0.0, 0.0]])
+        assert _refuted(objectives, _box(3), [0.0, -1.0, 0.0]).all()
 
 
 class TestOriginOnly:

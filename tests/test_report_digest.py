@@ -74,9 +74,11 @@ def test_the_nmember_digest_is_repeatable_and_reads_flags_not_floats(monkeypatch
 def test_the_work_line_is_repeatable_and_sees_an_added_pivot(monkeypatch):
     first = report_digest.work_counts([1], 8)
     assert first == report_digest.work_counts([1], 8)
-    assert _simplex._pivot.__name__ == "_pivot"  # the tool's wrappers are gone
-    lp, phase2, pivots = (int(field.split("=")[1]) for field in first.split())
-    assert 0 < lp and 0 < phase2 < pivots
+    # the tool's wrappers are gone
+    assert _simplex._pivot.__name__ == "_pivot"
+    assert ensemble.region_minus_subset.__name__ == "region_minus_subset"
+    lp, phase2, pivots, carves = (int(field.split("=")[1]) for field in first.split())
+    assert 0 < lp and 0 < phase2 < pivots and 0 < carves
     phase1 = _simplex._phase1
 
     def one_more_pivot(A, b):
@@ -90,6 +92,11 @@ def test_the_work_line_is_repeatable_and_sees_an_added_pivot(monkeypatch):
     monkeypatch.setattr(_simplex, "_phase1", one_more_pivot)
     more = report_digest.work_counts([1], 8)
     assert more.split()[:2] == first.split()[:2] and more != first
+    monkeypatch.undo()
+    # a carve that a union witness skipped runs once the witness is gone
+    monkeypatch.setattr(ensemble, "union_witness", lambda g, regions: None)
+    carved = report_digest.work_counts([1], 8)
+    assert int(carved.split()[3].split("=")[1]) > carves
 
 
 def test_a_float_is_read_to_its_last_bit():

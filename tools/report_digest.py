@@ -21,7 +21,8 @@ results, in order.  ``nmember`` covers `classify_regimes` on seeded 3- and
 four containment flags and any error, but no float, so that a change that
 moves only rounding keeps it.  ``work`` counts what the regimes ops of the
 seeds cost the LP solver: its calls (``_simplex.maximize``), its phase-2 runs
-(``_simplex._phase2``) and its pivots (``_simplex._pivot``), so that a change
+(``_simplex._phase2``) and its pivots (``_simplex._pivot``), and the union
+carves the ensemble runs (``ensemble.region_minus_subset``), so that a change
 that saves LP work shows it, and one that should not move it shows none.
 Run it in two checkouts and compare the lines.  Standard library and numpy
 only.
@@ -155,14 +156,15 @@ def lattice_digest(seeds: list[int], n_ops: int = LATTICE_OPS) -> str:
     return h.hexdigest()
 
 
-WORK = (("lp", "maximize"), ("phase2", "_phase2"), ("pivots", "_pivot"))
+WORK = (("lp", _simplex, "maximize"), ("phase2", _simplex, "_phase2"),
+        ("pivots", _simplex, "_pivot"), ("carves", ensemble, "region_minus_subset"))
 
 
 def work_counts(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
-    """The LP calls, phase-2 runs and pivots of the regimes ops of the seeds,
-    counted by wrapping each `_simplex` function for the run."""
-    counts = {name: 0 for name, _ in WORK}
-    originals = {function: getattr(_simplex, function) for _, function in WORK}
+    """The LP calls, phase-2 runs and pivots and the ensemble's carves of the
+    regimes ops of the seeds, counted by wrapping each function for the run."""
+    counts = {name: 0 for name, _, _ in WORK}
+    originals = {(module, function): getattr(module, function) for _, module, function in WORK}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -170,16 +172,16 @@ def work_counts(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
             return function(*args, **kwargs)
         return wrapper
 
-    for name, function in WORK:
-        setattr(_simplex, function, counted(name, originals[function]))
+    for name, module, function in WORK:
+        setattr(module, function, counted(name, originals[module, function]))
     try:
         runner = workloads.Regimes()
         for seed in seeds:
             for op in runner.make_ops(seed, n_ops):
                 runner.run_op(op)
     finally:
-        for function, original in originals.items():
-            setattr(_simplex, function, original)
+        for (module, function), original in originals.items():
+            setattr(module, function, original)
     return " ".join(f"{name}={count}" for name, count in counts.items())
 
 
