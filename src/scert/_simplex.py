@@ -32,10 +32,10 @@ import numpy as np
 
 FEASIBILITY_TOL = 1e-9  # absolute: least entering reduced cost (objective units), phase-1 residual
 PIVOT_TOL = 1e-11  # absolute, in row units: least pivot entry; objective entries this small are 0
-# Relative tolerance of the 2D path.  It must stay strictly below the 1e-9
-# slack that carves regions apart, or carved-off empty pieces survive; and it
-# scales with |a_i|.|v| as well as |b_i|, or the far vertex of a thin sliver
-# is dropped and its support comes out too small.
+# Relative tolerance of the 2D path: a vertex v may pass row i by this times
+# max(|b_i|, |a_i|.|v|), with no absolute floor, so scaled rows move no vertex.
+# It must stay below the 1e-9 slack that carves regions apart, or carved-off
+# empty pieces survive; without |a_i|.|v| a thin sliver loses its far vertex.
 VERTEX_TOL = 1e-12
 # Rows whose angle has a sine below this are parallel on the 2D path, and a
 # region whose rows are all parallel goes to the simplex.  It is below
@@ -50,6 +50,13 @@ MAX_ITERATIONS = 10_000
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
+
+
+def unit_size(a: np.ndarray, rows: bool = False):
+    """a / 2^e and e, 1/2 <= max |a / 2^e| < 1 over the array, or with `rows` over each row
+    (e an (m,) array); e = 0 for zeros.  A power of two keeps every bit at any scale."""
+    _, e = np.frexp(np.abs(a).max(axis=1 if rows else None, keepdims=True, initial=0.0))
+    return np.ldexp(a, -e), e[:, 0] if rows else e.item()
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -203,8 +210,7 @@ def _star_polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     outward normal over p x q, and an edge with 0 as an end gives a ray
     along its outward normal.  At most two edges end at 0, so three hull
     points give a vertex.  The hull has a handful of points, so its edges
-    are walked in Python; the scaling by a power of two keeps every bit
-    while the points stay normal."""
+    are walked in Python."""
     if not (b > 0.0).all():
         return None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -212,8 +218,8 @@ def _star_polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         if not np.isfinite(points).all():
             return None
         from .geometry import _monotone_chain  # geometry imports this module
-        shift = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
-        hull = _monotone_chain(np.ldexp(points, -shift).tolist() + [[0.0, 0.0]])
+        points, shift = unit_size(points)
+        hull = _monotone_chain(points.tolist() + [[0.0, 0.0]])
         if len(hull) < 3:
             return None
         unit = float(np.ldexp(1.0, -shift))  # inf when the points are all subnormal
@@ -236,18 +242,21 @@ def _star_polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Vertices and unit extreme rays of {x : A x <= b} in the plane, or None
-    when the nonzero rows do not span it.  An empty region has no vertices.
+    when the nonzero rows do not span it or an offset at unit size is past the
+    float range.  An empty region has no vertices.
 
     When the rows span the plane, a nonempty region has a vertex and is the
     hull of its vertices plus the cone of its extreme rays.  Each vertex
     is where the boundary, run counterclockwise, leaves one of the boundary
-    lines, so it is listed once, and each extreme ray runs along one of them.
-    """
-    shift = np.frexp(np.abs(A).max(axis=1))[1]  # each row and offset by a power of two to
-    A, b = np.ldexp(A, -shift[:, None]), np.ldexp(b, -shift)  # unit size: the same halfspace
+    lines, so it is listed once, and each extreme ray runs along one of them."""
+    A, shift = unit_size(A, rows=True)  # each row and its offset by one power of two:
+    with np.errstate(over="ignore"):  # the same halfspace
+        b = np.ldexp(b, -shift)
+    if not np.isfinite(b).all():
+        return None
     norms = np.hypot(A[:, 0], A[:, 1])
     zero = norms == 0.0
-    if np.any(b[zero] < -VERTEX_TOL * np.maximum(1.0, np.abs(b[zero]))):
+    if np.any(b[zero] < 0.0):
         return np.empty((0, 2)), np.empty((0, 2))
     A, b, norms = A[~zero], b[~zero], norms[~zero]
     # boundary line i is x = p_i + t d_i with d_i the unit row i turned
@@ -267,8 +276,7 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     t_hi = np.where(~parallel & (slope > 0.0), t, np.inf).min(axis=1)  # where x leaves line i
     finite = np.isfinite(t_hi)
     points = p[finite] + t_hi[finite, None] * d[finite]
-    scale = np.maximum(np.maximum(1.0, np.abs(b)),
-                       np.hypot(points[:, 0], points[:, 1])[:, None] * norms)
+    scale = np.maximum(np.abs(b), np.hypot(points[:, 0], points[:, 1])[:, None] * norms)
     vertices = points[np.all(points @ A.T <= b + VERTEX_TOL * scale, axis=1)]
     rays = np.concatenate([d, -d])
     rays = rays[np.all(rays @ A.T <= VERTEX_TOL * norms, axis=1)]

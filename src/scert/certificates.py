@@ -272,14 +272,14 @@ class Certificate:
         return one_or_many(inside, single)
 
     def ray_extent(self, direction):
-        """Largest t >= 0 with t * direction certified (inf when unbounded):
-        a float for one direction (d,), an (m,) array for a stack (m, d)."""
+        """Largest t >= 0 with t * direction certified (inf when unbounded or past
+        the float range): a float for one direction (d,), an (m,) array for (m, d)."""
         dirs, single = as_directions(direction, self.dim)
         extent = np.full(dirs.shape[0], math.inf)
         for gen, r in self.constraints:
             rho = gen.support(dirs)
-            hit = rho > geometry.NEGLIGIBLE
-            extent[hit] = np.minimum(extent[hit], r / rho[hit])
+            with np.errstate(all="ignore"):  # rho <= 0 bounds nothing; r / rho may overflow
+                extent = np.minimum(extent, np.where(rho > 0.0, r / rho, math.inf))
         return one_or_many(extent, single)
 
 

@@ -166,8 +166,7 @@ def _extent_regime(e_g, hi, lo) -> tuple[str, dict]:
     """The regime and containment flags of the ensemble extent e_g against the
     largest (hi) and smallest (lo) member extents: radii, or arrays of ray
     extents.  They are compared relative to their size, so that no verdict
-    moves when every gradient set is scaled, at scales where no support falls
-    to NEGLIGIBLE (there ray_extent reads the direction as unbounded)."""
+    moves when every gradient set is scaled."""
     flags = {"within_union": bool(np.all(e_g <= hi * (1 + GAP_TOL))),
              "contains_union": bool(np.all(e_g >= hi * (1 - GAP_TOL))),
              "contains_intersection": bool(np.all(e_g >= lo * (1 - GAP_TOL))),

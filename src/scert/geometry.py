@@ -33,8 +33,8 @@ is pruned again and each 2D point set is hulled once, its negation included.
 Each variant dispatches on itself: it implements ``support(u)`` (a float
 for one direction (d,), an (m,) array for a stack (m, d)),
 ``support_point(u)`` (a point attaining the support), ``negate()``,
-``scale(alpha)``, ``degenerate`` (the set is {0} up to :data:`NEGLIGIBLE`)
-and ``centered_ball`` (an ellipsoid, or an l_p ball centered exactly at 0);
+``scale(alpha)``, ``degenerate`` (the set is exactly {0}) and
+``centered_ball`` (an ellipsoid, or an l_p ball centered exactly at 0);
 the balls add ``same_shape(other)`` (one shape up to size and center),
 ``shape_norm`` (the matrix norm, 1 for an l_p ball), ``shape_radius`` (the
 radius on the normalized shape) and ``polar(r)``.  The free functions below
@@ -68,7 +68,6 @@ from . import _simplex
 
 TOL = 1e-9            # exact-geometry comparisons
 STRICT_MARGIN = 1e-6  # strict inclusion: absolute LP slack; relative factor on extents
-NEGLIGIBLE = 1e-15    # lengths, radii and support values treated as zero
 # 3D prune and polar screen: least barycentric weight of each of a tetrahedron's
 # three points, least weight of its apex, least |det| / extent^3
 PRUNE_MARGIN = 1e-6
@@ -190,7 +189,7 @@ class FinitePoints(ConvexBody):
         return one_or_many(values, single)
 
     def support_point(self, direction: np.ndarray) -> np.ndarray:
-        return self.points[int(np.argmax(self.points @ direction))].copy()
+        return self.points[int(np.argmax(self.points @ _simplex.unit_size(direction)[0]))].copy()
 
     def negate(self) -> "FinitePoints":
         return self._negated
@@ -224,7 +223,7 @@ class FinitePoints(ConvexBody):
 
     @property
     def degenerate(self) -> bool:
-        return bool(np.all(np.abs(self.points) <= NEGLIGIBLE))
+        return not self.points.any()
 
 
 @dataclass(frozen=True)
@@ -255,8 +254,8 @@ class LpBall(ConvexBody):
         return one_or_many(values, single)
 
     def support_point(self, direction: np.ndarray) -> np.ndarray:
-        d = direction
-        if np.all(np.abs(d) <= NEGLIGIBLE):
+        d, _ = _simplex.unit_size(direction)  # the point does not depend on the length of d
+        if not d.any():
             return self.center.copy()
         if self.p == 1.0:  # one vertex; the formula below would split ties
             g = np.zeros_like(d)
@@ -286,7 +285,7 @@ class LpBall(ConvexBody):
 
     @property
     def degenerate(self) -> bool:
-        return self.centered_ball and self.radius <= NEGLIGIBLE
+        return self.centered_ball and self.radius == 0.0
 
     def polar(self, r: float):
         if not self.centered_ball:
@@ -326,10 +325,11 @@ class Ellipsoid(ConvexBody):
         return one_or_many(self.radius * np.sqrt(np.maximum(quad, 0.0)), single)
 
     def support_point(self, direction: np.ndarray) -> np.ndarray:
-        quad = float(direction @ self.sigma @ direction)
-        if quad <= NEGLIGIBLE ** 2:
+        d, _ = _simplex.unit_size(direction)  # the point does not depend on the length of d
+        quad = float(d @ self.sigma @ d)
+        if not quad > 0.0:
             return np.zeros(self.dim)
-        return self.radius * (self.sigma @ direction) / math.sqrt(quad)
+        return self.radius * (self.sigma @ d) / math.sqrt(quad)
 
     def negate(self) -> "Ellipsoid":
         return self
@@ -341,8 +341,8 @@ class Ellipsoid(ConvexBody):
     def shape_norm(self) -> float:
         """The Frobenius norm of sigma, taken at unit size by a power of two,
         so that its squares cannot overflow."""
-        shift = math.frexp(float(np.abs(self.sigma).max()))[1]
-        return math.ldexp(float(np.linalg.norm(np.ldexp(self.sigma, -shift))), shift)
+        sigma, shift = _simplex.unit_size(self.sigma)
+        return math.ldexp(float(np.linalg.norm(sigma)), shift)
 
     def same_shape(self, other: ConvexBody) -> bool:
         """The matrices agree within SHAPE_TOL once normalized, so that
@@ -356,7 +356,7 @@ class Ellipsoid(ConvexBody):
 
     @property
     def degenerate(self) -> bool:
-        return self.radius <= NEGLIGIBLE
+        return self.radius == 0.0
 
     def polar(self, r: float):
         if self.radius == 0.0:
@@ -405,7 +405,7 @@ class Combination(ConvexBody):
 
     @property
     def degenerate(self) -> bool:
-        return all(c <= NEGLIGIBLE or b.degenerate for c, b in self.terms)
+        return all(c == 0.0 or b.degenerate for c, b in self.terms)
 
 
 @dataclass(frozen=True)
@@ -670,14 +670,15 @@ def _prune_3d(pts: np.ndarray) -> np.ndarray:
     argmax of every sphere-mesh direction is kept, and a point is dropped only
     when it lies inside a tetrahedron of the kept points' centroid and a mesh
     triangle (:func:`_in_tetrahedra`), so every extreme point is kept."""
-    top = _mesh_argmax(pts)
+    units, _ = _simplex.unit_size(pts)  # so that no determinant overflows at any scale
+    top = _mesh_argmax(units)
     keep = np.zeros(pts.shape[0], dtype=bool)
     keep[top] = True
     if keep.all():
         return pts
-    centre = pts[keep].mean(axis=0)
+    centre = units[keep].mean(axis=0)
     rest = np.flatnonzero(~keep)
-    keep[rest] = ~_in_tetrahedra(pts[rest], centre, *_mesh_tetrahedra(pts, top, centre))
+    keep[rest] = ~_in_tetrahedra(units[rest], centre, *_mesh_tetrahedra(units, top, centre))
     return pts[keep]
 
 
@@ -759,14 +760,12 @@ class HalfspaceRegion:
         of K by less than 2^-1074 at that size."""
         if not (self.offsets > 0.0).all():
             return None
-        _, row_exp = np.frexp(np.abs(self.normals).max(axis=1, initial=0.0))
+        rows, row_exp = _simplex.unit_size(self.normals, rows=True)
         unit, offset_exp = np.frexp(self.offsets)
         exps = row_exp - offset_exp
         top = int(exps.max(initial=0))
-        q = np.ldexp(np.ldexp(self.normals, -row_exp[:, None]) / unit[:, None],
-                     (exps - top)[:, None])
-        shift = math.frexp(float(np.abs(q).max(initial=0.0)))[1]
-        return top + shift, np.ldexp(q, -shift)
+        q, shift = _simplex.unit_size(np.ldexp(rows / unit[:, None], (exps - top)[:, None]))
+        return top + shift, q
 
     @functools.cached_property
     def _polar_tetrahedra(self):
@@ -859,8 +858,7 @@ def _boundary(region: HalfspaceRegion, directions: np.ndarray):
     if points is None:
         return None
     shift, q = points
-    _, exps = np.frexp(np.abs(directions).max(axis=1, initial=0.0))
-    units = np.ldexp(directions, -exps[:, None])
+    units, exps = _simplex.unit_size(directions, rows=True)
     h = np.max(units @ q.T, axis=1, initial=0.0)
     h[(h > 0.0) & (h < np.finfo(float).tiny)] = np.nan
     return units, exps, h

@@ -47,9 +47,25 @@ def reference_extent(cert, direction) -> float:
     extent = math.inf
     for gen, r in cert.constraints:
         rho = reference_support(gen, direction)
-        if rho > 1e-15:
+        if rho > 0.0:
             extent = min(extent, r / rho)
     return extent
+
+
+def scaled_body(body, k: int):
+    """A point set or ball scaled by 2^k, from its own data."""
+    if isinstance(body, FinitePoints):
+        return FinitePoints(np.ldexp(body.points, k))
+    if isinstance(body, LpBall):
+        return LpBall(body.p, math.ldexp(body.radius, k), body.center)
+    return Ellipsoid(body.sigma, math.ldexp(body.radius, k))
+
+
+def all_normal(values) -> bool:
+    """Every entry is 0 or a finite normal float, so that a power of two that
+    led to it kept every bit."""
+    values = np.abs(np.asarray(values, dtype=float))
+    return bool(np.all((values == 0.0) | ((values >= np.finfo(float).tiny) & np.isfinite(values))))
 
 
 def brute_pairwise_differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import consistent_instance, unit_directions
+from conftest import all_normal, consistent_instance, scaled_body, unit_directions
 from scert import geometry as geo
 from scert.certificates import (
     ClassDiff,
@@ -270,6 +273,70 @@ class TestScalingInvariance:
             assert len(a) == len(b)
             for (na, _), (nb, _) in zip(a, b):
                 assert np.allclose(na, nb, atol=1e-6)
+
+
+def _smoothness(mode: str, bodies: list):
+    """Smoothness of the mode from the first one, three or six bodies."""
+    if mode == "u":
+        return Uniform(bodies[0])
+    if mode == "cw":
+        return ClassWise(tuple(bodies[:3]))
+    return ClassDiff(dict(zip([(i, j) for i in range(3) for j in range(3) if i != j], bodies)))
+
+
+class TestCertificatesScaleExactly:
+    """The certificate is {delta : support(G_i, delta) <= r_i}, so scaling every
+    gradient set by 2^k scales it by exactly 2^-k: each region row by 2^k with
+    its offset kept, each ball radius by 2^-k, and no body's support point
+    moves, at every k where the scaled input is exact."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.sampled_from(["u", "cw", "cd"]),
+           st.sampled_from(["points", 1.0, 2.0, 3.0, math.inf, "ellipsoid"]),
+           st.integers(-1000, 1000), st.integers(0, 2 ** 32 - 1))
+    @example(3, "u", "points", 1000, 0)
+    @example(3, "cd", "points", 400, 0)
+    @example(2, "u", "points", -1000, 0)
+    @example(1, "cw", 2.0, -1000, 0)
+    def test_every_certificate_scales_by_the_power_of_two(self, dim, mode, family, k, seed):
+        rng = np.random.default_rng(seed)
+        if family == "points":
+            bodies = [FinitePoints(rng.standard_normal((6, dim))) for _ in range(6)]
+        elif family == "ellipsoid":  # one shape, so that the certificate is a ball
+            root = rng.standard_normal((dim, dim))
+            sigma = root @ root.T + np.eye(dim)
+            bodies = [Ellipsoid(sigma, rng.uniform(0.5, 2.0)) for _ in range(6)]
+        else:
+            bodies = [LpBall(family, rng.uniform(0.5, 2.0), np.zeros(dim)) for _ in range(6)]
+        scaled = [scaled_body(body, k) for body in bodies]
+        directions = rng.standard_normal((4, dim))
+        assume(all(all_normal(body.points if family == "points" else body.radius)
+                   for body in scaled))
+        assume(all_normal(np.ldexp(directions, k)))
+        logits = rng.permutation([0.6, 0.3, 0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = s_certificate(ClassifierAtPoint(logits, _smoothness(mode, bodies)), mode)
+            cert = s_certificate(ClassifierAtPoint(logits, _smoothness(mode, scaled)), mode)
+            for body in bodies:
+                for d in directions:
+                    assert np.array_equal(body.support_point(d),
+                                          body.support_point(np.ldexp(d, k)))
+        assert cert.kind == base.kind and base.kind in ("region", "ball")
+        if base.kind == "region":
+            assert np.array_equal(cert.region.normals, np.ldexp(base.region.normals, k))
+            assert np.array_equal(cert.region.offsets, base.region.offsets)
+        else:
+            assert cert.ball.radius == math.ldexp(base.ball.radius, -k)
+
+    def test_a_cloud_at_1e_200_certifies_a_bounded_region(self):
+        # an absolute floor under which a cloud was {0} certified the whole
+        # space here, though the classifier of gradients (-1, -0.5) 1e-200 and
+        # (1, 0) 1e-200 flips at (1e200, 0)
+        cloud = 1e-200 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -0.5], [0.3, 0.2]])
+        cert = s_certificate(ClassifierAtPoint([0.6, 0.4], Uniform(FinitePoints(cloud))), "u")
+        assert cert.kind == "region" and cert.region.n_halfspaces == 6
+        assert not cert.contains([1e200, 0.0])
 
 
 class TestLattice:

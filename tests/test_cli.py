@@ -186,6 +186,41 @@ class TestCertify:
         code, out, err = run_cli(capsys, "regime", str(two))
         assert code == 0 and err == "" and "certificate regime: inconclusive" in out
 
+    def test_a_cloud_at_1e_200_certifies_its_region(self, tmp_path, capsys):
+        # an absolute floor under which a cloud was {0} certified the whole space
+        cloud = [[1e-200, 0.0], [0.0, 1e-200], [-1e-200, -5e-201], [3e-201, 2e-201]]
+        problem = self._write(tmp_path, [0.6, 0.4], {"mode": "u", "body": {
+            "type": "points", "points": cloud}})
+        code, out, err = run_cli(capsys, "certify", problem, "--mode", "u")
+        assert code == 0 and err == ""
+        assert "[2e-200, 5e-201] . delta <= 0.2" in out and out.count(". delta <= 0.2") == 6
+
+    def test_a_subnormal_cloud_certifies_and_regimes_without_warning(self, tmp_path, capsys):
+        # its region's vertices are past the float range, where the 2D path
+        # leaves it to the simplex
+        cloud = [[1e-310, 0.0], [0.0, 1e-310], [-1e-310, -5e-311], [3e-311, 2e-311]]
+        member = {"logits": [0.6, 0.4],
+                  "smoothness": {"mode": "u", "body": {"type": "points", "points": cloud}}}
+        one, two = tmp_path / "one.json", tmp_path / "two.json"
+        one.write_text(json.dumps({"dimension": 2, "classes": 2, "members": [member]}))
+        two.write_text(json.dumps({"dimension": 2, "classes": 2, "members": [member, member]}))
+        code, out, err = run_cli(capsys, "certify", str(one), "--mode", "u")
+        assert code == 0 and err == "" and out.count(". delta <= 0.2") == 6
+        code, out, err = run_cli(capsys, "regime", str(two))
+        assert code == 0 and err == ""
+
+    def test_a_tiny_ball_certifies_its_polar_ball(self, tmp_path, capsys):
+        problem = self._write(tmp_path, [0.6, 0.4], {"mode": "u", "body": {
+            "type": "lp_ball", "p": 2, "eps": 1e-16}})
+        code, out, err = run_cli(capsys, "certify", problem, "--mode", "u")
+        assert code == 0 and err == "" and "l2 ball, radius 1e+15" in out
+
+    def test_a_polar_radius_past_the_float_range_is_an_error(self, tmp_path, capsys):
+        problem = self._write(tmp_path, [0.6, 0.4], {"mode": "u", "body": {
+            "type": "lp_ball", "p": 2, "eps": 5e-324}})
+        code, out, err = run_cli(capsys, "certify", problem, "--mode", "u")
+        assert code == 2 and err == "error: radius must be a finite nonnegative real\n"
+
     @pytest.mark.parametrize("members", [(0,), (1,), (0, 1)])
     def test_an_ellipsoid_at_1e200_regimes_without_warning(self, members, tmp_path, capsys):
         # the Frobenius norm of sigma squared its entries, which overflowed

@@ -11,15 +11,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_normal,
     best_gap_by_vertices,
     exact_top,
     first_switch_alpha,
     reference_extent,
     reference_optimize_weights,
+    scaled_body,
     unit_directions,
 )
 from scert import _simplex
@@ -368,12 +370,14 @@ class TestExtentsScale:
         return classify_regimes(EnsembleSpec(members))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(sorted(CASES)), st.floats(-8.0, 8.0))
+    @given(st.sampled_from(sorted(CASES)), st.floats(-300.0, 300.0))
     @example("radii", 6.0)
-    @example("radii", 8.0)
-    @example("sampled", 8.0)
-    @example("lp", -8.0)
-    @example("lp", 8.0)
+    @example("radii", 300.0)
+    @example("radii", -16.0)
+    @example("sampled", 300.0)
+    @example("sampled", -300.0)
+    @example("lp", -300.0)
+    @example("lp", 300.0)
     def test_one_verdict_for_every_scale(self, path, exponent):
         make_body, verdict = self.CASES[path]
         report = self._report(make_body, 10.0 ** exponent)
@@ -1695,13 +1699,13 @@ def _full_queries(spec: EnsembleSpec) -> tuple[str, dict]:
 
 
 @st.composite
-def point_cloud_ensembles(draw):
+def point_cloud_ensembles(draw, dims=(2, 3)):
     """2 to 4 members in 2D or 3D, in mode u, cw or cd, from a drawn seed; a
     3D member holds 3-point clouds, and a 3D cw ensemble at most 3 members (a
     fourth takes a second or more).  2D members may share their gradients and
     differ only in their logits, which is where improvements are found (in 3D
     the full carve of such members takes seconds)."""
-    dim, mode = draw(st.sampled_from([2, 3])), draw(st.sampled_from(["u", "cw", "cd"]))
+    dim, mode = draw(st.sampled_from(dims)), draw(st.sampled_from(["u", "cw", "cd"]))
     n = draw(st.integers(2, 3 if (dim, mode) == (3, "cw") else 4))
     points = draw(st.integers(3, 6)) if dim == 2 else 3
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1711,6 +1715,47 @@ def point_cloud_ensembles(draw):
         rng.dirichlet(np.ones(3)), rng.standard_normal(shape) if shared is None else shared, mode)
         for _ in range(n))
     return EnsembleSpec(members, rng.dirichlet(np.ones(n)))
+
+
+def _scaled_spec(spec: EnsembleSpec, k: int) -> EnsembleSpec:
+    """The ensemble with every gradient set scaled by 2^k."""
+    def scaled(smoothness):
+        if isinstance(smoothness, Uniform):
+            return Uniform(scaled_body(smoothness.body, k))
+        if isinstance(smoothness, ClassWise):
+            return ClassWise(tuple(scaled_body(body, k) for body in smoothness.bodies))
+        return ClassDiff({pair: scaled_body(body, k) for pair, body in smoothness.pairs.items()})
+    return EnsembleSpec(tuple(ClassifierAtPoint(m.logits, scaled(m.smoothness))
+                              for m in spec.members), spec.weights)
+
+
+class TestVerdictsScale:
+    """Scaling every gradient set by 2^k scales every certificate by 2^-k, so
+    no verdict moves.  The 2D path holds that at every exact scale; the dense
+    simplex of 1D and 3D regions does not yet, as its tolerances are absolute
+    (ROADMAP items 2 and 3)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(point_cloud_ensembles(dims=(2,)), st.integers(-1000, 1000))
+    def test_a_2d_verdict_and_its_evidence_at_every_scale(self, spec, k):
+        assume(all(all_normal(np.ldexp(body.points, k))
+                   for m in spec.members for body in m.smoothness.bodies))
+        report, scaled = classify_regimes(spec), classify_regimes(_scaled_spec(spec, k))
+        assert (scaled.cert_regime, scaled.evidence) == (report.cert_regime, report.evidence)
+
+    @pytest.mark.parametrize("op, k", [
+        (0, 64), (0, -64), (0, 600), (0, -600),  # 2d-u, inconclusive
+        pytest.param(7, 64, marks=pytest.mark.xfail(  # 3d-cd, inconclusive
+            strict=True, reason="indeterminate: the dense simplex's tolerances are "
+            "absolute (ROADMAP items 2 and 3)")),
+        pytest.param(59, -64, marks=pytest.mark.xfail(  # 3d-u, indeterminate
+            strict=True, reason="reduction: the dense simplex's tolerances are "
+            "absolute (ROADMAP items 2 and 3)")),
+    ])
+    def test_a_regimes_op_of_seed_1(self, op, k):
+        *_, spec = _regime_ops(1, op + 1)
+        report, scaled = classify_regimes(spec), classify_regimes(_scaled_spec(spec, k))
+        assert (scaled.cert_regime, scaled.evidence) == (report.cert_regime, report.evidence)
 
 
 class TestRegimeQueries:

@@ -3,6 +3,8 @@
 import importlib.util
 import pathlib
 
+import numpy as np
+
 from scert import _simplex, ensemble, geometry
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
@@ -97,6 +99,18 @@ def test_the_work_line_is_repeatable_and_sees_an_added_pivot(monkeypatch):
     monkeypatch.setattr(ensemble, "union_witness", lambda g, regions: None)
     carved = report_digest.work_counts([1], 8)
     assert int(carved.split()[3].split("=")[1]) > carves
+
+
+def test_the_scale_line_is_repeatable_and_counts_a_moved_op(monkeypatch):
+    # one cycle of op kinds: six 2D ops and two 3D ops, of which the dense
+    # simplex moves one at 2^600 (pinned in tests/test_ensemble.py)
+    first = report_digest.scale_counts([1], 8)
+    assert first == report_digest.scale_counts([1], 8) == "2d=0+0 3d=0+1"
+    # an absolute floor under which a gradient set is {0} certifies the whole
+    # space at 2^-600, which moves every op
+    monkeypatch.setattr(geometry.FinitePoints, "degenerate",
+                        property(lambda body: bool(np.all(np.abs(body.points) <= 2.0 ** -50))))
+    assert report_digest.scale_counts([1], 8) == "2d=6+0 3d=2+1"
 
 
 def test_a_float_is_read_to_its_last_bit():

@@ -665,3 +665,20 @@ class TestPairwiseScale:
         scaled_values, scaled_points = maximize(objectives, np.ldexp(A, e), np.ldexp(b, e))
         assert scaled_values.tobytes() == values.tobytes()
         assert scaled_points.tobytes() == points.tobytes()
+
+    def test_an_offset_past_the_float_range_goes_to_the_simplex(self):
+        # rows of 1e-310 take the offsets to about 2^1030 at unit size: the
+        # vertices are past the float range, so every maximum reads +inf
+        A, b = self.BOX
+        assert _simplex._polygon(1e-310 * A, np.abs(b)) is None
+        values, _ = maximize(self.OBJECTIVES, 1e-310 * A, np.abs(b))
+        assert values.tolist() == [math.inf] * 3
+
+    def test_unit_size_of_an_array_and_of_each_row(self):
+        a = np.array([[3.0, -0.5], [0.0, 0.0], [1e-310, -1e-311]])
+        whole, e = _simplex.unit_size(a)
+        assert e == 2 and np.array_equal(whole, a / 4.0)
+        rows, e = _simplex.unit_size(a, rows=True)
+        assert np.array_equal(np.ldexp(rows, e[:, None]), a) and e[1] == 0
+        assert np.all(np.abs(rows[[0, 2]]).max(axis=1) >= 0.5)
+        assert np.all(np.abs(rows).max(axis=1) < 1.0)

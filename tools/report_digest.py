@@ -4,8 +4,8 @@ Usage, from anywhere:
 
     python3 tools/report_digest.py --seeds 1-3
 
-prints four lines, each a label and a digest, and a fifth, ``work``, with
-counts.  ``regimes`` covers the
+prints four lines, each a label and a digest, and two more, ``work`` and
+``scale``, with counts.  ``regimes`` covers the
 `classify_regimes` reports of the perfbench ``regimes`` ops of each seed,
 880 of them (those of one 16 s run), each run by the workload's own op runner,
 which also checks the report against its evidence: both verdicts, the gaps
@@ -24,8 +24,12 @@ seeds cost the LP solver: its calls (``_simplex.maximize``), its phase-2 runs
 (``_simplex._phase2``) and its pivots (``_simplex._pivot``), and the union
 carves the ensemble runs (``ensemble.region_minus_subset``), so that a change
 that saves LP work shows it, and one that should not move it shows none.
-Run it in two checkouts and compare the lines.  Standard library and numpy
-only.
+``scale`` counts, per dimension, the regimes ops of the seeds whose verdict or
+evidence changes, or that raise, when every gradient is scaled by 2^-600 and
+by 2^600 (``2d=a+b``, a at 2^-600 and b at 2^600); a certificate scales
+exactly with its gradients, so each count is a verdict that depends on an
+absolute size.  Run it in two checkouts and compare the lines.  Standard
+library and numpy only.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ DRAWS = 100
 NMEMBER_KINDS = tuple((n, dim, mode, 5 if dim == 2 else 3) for n in (3, 4)
                       for dim in (2, 3) for mode in ("u", "cw", "cd"))
 FLAGS = ("contains_intersection", "within_union", "contains_union", "within_intersection")
+SCALES = (-600, 600)  # the powers of two of the scale line
 
 
 def _encode(value) -> str:
@@ -67,25 +72,23 @@ def _encode(value) -> str:
     raise TypeError(f"no canonical text for {type(value).__name__}")
 
 
+def _report(runner, op):
+    """The `classify_regimes` report that the regimes op runner made for op."""
+    reports, classify = [], ensemble.classify_regimes
+    ensemble.classify_regimes = lambda spec: reports.append(classify(spec)) or reports[-1]
+    try:
+        runner.run_op(op)
+    finally:
+        ensemble.classify_regimes = classify
+    return reports[0]
+
+
 def _reports(ops):
     """Each op, run by the regimes op runner, with the `classify_regimes`
     report it made."""
-    runner, reports = workloads.Regimes(), []
-    classify = ensemble.classify_regimes
-
-    def capture(spec):
-        reports.append(classify(spec))
-        return reports[-1]
-
-    ensemble.classify_regimes = capture
-    try:
-        for op in ops:
-            runner.run_op(op)
-            (report,) = reports
-            reports.clear()
-            yield op, report
-    finally:
-        ensemble.classify_regimes = classify
+    runner = workloads.Regimes()
+    for op in ops:
+        yield op, _report(runner, op)
 
 
 def regimes_digest(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
@@ -185,6 +188,28 @@ def work_counts(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
     return " ".join(f"{name}={count}" for name, count in counts.items())
 
 
+def scale_counts(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
+    """Per dimension, the regimes ops of the seeds whose verdict or evidence
+    changes, or that raise, when every gradient is scaled by 2^k, for each k
+    of SCALES: `2d=a+b` counts a at 2^-600 and b at 2^600."""
+    runner, moved = workloads.Regimes(), {}
+    for seed in seeds:
+        for op in runner.make_ops(seed, n_ops):
+            name, (mode, members, weights) = op
+            report = _report(runner, op)
+            counts = moved.setdefault(f"{members[0][1].shape[-1]}d", [0] * len(SCALES))
+            for i, k in enumerate(SCALES):
+                scaled = tuple((logits, np.ldexp(grads, k)) for logits, grads in members)
+                try:
+                    other = _report(runner, (name, (mode, scaled, weights)))
+                except Exception:  # a raise counts as a move
+                    counts[i] += 1
+                    continue
+                counts[i] += (other.cert_regime, other.evidence) != (report.cert_regime,
+                                                                     report.evidence)
+    return " ".join(f"{dim}=" + "+".join(map(str, moves)) for dim, moves in sorted(moved.items()))
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1-3", help="e.g. 1-3,7 (default 1-3)")
@@ -195,6 +220,7 @@ def main(argv=None) -> None:
     print("lattice", lattice_digest(seeds))
     print("nmember", nmember_digest(seeds))
     print("work", work_counts(seeds))
+    print("scale", scale_counts(seeds))
 
 
 if __name__ == "__main__":
