@@ -1,10 +1,12 @@
-"""Small linear programs: a dense two-phase simplex and an exact 2D path.
+"""Small linear programs: a dense two-phase simplex and exact 1D and 2D paths.
 
 Solves   max  c.x   subject to   A x <= b,   x free (unrestricted sign),
 for a stack of objectives over the same region, so the method depends on the
 region alone.  The answers are arrays: one maximum per objective, +inf where
 it is unbounded and -inf on an empty region, and a point attaining each.
 
+A region of the line is answered from its two ends, each a correctly rounded
+ratio b_k / a_k, which scales exactly by powers of two (Higham 2002, ch. 2).
 A region of the plane is answered from its vertices and extreme rays,
 computed once.  Where every offset is positive the region holds 0 inside and
 is the polar set of the hull of {a_k / b_k} and 0, so its vertices and rays
@@ -300,6 +302,25 @@ def _polygon_results(objectives: np.ndarray, vertices: np.ndarray,
     return best, points
 
 
+def _interval(objectives: np.ndarray, A: np.ndarray, b: np.ndarray):
+    """The maxima and points of the objectives over {x : A x <= b} on the line,
+    between its ends lo and hi, or None where a ratio b_k / a_k overflows
+    inward, as no float lies in the region."""
+    a = A[:, 0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = b / a  # an end that overflows outward is open: no float lies past it
+        lo, hi = ratios[a < 0.0].max(initial=-math.inf), ratios[a > 0.0].min(initial=math.inf)
+        if hi == -math.inf or lo == math.inf:
+            return None
+        if lo > hi or (b[a == 0.0] < 0.0).any():  # crossing ends, or 0 x <= b < 0
+            return np.full(len(objectives), -math.inf), np.full(objectives.shape, math.nan)
+        # c > 0 peaks at hi, c < 0 at lo and c = 0 at the point nearest 0
+        points = np.select([objectives > 0.0, objectives < 0.0], [hi, lo], min(max(0.0, lo), hi))
+        values = (objectives * points)[:, 0]
+    points[np.isinf(points)] = math.nan  # an open end: unbounded
+    return values, points
+
+
 def maximize(objectives, A, b, limits=None) -> tuple[np.ndarray, np.ndarray]:
     """Maximize each objective.x of a stack (k, n) over {x : A x <= b}, x free.
 
@@ -307,8 +328,9 @@ def maximize(objectives, A, b, limits=None) -> tuple[np.ndarray, np.ndarray]:
     another, up to the first maximum above its entry of `limits` (all of them
     without limits).  A maximum is +inf where the objective is unbounded,
     with a NaN point, and -inf on an empty region, which no limit is below.
-    In the plane, when every offset is positive or the nonzero rows span it,
-    the stack is answered from the region's vertices and extreme rays;
+    On the line, the stack is answered from the region's two ends, unless a
+    ratio b_k / a_k overflows inward; in the plane, when every offset is
+    positive or the nonzero rows span it, from its vertices and extreme rays;
     otherwise the simplex runs one phase 1 and solves the objectives in
     order, and each optimal basis also answers the later objectives it is
     optimal for, at a point that may differ by rounding from their own.
@@ -317,10 +339,12 @@ def maximize(objectives, A, b, limits=None) -> tuple[np.ndarray, np.ndarray]:
     A = np.asarray(A, dtype=float).reshape(-1, objectives.shape[1])
     b = np.asarray(b, dtype=float).reshape(-1)
     limits = np.full(len(objectives), math.inf) if limits is None else np.asarray(limits, float)
-    polygon = (_star_polygon(A, b) or _polygon(A, b)) if A.shape[1] == 2 else None
-    if polygon is None:
+    if A.shape[1] == 1 and (answers := _interval(objectives, A, b)) is not None:
+        values, points = answers
+    elif A.shape[1] == 2 and (polygon := _star_polygon(A, b) or _polygon(A, b)) is not None:
+        values, points = _polygon_results(objectives, *polygon)
+    else:
         return _solve_stack(objectives, A, b, limits)
-    values, points = _polygon_results(objectives, *polygon)
     over = values > limits
     count = int(over.argmax()) + 1 if over.any() else len(values)
     return values[:count], points[:count]

@@ -45,7 +45,7 @@ at two bodies.
 A region whose offsets are all positive (a star region) is the polar set of
 K, the hull of {a_k / b_k} and 0, and its boundary point along u is u / h(u),
 h the support of K (:func:`_boundary`, at unit size by powers of two).
-Where the simplex answers (d != 2), the region queries settle two kinds of
+Where the simplex answers (d >= 3), the region queries settle two kinds of
 objective before any LP, in the one order of :func:`region_maxima`: one
 whose boundary point along itself is past its limit is refuted
 (:func:`_refuted`), and in 3D one that lies deep inside a tetrahedron of 0
@@ -871,9 +871,9 @@ def _refuted(objectives: np.ndarray, region: HalfspaceRegion, limits: np.ndarray
     unbounded c != 0 has h = 0).  Every term is at unit size, so scaling c,
     L or the rows by powers of two moves no answer, and an h that lost its
     bits refutes nothing.  x lies in the region, so the maximum of c is above
-    L there with no LP.  Only for a star region the simplex answers (d != 2;
-    a 2D region takes one polygon pass), and never a zero objective."""
-    boundary = None if region.dim == 2 else _boundary(region, objectives)
+    L there with no LP.  Only for a star region the simplex answers (d >= 3;
+    a 1D or 2D region takes one exact pass), and never a zero objective."""
+    boundary = None if region.dim < 3 else _boundary(region, objectives)
     if boundary is None:
         return np.zeros(len(objectives), dtype=bool)
     units, exps, h = boundary

@@ -221,6 +221,23 @@ class TestCertify:
         code, out, err = run_cli(capsys, "certify", problem, "--mode", "u")
         assert code == 2 and err == "error: radius must be a finite nonnegative real\n"
 
+    @pytest.mark.parametrize("fixture, mode, logits, interval", [
+        ("example-3-11-cw.json", "cw", [1e308, 0.7], "[-1.25e+308, 8.33333333e+307]"),
+        # the one row, -0.2 delta <= 1e308, bounds delta only past the float range
+        ("example-3-11-cd.json", "cd", [0.9, 1e308], "(-inf, inf)"),
+    ])
+    def test_a_1d_file_with_huge_logits_certifies_without_warning(self, fixture, mode, logits,
+                                                                interval, tmp_path, capsys):
+        # the dense simplex that answered 1D regions overflowed, and read NaN
+        problem = json.loads(fixture_path(fixture).read_text())
+        problem["members"][0]["logits"] = logits
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(problem))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "certify", str(path), "--mode", mode)
+        assert code == 0 and err == "" and f"  interval {interval}\n" in out
+
     @pytest.mark.parametrize("members", [(0,), (1,), (0, 1)])
     def test_an_ellipsoid_at_1e200_regimes_without_warning(self, members, tmp_path, capsys):
         # the Frobenius norm of sigma squared its entries, which overflowed

@@ -37,7 +37,7 @@ import warnings
 
 import pytest
 
-from scert import cli
+from scert import _simplex, cli
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
 _ENSEMBLE_FIXTURES = ("appendix-c4.json", "fig5a.json", "fig5b.json", "fig5c.json",
@@ -131,6 +131,17 @@ def test_snapshot_covers_the_documented_commands():
 @pytest.mark.parametrize("entry", _entries(), ids=lambda e: " ".join(e["command"]))
 def test_command_output_is_byte_identical(entry):
     assert run_command(entry["command"]) == entry
+
+
+def test_the_simplex_serves_no_region_below_three_dimensions(monkeypatch):
+    # every 1D and 2D region of the documented commands takes an exact path,
+    # so the simplex solves only simulate's weight LPs (n + 1 >= 3 columns)
+    columns, solve_stack = [], _simplex._solve_stack
+    monkeypatch.setattr(_simplex, "_solve_stack", lambda objectives, A, b, limits:
+                        columns.append(A.shape[1]) or solve_stack(objectives, A, b, limits))
+    for command in golden_commands():
+        run_command(command)
+    assert (sum(n < 3 for n in columns), len(columns)) == (0, 4)
 
 
 if __name__ == "__main__":

@@ -1729,11 +1729,38 @@ def _scaled_spec(spec: EnsembleSpec, k: int) -> EnsembleSpec:
                               for m in spec.members), spec.weights)
 
 
+def _1d_ensemble(mode: str, seed: int) -> EnsembleSpec:
+    """Two 1D members of 3 classes with 4 gradient sites each, drawn from a seed."""
+    rng = np.random.default_rng(seed)
+    shape = (4, 1) if mode == "u" else (4, 3, 1)
+    return EnsembleSpec(tuple(_point_cloud_member(rng.dirichlet(np.ones(3)),
+                                                  rng.standard_normal(shape), mode)
+                              for _ in range(2)), rng.dirichlet(np.ones(2)))
+
+
 class TestVerdictsScale:
     """Scaling every gradient set by 2^k scales every certificate by 2^-k, so
-    no verdict moves.  The 2D path holds that at every exact scale; the dense
-    simplex of 1D and 3D regions does not yet, as its tolerances are absolute
-    (ROADMAP items 2 and 3)."""
+    no verdict moves.  The exact 1D and 2D paths hold that at every exact
+    scale; the dense simplex of 3D regions does not yet, as its tolerances
+    are absolute (ROADMAP items 2 and 3)."""
+
+    # each moved at 2^39 and 2^64 while the dense simplex answered 1D regions,
+    # as entries of 1 / row fell below its absolute pivot tolerance
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["u", "cw", "cd"]), st.integers(0, 2**32 - 1),
+           st.integers(-1000, 1000))
+    @example("u", 2, 39)
+    @example("u", 2, 64)
+    @example("cw", 2, 39)
+    @example("cw", 2, 64)
+    @example("cd", 2, 39)
+    @example("cd", 2, 64)
+    def test_a_1d_verdict_and_its_evidence_at_every_scale(self, mode, seed, k):
+        spec = _1d_ensemble(mode, seed)
+        assume(all(all_normal(np.ldexp(body.points, k))
+                   for m in spec.members for body in m.smoothness.bodies))
+        report, scaled = classify_regimes(spec), classify_regimes(_scaled_spec(spec, k))
+        assert (scaled.cert_regime, scaled.evidence) == (report.cert_regime, report.evidence)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(point_cloud_ensembles(dims=(2,)), st.integers(-1000, 1000))

@@ -1175,7 +1175,8 @@ class TestPolarScreen:
         assert _proven(inside, cube, ones).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # a 2D region, an offset of 0 or below
+            # a 1D or 2D region, an offset of 0 or below
+            assert not _proven(inside[:, :1], _box(1), ones).any()
             assert not _proven(inside[:, :2], _box(2), ones).any()
             for offset in (0.0, -1.0):
                 shifted = HalfspaceRegion(cube.normals, np.append(cube.offsets[:-1], offset), 3)
@@ -1316,7 +1317,8 @@ class TestBoundaryRefutation:
         far = np.array([[5.0, 0.0, 0.0], [0.0, -7.0, 3.0], [2.0, 2.0, 2.0]])
         cube, ones = _box(3), np.ones(3)
         assert _refuted(far, cube, ones).all()
-        # a 2D region: one polygon pass answers it
+        # a 1D or 2D region: one interval or polygon pass answers it
+        assert not _refuted(far[:, :1], _box(1), ones).any()
         assert not _refuted(far[:, :2], _box(2), ones).any()
         # an offset of 0 or below
         for offset in (0.0, -1.0):

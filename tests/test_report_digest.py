@@ -103,14 +103,15 @@ def test_the_work_line_is_repeatable_and_sees_an_added_pivot(monkeypatch):
 
 def test_the_scale_line_is_repeatable_and_counts_a_moved_op(monkeypatch):
     # one cycle of op kinds: six 2D ops and two 3D ops, of which the dense
-    # simplex moves one at 2^600 (pinned in tests/test_ensemble.py)
-    first = report_digest.scale_counts([1], 8)
-    assert first == report_digest.scale_counts([1], 8) == "2d=0+0 3d=0+1"
+    # simplex moves one at 2^600 (pinned in tests/test_ensemble.py), and two
+    # 1D ensembles per mode, which the exact 1D path moves at no scale
+    first = report_digest.scale_counts([1], 8, 2)
+    assert first == report_digest.scale_counts([1], 8, 2) == "1d=0+0 2d=0+0 3d=0+1"
     # an absolute floor under which a gradient set is {0} certifies the whole
     # space at 2^-600, which moves every op
     monkeypatch.setattr(geometry.FinitePoints, "degenerate",
                         property(lambda body: bool(np.all(np.abs(body.points) <= 2.0 ** -50))))
-    assert report_digest.scale_counts([1], 8) == "2d=6+0 3d=2+1"
+    assert report_digest.scale_counts([1], 8, 2) == "1d=6+0 2d=6+0 3d=2+1"
 
 
 def test_a_float_is_read_to_its_last_bit():

@@ -35,7 +35,7 @@ def simplex_alone(objective, A, b):
 
 
 # every oracle test runs on the public call and on the simplex itself, which
-# the public call bypasses for 2D regions whose rows span the plane
+# the public call bypasses for 1D regions and 2D regions whose rows span the plane
 both_paths = pytest.mark.parametrize("solve", [solve_one, simplex_alone],
                                      ids=["maximize", "simplex"])
 
@@ -419,8 +419,83 @@ def _random_3d_regions(seed: int, count: int):
                rng.standard_normal((m, 3)), rng.uniform(-1.0, 2.0, size=m))
 
 
+def _random_1d_regions(seed: int, count: int):
+    """1D regions with zero rows and negative offsets, so some are empty and
+    some unbounded, each with a stack of objectives, some of them 0."""
+    rng = np.random.default_rng(seed)
+
+    def some_zeros(shape):
+        return np.where(rng.random(shape) < 0.15, 0.0, rng.standard_normal(shape))
+
+    for _ in range(count):
+        m = int(rng.integers(0, 6))
+        objectives, A = some_zeros((int(rng.integers(1, 6)), 1)), some_zeros((m, 1))
+        yield objectives, A, rng.uniform(-1.0, 2.0, size=m)
+
+
+class TestIntervalPath:
+    """A region of the line is the interval between its two ends, each one
+    ratio b_k / a_k; no 1D region reaches the simplex unless a ratio
+    overflows inward (the region holds no float)."""
+
+    OBJECTIVES = np.array([[1.0], [-1.0], [0.0]])
+
+    def test_random_regions_against_scipy(self, monkeypatch):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        monkeypatch.setattr(_simplex, "_solve_stack", None)  # never called
+        statuses = {OPTIMAL: 0, UNBOUNDED: 0, INFEASIBLE: 0}
+        for objectives, A, b in _random_1d_regions(42, 400):
+            values, points = maximize(objectives, A, b)
+            for c, value, point in zip(objectives, values, points):
+                ref = linprog(-c, A_ub=A if len(A) else None, b_ub=b if len(A) else None,
+                              bounds=[(None, None)], method="highs", options={"presolve": False})
+                if ref.status == 2:
+                    assert value == -math.inf and np.isnan(point).all()
+                elif ref.status == 3:
+                    assert value == math.inf and np.isnan(point).all()
+                else:
+                    assert abs(value - (-ref.fun)) <= 1e-7 and value == c[0] * point[0]
+                statuses[status(value)] += 1
+        assert min(statuses.values()) > 0
+
+    def test_a_stack_equals_its_objectives_one_at_a_time(self):
+        for objectives, A, b in _random_1d_regions(43, 300):
+            values, points = maximize(objectives, A, b)
+            solves = [solve_one(c, A, b) for c in objectives]
+            assert_stack_matches_solves(objectives, values, points, solves, exact=True)
+            # a power of two on the rows moves no bit of the ends
+            scaled, _ = maximize(objectives, np.ldexp(A, 300), b)
+            assert np.ldexp(scaled, 300).tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("A, b, values, points", [
+        ([], [], [math.inf, math.inf, 0.0], [math.nan, math.nan, 0.0]),  # no rows
+        ([0.0, 1.0], [-1.0, 2.0], [-math.inf] * 3, [math.nan] * 3),  # 0 x <= -1
+        ([1.0, -1.0], [1.0, -2.0], [-math.inf] * 3, [math.nan] * 3),  # x <= 1 and x >= 2
+        ([1.0, -1.0], [1.0, -1.0], [1.0, -1.0, 0.0], [1.0] * 3),  # x = 1
+        ([2.0, -4.0], [1.0, 2.0], [0.5, 0.5, 0.0], [0.5, -0.5, 0.0]),  # 0 inside
+        # -0.2 x <= 1e308 bounds x only below -5e308, past the float range
+        ([-0.2, 1.0], [1e308, 3.0], [3.0, math.inf, 0.0], [3.0, math.nan, 0.0]),
+        ([1e-10, -1.0], [1e308, -3.0], [math.inf, -3.0, 0.0], [math.nan, 3.0, 3.0]),
+    ])
+    def test_edges(self, A, b, values, points):
+        A, b = np.reshape(A, (-1, 1)), np.array(b)
+        got_values, got_points = maximize(self.OBJECTIVES, A, b)
+        assert got_values.tolist() == values
+        assert np.array_equal(got_points[:, 0], points, equal_nan=True)
+
+    def test_an_inward_overflow_goes_to_the_simplex(self):
+        # 1e-10 x <= -1e308 holds only x <= -1e318, past the float range: its
+        # end reads neither as an empty region nor as the whole line
+        A, b = np.array([[1e-10]]), np.array([-1e308])
+        assert _simplex._interval(self.OBJECTIVES, A, b) is None
+        values, points = maximize(self.OBJECTIVES, A, b)
+        ref_values, ref_points = _solve_stack(self.OBJECTIVES, A, b, np.full(3, math.inf))
+        assert values.tobytes() == ref_values.tobytes()
+        assert points.tobytes() == ref_points.tobytes()
+
+
 class TestStackedSimplex:
-    """A stack of objectives in d != 2 runs phase 1 once and starts each
+    """A stack of objectives in d >= 3 runs phase 1 once and starts each
     objective it has not answered from its tableau; an optimal basis also
     answers every later objective it passes.  Each answer must match the
     simplex's for that objective alone (`assert_stack_matches_solves`)."""

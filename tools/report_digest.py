@@ -26,9 +26,11 @@ carves the ensemble runs (``ensemble.region_minus_subset``), so that a change
 that saves LP work shows it, and one that should not move it shows none.
 ``scale`` counts, per dimension, the regimes ops of the seeds whose verdict or
 evidence changes, or that raise, when every gradient is scaled by 2^-600 and
-by 2^600 (``2d=a+b``, a at 2^-600 and b at 2^600); a certificate scales
-exactly with its gradients, so each count is a verdict that depends on an
-absolute size.  Run it in two checkouts and compare the lines.  Standard
+by 2^600 (``2d=a+b``, a at 2^-600 and b at 2^600); ``1d`` counts the same of
+seeded 1D two-member ensembles run by the regimes op runner, 100 per mode
+and seed, of 3 classes and 4 gradient sites.  A certificate scales exactly
+with its gradients, so each count is a verdict that depends on an absolute
+size.  Run it in two checkouts and compare the lines.  Standard
 library and numpy only.
 """
 
@@ -56,6 +58,7 @@ NMEMBER_KINDS = tuple((n, dim, mode, 5 if dim == 2 else 3) for n in (3, 4)
                       for dim in (2, 3) for mode in ("u", "cw", "cd"))
 FLAGS = ("contains_intersection", "within_union", "contains_union", "within_intersection")
 SCALES = (-600, 600)  # the powers of two of the scale line
+ONE_D_DRAWS = 100  # the 1D ensembles of the scale line, per mode and seed
 
 
 def _encode(value) -> str:
@@ -188,13 +191,29 @@ def work_counts(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
     return " ".join(f"{name}={count}" for name, count in counts.items())
 
 
-def scale_counts(seeds: list[int], n_ops: int = REGIMES_OPS) -> str:
-    """Per dimension, the regimes ops of the seeds whose verdict or evidence
-    changes, or that raise, when every gradient is scaled by 2^k, for each k
-    of SCALES: `2d=a+b` counts a at 2^-600 and b at 2^600."""
+def one_d_ops(seed: int, draws: int = ONE_D_DRAWS) -> list:
+    """Regimes ops of two 1D members, `draws` per mode u, cw and cd: 3 classes
+    and 4 gradient sites, from a generator per seed and mode."""
+    ops = []
+    for index, mode in enumerate(("u", "cw", "cd")):
+        rng = np.random.default_rng([seed, 1, index])
+        shape = (4, 1) if mode == "u" else (4, 3, 1)
+        for _ in range(draws):
+            members = tuple((rng.dirichlet(np.ones(3)), rng.standard_normal(shape))
+                            for _ in range(2))
+            ops.append((f"1d-{mode}", (mode, members, rng.dirichlet(np.ones(2)))))
+    return ops
+
+
+def scale_counts(seeds: list[int], n_ops: int = REGIMES_OPS,
+                 one_d: int = ONE_D_DRAWS) -> str:
+    """Per dimension, the regimes ops of the seeds, and `one_d` 1D ensembles
+    per mode and seed, whose verdict or evidence changes, or that raise, when
+    every gradient is scaled by 2^k, for each k of SCALES: `2d=a+b` counts a
+    at 2^-600 and b at 2^600."""
     runner, moved = workloads.Regimes(), {}
     for seed in seeds:
-        for op in runner.make_ops(seed, n_ops):
+        for op in runner.make_ops(seed, n_ops) + one_d_ops(seed, one_d):
             name, (mode, members, weights) = op
             report = _report(runner, op)
             counts = moved.setdefault(f"{members[0][1].shape[-1]}d", [0] * len(SCALES))
