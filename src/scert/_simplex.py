@@ -1,29 +1,30 @@
-"""Small linear programs: a dense two-phase simplex and exact 1D and 2D paths.
+"""Small linear programs: exact 1D and 2D paths and a dense two-phase simplex.
 
 Solves   max  c.x   subject to   A x <= b,   x free (unrestricted sign),
-for a stack of objectives over the same region, so the method depends on the
-region alone.  The answers are arrays: one maximum per objective, +inf where
-it is unbounded and -inf on an empty region, and a point attaining each.
-
-A region of the line is answered from its two ends, each a correctly rounded
-ratio b_k / a_k, which scales exactly by powers of two (Higham 2002, ch. 2).
-A region of the plane is answered from its vertices and extreme rays,
-computed once.  Where every offset is positive the region holds 0 inside and
+for a stack of objectives over the same region, by a method that the
+dimension alone picks.  The answers are arrays: one maximum per objective,
++inf where it is unbounded and -inf on an empty region, and a point
+attaining each.  A region of the line is answered from its two ends, each a
+correctly rounded ratio b_k / a_k, which scales exactly by powers of two
+(Higham 2002, ch. 2).  A region of the plane is answered from its vertices
+and extreme rays, computed once.  Where every offset is positive the region holds 0 inside and
 is the polar set of the hull of {a_k / b_k} and 0, so its vertices and rays
 come from consecutive points of that one ordered hull (Preparata & Muller
-1979; de Berg et al., Computational Geometry, 8.2 and 11.4).  Where an
-offset is not positive (a carved piece) or that hull is ill-conditioned,
-each pair of boundary lines is met instead, if the nonzero rows span the
-plane.  Any other region goes to the simplex: free variables are split as
-x = u - v with u, v >= 0 and slack variables turn the inequalities into
-equalities.  Rows with negative right-hand side receive an artificial
+1979; de Berg et al., Computational Geometry, 8.2 and 11.4); any other region
+meets each pair of its boundary lines, or, with no vertex, is read from its
+row feet and axes.  On both paths a boundary past the float range bounds
+nothing, or, with a negative offset, leaves no float in the region.
+
+Regions of three or more dimensions go to the simplex: free variables are
+split as x = u - v with u, v >= 0 and slack variables turn the inequalities
+into equalities.  Rows with negative right-hand side receive an artificial
 variable, and a phase-1 feasibility problem is solved once per region.  An
 objective runs phase 2 from a copy of that tableau and basis, unless the
 optimal basis of an earlier objective passes the stopping rule for it too;
-then it takes that basis's point.  Pivoting uses Bland's rule (lowest
-eligible index enters, lowest basis index leaves on ratio ties), which
-precludes cycling.  The problems handled here are tiny (a handful of
-variables, tens of rows), so a dense tableau is the right tool.
+then it takes that basis's point.  Pivoting uses Bland's rule (lowest eligible
+index enters, lowest basis index leaves on ratio ties), which precludes
+cycling.  The problems handled here are tiny (a handful of variables, tens of
+rows), so a dense tableau is the right tool.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ import math
 import numpy as np
 
 FEASIBILITY_TOL = 1e-9  # absolute: least entering reduced cost (objective units), phase-1 residual
-PIVOT_TOL = 1e-11  # absolute, in row units: least pivot entry; objective entries this small are 0
+PIVOT_TOL = 1e-11  # absolute, in row units: least pivot entry
 # Relative tolerance of the 2D path: a vertex v may pass row i by this times
 # max(|b_i|, |a_i|.|v|), with no absolute floor, so scaled rows move no vertex.
 # It must stay below the 1e-9 slack that carves regions apart, or carved-off
 # empty pieces survive; without |a_i|.|v| a thin sliver loses its far vertex.
 VERTEX_TOL = 1e-12
 # Rows whose angle has a sine below this are parallel on the 2D path, and a
-# region whose rows are all parallel goes to the simplex.  It is below
+# region whose rows are all parallel has no vertex.  It is below
 # VERTEX_TOL, so the direction along such a pair still counts as a ray.
 PARALLEL_TOL = 1e-13
 # An edge of the polar hull between nonzero points p and q whose line passes
@@ -151,7 +152,7 @@ def _phase2(objective: np.ndarray, tableau: np.ndarray, basis: np.ndarray,
     pivots the tableau and basis in place."""
     m, n = basis.size, objective.size
     if m == 0:
-        if np.all(np.abs(objective) <= PIVOT_TOL):
+        if not objective.any():
             return 0.0, np.zeros(n)
         return math.inf, np.full(n, math.nan)
     cost = np.zeros(allowed.size)
@@ -242,26 +243,31 @@ def _star_polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return vertices, np.array(rays).reshape(-1, 2)
 
 
-def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Vertices and unit extreme rays of {x : A x <= b} in the plane, or None
-    when the nonzero rows do not span it or an offset at unit size is past the
-    float range.  An empty region has no vertices.
+def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and unit extreme rays of {x : A x <= b} in the plane; an empty
+    region has no vertices.  A row whose foot b a / |a|^2 is past the float
+    range, as a zero row's is, bounds nothing when its offset is positive and
+    leaves no float in the region when it is negative.  The rest is solved at
+    unit size, each row and its offset by one power of two and then x = 2^e y,
+    and a vertex past the float range at x reads as an open end.
 
     When the rows span the plane, a nonempty region has a vertex and is the
     hull of its vertices plus the cone of its extreme rays.  Each vertex
     is where the boundary, run counterclockwise, leaves one of the boundary
-    lines, so it is listed once, and each extreme ray runs along one of them."""
-    A, shift = unit_size(A, rows=True)  # each row and its offset by one power of two:
-    with np.errstate(over="ignore"):  # the same halfspace
+    lines, so it is listed once, and each extreme ray runs along one of them.
+    A region with no vertex (the plane, a half-plane or a strip) is read from
+    0 and the feet that satisfy every row, and from the unit axes along and
+    across its rows that no row bounds."""
+    A, shift = unit_size(A, rows=True)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         b = np.ldexp(b, -shift)
-    if not np.isfinite(b).all():
-        return None
-    norms = np.hypot(A[:, 0], A[:, 1])
-    zero = norms == 0.0
-    if np.any(b[zero] < 0.0):
+        norms = np.hypot(A[:, 0], A[:, 1])
+        far = ~np.isfinite(b / norms)  # the foot's length |b| / |a|, NaN for 0 <= 0
+    if (b[far] < 0.0).any():
         return np.empty((0, 2)), np.empty((0, 2))
-    A, b, norms = A[~zero], b[~zero], norms[~zero]
-    # boundary line i is x = p_i + t d_i with d_i the unit row i turned
+    A, norms = A[~far], norms[~far]
+    b, e = unit_size(b[~far])
+    # boundary line i is y = p_i + t d_i with d_i the unit row i turned
     # counterclockwise, which runs the boundary counterclockwise, and row j
     # bounds t on it by slope[i, j] t <= room[i, j]; a row parallel to line i
     # up to rounding (row i itself included) bounds nothing, and the
@@ -269,50 +275,53 @@ def _polygon(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     d = np.column_stack([-A[:, 1], A[:, 0]]) / norms[:, None]
     slope = d @ A.T
     parallel = np.abs(slope) <= PARALLEL_TOL * norms
-    if parallel.all():
-        return None
     p = A * (b / norms ** 2)[:, None]
-    room = b - p @ A.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = room / slope
-    t_hi = np.where(~parallel & (slope > 0.0), t, np.inf).min(axis=1)  # where x leaves line i
-    finite = np.isfinite(t_hi)
-    points = p[finite] + t_hi[finite, None] * d[finite]
+    if parallel.all():  # no vertex: the feet and 0 are candidates, the axes rays
+        points = np.vstack([p, np.zeros((1, 2))])
+        d = np.vstack([d[:1], A[:1] / norms[:1]]) if len(A) else np.eye(2)
+    else:
+        room = b - p @ A.T  # y leaves line i where t is least over the rows with slope > 0
+        t_hi = np.divide(room, slope, out=np.full_like(room, np.inf),
+                         where=~parallel & (slope > 0.0)).min(axis=1)
+        finite = np.isfinite(t_hi)
+        points = p[finite] + t_hi[finite, None] * d[finite]
     scale = np.maximum(np.abs(b), np.hypot(points[:, 0], points[:, 1])[:, None] * norms)
     vertices = points[np.all(points @ A.T <= b + VERTEX_TOL * scale, axis=1)]
     rays = np.concatenate([d, -d])
     rays = rays[np.all(rays @ A.T <= VERTEX_TOL * norms, axis=1)]
-    return vertices, rays
+    with np.errstate(over="ignore"):
+        return np.ldexp(vertices, e), rays
 
 
 def _polygon_results(objectives: np.ndarray, vertices: np.ndarray,
                      rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The maxima and points of the objectives over a 2D region with the
     given vertices and rays, from their products term by term: unlike a
-    matrix product, these round an objective alike in a stack of any size."""
+    matrix product, these round an objective alike in a stack of any size.
+    A product past the float range reads as +-inf, and one with no value as +inf."""
     if vertices.shape[0] == 0:
         return np.full(len(objectives), -math.inf), np.full(objectives.shape, math.nan)
-    values = objectives[:, :1] * vertices[:, 0] + objectives[:, 1:] * vertices[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = objectives[:, :1] * vertices[:, 0] + objectives[:, 1:] * vertices[:, 1]
+    values[np.isnan(values)] = math.inf
     top = values.argmax(axis=1)
     best, points = values[np.arange(len(top)), top], vertices[top]
     scale = VERTEX_TOL * np.hypot(objectives[:, 0], objectives[:, 1])
     along = objectives[:, :1] * rays[:, 0] + objectives[:, 1:] * rays[:, 1]
-    unbounded = np.any(along > scale[:, None], axis=1)
-    best[unbounded], points[unbounded] = math.inf, math.nan
+    best[np.any(along > scale[:, None], axis=1)] = math.inf
+    points[np.isinf(best)] = math.nan
     return best, points
 
 
 def _interval(objectives: np.ndarray, A: np.ndarray, b: np.ndarray):
     """The maxima and points of the objectives over {x : A x <= b} on the line,
-    between its ends lo and hi, or None where a ratio b_k / a_k overflows
-    inward, as no float lies in the region."""
+    between its ends lo and hi.  A ratio b_k / a_k past the float range bounds
+    nothing when b_k > 0, and leaves no float in the region when b_k < 0."""
     a = A[:, 0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = b / a  # an end that overflows outward is open: no float lies past it
+        ratios = b / a
         lo, hi = ratios[a < 0.0].max(initial=-math.inf), ratios[a > 0.0].min(initial=math.inf)
-        if hi == -math.inf or lo == math.inf:
-            return None
-        if lo > hi or (b[a == 0.0] < 0.0).any():  # crossing ends, or 0 x <= b < 0
+        if lo > hi or (b[~np.isfinite(ratios)] < 0.0).any():
             return np.full(len(objectives), -math.inf), np.full(objectives.shape, math.nan)
         # c > 0 peaks at hi, c < 0 at lo and c = 0 at the point nearest 0
         points = np.select([objectives > 0.0, objectives < 0.0], [hi, lo], min(max(0.0, lo), hi))
@@ -328,21 +337,20 @@ def maximize(objectives, A, b, limits=None) -> tuple[np.ndarray, np.ndarray]:
     another, up to the first maximum above its entry of `limits` (all of them
     without limits).  A maximum is +inf where the objective is unbounded,
     with a NaN point, and -inf on an empty region, which no limit is below.
-    On the line, the stack is answered from the region's two ends, unless a
-    ratio b_k / a_k overflows inward; in the plane, when every offset is
-    positive or the nonzero rows span it, from its vertices and extreme rays;
-    otherwise the simplex runs one phase 1 and solves the objectives in
-    order, and each optimal basis also answers the later objectives it is
-    optimal for, at a point that may differ by rounding from their own.
+    On the line, the stack is answered from the region's two ends; in the
+    plane, from its vertices and extreme rays; in more dimensions the simplex
+    runs one phase 1 and solves the objectives in order, and each optimal
+    basis also answers the later objectives it is optimal for, at a point
+    that may differ by rounding from their own.
     """
     objectives = np.asarray(objectives, dtype=float)
     A = np.asarray(A, dtype=float).reshape(-1, objectives.shape[1])
     b = np.asarray(b, dtype=float).reshape(-1)
     limits = np.full(len(objectives), math.inf) if limits is None else np.asarray(limits, float)
-    if A.shape[1] == 1 and (answers := _interval(objectives, A, b)) is not None:
-        values, points = answers
-    elif A.shape[1] == 2 and (polygon := _star_polygon(A, b) or _polygon(A, b)) is not None:
-        values, points = _polygon_results(objectives, *polygon)
+    if A.shape[1] == 1:
+        values, points = _interval(objectives, A, b)
+    elif A.shape[1] == 2:
+        values, points = _polygon_results(objectives, *(_star_polygon(A, b) or _polygon(A, b)))
     else:
         return _solve_stack(objectives, A, b, limits)
     over = values > limits

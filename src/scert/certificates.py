@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import geometry
+from . import _simplex, geometry
 from .geometry import (
     ConvexBody,
     FinitePoints,
@@ -311,14 +311,17 @@ def _realize(mode: str, family: str, dim: int,
 
 
 def lipschitz_constant_from_gradients(points, q: float) -> float:
-    """Supremum of the l_q norm over a gradient cloud (q dual to the certificate norm)."""
+    """Supremum of the l_q norm over a gradient cloud (q dual to the certificate
+    norm), taken at unit size by one power of two so that no square underflows."""
     if isinstance(points, FinitePoints):
         pts = points.points
     else:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("the gradient set must be nonempty")
-    return float(np.max(np.linalg.norm(pts, ord=q, axis=1)))
+    pts, e = _simplex.unit_size(pts)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.max(np.linalg.norm(pts, ord=q, axis=1)), e))
 
 
 _LIPSCHITZ_NEEDS = {"u": "uniform mode needs a single shared gradient ball",

@@ -196,8 +196,8 @@ class TestCertify:
         assert "[2e-200, 5e-201] . delta <= 0.2" in out and out.count(". delta <= 0.2") == 6
 
     def test_a_subnormal_cloud_certifies_and_regimes_without_warning(self, tmp_path, capsys):
-        # its region's vertices are past the float range, where the 2D path
-        # leaves it to the simplex
+        # its region's row feet are past the float range, so the 2D path reads
+        # the region as the plane
         cloud = [[1e-310, 0.0], [0.0, 1e-310], [-1e-310, -5e-311], [3e-311, 2e-311]]
         member = {"logits": [0.6, 0.4],
                   "smoothness": {"mode": "u", "body": {"type": "points", "points": cloud}}}
@@ -248,6 +248,28 @@ class TestCertify:
         path.write_text(json.dumps(problem))
         code, out, err = run_cli(capsys, "regime", str(path))
         assert code == 0 and err == "" and "certificate regime: inconclusive" in out
+
+    def test_a_2d_file_with_huge_logits_regimes_as_its_scaled_copy(self, tmp_path, capsys):
+        # offsets near 1e308 sent 2D regions to the dense simplex, which warned
+        # and raised "simplex did not converge within the iteration cap"
+        clouds = ([[0.0416, -0.458], [-0.137, 0.0334], [-0.235, -0.143], [-0.246, -0.1]],
+                  [[0.256, -0.122], [-0.0462, 0.244], [0.193, 0.509], [-0.627, 0.257]])
+        logits = ([1e308, 4.05e306], [6.33e307, 7.04e306])
+        regimes = []
+        for k in (0, -20):
+            problem = {"dimension": 2, "classes": 2, "members": [
+                {"logits": [math.ldexp(v, k) for v in row],
+                 "smoothness": {"mode": "u", "body": {"type": "points", "points": cloud}}}
+                for row, cloud in zip(logits, clouds)]}
+            path = tmp_path / f"huge{k}.json"
+            path.write_text(json.dumps(problem))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "regime", str(path))
+            assert code == 0 and err == ""
+            regimes.append(next(line for line in out.splitlines()
+                                if line.startswith("certificate regime:")))
+        assert regimes == ["certificate regime: inconclusive"] * 2
 
 
 class TestEnsembleAndRegime:
@@ -505,6 +527,20 @@ class TestLipschitzSoundness:
         bodies = [data.draw(body) for _ in range(1 if mode == "u" else k)]
         smoothness = Uniform(bodies[0]) if mode == "u" else ClassWise(tuple(bodies))
         self._assert_sound(ClassifierAtPoint(logits, smoothness), mode, norm)
+
+    def test_a_subnormal_cloud(self, tmp_path, capsys):
+        # its norm squared each entry to 0, so its ball certified the whole
+        # space, beyond the S-certificate's line delta_y = 0; the derandomized
+        # property above finds this cloud only when this module runs alone
+        cloud = [[0.0, 0.0], [0.0, 2.225073858507e-311]]
+        member = ClassifierAtPoint([0.5, 0.5], Uniform(FinitePoints(np.array(cloud))))
+        self._assert_sound(member, "u", None)
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"dimension": 2, "classes": 2, "members": [
+            {"logits": [0.5, 0.5],
+             "smoothness": {"mode": "u", "body": {"type": "points", "points": cloud}}}]}))
+        code, out, err = run_cli(capsys, "certify", str(path), "--mode", "lipschitz-u")
+        assert code == 0 and err == "" and "  l2 ball, radius 0\n" in out
 
     @pytest.mark.parametrize("check", [c for c in load_expected() if c["kind"] == "certify"
                                        and c["mode"].startswith("lipschitz-")],

@@ -1738,6 +1738,19 @@ def _1d_ensemble(mode: str, seed: int) -> EnsembleSpec:
                               for _ in range(2)), rng.dirichlet(np.ones(2)))
 
 
+def _line_ensemble(mode: str, seed: int) -> EnsembleSpec:
+    """Two 2D members of 3 classes with 4 gradient sites each, drawn from a
+    seed, whose clouds lie on one line through 0: every region is a strip or
+    a half-plane, whose rows are all parallel."""
+    rng = np.random.default_rng([seed, 2])
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    line = np.array([math.cos(angle), math.sin(angle)])
+    shape = (4, 1) if mode == "u" else (4, 3, 1)
+    return EnsembleSpec(tuple(_point_cloud_member(rng.dirichlet(np.ones(3)),
+                                                  rng.standard_normal(shape) * line, mode)
+                              for _ in range(2)), rng.dirichlet(np.ones(2)))
+
+
 class TestVerdictsScale:
     """Scaling every gradient set by 2^k scales every certificate by 2^-k, so
     no verdict moves.  The exact 1D and 2D paths hold that at every exact
@@ -1769,6 +1782,36 @@ class TestVerdictsScale:
                    for m in spec.members for body in m.smoothness.bodies))
         report, scaled = classify_regimes(spec), classify_regimes(_scaled_spec(spec, k))
         assert (scaled.cert_regime, scaled.evidence) == (report.cert_regime, report.evidence)
+
+    # each moved at 2^-40 or 2^40 while the dense simplex answered 2D regions
+    # whose rows are all parallel
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["u", "cw", "cd"]), st.integers(0, 2**32 - 1),
+           st.integers(-1000, 1000))
+    @example("u", 0, -40)
+    @example("u", 0, 40)
+    @example("cw", 0, -40)
+    @example("cw", 0, 40)
+    @example("cd", 0, -40)
+    @example("cd", 0, 40)
+    def test_a_collinear_2d_verdict_and_its_evidence_at_every_scale(self, mode, seed, k):
+        spec = _line_ensemble(mode, seed)
+        assume(all(all_normal(np.ldexp(body.points, k))
+                   for m in spec.members for body in m.smoothness.bodies))
+        report, scaled = classify_regimes(spec), classify_regimes(_scaled_spec(spec, k))
+        assert (scaled.cert_regime, scaled.evidence) == (report.cert_regime, report.evidence)
+
+    @pytest.mark.parametrize("k", [-600, -40, 0, 40, 600])
+    def test_two_strips_are_inconclusive_at_every_scale(self, k):
+        # the strips |s| <= 0.4 and |s| <= 0.1 in s = x + y, and g's |s| <= 0.2;
+        # the dense simplex read the pair indeterminate at 2^40 and found
+        # contains_union and within_intersection at 2^-40
+        spec = EnsembleSpec(tuple(
+            ClassifierAtPoint(logits, Uniform(FinitePoints(np.ldexp([[0.0, 0.0], [s, s]], k))))
+            for logits, s in (([0.7, 0.3], 1.0), ([0.6, 0.4], 2.0))))
+        report = classify_regimes(spec)
+        assert report.cert_regime == "inconclusive"
+        assert [report.evidence[flag] for flag in _FLAGS] == [False, True, True, False]
 
     @pytest.mark.parametrize("op, k", [
         (0, 64), (0, -64), (0, 600), (0, -600),  # 2d-u, inconclusive

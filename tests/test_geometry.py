@@ -804,9 +804,8 @@ class TestLpMaximize:
 
     @staticmethod
     def _region(rng, dim: int, kind: str) -> HalfspaceRegion:
-        """A random region of the given kind: in 2D "bounded", "empty" and
-        "unbounded" take the polygon path and "slab" the simplex; in 3D all
-        take the simplex."""
+        """A random region of the given kind: in 2D every kind takes the
+        polygon path, "slab" as a strip; in 3D all take the simplex."""
         region = _random_region(rng, dim, 1.0)
         if kind == "empty":  # x_0 <= -1 and x_0 >= 1
             return region.intersect(HalfspaceRegion(

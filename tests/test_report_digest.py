@@ -114,6 +114,22 @@ def test_the_scale_line_is_repeatable_and_counts_a_moved_op(monkeypatch):
     assert report_digest.scale_counts([1], 8, 2) == "1d=6+0 2d=6+0 3d=2+1"
 
 
+def test_the_line_field_is_repeatable_and_counts_a_moved_op(monkeypatch):
+    # two collinear 2D ensembles per mode, whose strips and half-planes the
+    # exact 2D path reads alike at every scale
+    first = report_digest.line_counts([1], 2)
+    assert first == report_digest.line_counts([1], 2) == "line=0+0"
+    ops = report_digest.line_ops(1, 2)
+    assert [name for name, _ in ops] == ["line-u"] * 2 + ["line-cw"] * 2 + ["line-cd"] * 2
+    for _, (_, members, _) in ops:  # every gradient on one line through 0
+        assert np.linalg.matrix_rank(np.concatenate([g.reshape(-1, 2) for _, g in members])) == 1
+    # an absolute floor under which a gradient set is {0} certifies the whole
+    # space at 2^-600, which moves every op
+    monkeypatch.setattr(geometry.FinitePoints, "degenerate",
+                        property(lambda body: bool(np.all(np.abs(body.points) <= 2.0 ** -50))))
+    assert report_digest.line_counts([1], 2) == "line=6+0"
+
+
 def test_a_float_is_read_to_its_last_bit():
     assert report_digest._encode(0.1) != report_digest._encode(0.1 + 2.0 ** -56)
     assert report_digest._encode({"a": (1, True, "x")}) == "{'a':(1,True,'x')}"

@@ -3,6 +3,7 @@ the batched 2D path against the simplex, the rules of the array answers, and
 one objective as a stack of one."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def simplex_alone(objective, A, b):
 
 
 # every oracle test runs on the public call and on the simplex itself, which
-# the public call bypasses for 1D regions and 2D regions whose rows span the plane
+# the public call bypasses for every 1D and 2D region
 both_paths = pytest.mark.parametrize("solve", [solve_one, simplex_alone],
                                      ids=["maximize", "simplex"])
 
@@ -72,6 +73,14 @@ class TestBasics:
         assert maximize(np.zeros((1, 3)), np.zeros((0, 3)), np.zeros(0))[0].tolist() == [0.0]
         assert maximize(np.array([[0.0, 1.0]]), np.zeros((0, 2)),
                         np.zeros(0))[0].tolist() == [math.inf]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_rows_bound_only_the_zero_objective(self, n):
+        # an objective entry of 1e-12 is no pivot tolerance's 0: the region is the space
+        values, points = maximize(np.eye(n)[:1] * 1e-12, np.zeros((0, n)), np.zeros(0))
+        assert values.tolist() == [math.inf] and np.isnan(points).all()
+        values, points = maximize(np.zeros((1, n)), np.zeros((0, n)), np.zeros(0))
+        assert values.tolist() == [0.0] and points.tolist() == [[0.0] * n]
 
     def test_degenerate_duplicate_rows(self):
         A = np.array([[1.0, 0.0]] * 5 + [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -202,7 +211,7 @@ class TestBatchedPlanarPath:
 
     @pytest.mark.parametrize("A, b", [
         (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)),          # 2D path
-        (np.array([[1.0, 0.0], [-1.0, 0.0]] * 2), np.ones(4)),      # rank 1: simplex
+        (np.array([[1.0, 0.0], [-1.0, 0.0]] * 2), np.ones(4)),      # rank 1: a strip
         (np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),          # 3D: simplex
     ])
     def test_batch_stops_at_the_first_result_over_its_limit(self, A, b):
@@ -278,9 +287,8 @@ class TestArrayAnswers:
 
 def pairwise(objectives, A, b):
     """The maxima and points of the 2D path that meets every pair of boundary
-    lines; none when the rows do not span the plane."""
-    polygon = _simplex._polygon(A, b)
-    return ([], []) if polygon is None else _simplex._polygon_results(objectives, *polygon)
+    lines."""
+    return _simplex._polygon_results(objectives, *_simplex._polygon(A, b))
 
 
 def _assert_agree(objectives, A, b):
@@ -435,8 +443,7 @@ def _random_1d_regions(seed: int, count: int):
 
 class TestIntervalPath:
     """A region of the line is the interval between its two ends, each one
-    ratio b_k / a_k; no 1D region reaches the simplex unless a ratio
-    overflows inward (the region holds no float)."""
+    ratio b_k / a_k; no 1D region reaches the simplex."""
 
     OBJECTIVES = np.array([[1.0], [-1.0], [0.0]])
 
@@ -483,15 +490,94 @@ class TestIntervalPath:
         assert got_values.tolist() == values
         assert np.array_equal(got_points[:, 0], points, equal_nan=True)
 
-    def test_an_inward_overflow_goes_to_the_simplex(self):
-        # 1e-10 x <= -1e308 holds only x <= -1e318, past the float range: its
-        # end reads neither as an empty region nor as the whole line
+    def test_an_inward_overflow_holds_no_float(self):
+        # 1e-10 x <= -1e308 holds only x <= -1e318, past the float range: the
+        # region holds no float and reads empty, as the simplex reads it
         A, b = np.array([[1e-10]]), np.array([-1e308])
-        assert _simplex._interval(self.OBJECTIVES, A, b) is None
+        assert _simplex._interval(self.OBJECTIVES, A, b)[0].tolist() == [-math.inf] * 3
         values, points = maximize(self.OBJECTIVES, A, b)
         ref_values, ref_points = _solve_stack(self.OBJECTIVES, A, b, np.full(3, math.inf))
         assert values.tobytes() == ref_values.tobytes()
         assert points.tobytes() == ref_points.tobytes()
+
+
+_HUGE = 1e100  # an entry past this, or below its inverse, is no entry for scipy
+
+
+@st.composite
+def low_dimensional_regions(draw):
+    """A 1D or 2D region {x : A x <= b} with free rows, zero rows, families of
+    parallel rows (every row, at times) and rows near 1e-10 whose offsets
+    near +-1e308 put their feet past the float range, and a stack of
+    objectives that includes 0 and the region's own rows."""
+    n = draw(st.integers(1, 2))
+    eighths = st.lists(_EIGHTHS, min_size=n, max_size=n).map(np.array)
+    base, family = draw(eighths), draw(st.booleans())
+    rows, offsets = [], []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["free", "free", "zero", "parallel", "far"]))
+        if kind == "zero":
+            row = np.zeros(n)
+        elif kind == "far":
+            row = draw(st.floats(0.5, 2.0)) * 1e-10 * draw(eighths)
+        elif kind == "parallel" or family:
+            row = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0])) * base
+        else:
+            row = draw(eighths)
+        rows.append(row)
+        offsets.append(draw(st.sampled_from([-1.0, 1.0, 1.0])) * draw(st.floats(1.0, 1.79)) * 1e308
+                       if kind == "far" else draw(st.integers(-8, 16)) / 8.0)
+    A, b = np.array(rows).reshape(-1, n), np.array(offsets)
+    own = [A[i] for i in draw(st.lists(st.integers(0, len(A) - 1), max_size=3))] if len(A) else []
+    objectives = np.array([draw(eighths) for _ in range(draw(st.integers(0, 3)))]
+                          + own + [np.zeros(n), np.eye(n)[0]])
+    return objectives, A, b
+
+
+def _fail_below_three_columns(objectives, A, b, limits):
+    """`_solve_stack`, which fails on a region of fewer than three columns."""
+    assert A.shape[1] >= 3, f"a region of {A.shape[1]} columns reached the simplex"
+    return _solve_stack(objectives, A, b, limits)
+
+
+class TestLowDimensionalRegions:
+    """Every region of the line or the plane has one exact reader and never
+    reaches the simplex.  scipy is the oracle where every entry lies within
+    [1e-100, 1e100]; a row whose foot b a / |a|^2 lies past the float range
+    bounds nothing when its offset is positive, and when it is negative the
+    region holds no float."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(low_dimensional_regions())
+    def test_every_answer_against_scipy_and_the_float_range(self, region):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        objectives, A, b = region
+        with mock.patch.object(_simplex, "_solve_stack", _fail_below_three_columns):
+            values, points = maximize(objectives, A, b)
+        assert values.shape == (len(objectives),) and points.shape == objectives.shape
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            far = ~np.isfinite(b / np.linalg.norm(A, axis=1))
+        if (b[far] < 0.0).any():
+            assert values.tolist() == [-math.inf] * len(values) and np.isnan(points).all()
+            return
+        # scipy's tolerances are absolute, so it takes each objective at unit
+        # size, which scales the maximum by an exact power of two
+        A, b, units = A[~far], b[~far], _simplex.unit_size(objectives, rows=True)
+        entries = np.abs(np.concatenate([A.ravel(), b, units[0].ravel()]))
+        assert np.all((entries == 0.0) | ((entries >= 1.0 / _HUGE) & (entries <= _HUGE)))
+        for c, e, value, point in zip(*units, values, points):
+            ref = linprog(-c, A_ub=A if len(A) else None, b_ub=b if len(A) else None,
+                          bounds=[(None, None)] * len(c), method="highs",
+                          options={"presolve": False})
+            if ref.status == 2:
+                assert value == -math.inf and np.isnan(point).all()
+            elif ref.status == 3:
+                assert value == math.inf and np.isnan(point).all()
+            else:
+                value = math.ldexp(value, -int(e))
+                assert abs(value - (-ref.fun)) <= 1e-9 * max(1.0, abs(ref.fun))
+                assert abs(c @ point - value) <= 1e-9 * max(1.0, abs(value))
+                assert np.all(A @ point <= b + 1e-9 * np.maximum(1.0, np.abs(b)))
 
 
 class TestStackedSimplex:
@@ -731,8 +817,7 @@ class TestPairwiseScale:
         A, b, objectives = region
         rows = np.any(A != 0.0, axis=1)  # a zero row has no unit size
         A, b = A[rows], b[rows]
-        # the pairwise path answers: an offset is not positive, the rows span the plane
-        assume(not (b > 0.0).all() and _simplex._polygon(A, b) is not None)
+        assume(not (b > 0.0).all())  # the pairwise path answers: an offset is not positive
         entries = np.concatenate([A.ravel(), b])
         exponents = np.frexp(entries[entries != 0.0])[1]
         assume(exponents.min() + e >= -1021 and exponents.max() + e <= 1024)  # stays normal
@@ -741,11 +826,13 @@ class TestPairwiseScale:
         assert scaled_values.tobytes() == values.tobytes()
         assert scaled_points.tobytes() == points.tobytes()
 
-    def test_an_offset_past_the_float_range_goes_to_the_simplex(self):
-        # rows of 1e-310 take the offsets to about 2^1030 at unit size: the
-        # vertices are past the float range, so every maximum reads +inf
+    def test_an_offset_past_the_float_range_bounds_nothing(self):
+        # rows of 1e-310 take the offsets to about 2^1030 at unit size: every
+        # foot is past the float range, so the region reads as the plane and
+        # every maximum reads +inf
         A, b = self.BOX
-        assert _simplex._polygon(1e-310 * A, np.abs(b)) is None
+        vertices, rays = _simplex._polygon(1e-310 * A, np.abs(b))
+        assert vertices.tolist() == [[0.0, 0.0]] and len(rays) == 4
         values, _ = maximize(self.OBJECTIVES, 1e-310 * A, np.abs(b))
         assert values.tolist() == [math.inf] * 3
 

@@ -28,7 +28,9 @@ that saves LP work shows it, and one that should not move it shows none.
 evidence changes, or that raise, when every gradient is scaled by 2^-600 and
 by 2^600 (``2d=a+b``, a at 2^-600 and b at 2^600); ``1d`` counts the same of
 seeded 1D two-member ensembles run by the regimes op runner, 100 per mode
-and seed, of 3 classes and 4 gradient sites.  A certificate scales exactly
+and seed, of 3 classes and 4 gradient sites, and ``line`` the same of those
+ensembles each put on a seeded line through 0 in the plane (2D ensembles
+whose regions are strips and half-planes).  A certificate scales exactly
 with its gradients, so each count is a verdict that depends on an absolute
 size.  Run it in two checkouts and compare the lines.  Standard
 library and numpy only.
@@ -205,6 +207,32 @@ def one_d_ops(seed: int, draws: int = ONE_D_DRAWS) -> list:
     return ops
 
 
+def line_ops(seed: int, draws: int = ONE_D_DRAWS) -> list:
+    """The 1D ops of `one_d_ops`, each put on a line through 0 in the plane at
+    a seeded angle: 2D ensembles whose clouds are collinear."""
+    angles = np.random.default_rng([seed, 2]).uniform(0.0, 2.0 * np.pi, 3 * draws)
+    return [(f"line-{mode}", (mode, tuple((logits, grads * [np.cos(angle), np.sin(angle)])
+                                          for logits, grads in members), weights))
+            for (_, (mode, members, weights)), angle in zip(one_d_ops(seed, draws), angles)]
+
+
+def _moves(runner, op) -> list[int]:
+    """For each k of SCALES, 1 if op's verdict or evidence changes, or it
+    raises, when every gradient is scaled by 2^k, and 0 otherwise."""
+    name, (mode, members, weights) = op
+    report, moves = _report(runner, op), []
+    for k in SCALES:
+        scaled = tuple((logits, np.ldexp(grads, k)) for logits, grads in members)
+        try:
+            other = _report(runner, (name, (mode, scaled, weights)))
+        except Exception:  # a raise counts as a move
+            moves.append(1)
+            continue
+        moves.append(int((other.cert_regime, other.evidence) != (report.cert_regime,
+                                                                 report.evidence)))
+    return moves
+
+
 def scale_counts(seeds: list[int], n_ops: int = REGIMES_OPS,
                  one_d: int = ONE_D_DRAWS) -> str:
     """Per dimension, the regimes ops of the seeds, and `one_d` 1D ensembles
@@ -214,19 +242,19 @@ def scale_counts(seeds: list[int], n_ops: int = REGIMES_OPS,
     runner, moved = workloads.Regimes(), {}
     for seed in seeds:
         for op in runner.make_ops(seed, n_ops) + one_d_ops(seed, one_d):
-            name, (mode, members, weights) = op
-            report = _report(runner, op)
+            members = op[1][1]
             counts = moved.setdefault(f"{members[0][1].shape[-1]}d", [0] * len(SCALES))
-            for i, k in enumerate(SCALES):
-                scaled = tuple((logits, np.ldexp(grads, k)) for logits, grads in members)
-                try:
-                    other = _report(runner, (name, (mode, scaled, weights)))
-                except Exception:  # a raise counts as a move
-                    counts[i] += 1
-                    continue
-                counts[i] += (other.cert_regime, other.evidence) != (report.cert_regime,
-                                                                     report.evidence)
+            for i, move in enumerate(_moves(runner, op)):
+                counts[i] += move
     return " ".join(f"{dim}=" + "+".join(map(str, moves)) for dim, moves in sorted(moved.items()))
+
+
+def line_counts(seeds: list[int], draws: int = ONE_D_DRAWS) -> str:
+    """`line=a+b`: the ensembles of `line_ops`, `draws` per mode and seed,
+    that move at 2^-600 (a) and at 2^600 (b), as `scale_counts` counts."""
+    runner = workloads.Regimes()
+    moved = np.sum([_moves(runner, op) for seed in seeds for op in line_ops(seed, draws)], axis=0)
+    return "line=" + "+".join(map(str, moved))
 
 
 def main(argv=None) -> None:
@@ -239,7 +267,7 @@ def main(argv=None) -> None:
     print("lattice", lattice_digest(seeds))
     print("nmember", nmember_digest(seeds))
     print("work", work_counts(seeds))
-    print("scale", scale_counts(seeds))
+    print("scale", scale_counts(seeds), line_counts(seeds))
 
 
 if __name__ == "__main__":
